@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from antiplane import constants, fem, qvi
 from antiplane.oracle import analytic_1d, benchmark_problem, linear_solve
@@ -40,12 +42,77 @@ def friction_energy(mesh, K, F, g, u):
     return 0.5 * u @ (K @ u) - F @ u + fem.eval_j(mesh, g, u, u)
 
 
+def cd_oracle(K, F, free, gamma3, c, tol=1e-14, max_sweeps=100000):
+    """Frozen-bound solve by cyclic coordinate descent on the gamma3 block.
+
+    The smooth free nodes are eliminated with dense solves; each sweep
+    soft-thresholds one gamma3 value at a time, and the sweeps stop once
+    no value moves by ``tol``.
+    """
+    Kd = K.toarray()
+    T = np.intersect1d(gamma3, free)
+    S = np.setdiff1d(free, T)
+    K_st = Kd[np.ix_(S, T)]
+    X = np.linalg.solve(Kd[np.ix_(S, S)], np.column_stack([K_st, F[S]]))
+    A = Kd[np.ix_(T, T)] - K_st.T @ X[:, :-1]
+    b = F[T] - K_st.T @ X[:, -1]
+    d = np.diag(A)
+    t = np.zeros(len(T))
+    for _ in range(max_sweeps):
+        max_update = 0.0
+        for i in range(len(T)):
+            r = b[i] - A[i] @ t + d[i] * t[i]
+            new = np.sign(r) * max(abs(r) - c[i], 0.0) / d[i]
+            max_update = max(max_update, abs(new - t[i]))
+            t[i] = new
+        if max_update < tol:
+            u = np.zeros(len(F))
+            u[T] = t
+            u[S] = X[:, -1] - X[:, :-1] @ t
+            return u
+    raise AssertionError("coordinate descent oracle did not converge")
+
+
+def kkt_residual(K, F, free, gamma3, c, u):
+    """Largest violation of the discrete friction law by u.
+
+    Covers equilibrium on the smooth free nodes, u = 0 on gamma1, the
+    stick bound |lambda_i| <= c_i and lambda_i = c_i sign(u_i) on slip
+    nodes, with lambda = F - K u on the gamma3 nodes.
+    """
+    T = np.intersect1d(gamma3, free)
+    S = np.setdiff1d(free, T)
+    fixed = np.setdiff1d(np.arange(len(u)), free)
+    r = F - K @ u
+    lam, t = r[T], u[T]
+    slip = t != 0.0
+    return max(
+        np.max(np.abs(r[S]), initial=0.0),
+        np.max(np.abs(u[fixed]), initial=0.0),
+        np.max(np.abs(lam) - c, initial=0.0),
+        np.max(np.abs(lam[slip] - c[slip] * np.sign(t[slip])), initial=0.0),
+    )
+
+
+def control_square():
+    """The 6x6 square of the control tests: mu = 1, f0 = 0.2, bound 0.05.
+
+    Returns (mesh, K, solver, c, load) with load(traction) the load vector
+    under a constant gamma2 traction.
+    """
+    mesh = square_mesh(6)
+    K = fem.assemble_stiffness(mesh, 1.0)
+    solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
+    c = 0.05 * mesh.gamma3_weights[solver.friction]
+    return mesh, K, solver, c, lambda traction: fem.assemble_load(mesh, 0.2, traction)
+
+
 class TestTresca:
     def test_zero_bound_matches_direct_solve(self):
         mesh = interval_mesh(32)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 2.0)
-        u, sweeps, energies = qvi.solve_tresca(
+        u, _ = qvi.solve_tresca(
             K, F, np.zeros(1), mesh.free_nodes, mesh.node_sets["gamma3"]
         )
         ref = linear_solve(mesh, 1.0, 2.0)
@@ -56,7 +123,7 @@ class TestTresca:
         mesh = interval_mesh(64)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 3.0)
-        u, _, _ = qvi.solve_tresca(
+        u, _ = qvi.solve_tresca(
             K, F, np.array([1.0]), mesh.free_nodes, mesh.node_sets["gamma3"]
         )
         x = mesh.nodes
@@ -68,10 +135,10 @@ class TestTresca:
         mesh = interval_mesh(32)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 1.0)
-        u, _, _ = qvi.solve_tresca(
+        u, _ = qvi.solve_tresca(
             K, F, np.array([10.0]), mesh.free_nodes, mesh.node_sets["gamma3"]
         )
-        assert abs(u[-1]) < 1e-14
+        assert u[-1] == 0.0
 
     def test_minimizer_beats_perturbations(self):
         mesh = square_mesh(5)
@@ -80,7 +147,7 @@ class TestTresca:
         g3 = mesh.node_sets["gamma3"]
         w = mesh.gamma3_weights[g3]
         bound = 0.4 * w
-        u, sweeps, energies = qvi.solve_tresca(K, F, bound, mesh.free_nodes, g3)
+        u, _ = qvi.solve_tresca(K, F, bound, mesh.free_nodes, g3)
         g = fem.FrictionBound.constant(0.4)
         e_star = friction_energy(mesh, K, F, g, u)
         rng = np.random.default_rng(RNG_SEED)
@@ -89,27 +156,52 @@ class TestTresca:
                 v = u + scale * fem.zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
                 assert friction_energy(mesh, K, F, g, v) >= e_star - 1e-12
 
-    def test_energy_nonincreasing(self):
+    @pytest.mark.parametrize(
+        "f2,G,stick",
+        [(1.0, 0.3, False), (1.0, 1.5, True), (-3.0, 0.05, False), (-3.0, 1.0, True)],
+    )
+    def test_kkt_and_coordinate_descent_agreement(self, f2, G, stick):
         mesh = square_mesh(6)
         K = fem.assemble_stiffness(mesh, 1.0)
-        F = fem.assemble_load(mesh, 2.0, 1.0)
+        F = fem.assemble_load(mesh, 2.0, f2)
         g3 = mesh.node_sets["gamma3"]
-        u, sweeps, energies = qvi.solve_tresca(
-            K, F, 0.3 * mesh.gamma3_weights[g3], mesh.free_nodes, g3
-        )
-        assert sweeps >= 1
-        diffs = np.diff(energies)
-        assert np.all(diffs <= 1e-10)
+        c = G * mesh.gamma3_weights[g3]
+        u, iterations = qvi.solve_tresca(K, F, c, mesh.free_nodes, g3)
+        assert type(iterations) is int and iterations >= 1
+        assert np.any(u[g3] == 0.0) == stick
+        assert kkt_residual(K, F, mesh.free_nodes, g3, c, u) <= 1e-10
+        ref = cd_oracle(K, F, mesh.free_nodes, g3, c)
+        assert np.max(np.abs(u - ref)) <= 1e-10
 
-    def test_inner_cap_raises(self):
-        mesh = square_mesh(6)
-        K = fem.assemble_stiffness(mesh, 1.0)
-        F = fem.assemble_load(mesh, 2.0, 1.0)
+    def test_active_set_cap_raises(self):
+        # the state under traction 0.6 slips forward on all twelve gamma3
+        # nodes; under -0.6 every node slips backward, so one iteration from
+        # that warm start cannot settle the sets
+        _, _, solver, c, load = control_square()
+        t0 = solver.solve(load(0.6), c)[0][solver.friction]
+        with pytest.raises(qvi.SolverError, match="active-set"):
+            solver.solve(load(-0.6), c, t0=t0, max_inner=1)
+
+    @pytest.mark.parametrize(
+        "warm,target",
+        [
+            (0.6, -0.6),  # every warm-start sign is wrong
+            # met in the control sequence test: the warm start slips on all
+            # twelve nodes, the answer sticks on six, and the step
+            # sigma = 1/diag(A) cycles between active sets
+            (-0.3258955783927158, -0.19553735),
+        ],
+    )
+    def test_wrong_sign_warm_start_converges(self, warm, target):
+        mesh, K, solver, c, load = control_square()
+        t0 = solver.solve(load(warm), c)[0][solver.friction]
+        F = load(target)
+        u, _ = solver.solve(F, c, t0=t0)
+        cold, _ = solver.solve(F, c)
+        assert np.max(np.abs(u - cold)) <= 1e-12
         g3 = mesh.node_sets["gamma3"]
-        with pytest.raises(qvi.SolverError, match="sweeps"):
-            qvi.solve_tresca(
-                K, F, 0.3 * mesh.gamma3_weights[g3], mesh.free_nodes, g3, max_inner=1
-            )
+        assert kkt_residual(K, F, mesh.free_nodes, g3, c, u) <= 1e-10
+        assert np.max(np.abs(u - cd_oracle(K, F, mesh.free_nodes, g3, c))) <= 1e-10
 
     def test_rejects_nonpositive_diagonal(self):
         mesh = interval_mesh(4)
@@ -124,6 +216,58 @@ class TestTresca:
         F = fem.assemble_load(mesh, 1.0)
         with pytest.raises(qvi.SolverError, match="negative"):
             qvi.solve_tresca(K, F, np.array([-1.0]), mesh.free_nodes, mesh.node_sets["gamma3"])
+
+
+def _values(n, lo, hi):
+    return st.lists(
+        st.floats(lo, hi, allow_nan=False), min_size=n, max_size=n
+    ).map(np.array)
+
+
+@st.composite
+def tresca_instances(draw):
+    """Random rectangle, per-element mu in [0.2, 5], mixed-sign loads,
+    bounds c >= 0 with zeros, and a random or absent warm start."""
+    tags = draw(st.lists(st.sampled_from(fem.TAGS), min_size=4, max_size=4))
+    assume(fem.GAMMA1 in tags and fem.GAMMA3 in tags)
+    spec = fem.MeshSpec(
+        2,
+        (draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))),
+        (draw(st.integers(1, 8)), draw(st.integers(1, 8))),
+        dict(zip(fem.SIDES_2D, tags)),
+    )
+    mesh = fem.build_mesh(spec)
+    m = len(mesh.elements)
+    n2 = len(mesh.facets[fem.GAMMA2])
+    K = fem.assemble_stiffness(mesh, draw(_values(m, 0.2, 5.0)))
+    F = fem.assemble_load(
+        mesh, draw(_values(m, -3.0, 3.0)), draw(_values(n2, -3.0, 3.0)) if n2 else None
+    )
+    T = mesh.node_sets[fem.GAMMA3]
+    G = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=len(T), max_size=len(T)
+        ).map(np.array)
+    )
+    t0 = draw(st.one_of(st.none(), _values(len(T), -2.0, 2.0)))
+    return mesh, K, F, G * mesh.gamma3_weights[T], t0
+
+
+class TestTrescaProperties:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(tresca_instances())
+    def test_kkt_and_agreement_with_coordinate_descent(self, instance):
+        mesh, K, F, c, t0 = instance
+        g3 = mesh.node_sets[fem.GAMMA3]
+        u, _ = qvi.TrescaSolver(K, mesh.free_nodes, g3).solve(F, c, t0=t0)
+        assert kkt_residual(K, F, mesh.free_nodes, g3, c, u) <= 1e-10
+        assert np.max(np.abs(u - cd_oracle(K, F, mesh.free_nodes, g3, c))) <= 1e-10
 
 
 class TestFixedPoint:
