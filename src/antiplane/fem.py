@@ -154,26 +154,21 @@ def _build_rectangle(spec: MeshSpec) -> Mesh:
     xx, yy = np.meshgrid(xs, ys)
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
+    ids = np.arange(len(nodes), dtype=np.int64).reshape(ny + 1, nx + 1)  # ids[iy, ix]
+    a, b = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    c, d = ids[1:, 1:].ravel(), ids[1:, :-1].ravel()
+    # triangles (a, b, c) and (a, c, d) cell by cell, row by row; the fixed
+    # diagonal a-c keeps the triangulation deterministic
+    elements = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
 
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            a = nid(ix, iy)
-            b = nid(ix + 1, iy)
-            c = nid(ix + 1, iy + 1)
-            d = nid(ix, iy + 1)
-            # fixed diagonal a-c keeps the triangulation deterministic
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    elements = np.array(tris, dtype=np.int64)
+    def edges(line):
+        return np.column_stack([line[:-1], line[1:]])
 
     side_faces = {
-        "left": np.array([(nid(0, iy), nid(0, iy + 1)) for iy in range(ny)]),
-        "right": np.array([(nid(nx, iy), nid(nx, iy + 1)) for iy in range(ny)]),
-        "bottom": np.array([(nid(ix, 0), nid(ix + 1, 0)) for ix in range(nx)]),
-        "top": np.array([(nid(ix, ny), nid(ix + 1, ny)) for ix in range(nx)]),
+        "left": edges(ids[:, 0]),
+        "right": edges(ids[:, -1]),
+        "bottom": edges(ids[0]),
+        "top": edges(ids[-1]),
     }
     return _finish_mesh(spec, nodes, elements, side_faces)
 
@@ -201,10 +196,8 @@ def _finish_mesh(spec, nodes, elements, side_faces) -> Mesh:
     if spec.dimension == 1:
         weights[g3] += 1.0  # point measure on the interval boundary
     else:
-        for a, b in g3:
-            half = 0.5 * float(np.linalg.norm(nodes[b] - nodes[a]))
-            weights[a] += half
-            weights[b] += half
+        half = 0.5 * np.linalg.norm(nodes[g3[:, 1]] - nodes[g3[:, 0]], axis=1)
+        np.add.at(weights, g3, half[:, None])
 
     free = np.setdiff1d(np.arange(len(nodes)), node_sets[GAMMA1])
     return Mesh(spec, nodes, elements, facets, node_sets, weights, free)
@@ -276,6 +269,8 @@ def assemble_stiffness(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_m
 
     The shear modulus ``mu`` is sampled at element midpoints and must stay
     positive; when ``mu_star`` is given, values below it are rejected.
+    The element matrices mu_e meas_e grad phi_a . grad phi_b of all
+    elements are formed at once and summed in one sparse scatter.
     """
     mu_e = element_values(mesh, mu)
     low = float(mu_e.min())
@@ -286,85 +281,67 @@ def assemble_stiffness(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_m
     return _assemble_gradient_form(mesh, mu_e)
 
 
-def _assemble_gradient_form(mesh: Mesh, coef_e: np.ndarray) -> sp.csr_matrix:
-    n = mesh.n_nodes
-    rows, cols, vals = [], [], []
+def _element_geometry(mesh: Mesh):
+    """Measure and basis gradients of every element.
+
+    Returns (meas, grads) with grads[e, a] the gradient of the a-th local
+    basis function, shape (m, k, d): lengths and -+1/h in 1D, areas and
+    (b_a, c_a) / 2A in 2D.
+    """
+    pts = mesh.nodes[mesh.elements]
     if mesh.dimension == 1:
-        h = np.diff(mesh.nodes)
-        k = coef_e / h
-        for (i, j), ke in zip(mesh.elements, k):
-            rows += [i, i, j, j]
-            cols += [i, j, i, j]
-            vals += [ke, -ke, -ke, ke]
-    else:
-        pts = mesh.nodes[mesh.elements]  # (m, 3, 2)
-        for conn, p, ce in zip(mesh.elements, pts, coef_e):
-            b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
-            c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
-            area = 0.5 * abs(b[0] * c[1] - b[1] * c[0])
-            ke = ce * (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-            for a in range(3):
-                for d in range(3):
-                    rows.append(conn[a])
-                    cols.append(conn[d])
-                    vals.append(ke[a, d])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+        h = pts[:, 1] - pts[:, 0]
+        return h, np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None]
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    area = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return area, np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
+
+
+def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    """Sum local (m, k, k) element matrices into the global sparse matrix."""
+    k = mesh.elements.shape[1]
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
+    n = mesh.n_nodes
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _assemble_gradient_form(mesh: Mesh, coef_e: np.ndarray) -> sp.csr_matrix:
+    meas, grads = _element_geometry(mesh)
+    local = np.einsum("eid,ejd->eij", grads, grads)
+    return _scatter(mesh, (coef_e * meas)[:, None, None] * local)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Assemble the consistent mass matrix M[i,j] = (phi_j, phi_i)."""
-    n = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    if mesh.dimension == 1:
-        h = np.diff(mesh.nodes)
-        for (i, j), he in zip(mesh.elements, h):
-            me = he / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-            for a, ga in enumerate((i, j)):
-                for b, gb in enumerate((i, j)):
-                    rows.append(ga)
-                    cols.append(gb)
-                    vals.append(me[a, b])
-    else:
-        base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-        pts = mesh.nodes[mesh.elements]
-        for conn, p in zip(mesh.elements, pts):
-            area = 0.5 * abs(
-                (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
-            )
-            me = area * base
-            for a in range(3):
-                for b in range(3):
-                    rows.append(conn[a])
-                    cols.append(conn[b])
-                    vals.append(me[a, b])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    """Assemble the consistent mass matrix M[i,j] = (phi_j, phi_i).
+
+    The element matrix of a k-vertex simplex is
+    meas (1 + delta_ab) / (k (k + 1)), summed like the stiffness.
+    """
+    meas, _ = _element_geometry(mesh)
+    k = mesh.elements.shape[1]
+    base = (np.ones((k, k)) + np.eye(k)) / (k * (k + 1))
+    return _scatter(mesh, meas[:, None, None] * base)
 
 
 def assemble_load(mesh: Mesh, f0, f2=None) -> np.ndarray:
     """Assemble the load vector of the body force and the gamma2 traction.
 
-    ``f0`` is sampled at element midpoints, ``f2`` at gamma2 facet
-    midpoints.  A 1D gamma2 point carries the point measure, so its value
-    enters the load with weight one.
+    ``f0`` is sampled at element midpoints and each element's share
+    f0_e meas_e is split equally among its vertices; ``f2`` is sampled at
+    gamma2 facet midpoints.  A 1D gamma2 point carries the point measure,
+    so its value enters the load with weight one.
     """
     import warnings
 
     F = np.zeros(mesh.n_nodes)
     f0_e = element_values(mesh, f0)
-    if mesh.dimension == 1:
-        h = np.diff(mesh.nodes)
-        np.add.at(F, mesh.elements[:, 0], f0_e * h / 2.0)
-        np.add.at(F, mesh.elements[:, 1], f0_e * h / 2.0)
-    else:
-        pts = mesh.nodes[mesh.elements]
-        areas = 0.5 * np.abs(
-            (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
-            - (pts[:, 2, 0] - pts[:, 0, 0]) * (pts[:, 1, 1] - pts[:, 0, 1])
-        )
-        for k in range(mesh.elements.shape[1]):
-            np.add.at(F, mesh.elements[:, k], f0_e * areas / 3.0)
+    meas, _ = _element_geometry(mesh)
+    k = mesh.elements.shape[1]
+    for a in range(k):
+        np.add.at(F, mesh.elements[:, a], f0_e * meas / k)
 
     if f2 is not None:
         faces = mesh.facets[GAMMA2]
@@ -442,15 +419,6 @@ def eval_j(mesh: Mesh, g: FrictionBound, eta: np.ndarray, v: np.ndarray) -> floa
     if np.any(G < -1e-14):
         raise ValueError("friction bound took a negative value on gamma3")
     return float(np.sum(w * G * np.abs(v[idx])))
-
-
-def gamma3_bound_values(mesh: Mesh, g: FrictionBound, eta: np.ndarray) -> np.ndarray:
-    """Bound values g(x_i, |eta_i|) on the gamma3 node set."""
-    idx = mesh.node_sets[GAMMA3]
-    G = g(mesh.nodes[idx], np.abs(eta[idx]))
-    if np.any(G < -1e-14):
-        raise ValueError("friction bound took a negative value on gamma3")
-    return np.maximum(G, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiplane import fem
 
@@ -100,6 +103,66 @@ class TestBuildMesh:
         assert np.allclose(np.sort(mesh.gamma3_weights[bottom]), [0.25, 0.25, 0.5])
 
 
+def rectangle_oracle(spec):
+    """Triangles, side facets and gamma3 weights of a rectangle, built one
+    cell, facet and weight at a time."""
+    lx, ly = spec.extents
+    nx, ny = spec.resolution
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    tris = []
+    for iy in range(ny):
+        for ix in range(nx):
+            a, b, c, d = nid(ix, iy), nid(ix + 1, iy), nid(ix + 1, iy + 1), nid(ix, iy + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    sides = {
+        "left": [(nid(0, iy), nid(0, iy + 1)) for iy in range(ny)],
+        "right": [(nid(nx, iy), nid(nx, iy + 1)) for iy in range(ny)],
+        "bottom": [(nid(ix, 0), nid(ix + 1, 0)) for ix in range(nx)],
+        "top": [(nid(ix, ny), nid(ix + 1, ny)) for ix in range(nx)],
+    }
+    facets = {
+        tag: np.array(
+            [f for side in fem.SIDES_2D if spec.partition[side] == tag for f in sides[side]],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        for tag in fem.TAGS
+    }
+    xs, ys = np.linspace(0.0, lx, nx + 1), np.linspace(0.0, ly, ny + 1)
+    nodes = np.array([(x, y) for y in ys for x in xs])
+    weights = np.zeros(len(nodes))
+    for a, b in facets["gamma3"]:
+        half = 0.5 * float(np.linalg.norm(nodes[b] - nodes[a]))
+        weights[a] += half
+        weights[b] += half
+    return np.array(tris, dtype=np.int64), facets, weights
+
+
+class TestRectangleOracle:
+    @pytest.mark.parametrize("resolution", [(1, 1), (3, 2), (7, 5)])
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            {"left": "gamma1", "right": "gamma2", "bottom": "gamma3", "top": "gamma3"},
+            {"left": "gamma3", "right": "gamma3", "bottom": "gamma1", "top": "gamma2"},
+            {"left": "gamma1", "right": "gamma3", "bottom": "gamma3", "top": "gamma1"},
+        ],
+    )
+    def test_matches_loop_oracle(self, resolution, partition):
+        spec = fem.MeshSpec(2, (1.7, 0.6), resolution, partition)
+        mesh = fem.build_mesh(spec)
+        elements, facets, weights = rectangle_oracle(spec)
+        assert mesh.elements.dtype == elements.dtype
+        assert np.array_equal(mesh.elements, elements)
+        for tag in fem.TAGS:
+            assert mesh.facets[tag].dtype == facets[tag].dtype
+            assert np.array_equal(mesh.facets[tag], facets[tag])
+        assert np.array_equal(mesh.gamma3_weights, weights)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -167,6 +230,74 @@ class TestMass:
         h = 0.5
         expected = h / 6.0 * np.array([[2.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 2.0]])
         assert np.allclose(M, expected)
+
+
+def stiffness_oracle(mesh, coef_e):
+    """Weighted stiffness matrix assembled one element at a time."""
+    rows, cols, vals = [], [], []
+    if mesh.dimension == 1:
+        h = np.diff(mesh.nodes)
+        for (i, j), ke in zip(mesh.elements, coef_e / h):
+            rows += [i, i, j, j]
+            cols += [i, j, i, j]
+            vals += [ke, -ke, -ke, ke]
+    else:
+        for conn, p, ce in zip(mesh.elements, mesh.nodes[mesh.elements], coef_e):
+            b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
+            c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
+            area = 0.5 * abs(b[0] * c[1] - b[1] * c[0])
+            ke = ce * (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+            for a in range(3):
+                for d in range(3):
+                    rows.append(conn[a])
+                    cols.append(conn[d])
+                    vals.append(ke[a, d])
+    n = mesh.n_nodes
+    return np.asarray(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).todense())
+
+
+def mass_oracle(mesh):
+    """Consistent mass matrix assembled one element at a time."""
+    M = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    if mesh.dimension == 1:
+        for (i, j), he in zip(mesh.elements, np.diff(mesh.nodes)):
+            M[np.ix_([i, j], [i, j])] += he / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    else:
+        base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+        for conn, p in zip(mesh.elements, mesh.nodes[mesh.elements]):
+            area = 0.5 * abs(
+                (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
+                - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
+            )
+            M[np.ix_(conn, conn)] += area * base
+    return M
+
+
+@st.composite
+def meshes_with_modulus(draw):
+    """Interval or rectangle with non-unit extents and per-element mu."""
+    dim = draw(st.sampled_from((1, 2)))
+    extents = tuple(draw(st.floats(0.3, 3.0)) for _ in range(dim))
+    resolution = tuple(draw(st.integers(1, 9)) for _ in range(dim))
+    sides = fem.SIDES_1D if dim == 1 else fem.SIDES_2D
+    partition = dict.fromkeys(sides, fem.GAMMA3) | {"left": fem.GAMMA1}
+    mesh = fem.build_mesh(fem.MeshSpec(dim, extents, resolution, partition))
+    m = len(mesh.elements)
+    mu = draw(st.lists(st.floats(0.2, 5.0), min_size=m, max_size=m).map(np.array))
+    return mesh, mu
+
+
+class TestAssemblyOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(meshes_with_modulus())
+    def test_stiffness_and_mass_match_element_loops(self, instance):
+        mesh, mu = instance
+        K = fem.assemble_stiffness(mesh, mu).toarray()
+        K_ref = stiffness_oracle(mesh, mu)
+        assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
+        M = fem.assemble_mass(mesh).toarray()
+        M_ref = mass_oracle(mesh)
+        assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
 
 
 class TestLoad:

@@ -128,7 +128,8 @@ class TestTresca:
         )
         x = mesh.nodes
         assert np.max(np.abs(u - (-1.5 * x**2 + 2.0 * x))) < 1e-10
-        idx, lam = qvi.friction_multipliers(mesh, K, F, u)
+        prob = qvi.ProblemData(mesh, 1.0, 3.0, 0.0, fem.FrictionBound.constant(1.0))
+        _, lam, _, _, _ = qvi.complementarity_report(prob, u)
         assert np.allclose(lam, [-1.0], atol=1e-9)
 
     def test_stick_when_bound_large(self):
@@ -394,6 +395,119 @@ class TestFourPointEstimate:
                 * fem.v_norm(mesh, v1 - v2)
             )
             assert lhs <= rhs * (1 + 1e-10) + 1e-12
+
+
+def membership_oracle(mesh, mu, u, theta, *, directions=None, n_random=100, seed=0,
+                      basis_scale=1.0):
+    """The membership certificate one test field at a time: a loop over
+    the free nodes and both signs, then over the seeded random fields."""
+    K = fem.assemble_stiffness(mesh, mu)
+    F = fem.assemble_load(mesh, theta.f0, theta.f2)
+    res = F - K @ u
+    ju_u = fem.eval_j(mesh, theta.g, u, u)
+    norm_u = fem.v_norm(mesh, u)
+    eps = theta.eps
+    gram_diag = fem.gram_matrix(mesh).diagonal()
+    g3 = mesh.node_sets[fem.GAMMA3]
+    g3_pos = {int(i): p for p, i in enumerate(g3)}
+    w_g3 = mesh.gamma3_weights[g3]
+    G_u = theta.g(mesh.nodes[g3], np.abs(u[g3])) if len(g3) else np.zeros(0)
+
+    def residual(v):
+        d = v - u
+        jv = fem.eval_j(mesh, theta.g, u, v)
+        return float(res @ d) - jv + ju_u - eps * norm_u * fem.v_norm(mesh, d)
+
+    worst = 0.0
+    if directions is not None:
+        for v in directions:
+            worst = max(worst, residual(np.asarray(v, dtype=float)))
+        return worst
+    s = basis_scale
+    for i in mesh.free_nodes:
+        base = s * np.sqrt(max(gram_diag[i], 0.0)) * eps * norm_u
+        for sign in (1.0, -1.0):
+            val = sign * s * res[i] - base
+            p = g3_pos.get(int(i))
+            if p is not None:
+                val -= w_g3[p] * G_u[p] * (abs(u[i] + sign * s) - abs(u[i]))
+            worst = max(worst, val)
+    worst = max(worst, float(-res @ u) + ju_u - eps * norm_u**2)
+    worst = max(worst, float(res @ u) - ju_u - eps * norm_u**2)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        v = fem.zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
+        nv = fem.v_norm(mesh, v)
+        if nv > 0.0:
+            v *= (1.0 + norm_u) / nv
+        worst = max(worst, residual(v))
+    return worst
+
+
+def certificate_case(name):
+    """(mesh, mu, u, theta, keyword arguments) of a named certificate case."""
+    if name.startswith("1d"):
+        prob = benchmark_problem(1.0, 3.0, 1.0, 64)
+        u, _ = qvi.solve_qvi(prob)
+        eps, kwargs = 0.0, {}
+        if name == "1d-eps-scaled":
+            eps, kwargs = 1e-3, {"basis_scale": 0.5}
+        elif name == "1d-perturbed":
+            u = u.copy()
+            u[32] += 0.3
+        return prob.mesh, prob.mu, u, qvi.TykhonovIndex(eps, prob.f0, prob.f2, prob.g), kwargs
+    partition = {"left": "gamma1", "right": "gamma2", "bottom": "gamma3", "top": "gamma3"}
+    if name == "2d-no-gamma3":
+        partition.update(bottom="gamma2", top="gamma2")
+    mesh = fem.build_mesh(fem.MeshSpec(2, (1.5, 0.7), (6, 5), partition))
+    mu = np.random.default_rng(RNG_SEED).uniform(0.5, 2.0, len(mesh.elements))
+    prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.1))
+    u, _ = qvi.solve_qvi(prob)
+    theta = qvi.TykhonovIndex(1e-4, 1.0, 0.5, prob.g)
+    if name == "2d-solution":
+        return mesh, mu, u, theta, {}
+    # an oscillating error; the small basis scale leaves the largest
+    # residual to the random fields (see test_each_random_block_counts)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    u = u + fem.zero_on_gamma1(mesh, 0.05 * np.sin(9.0 * x) * np.cos(7.0 * y))
+    return mesh, mu, u, theta, {"basis_scale": 1e-3, "seed": 253}
+
+
+CERTIFICATE_CASES = ("1d-solution", "1d-eps-scaled", "1d-perturbed", "2d-solution",
+                     "2d-perturbed", "2d-no-gamma3")
+
+
+class TestMembershipOracle:
+    @pytest.mark.parametrize("n_random", [0, 1, 17, 100])
+    @pytest.mark.parametrize("name", CERTIFICATE_CASES)
+    def test_agrees_with_loop_oracle(self, name, n_random):
+        mesh, mu, u, theta, kwargs = certificate_case(name)
+        got = qvi.membership_violation(mesh, mu, u, theta, n_random=n_random, **kwargs)
+        expected = membership_oracle(mesh, mu, u, theta, n_random=n_random, **kwargs)
+        assert type(got) is float
+        assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
+        if name.endswith("perturbed"):
+            assert got > 1e-3
+
+    def test_each_random_block_counts(self):
+        # the worst test field of this case is the first random field, then
+        # the seventeenth (the first of the second block), then a later one
+        mesh, mu, u, theta, kwargs = certificate_case("2d-perturbed")
+        values = [
+            qvi.membership_violation(mesh, mu, u, theta, n_random=n, **kwargs)
+            for n in (0, 1, 16, 17, 100)
+        ]
+        assert values[0] < values[1] and values[2] < values[3] < values[4]
+
+    @pytest.mark.parametrize("name", CERTIFICATE_CASES)
+    def test_directions_agree_with_loop_oracle(self, name):
+        mesh, mu, u, theta, _ = certificate_case(name)
+        rng = np.random.default_rng(RNG_SEED)
+        dirs = [np.zeros(mesh.n_nodes), 2 * u, 0.5 * u, u + rng.standard_normal(mesh.n_nodes)]
+        got = qvi.membership_violation(mesh, mu, u, theta, directions=dirs)
+        expected = membership_oracle(mesh, mu, u, theta, directions=dirs)
+        assert type(got) is float
+        assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
 
 
 class TestMembership:
