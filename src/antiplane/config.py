@@ -417,13 +417,16 @@ def build_problem(cfg, mesh: fem.Mesh) -> qvi.ProblemData:
 
 def build_solver_config(cfg) -> qvi.SolverConfig:
     solver = cfg["solver"]
-    return qvi.SolverConfig(
-        outer_tol=solver["outer_tol"],
-        inner_tol=solver["inner_tol"],
-        max_outer=solver["max_outer"],
-        max_inner=solver["max_inner"],
-        allow_non_contractive=solver["allow_non_contractive"],
-    )
+    try:
+        return qvi.SolverConfig(
+            outer_tol=solver["outer_tol"],
+            inner_tol=solver["inner_tol"],
+            max_outer=solver["max_outer"],
+            max_inner=solver["max_inner"],
+            allow_non_contractive=solver["allow_non_contractive"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from None
 
 
 def build_schedule(cfg) -> tykhonov.Schedule:

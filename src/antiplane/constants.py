@@ -179,8 +179,7 @@ def constants_report(
     maxiter: int = 10000,
     seed: int = 0,
 ) -> ConstantsReport:
-    """Compute both constants and the contraction margin for one mesh."""
-    c0 = poincare_constant(mesh, tol=tol, maxiter=maxiter, seed=seed)
-    c3 = trace_constant(mesh, tol=tol, maxiter=maxiter, seed=seed)
+    """Both constants (cached per mesh) and the contraction margin for one mesh."""
+    c0, c3 = space_constants(mesh, tol=tol, maxiter=maxiter, seed=seed)
     k, ok = smallness_margin(lipschitz, c0, c3, mu_star)
     return ConstantsReport(c0=c0, c3=c3, k=k, ok=ok)

@@ -83,7 +83,8 @@ class SolverConfig:
     ``outer_tol`` bounds the final V-norm increment of the bound update and
     ``max_outer`` caps its iterations.  ``inner_tol`` is the relative
     tolerance of the inner friction-law (KKT) test and ``max_inner`` caps
-    the active-set iterations of one frozen-bound solve.
+    the active-set iterations of one frozen-bound solve.  Both caps must
+    be at least 1 and both tolerances positive (ValueError otherwise).
     """
 
     outer_tol: float = 1e-10
@@ -91,6 +92,16 @@ class SolverConfig:
     max_outer: int = 200
     max_inner: int = 50000
     allow_non_contractive: bool = False
+
+    def __post_init__(self):
+        for name in ("max_outer", "max_inner"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in ("outer_tol", "inner_tol"):
+            value = getattr(self, name)
+            if not value > 0.0:  # also refuses NaN
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -377,7 +388,10 @@ def membership_violation(
     def worst_residual(V):
         """Largest residual over the rows of V, at least zero."""
         D = V - u
-        rows = D @ res - np.abs(V) @ wG + ju_u - eps * norm_u * v_norms(D)
+        # wG vanishes off gamma3; with eps = 0 the norm term is exactly zero
+        rows = D @ res - np.abs(V[:, g3]) @ wG[g3] + ju_u
+        if eps > 0.0:
+            rows -= eps * norm_u * v_norms(D)
         return float(np.max(rows, initial=0.0))
 
     if directions is not None:

@@ -8,6 +8,11 @@ errors against the unperturbed solution quantify how stably the problem
 responds: conforming schedules decay (typically like the perturbation
 scale), while a sequence driven toward different limit data plateaus at
 a positive gap.
+
+Only the modulus perturbation changes the form a(., .): every other
+schedule kind, together with the unperturbed solution and the limit of
+an adversarial sequence, is solved on one stiffness matrix and one
+Tresca factorization, and each instance assembles only its own load.
 """
 
 from __future__ import annotations
@@ -134,6 +139,40 @@ def _index_for(problem: qvi.ProblemData, schedule: Schedule, s: float, n: int):
     raise ValueError(f"schedule kind {schedule.kind!r} has no direct index")
 
 
+class _FixedModulus:
+    """One stiffness factorization for every instance that keeps mu.
+
+    K and the Tresca solver of the base problem are built once; a solve
+    assembles only its instance's load and runs the fixed point, which
+    gives bitwise the same u as a fresh ``qvi.solve_qvi`` of that instance.
+    """
+
+    def __init__(self, problem: qvi.ProblemData):
+        self.problem = problem
+        mesh = problem.mesh
+        K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
+        self.tresca = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3])
+        self.mu_star = problem.resolved_mu_star()
+
+    def solve(self, prob: qvi.ProblemData, config: qvi.SolverConfig | None = None):
+        """(u, SolveReport) of an instance with the base problem's mu."""
+        mesh = self.problem.mesh
+        F = fem.assemble_load(mesh, prob.f0, prob.f2)
+        return qvi.fixed_point(mesh, prob.g, self.tresca, F, self.mu_star, config)
+
+    def sequence(self, schedule: Schedule, config: qvi.SolverConfig | None = None):
+        """[(theta_n, u_n)] of a schedule that leaves mu untouched."""
+        out = []
+        for n, s in enumerate(schedule.scales(), start=1):
+            theta, prob_n = _index_for(self.problem, schedule, float(s), n)
+            try:
+                u_n, _ = self.solve(prob_n, config)
+            except qvi.SolverError as exc:
+                raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
+            out.append((theta, u_n))
+        return out
+
+
 def generate_sequence(
     problem: qvi.ProblemData,
     schedule: Schedule,
@@ -147,15 +186,7 @@ def generate_sequence(
     """
     if schedule.kind == "lame_perturb":
         return lame_perturb_sequence(problem, schedule, config, seed)
-    out = []
-    for n, s in enumerate(schedule.scales(), start=1):
-        theta, prob_n = _index_for(problem, schedule, float(s), n)
-        try:
-            u_n, _ = qvi.solve_qvi(prob_n, config)
-        except qvi.SolverError as exc:
-            raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
-        out.append((theta, u_n))
-    return out
+    return _FixedModulus(problem).sequence(schedule, config)
 
 
 def lame_perturb_sequence(
@@ -242,8 +273,12 @@ def run_convergence(
     cfg = config or qvi.SolverConfig()
     floor = noise_floor if noise_floor is not None else max(1e-6, 10.0 * cfg.outer_tol)
 
-    u_ref, _ = qvi.solve_qvi(problem, config)
-    seq = generate_sequence(problem, schedule, config, seed)
+    shared = _FixedModulus(problem)
+    u_ref, _ = shared.solve(problem, config)
+    if schedule.kind == "lame_perturb":
+        seq = lame_perturb_sequence(problem, schedule, config, seed)
+    else:
+        seq = shared.sequence(schedule, config)
     mesh = problem.mesh
 
     ns = list(range(1, schedule.length + 1))
@@ -258,7 +293,7 @@ def run_convergence(
     limit_gap = None
     errors_to_limit = None
     if schedule.kind == "adversarial_load":
-        u_bar, _ = qvi.solve_qvi(problem.with_data(f0=schedule.f0_target), config)
+        u_bar, _ = shared.solve(problem.with_data(f0=schedule.f0_target), config)
         limit_gap = float(fem.v_norm(mesh, u_bar - u_ref))
         errors_to_limit = [float(fem.v_norm(mesh, u_n - u_bar)) for _, u_n in seq]
 

@@ -237,6 +237,12 @@ class TestSolve:
         assert code == 1
         assert "contraction factor" in capsys.readouterr().err
 
+    def test_zero_outer_cap_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SOLVE_CFG + "\n    solver:\n      max_outer = 0\n")
+        code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "solver: max_outer must be at least 1" in capsys.readouterr().err
+
 
 class TestConstants:
     def test_report_and_csv(self, tmp_path, capsys):

@@ -302,6 +302,14 @@ class TestBuilders:
         assert solver_cfg.max_outer == 50
         assert solver_cfg.inner_tol == 1e-12
 
+    def test_build_solver_rejects_nonpositive_tolerance(self, tmp_path):
+        path = write_cfg(
+            tmp_path, MESH_1D + PROBLEM + "    solver:\n      inner_tol = 0\n"
+        )
+        cfg = config.parse_config(path, "solve")
+        with pytest.raises(config.ConfigError, match="solver: inner_tol must be positive"):
+            config.build_solver_config(cfg)
+
     def test_build_schedule(self, tmp_path):
         path = write_cfg(
             tmp_path,

@@ -123,3 +123,18 @@ class TestSmallness:
         rep = constants.constants_report(mesh, 0.5, 1.0, seed=0)
         assert rep.ok and 0.0 < rep.k < 1.0
         assert rep.c0 >= 1.0 and 0.0 < rep.c3 < 1.0
+
+    def test_report_reads_the_cached_constants(self, monkeypatch):
+        mesh = interval_mesh(48)
+        c0 = constants.poincare_constant(mesh, tol=1e-9, seed=3)
+        c3 = constants.trace_constant(mesh, tol=1e-9, seed=3)
+        assert constants.space_constants(mesh, tol=1e-9, seed=3) == (c0, c3)
+
+        def no_power_iteration(*args, **kwargs):
+            raise AssertionError("constants recomputed")
+
+        monkeypatch.setattr(constants, "poincare_constant", no_power_iteration)
+        monkeypatch.setattr(constants, "trace_constant", no_power_iteration)
+        rep = constants.constants_report(mesh, 0.5, 1.0, tol=1e-9, seed=3)
+        assert (rep.c0, rep.c3) == (c0, c3)
+        assert rep.k == constants.smallness_margin(0.5, c0, c3, 1.0)[0]

@@ -271,6 +271,28 @@ class TestTrescaProperties:
         assert np.max(np.abs(u - cd_oracle(K, F, mesh.free_nodes, g3, c))) <= 1e-10
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_outer", 0),
+            ("max_outer", -3),
+            ("max_inner", 0),
+            ("outer_tol", 0.0),
+            ("outer_tol", -1e-10),
+            ("inner_tol", 0.0),
+            ("inner_tol", float("nan")),
+        ],
+    )
+    def test_rejects_bad_value_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            qvi.SolverConfig(**{field: value})
+
+    def test_smallest_caps_accepted(self):
+        cfg = qvi.SolverConfig(max_outer=1, max_inner=1, outer_tol=1e-300)
+        assert cfg.max_outer == 1 and cfg.max_inner == 1
+
+
 class TestFixedPoint:
     def test_benchmark_cases_nodal_exact(self):
         for mu, f0, g in [(1.0, 1.0, 1.0), (1.0, 3.0, 1.0), (2.0, -3.0, 0.5), (1.0, 2.0, 1.0)]:

@@ -379,3 +379,109 @@ class TestVerifyC4:
             # the mean-minimal envelope of an affine gap is the gap itself
             assert alpha == pytest.approx(da, abs=1e-9)
             assert beta == pytest.approx(db, abs=1e-9)
+
+
+def _square_problem():
+    spec = fem.MeshSpec(
+        2, (1.0, 1.0), (5, 5),
+        {"left": "gamma1", "right": "gamma2", "bottom": "gamma3", "top": "gamma3"},
+    )
+    return qvi.ProblemData(
+        mesh=fem.build_mesh(spec), mu=1.0, f0=2.0, f2=0.5,
+        g=fem.FrictionBound.affine(0.2, 0.1),
+    )
+
+
+def _shared_problem(dim, kind):
+    if dim == "2d":
+        return _square_problem()
+    if kind == "traction_perturb":  # the friction interval has no gamma2 end
+        return qvi.ProblemData(
+            mesh=traction_mesh(24), mu=2.0, f0=1.0, f2=1.0,
+            g=fem.FrictionBound.constant(0.0),
+        )
+    # slip at the friction end, so every instance runs several outer steps
+    return oracle.benchmark_problem(mu=1.0, f0=3.0, g=0.5, n_elements=24)
+
+
+SHARED_LENGTH = 5
+
+
+def _shared_schedule(kind):
+    extra = {"f0_target": 4.0} if kind == "adversarial_load" else {}
+    return tykhonov.Schedule(kind=kind, length=SHARED_LENGTH, amplitude=0.5, **extra)
+
+
+def _fresh_solutions(problem, schedule, seq):
+    """u_n of every instance from its own cold ``qvi.solve_qvi``."""
+    out = []
+    for s, (theta, _) in zip(schedule.scales(), seq):
+        if schedule.kind == "lame_perturb":
+            mu_n = tykhonov.combine_coefficients(problem.mu, float(s), problem.mu)
+            prob_n = problem.with_data(mu=mu_n, mu_star=None)
+        else:
+            prob_n = problem.with_data(f0=theta.f0, f2=theta.f2, g=theta.g)
+        out.append(qvi.solve_qvi(prob_n)[0])
+    return out
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+@pytest.mark.parametrize("kind", tykhonov.SCHEDULE_KINDS)
+class TestSharedFactorization:
+    """One factorization per sequence gives bitwise the per-instance solves."""
+
+    def test_generate_sequence_equals_fresh_solves(self, kind, dim):
+        problem = _shared_problem(dim, kind)
+        schedule = _shared_schedule(kind)
+        seq = tykhonov.generate_sequence(problem, schedule)
+        fresh = _fresh_solutions(problem, schedule, seq)
+        assert len(seq) == SHARED_LENGTH
+        for (_, u_n), u_fresh in zip(seq, fresh):
+            assert np.array_equal(u_n, u_fresh)
+
+    def test_run_convergence_equals_fresh_solves(self, kind, dim, monkeypatch):
+        problem = _shared_problem(dim, kind)
+        schedule = _shared_schedule(kind)
+        certified = []  # (theta, u) of every certificate call
+        original = qvi.membership_violation
+
+        def recording(mesh, mu, u, theta, **kw):
+            certified.append((theta, u.copy()))
+            return original(mesh, mu, u, theta, **kw)
+
+        monkeypatch.setattr(qvi, "membership_violation", recording)
+        report = tykhonov.run_convergence(problem, schedule, seed=4)
+
+        fresh = _fresh_solutions(problem, schedule, certified)
+        assert len(certified) == SHARED_LENGTH
+        for (_, u_n), u_fresh in zip(certified, fresh):
+            assert np.array_equal(u_n, u_fresh)
+        u_ref = qvi.solve_qvi(problem)[0]
+        mesh = problem.mesh
+        assert report.errors == [float(fem.v_norm(mesh, u - u_ref)) for u in fresh]
+        if kind == "adversarial_load":
+            u_bar = qvi.solve_qvi(problem.with_data(f0=schedule.f0_target))[0]
+            assert report.limit_gap == float(fem.v_norm(mesh, u_bar - u_ref))
+            assert report.errors_to_limit == [
+                float(fem.v_norm(mesh, u - u_bar)) for u in fresh
+            ]
+        else:
+            assert report.limit_gap is None
+
+    def test_one_tresca_setup_unless_mu_changes(self, kind, dim, monkeypatch):
+        built = []
+
+        class Counting(qvi.TrescaSolver):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(qvi, "TrescaSolver", Counting)
+        problem = _shared_problem(dim, kind)
+        tykhonov.run_convergence(
+            problem, _shared_schedule(kind), check_membership=False
+        )
+        # u_ref, the whole sequence and u_bar share one set-up; each
+        # modulus instance needs its own
+        expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
+        assert len(built) == expected
