@@ -6,7 +6,8 @@ seminorm) and the gamma3 trace constant c3 (lumped boundary norm against
 the full H1 norm).  Both are computed exactly for the discrete space by
 power iteration on small generalized eigenvalue problems, so the
 contraction prediction k = L_g * c0^2 * c3^2 / mu_star is sharp for the
-implemented solver.
+implemented solver.  The inner solves use the banded Cholesky kernel
+``fem.spd_factor``; the trace constant shares the cached Gram factor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
 
@@ -60,25 +60,28 @@ def poincare_constant(
 ):
     """Best constant c0 with ||v||_V <= c0 ||grad v|| on the discrete space.
 
-    Square root of the largest eigenvalue of (M + S) v = lambda S v over
-    fields vanishing on gamma1, computed by power iteration with inner
-    solves against S.
+    c0^2 = 1 + lambda with lambda the largest eigenvalue of M v = lambda S v
+    over fields vanishing on gamma1 (the same eigenvectors as
+    (M + S) v = c0^2 S v), computed by power iteration with inner solves
+    against S.  Iterating S^-1 M instead of S^-1 (M + S) shrinks the ratio
+    of the two leading eigenvalues from about 0.77 to about 0.2 on the
+    unit square, so the iteration needs about ten solves.
     """
     free = mesh.free_nodes
-    S = fem.unit_stiffness(mesh)[free][:, free].tocsc()
-    A = fem.gram_matrix(mesh)[free][:, free].tocsr()
-    solve = spla.factorized(S)
+    S = fem.unit_stiffness(mesh)[free][:, free].tocsr()
+    M = fem.mass_matrix(mesh)[free][:, free].tocsr()
+    solve = fem.spd_factor(S)
 
     def apply_iter(v):
-        return solve(A @ v)
+        return solve(M @ v)
 
     def rayleigh(v):
-        return float((v @ (A @ v)) / (v @ (S @ v)))
+        return float((v @ (M @ v)) / (v @ (S @ v)))
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(len(free))
     lam, vec = _power_iteration(apply_iter, rayleigh, v0, tol, maxiter)
-    c0 = float(np.sqrt(lam))
+    c0 = float(np.sqrt(1.0 + lam))
     if return_field:
         field = np.zeros(mesh.n_nodes)
         field[free] = vec
@@ -110,8 +113,8 @@ def trace_constant(
     w = np.zeros(mesh.n_nodes)
     w[idx] = mesh.gamma3_weights[idx]
     B = sp.diags(w[free]).tocsr()
-    A = fem.gram_matrix(mesh)[free][:, free].tocsc()
-    solve = spla.factorized(A)
+    A = fem.gram_matrix(mesh)[free][:, free].tocsr()
+    solve = fem.gram_free_solve(mesh)
 
     def apply_iter(v):
         return solve(B @ v)

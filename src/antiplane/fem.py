@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -35,6 +36,10 @@ SIDES_2D = ("left", "right", "bottom", "top")
 
 class MeshError(ValueError):
     """Raised for inconsistent mesh specifications."""
+
+
+class FactorizationError(np.linalg.LinAlgError):
+    """Raised when a matrix given to ``spd_factor`` is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -422,6 +427,43 @@ def eval_j(mesh: Mesh, g: FrictionBound, eta: np.ndarray, v: np.ndarray) -> floa
 
 
 # ---------------------------------------------------------------------------
+# SPD factorization
+
+def spd_factor(A):
+    """Banded Cholesky factorization of a sparse symmetric positive definite A.
+
+    A reverse Cuthill-McKee ordering turns the matrices of the structured
+    meshes into narrow bands; the upper band of the reordered matrix is
+    packed in LAPACK band storage and factored by ``dpbtrf``.  Only the
+    upper triangle of A is read.  Returns ``solve(b)`` for a vector or an
+    (n, k) array b, which permutes b, calls ``dpbtrs`` and undoes the
+    permutation.  Raises FactorizationError on a nonpositive pivot.
+    """
+    A = sp.csr_matrix(A)
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    P = A[perm][:, perm].tocoo()
+    P.sum_duplicates()
+    upper = P.row <= P.col
+    i, j = P.row[upper], P.col[upper]
+    kd = int(np.max(j - i, initial=0))
+    band = np.zeros((kd + 1, A.shape[0]), order="F")
+    band[kd + i - j, j] = P.data[upper]  # LAPACK upper storage
+    chol, info = dpbtrf(band, overwrite_ab=1)
+    if info > 0:
+        raise FactorizationError(
+            f"matrix is not positive definite (pivot {info} of {A.shape[0]} "
+            "in reverse Cuthill-McKee order)"
+        )
+    inverse = np.argsort(perm)
+
+    def solve(b):
+        x, _ = dpbtrs(chol, np.asarray(b, dtype=float)[perm], overwrite_b=1)
+        return x[inverse]
+
+    return solve
+
+
+# ---------------------------------------------------------------------------
 # norms and cached forms
 
 _FORM_CACHE: "weakref.WeakKeyDictionary[Mesh, dict]" = weakref.WeakKeyDictionary()
@@ -473,6 +515,15 @@ def gamma3_norm(mesh: Mesh, v: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * v[idx] ** 2)))
 
 
+def gram_free_solve(mesh: Mesh):
+    """Cached ``spd_factor`` solve of the H1 Gram matrix on the free nodes."""
+    cache = _forms(mesh)
+    if "gram_free_solve" not in cache:
+        free = mesh.free_nodes
+        cache["gram_free_solve"] = spd_factor(gram_matrix(mesh)[free][:, free])
+    return cache["gram_free_solve"]
+
+
 def dual_norm(mesh: Mesh, F: np.ndarray) -> float:
     """Norm of a load functional over the constrained space.
 
@@ -480,14 +531,8 @@ def dual_norm(mesh: Mesh, F: np.ndarray) -> float:
     matrix; this is the Riesz norm of v -> F.v over fields vanishing on
     gamma1.
     """
-    cache = _forms(mesh)
-    if "gram_free_solve" not in cache:
-        free = mesh.free_nodes
-        A = gram_matrix(mesh)[free][:, free].tocsc()
-        cache["gram_free_solve"] = spla.factorized(A)
-    free = mesh.free_nodes
-    Ff = F[free]
-    z = cache["gram_free_solve"](Ff)
+    Ff = F[mesh.free_nodes]
+    z = gram_free_solve(mesh)(Ff)
     return float(np.sqrt(max(Ff @ z, 0.0)))
 
 

@@ -12,8 +12,9 @@ update until the fixed point is reached.  The update is a contraction with
 factor k = L_g c0^2 c3^2 / mu_star; k >= 1 must be overridden explicitly.
 
 The Tresca energy is smooth except for separable absolute values on the
-gamma3 nodes.  The smooth block is eliminated exactly through a sparse
-factorization, and a primal-dual active-set iteration (semismooth Newton;
+gamma3 nodes.  The smooth block is eliminated exactly through a banded
+Cholesky factorization in reverse Cuthill-McKee order (``fem.spd_factor``),
+and a primal-dual active-set iteration (semismooth Newton;
 Hintermueller-Ito-Kunisch 2002, Stadler 2004) solves the small remaining
 gamma3 block: each iteration guesses which nodes stick and which slip in
 which direction, solves one linear system on the slip nodes, and stops
@@ -27,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import constants, fem
 
@@ -122,11 +122,12 @@ class TrescaSolver:
     """Exact minimizer of 0.5 v'Kv - F'v + sum_i c_i |v_i| over V_h.
 
     The nonsmooth coefficients c_i live on the gamma3 nodes.  Smooth free
-    nodes are eliminated once through a sparse LU of their stiffness
-    block; the reduced dense problem on the gamma3 nodes is solved by a
-    primal-dual active-set iteration (a semismooth Newton method) that
-    splits the nodes into stick (t_i = 0) and slip (lambda_i = +-c_i)
-    sets and stops once the friction law holds to tolerance.
+    nodes are eliminated once through a banded Cholesky factorization of
+    their stiffness block in reverse Cuthill-McKee order; the reduced
+    dense problem on the gamma3 nodes is solved by a primal-dual
+    active-set iteration (a semismooth Newton method) that splits the
+    nodes into stick (t_i = 0) and slip (lambda_i = +-c_i) sets and
+    stops once the friction law holds to tolerance.
     """
 
     def __init__(self, K, free_nodes, gamma3_nodes):
@@ -148,12 +149,12 @@ class TrescaSolver:
 
         if len(S):
             try:
-                self._lu = spla.splu(Kcsc[S][:, S].tocsc())
-            except RuntimeError as exc:
+                self._solve_smooth = fem.spd_factor(Kcsc[S][:, S])
+            except fem.FactorizationError as exc:
                 raise SolverError(f"stiffness block factorization failed: {exc}") from exc
-            self.X = self._lu.solve(self.K_st) if len(T) else np.zeros((len(S), 0))
+            self.X = self._solve_smooth(self.K_st) if len(T) else np.zeros((len(S), 0))
         else:
-            self._lu = None
+            self._solve_smooth = None
             self.X = np.zeros((0, len(T)))
 
         # load-independent Schur complement of the smooth block
@@ -168,7 +169,7 @@ class TrescaSolver:
     def _reduce_load(self, F):
         S, T = self.smooth, self.friction
         if len(S):
-            W = self._lu.solve(F[S])
+            W = self._solve_smooth(F[S])
             return W, F[T] - self.K_st.T @ W
         return np.zeros(0), F[T].copy()
 
@@ -354,6 +355,7 @@ def membership_violation(
     n_random: int = 100,
     seed: int = 0,
     basis_scale: float = 1.0,
+    stiffness=None,
 ) -> float:
     """Largest positive residual of the relaxed inequality over a test set.
 
@@ -365,10 +367,12 @@ def membership_violation(
     every scaled nodal basis field around u, ``n_random`` seeded random
     fields, v = 0 and v = 2u; ``directions`` replaces it by the given
     fields.  All basis fields are tested at once, and the random fields in
-    blocks of rows that share one Gram-matrix product per norm.  Returns a
-    Python float; a value <= 1e-8 certifies membership against the set.
+    blocks of rows that share one Gram-matrix product per norm.  A caller
+    that holds the stiffness matrix of ``mu`` passes it as ``stiffness``.
+    Returns a Python float; a value <= 1e-8 certifies membership against
+    the set.
     """
-    K = fem.assemble_stiffness(mesh, mu)
+    K = fem.assemble_stiffness(mesh, mu) if stiffness is None else stiffness
     F = fem.assemble_load(mesh, theta.f0, theta.f2)
     res = F - K @ u
     ju_u = fem.eval_j(mesh, theta.g, u, u)

@@ -13,6 +13,9 @@ Only the modulus perturbation changes the form a(., .): every other
 schedule kind, together with the unperturbed solution and the limit of
 an adversarial sequence, is solved on one stiffness matrix and one
 Tresca factorization, and each instance assembles only its own load.
+The membership certificate always tests against the base modulus, so
+it reuses that stiffness matrix, and an ``eps_decay`` sequence, whose
+instances all solve the base problem, reuses one solve.
 """
 
 from __future__ import annotations
@@ -150,8 +153,8 @@ class _FixedModulus:
     def __init__(self, problem: qvi.ProblemData):
         self.problem = problem
         mesh = problem.mesh
-        K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
-        self.tresca = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3])
+        self.K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
+        self.tresca = qvi.TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3])
         self.mu_star = problem.resolved_mu_star()
 
     def solve(self, prob: qvi.ProblemData, config: qvi.SolverConfig | None = None):
@@ -160,15 +163,26 @@ class _FixedModulus:
         F = fem.assemble_load(mesh, prob.f0, prob.f2)
         return qvi.fixed_point(mesh, prob.g, self.tresca, F, self.mu_star, config)
 
-    def sequence(self, schedule: Schedule, config: qvi.SolverConfig | None = None):
-        """[(theta_n, u_n)] of a schedule that leaves mu untouched."""
+    def sequence(
+        self, schedule: Schedule, config: qvi.SolverConfig | None = None, u_base=None
+    ):
+        """[(theta_n, u_n)] of a schedule that leaves mu untouched.
+
+        Instances that keep the base data (``eps_decay``) share one solve
+        of the base problem, or ``u_base`` when it is given.
+        """
         out = []
         for n, s in enumerate(schedule.scales(), start=1):
             theta, prob_n = _index_for(self.problem, schedule, float(s), n)
+            if prob_n is self.problem and u_base is not None:
+                out.append((theta, u_base))
+                continue
             try:
                 u_n, _ = self.solve(prob_n, config)
             except qvi.SolverError as exc:
                 raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
+            if prob_n is self.problem:
+                u_base = u_n
             out.append((theta, u_n))
         return out
 
@@ -278,7 +292,7 @@ def run_convergence(
     if schedule.kind == "lame_perturb":
         seq = lame_perturb_sequence(problem, schedule, config, seed)
     else:
-        seq = shared.sequence(schedule, config)
+        seq = shared.sequence(schedule, config, u_base=u_ref)
     mesh = problem.mesh
 
     ns = list(range(1, schedule.length + 1))
@@ -287,7 +301,9 @@ def run_convergence(
     if check_membership:
         for n, (theta, u_n) in zip(ns, seq):
             violations.append(
-                qvi.membership_violation(mesh, problem.mu, u_n, theta, seed=seed + n)
+                qvi.membership_violation(
+                    mesh, problem.mu, u_n, theta, seed=seed + n, stiffness=shared.K
+                )
             )
 
     limit_gap = None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from antiplane import constants, fem
 
@@ -69,6 +70,27 @@ class TestPoincare:
         with pytest.raises(constants.ConvergenceError, match="missed tolerance"):
             constants.poincare_constant(interval_mesh(64), maxiter=1, seed=0)
 
+    @pytest.mark.parametrize("dim, n", [(2, 4), (2, 8), (2, 16), (1, 16), (1, 64)])
+    def test_matches_dense_eigensolver(self, dim, n, monkeypatch):
+        mesh = square_mesh(n) if dim == 2 else interval_mesh(n)
+        free = mesh.free_nodes
+        S = fem.unit_stiffness(mesh)[free][:, free].toarray()
+        A = fem.gram_matrix(mesh)[free][:, free].toarray()
+        c0_ref = np.sqrt(scipy.linalg.eigh(A, S, eigvals_only=True)[-1])
+
+        solves = []
+        factor = fem.spd_factor
+
+        def counting(matrix):
+            solve = factor(matrix)
+            return lambda b: solves.append(1) or solve(b)
+
+        monkeypatch.setattr(fem, "spd_factor", counting)
+        c0 = constants.poincare_constant(mesh, seed=0)
+        assert abs(c0 - c0_ref) <= 1e-12 * c0_ref
+        # the mass-against-gradient iteration, not the slower H1-against-gradient one
+        assert len(solves) <= 12
+
 
 class TestTrace:
     def test_interval_matches_continuum(self):
@@ -94,6 +116,21 @@ class TestTrace:
         c3, field = constants.trace_constant(mesh, seed=0, return_field=True)
         ratio = fem.gamma3_norm(mesh, field) / fem.v_norm(mesh, field)
         assert ratio >= 0.999 * c3
+
+
+    def test_shares_the_gram_factor_with_dual_norm(self, monkeypatch):
+        factored = []
+        factor = fem.spd_factor
+
+        def counting(matrix):
+            factored.append(matrix.shape)
+            return factor(matrix)
+
+        monkeypatch.setattr(fem, "spd_factor", counting)
+        mesh = square_mesh(6)
+        constants.trace_constant(mesh, seed=0)
+        fem.dual_norm(mesh, np.ones(mesh.n_nodes))
+        assert factored == [(len(mesh.free_nodes), len(mesh.free_nodes))]
 
 
 class TestSmallness:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiplane import fem
+from antiplane import fem, qvi
 
 RNG_SEED = 20260814
 
@@ -348,6 +349,82 @@ class TestLoad:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fem.assemble_load(mesh, 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# SPD factorization kernel
+
+
+def free_block(mesh, mu):
+    free = mesh.free_nodes
+    return fem.assemble_stiffness(mesh, mu)[free][:, free]
+
+
+def recording_dpbtrf(monkeypatch):
+    """Record the band array of every ``dpbtrf`` call made by the kernel."""
+    bands = []
+    original = fem.dpbtrf
+
+    def recording(ab, **kw):
+        bands.append(ab.copy())
+        return original(ab, **kw)
+
+    monkeypatch.setattr(fem, "dpbtrf", recording)
+    return bands
+
+
+class TestSpdFactor:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(meshes_with_modulus(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_matches_sparse_direct_solve(self, instance, n_columns, seed):
+        mesh, mu = instance
+        K = free_block(mesh, mu)
+        shape = (K.shape[0],) if n_columns == 0 else (K.shape[0], n_columns)
+        b = np.random.default_rng(seed).standard_normal(shape)
+        x = fem.spd_factor(K)(b)
+        x_ref = spla.spsolve(K.tocsc(), b).reshape(shape)  # spsolve drops a unit axis
+        assert x.shape == shape
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+    def test_solve_leaves_the_right_hand_side_alone(self):
+        K = free_block(square_mesh(4, 3), 1.0)
+        b = np.arange(2.0 * K.shape[0]).reshape(-1, 2)
+        before = b.copy()
+        fem.spd_factor(K)(b)
+        assert np.array_equal(b, before)
+
+    def test_duplicate_entries_are_summed(self):
+        # uncompressed CSR: the diagonal entry of row 0 is stored as 1 + 3
+        A = sp.csr_matrix(
+            (np.array([1.0, 3.0, -1.0, -1.0, 4.0]), np.array([0, 0, 1, 0, 1]), np.array([0, 3, 5])),
+            shape=(2, 2),
+        )
+        assert not A.has_canonical_format
+        b = np.array([1.0, 2.0])
+        assert np.allclose(fem.spd_factor(A)(b), np.linalg.solve(A.toarray(), b), rtol=1e-14)
+
+    def test_reverse_cuthill_mckee_narrows_a_strip(self, monkeypatch):
+        spec = fem.MeshSpec(
+            2, (40.0, 0.4), (400, 4),
+            {"left": "gamma1", "right": "gamma2", "bottom": "gamma3", "top": "gamma3"},
+        )
+        K = free_block(fem.build_mesh(spec), 1.0).tocoo()
+        assert np.max(K.col - K.row) >= 400  # natural (row by row) order
+        bands = recording_dpbtrf(monkeypatch)
+        fem.spd_factor(K)
+        [band] = bands
+        assert band.shape[0] - 1 <= 6  # superdiagonals kept
+
+    def test_indefinite_matrix_raises(self):
+        # positive diagonal, off-diagonal couplings three times too strong
+        K = fem.assemble_stiffness(interval_mesh(8), 1.0)
+        D = sp.diags(K.diagonal())
+        K_bad = (D + 3.0 * (K - D)).tocsr()
+        free = np.arange(1, 9)
+        with pytest.raises(fem.FactorizationError, match="not positive definite"):
+            fem.spd_factor(K_bad[free][:, free])
+        with pytest.raises(qvi.SolverError, match="stiffness block factorization failed"):
+            qvi.TrescaSolver(K_bad, free, [8])
 
 
 # ---------------------------------------------------------------------------

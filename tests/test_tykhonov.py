@@ -286,6 +286,21 @@ class TestEpsDecay:
         assert report.eps == pytest.approx(1.0 / np.arange(1, 9))
         assert report.max_violation <= 1e-8
 
+    def test_one_fixed_point_per_run(self, monkeypatch):
+        # every index keeps the base data, so u_ref serves every u_n
+        runs = []
+        fixed_point = qvi.fixed_point
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return fixed_point(*args, **kwargs)
+
+        monkeypatch.setattr(qvi, "fixed_point", counting)
+        problem = oracle.benchmark_problem(mu=1.0, f0=3.0, g=0.5, n_elements=32)
+        schedule = tykhonov.Schedule(kind="eps_decay", length=8)
+        tykhonov.run_convergence(problem, schedule, seed=1)
+        assert len(runs) == 1
+
     def test_zero_decay_keeps_data_fixed(self):
         problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=32)
         schedule = tykhonov.Schedule(kind="load_perturb", length=6, decay="zero")
@@ -485,3 +500,34 @@ class TestSharedFactorization:
         # modulus instance needs its own
         expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
         assert len(built) == expected
+
+    def test_certificate_reuses_the_stiffness(self, kind, dim, monkeypatch):
+        certified = []  # (mu, u, theta, seed) of every certificate call
+        original = qvi.membership_violation
+
+        def recording(mesh, mu, u, theta, **kw):
+            certified.append((mu, u.copy(), theta, kw["seed"]))
+            return original(mesh, mu, u, theta, **kw)
+
+        assembled = []
+        assemble = fem.assemble_stiffness
+
+        def counting(*args, **kwargs):
+            assembled.append(1)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(qvi, "membership_violation", recording)
+        monkeypatch.setattr(fem, "assemble_stiffness", counting)
+        problem = _shared_problem(dim, kind)
+        report = tykhonov.run_convergence(problem, _shared_schedule(kind), seed=4)
+        # one K for u_ref, the sequence and every certificate; each
+        # modulus instance assembles its own
+        expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
+        assert len(assembled) == expected
+        # the same values as certificates that assemble their own K
+        fresh = [
+            original(problem.mesh, mu, u, theta, seed=seed)
+            for mu, u, theta, seed in certified
+        ]
+        assert len(fresh) == SHARED_LENGTH
+        assert report.violations == fresh
