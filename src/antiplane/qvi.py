@@ -12,13 +12,13 @@ update until the fixed point is reached.  The update is a contraction with
 factor k = L_g c0^2 c3^2 / mu_star; k >= 1 must be overridden explicitly.
 
 The Tresca energy is smooth except for separable absolute values on the
-gamma3 nodes.  The smooth block is eliminated exactly through a banded
-Cholesky factorization in reverse Cuthill-McKee order (``fem.spd_factor``),
-and a primal-dual active-set iteration (semismooth Newton;
-Hintermueller-Ito-Kunisch 2002, Stadler 2004) solves the small remaining
-gamma3 block: each iteration guesses which nodes stick and which slip in
-which direction, solves one linear system on the slip nodes, and stops
-when the discrete friction law holds to tolerance.
+gamma3 nodes.  A banded Cholesky factorization (``fem.spd_factor``) of
+the smooth block reduces each fixed-point run's load to the gamma3 block
+once; a primal-dual active-set iteration (semismooth Newton;
+Hintermueller-Ito-Kunisch 2002, Stadler 2004) then guesses which gamma3
+nodes stick and which slip, solves one linear system on the slip nodes
+(its LU kept while the slip set is unchanged) and stops when the
+discrete friction law holds; each outer step lifts the result to all nodes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import constants, fem
 
@@ -121,13 +122,14 @@ class SolveReport:
 class TrescaSolver:
     """Exact minimizer of 0.5 v'Kv - F'v + sum_i c_i |v_i| over V_h.
 
-    The nonsmooth coefficients c_i live on the gamma3 nodes.  Smooth free
-    nodes are eliminated once through a banded Cholesky factorization of
-    their stiffness block in reverse Cuthill-McKee order; the reduced
-    dense problem on the gamma3 nodes is solved by a primal-dual
-    active-set iteration (a semismooth Newton method) that splits the
-    nodes into stick (t_i = 0) and slip (lambda_i = +-c_i) sets and
-    stops once the friction law holds to tolerance.
+    The nonsmooth coefficients c_i live on the gamma3 nodes.  A banded
+    Cholesky factorization (reverse Cuthill-McKee order) of the smooth
+    free block reduces a load to W = K_SS^-1 F_S and F_t = F_T - K_ST' W,
+    once per ``fixed_point`` run.  A primal-dual active-set iteration
+    (semismooth Newton) on (F_t, c, t) splits the gamma3 nodes into stick
+    (t_i = 0) and slip (lambda_i = +-c_i) sets until the friction law
+    holds to tolerance; the LU of the slip block A_JJ is kept while the
+    slip set J is unchanged, across solves.  The lift is u = [W - X t; t].
     """
 
     def __init__(self, K, free_nodes, gamma3_nodes):
@@ -165,13 +167,53 @@ class TrescaSolver:
         # iteration can cycle between sets (seen on warm starts); a sigma
         # three orders larger leaves the choice to the multiplier.
         self._sigma = 1e3 / np.diag(self.A)
+        self._slip = (None, None)  # slip set J (as bytes), LU factors of A_JJ
 
     def _reduce_load(self, F):
+        """(W, F_t) of the load F; a non-finite F_t raises SolverError."""
+        F = np.asarray(F, dtype=float)
+        if F.shape != (self.n_nodes,):
+            raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
         S, T = self.smooth, self.friction
-        if len(S):
-            W = self._solve_smooth(F[S])
-            return W, F[T] - self.K_st.T @ W
-        return np.zeros(0), F[T].copy()
+        W = self._solve_smooth(F[S]) if len(S) else np.zeros(0)
+        Ft = F[T] - self.K_st.T @ W
+        if not np.isfinite(Ft).all():
+            raise SolverError("load is non-finite on the gamma3 block")
+        return W, Ft
+
+    def _slip_solve(self, J, rhs):
+        """Solve A_JJ x = rhs with the kept LU factors of the slip block."""
+        key = J.tobytes()
+        if key != self._slip[0]:
+            lu, piv, info = dgetrf(self.A[np.ix_(J, J)])
+            if info > 0:
+                raise SolverError(f"slip block is singular (zero pivot {info} in its LU)")
+            self._slip = (key, (lu, piv))
+        return dgetrs(*self._slip[1], rhs)[0]
+
+    def _iterate(self, Ft, c, t, inner_tol, max_inner):
+        """Active-set iteration from the gamma3 guess t; returns (t, iterations)."""
+        if len(t) == 0:
+            return t, 0
+        A, sigma = self.A, self._sigma
+        tol = inner_tol * (1.0 + np.abs(Ft).max())
+        lam = Ft - A @ t
+        for iteration in range(1, max_inner + 1):
+            z = t + sigma * lam
+            s = np.sign(z) * (np.abs(z) > sigma * c)
+            J = np.flatnonzero(s)
+            t = np.zeros(len(Ft))
+            if len(J):
+                t[J] = self._slip_solve(J, Ft[J] - s[J] * c[J])
+            lam = Ft - A @ t
+            lam[J] = s[J] * c[J]
+            stick = s == 0.0
+            if (np.abs(lam[stick]) <= c[stick] + tol).all() and (s[J] * t[J] >= -tol).all():
+                return t, iteration
+        raise SolverError(
+            f"inner solver missed the friction law within {max_inner} "
+            f"active-set iterations (tolerance {tol:.3e})"
+        )
 
     def solve(self, F, c, t0=None, *, inner_tol=1e-12, max_inner=50000):
         """Minimize for load ``F`` and nonsmooth coefficients ``c`` (= w_i G_i).
@@ -184,41 +226,21 @@ class TrescaSolver:
         the slip set, with tol = inner_tol (1 + max|F_t|).  Stick values
         are exactly zero.  Returns (u, iterations).
         """
-        T = self.friction
+        n = len(self.friction)
         c = np.asarray(c, dtype=float)
-        if c.shape != (len(T),):
-            raise ValueError(f"expected {len(T)} bound values, got {c.shape}")
-        if np.any(c < 0.0):
-            raise SolverError("negative friction bound coefficient")
-
+        t = np.zeros(n) if t0 is None else np.array(t0, dtype=float)
+        for name, value in (("c", c), ("t0", t)):
+            if value.shape != (n,):
+                raise ValueError(f"{name} must have {n} entries, got shape {value.shape}")
+        if not np.all(c >= 0.0):
+            raise SolverError("negative or NaN friction bound coefficient")
         W, Ft = self._reduce_load(F)
-        if len(T) == 0:
-            return self._lift(np.zeros(0), W), 0
-
-        A, sigma = self.A, self._sigma
-        tol = inner_tol * (1.0 + np.abs(Ft).max())
-        t = np.zeros(len(T)) if t0 is None else np.array(t0, dtype=float)
-        lam = Ft - A @ t
-        for iteration in range(1, max_inner + 1):
-            z = t + sigma * lam
-            s = np.sign(z) * (np.abs(z) > sigma * c)
-            J = np.flatnonzero(s)
-            t = np.zeros(len(T))
-            t[J] = np.linalg.solve(A[J][:, J], Ft[J] - s[J] * c[J])
-            lam = Ft - A @ t
-            lam[J] = s[J] * c[J]
-            stick = s == 0.0
-            if (np.abs(lam[stick]) <= c[stick] + tol).all() and (s[J] * t[J] >= -tol).all():
-                return self._lift(t, W), iteration
-        raise SolverError(
-            f"inner solver missed the friction law within {max_inner} "
-            f"active-set iterations (tolerance {tol:.3e})"
-        )
+        t, iterations = self._iterate(Ft, c, t, inner_tol, max_inner)
+        return self._lift(t, W), iterations
 
     def _lift(self, t, W):
         u = np.zeros(self.n_nodes)
-        if len(self.smooth):
-            u[self.smooth] = W - (self.X @ t if len(t) else 0.0)
+        u[self.smooth] = W - self.X @ t
         u[self.friction] = t
         return u
 
@@ -263,9 +285,12 @@ def fixed_point(
 ):
     """Run the bound-update iteration on a prebuilt inner solver.
 
+    The load is reduced once per run; each outer step runs the active-set
+    iteration from the previous gamma3 values and lifts the result.
     Returns (u, SolveReport).  Raises SolverError when the smallness
-    condition fails without the override flag, or when an iteration cap
-    is exceeded.
+    condition fails without the override flag, when the bound or the
+    reduced load is non-finite, or when an iteration cap is exceeded;
+    ValueError when ``eta0`` or ``F`` has the wrong length.
     """
     cfg = config or SolverConfig()
     c0, c3 = constants.space_constants(mesh)
@@ -278,11 +303,14 @@ def fixed_point(
             )
         warnings.warn(f"attempting fixed point with non-contractive k = {k:.6f}")
 
-    free_friction = solver.friction
     # weights aligned with the solver's friction nodes
-    w_free = mesh.gamma3_weights[free_friction]
+    w_free = mesh.gamma3_weights[solver.friction]
 
     eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
+    if eta.shape != (mesh.n_nodes,):
+        raise ValueError(f"eta0 must have {mesh.n_nodes} entries, got shape {eta.shape}")
+    W, Ft = solver._reduce_load(F)
+    t = eta[solver.friction]
     increments: list[float] = []
     ratios: list[float] = []
     inner_log: list[int] = []
@@ -290,13 +318,14 @@ def fixed_point(
     iterations = 0
     for m in range(1, cfg.max_outer + 1):
         iterations = m
-        G = g(mesh.nodes[free_friction], np.abs(eta[free_friction]))
+        G = g(mesh.nodes[solver.friction], np.abs(t))
+        if not np.isfinite(G).all():
+            raise SolverError("friction bound took a non-finite value on gamma3")
         if np.any(G < -1e-14):
             raise SolverError("friction bound took a negative value on gamma3")
         c = w_free * np.maximum(G, 0.0)
-        u_new, inner_iterations = solver.solve(
-            F, c, t0=eta[free_friction], inner_tol=cfg.inner_tol, max_inner=cfg.max_inner
-        )
+        t, inner_iterations = solver._iterate(Ft, c, t, cfg.inner_tol, cfg.max_inner)
+        u_new = solver._lift(t, W)
         inc = fem.v_norm(mesh, u_new - eta)
         if increments and increments[-1] > 0.0:
             ratios.append(inc / increments[-1])

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from antiplane import constants, fem, qvi
+from antiplane import constants, control, fem, qvi
 from antiplane.oracle import analytic_1d, benchmark_problem, linear_solve
 
 RNG_SEED = 424242
@@ -382,6 +382,256 @@ class TestFixedPoint:
         assert fem.in_space(mesh, u)
         theta = qvi.TykhonovIndex(0.0, 1.0, 0.5, prob.g)
         assert qvi.membership_violation(mesh, 1.0, u, theta, seed=5) <= 1e-8
+
+
+def per_step_tresca(solver, F, c, t0, inner_tol, max_inner, slip_sets=None):
+    """The frozen-bound solve that reduces F on every call and solves the
+    slip block afresh with ``np.linalg.solve`` in every active-set
+    iteration.  Appends each nonempty slip set to ``slip_sets``."""
+    S, T = solver.smooth, solver.friction
+    W = solver._solve_smooth(F[S]) if len(S) else np.zeros(0)
+    Ft = F[T] - solver.K_st.T @ W if len(S) else F[T].copy()
+
+    def lift(t):
+        u = np.zeros(solver.n_nodes)
+        if len(S):
+            u[S] = W - (solver.X @ t if len(t) else 0.0)
+        u[T] = t
+        return u
+
+    if len(T) == 0:
+        return lift(np.zeros(0)), 0
+    A, sigma = solver.A, solver._sigma
+    tol = inner_tol * (1.0 + np.abs(Ft).max())
+    t = np.array(t0, dtype=float)
+    lam = Ft - A @ t
+    for iteration in range(1, max_inner + 1):
+        z = t + sigma * lam
+        s = np.sign(z) * (np.abs(z) > sigma * c)
+        J = np.flatnonzero(s)
+        if slip_sets is not None and len(J):
+            slip_sets.append(J.tobytes())
+        t = np.zeros(len(T))
+        t[J] = np.linalg.solve(A[J][:, J], Ft[J] - s[J] * c[J])
+        lam = Ft - A @ t
+        lam[J] = s[J] * c[J]
+        stick = s == 0.0
+        if (np.abs(lam[stick]) <= c[stick] + tol).all() and (s[J] * t[J] >= -tol).all():
+            return lift(t), iteration
+    raise AssertionError("per-step oracle missed the friction law")
+
+
+def per_step_fixed_point(mesh, g, solver, F, cfg, eta0=None, slip_sets=None):
+    """The bound-update loop with one full frozen-bound solve per outer
+    step.  Returns (u, increments, ratios, inner_sweeps)."""
+    T = solver.friction
+    w = mesh.gamma3_weights[T]
+    eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
+    increments, ratios, sweeps = [], [], []
+    for _ in range(cfg.max_outer):
+        c = w * np.maximum(g(mesh.nodes[T], np.abs(eta[T])), 0.0)
+        u, its = per_step_tresca(
+            solver, F, c, eta[T], cfg.inner_tol, cfg.max_inner, slip_sets
+        )
+        inc = fem.v_norm(mesh, u - eta)
+        if increments and increments[-1] > 0.0:
+            ratios.append(inc / increments[-1])
+        increments.append(inc)
+        sweeps.append(its)
+        eta = u
+        if inc < cfg.outer_tol:
+            return eta, increments, ratios, sweeps
+    raise AssertionError("per-step oracle missed the outer tolerance")
+
+
+def set_changes(slip_sets):
+    """Number of entries that differ from the one before (the first counts)."""
+    return sum(a != b for a, b in zip([None] + slip_sets[:-1], slip_sets))
+
+
+@st.composite
+def fixed_point_instances(draw):
+    """Random rectangle up to 8x8, per-element mu in [0.2, 5], mixed-sign
+    loads, an affine bound a + b|r| with b > 0 inside the contraction
+    limit, and a random or absent warm start."""
+    tags = draw(st.lists(st.sampled_from(fem.TAGS), min_size=4, max_size=4))
+    assume(fem.GAMMA1 in tags and fem.GAMMA3 in tags)
+    spec = fem.MeshSpec(
+        2,
+        (draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))),
+        (draw(st.integers(1, 8)), draw(st.integers(1, 8))),
+        dict(zip(fem.SIDES_2D, tags)),
+    )
+    mesh = fem.build_mesh(spec)
+    # the constants need a free node (a mesh clamped everywhere has none)
+    assume(len(mesh.free_nodes))
+    m = len(mesh.elements)
+    n2 = len(mesh.facets[fem.GAMMA2])
+    mu = draw(_values(m, 0.2, 5.0))
+    F = fem.assemble_load(
+        mesh, draw(_values(m, -3.0, 3.0)), draw(_values(n2, -3.0, 3.0)) if n2 else None
+    )
+    c0, c3 = constants.space_constants(mesh)
+    b = draw(st.floats(0.05, 0.9)) * mu.min() / (c0**2 * c3**2)
+    g = fem.FrictionBound.affine(draw(st.floats(0.0, 1.0)), b)
+    eta0 = draw(st.one_of(st.none(), _values(mesh.n_nodes, -2.0, 2.0)))
+    return mesh, fem.assemble_stiffness(mesh, mu), F, g, float(mu.min()), eta0
+
+
+class TestReducedFixedPoint:
+    """The fixed point reduces its load once and keeps the slip-block LU;
+    its results are bitwise those of the per-step loop."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(fixed_point_instances())
+    def test_bitwise_equal_to_per_step_loop(self, instance):
+        mesh, K, F, g, mu_star, eta0 = instance
+        g3 = mesh.node_sets[fem.GAMMA3]
+        cfg = qvi.SolverConfig()
+        u, rep = qvi.fixed_point(
+            mesh, g, qvi.TrescaSolver(K, mesh.free_nodes, g3), F, mu_star, cfg, eta0
+        )
+        ref = per_step_fixed_point(
+            mesh, g, qvi.TrescaSolver(K, mesh.free_nodes, g3), F, cfg, eta0
+        )
+        assert np.array_equal(u, ref[0])
+        assert rep.increments == ref[1]
+        assert rep.ratios == ref[2]
+        assert rep.inner_sweeps == ref[3]
+
+    @staticmethod
+    def count_work(monkeypatch, solver):
+        """Counters of smooth-block solves on ``solver`` and of slip-block
+        LU factorizations."""
+        counts = {"smooth": 0, "slip": 0}
+        solve_smooth, dgetrf = solver._solve_smooth, qvi.dgetrf
+
+        def counted_smooth(b):
+            counts["smooth"] += 1
+            return solve_smooth(b)
+
+        def counted_dgetrf(a):
+            counts["slip"] += 1
+            return dgetrf(a)
+
+        solver._solve_smooth = counted_smooth
+        monkeypatch.setattr(qvi, "dgetrf", counted_dgetrf)
+        return counts
+
+    @pytest.mark.parametrize("b, min_outer", [(0.0, 2), (0.2, 6), (0.6, 20)])
+    def test_one_smooth_solve_and_lu_per_slip_set(self, monkeypatch, b, min_outer):
+        mesh, K, solver, _, load = control_square()
+        g = fem.FrictionBound.affine(0.05, b)
+        F = load(0.6)
+        cfg = qvi.SolverConfig()
+        slip_sets = []
+        ref = per_step_fixed_point(
+            mesh, g, qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"]),
+            F, cfg, slip_sets=slip_sets,
+        )
+        counts = self.count_work(monkeypatch, solver)
+        u, rep = qvi.fixed_point(mesh, g, solver, F, 1.0, cfg)
+        assert np.array_equal(u, ref[0])
+        assert rep.outer_iterations >= min_outer
+        assert counts["smooth"] == 1
+        # the slip set repeats, so a factorization per iteration would show
+        assert len(slip_sets) > set_changes(slip_sets) >= 1
+        assert counts["slip"] <= set_changes(slip_sets)
+
+    def test_lu_kept_across_state_evaluations(self, monkeypatch):
+        mesh = square_mesh(6)
+        problem = qvi.ProblemData(mesh, 1.0, 0.2, None, fem.FrictionBound.affine(0.05, 0.2))
+        patches = control.ControlPatches(mesh, 2)
+        state = control.StateSolver(problem, patches)
+        weights = control.CostWeights(1.0, 1e-3, 0.0)
+        cfg = qvi.SolverConfig()
+        oracle_solver = control.StateSolver(problem, patches).tresca
+        coeffs = [np.array([0.6, 0.4]), np.array([0.61, 0.39])]
+        slip_sets, eta = [], None
+        for x in coeffs:
+            F = state.F0 + state.B @ patches.coefficients(x)
+            eta = per_step_fixed_point(
+                mesh, problem.g, oracle_solver, F, cfg, eta, slip_sets
+            )[0]
+        counts = self.count_work(monkeypatch, state.tresca)
+        u = None
+        for x in coeffs:
+            _, u = state.evaluate(x, weights, cfg, eta0=u)
+        assert np.array_equal(u, eta)
+        assert counts["smooth"] == 2
+        assert len(slip_sets) > set_changes(slip_sets) >= 1
+        assert counts["slip"] <= set_changes(slip_sets)
+
+
+class TestBadData:
+    def test_nan_bound_fails_fast(self):
+        mesh = square_mesh(4)
+        bad = fem.FrictionBound(lambda x, r: np.full_like(r, np.nan), 0.0)
+        prob = qvi.ProblemData(mesh, 1.0, 1.0, 0.5, bad)
+        with pytest.raises(qvi.SolverError, match="friction bound .*non-finite"):
+            qvi.solve_qvi(prob, qvi.SolverConfig(max_inner=5))
+
+    def test_infinite_bound_rejected(self):
+        mesh = interval_mesh(16)
+        bad = fem.FrictionBound(lambda x, r: np.full_like(r, np.inf), 0.0)
+        prob = qvi.ProblemData(mesh, 1.0, 1.0, 0.0, bad)
+        with pytest.raises(qvi.SolverError, match="friction bound .*non-finite"):
+            qvi.solve_qvi(prob)
+
+    @pytest.mark.parametrize("where", ["everywhere", "interior", "gamma3"])
+    def test_nan_load_fails_fast(self, where):
+        mesh, _, solver, c, load = control_square()
+        F = load(0.6)
+        node = {"everywhere": slice(None), "interior": 24, "gamma3": solver.friction[0]}
+        F[node[where]] = np.nan
+        g = fem.FrictionBound.constant(0.05)
+        with pytest.raises(qvi.SolverError, match="load .*non-finite"):
+            qvi.fixed_point(mesh, g, solver, F, 1.0, qvi.SolverConfig(max_inner=5))
+        with pytest.raises(qvi.SolverError, match="load .*non-finite"):
+            solver.solve(F, c, max_inner=5)
+
+    def test_nan_coefficient_rejected(self):
+        _, _, solver, c, load = control_square()
+        c[2] = np.nan
+        with pytest.raises(qvi.SolverError, match="NaN friction bound"):
+            solver.solve(load(0.6), c, max_inner=5)
+
+    def test_wrong_length_eta0(self):
+        mesh, _, solver, _, load = control_square()
+        g = fem.FrictionBound.constant(0.05)
+        with pytest.raises(ValueError, match=f"eta0 must have {mesh.n_nodes} entries"):
+            qvi.fixed_point(mesh, g, solver, load(0.6), 1.0, eta0=np.zeros(mesh.n_nodes - 1))
+
+    def test_wrong_length_load_in_fixed_point(self):
+        mesh, _, solver, _, load = control_square()
+        g = fem.FrictionBound.constant(0.05)
+        with pytest.raises(ValueError, match=f"F must have {mesh.n_nodes} entries"):
+            qvi.fixed_point(mesh, g, solver, load(0.6)[:-1], 1.0)
+
+    @pytest.mark.parametrize(
+        "name, shorten",
+        [("F", lambda F, c, t: (F[:-1], c, t)),
+         ("c", lambda F, c, t: (F, c[1:], t)),
+         ("t0", lambda F, c, t: (F, c, t[:3]))],
+    )
+    def test_wrong_length_solve_arguments(self, name, shorten):
+        _, _, solver, c, load = control_square()
+        F, c, t0 = shorten(load(0.6), c, np.zeros(len(c)))
+        with pytest.raises(ValueError, match=f"{name} must have"):
+            solver.solve(F, c, t0=t0)
+
+    def test_singular_slip_block_named(self):
+        # positive diagonal, singular: both nodes slip and A_JJ has no LU
+        K = sp.csr_matrix(np.ones((2, 2)))
+        solver = qvi.TrescaSolver(K, [0, 1], [0, 1])
+        with pytest.raises(qvi.SolverError, match="slip block"):
+            solver.solve(np.ones(2), np.zeros(2))
 
 
 class TestAPrioriBound:
