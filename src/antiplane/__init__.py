@@ -28,6 +28,7 @@ from .constants import (
     trace_constant,
 )
 from .qvi import (
+    DiscreteProblem,
     ProblemData,
     SolveReport,
     SolverConfig,
@@ -36,7 +37,6 @@ from .qvi import (
     membership_violation,
     fixed_point,
     solve_qvi,
-    solve_tresca,
 )
 from .tykhonov import (
     CONVERGENT,
@@ -54,10 +54,8 @@ from .control import (
     ControlResult,
     CostWeights,
     OCReport,
-    OCSchedule,
     StateSolver,
     minimize_cost,
-    reduced_cost,
     run_oc_sequence,
 )
 from .config import ConfigError, parse_config
@@ -80,6 +78,7 @@ __all__ = [
     "poincare_constant",
     "smallness_margin",
     "trace_constant",
+    "DiscreteProblem",
     "ProblemData",
     "SolveReport",
     "SolverConfig",
@@ -88,7 +87,6 @@ __all__ = [
     "membership_violation",
     "fixed_point",
     "solve_qvi",
-    "solve_tresca",
     "CONVERGENT",
     "NON_CONVERGENT",
     "ConvergenceReport",
@@ -102,10 +100,8 @@ __all__ = [
     "ControlResult",
     "CostWeights",
     "OCReport",
-    "OCSchedule",
     "StateSolver",
     "minimize_cost",
-    "reduced_cost",
     "run_oc_sequence",
     "ConfigError",
     "parse_config",

@@ -18,7 +18,7 @@ Coefficient values accept three expression forms besides plain numbers:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -429,28 +429,20 @@ def build_solver_config(cfg) -> qvi.SolverConfig:
         raise ConfigError(f"solver: {exc}") from None
 
 
-def build_schedule(cfg) -> tykhonov.Schedule:
-    sched = cfg["schedule"]
-    kwargs = {
-        key: sched[key]
-        for key in (
-            "kind",
-            "length",
-            "amplitude",
-            "decay",
-            "ratio",
-            "f0_shape",
-            "f2_shape",
-            "friction_da",
-            "friction_db",
-            "f0_target",
-            "mu_law",
-        )
-    }
+def _build_schedule(cfg, section, kinds) -> tykhonov.Schedule:
+    """The ``section`` schedule; a kind outside ``kinds`` is a config error."""
+    values = cfg[section]
+    names = {f.name for f in fields(tykhonov.Schedule)}
     try:
-        return tykhonov.Schedule(**kwargs)
+        if values["kind"] not in kinds:
+            raise ValueError(f"unknown schedule kind {values['kind']!r}")
+        return tykhonov.Schedule(**{k: v for k, v in values.items() if k in names})
     except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from None
+        raise ConfigError(f"{section}: {exc}") from None
+
+
+def build_schedule(cfg) -> tykhonov.Schedule:
+    return _build_schedule(cfg, "schedule", tykhonov.SCHEDULE_KINDS)
 
 
 def build_patches(cfg, mesh: fem.Mesh) -> control.ControlPatches:
@@ -471,23 +463,5 @@ def build_weights(cfg) -> control.CostWeights:
         raise ConfigError(f"control: {exc}") from None
 
 
-def build_oc_schedule(cfg) -> control.OCSchedule:
-    oc = cfg["oc"]
-    kwargs = {
-        key: oc[key]
-        for key in (
-            "kind",
-            "length",
-            "amplitude",
-            "decay",
-            "ratio",
-            "f0_shape",
-            "target_shape",
-            "friction_da",
-            "friction_db",
-        )
-    }
-    try:
-        return control.OCSchedule(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"oc: {exc}") from None
+def build_oc_schedule(cfg) -> tykhonov.Schedule:
+    return _build_schedule(cfg, "oc", tykhonov.OC_SCHEDULE_KINDS)

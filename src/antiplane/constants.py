@@ -65,9 +65,12 @@ def poincare_constant(
     (M + S) v = c0^2 S v), computed by power iteration with inner solves
     against S.  Iterating S^-1 M instead of S^-1 (M + S) shrinks the ratio
     of the two leading eigenvalues from about 0.77 to about 0.2 on the
-    unit square, so the iteration needs about ten solves.
+    unit square, so the iteration needs about ten solves.  Raises
+    fem.MeshError when every node is clamped.
     """
     free = mesh.free_nodes
+    if len(free) == 0:
+        raise fem.MeshError("no free node: every node lies on gamma1")
     S = fem.unit_stiffness(mesh)[free][:, free].tocsr()
     M = fem.mass_matrix(mesh)[free][:, free].tocsr()
     solve = fem.spd_factor(S)
@@ -159,7 +162,10 @@ _CONSTANTS_CACHE: "weakref.WeakKeyDictionary[fem.Mesh, dict]" = weakref.WeakKeyD
 def space_constants(
     mesh: fem.Mesh, *, tol: float = 1e-10, maxiter: int = 10000, seed: int = 0
 ) -> tuple[float, float]:
-    """(c0, c3) for one mesh, cached because they depend on the mesh only."""
+    """(c0, c3) for one mesh, cached because they depend on the mesh only.
+
+    Raises fem.MeshError when every node is clamped.
+    """
     per_mesh = _CONSTANTS_CACHE.get(mesh)
     if per_mesh is None:
         per_mesh = {}

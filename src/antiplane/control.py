@@ -9,15 +9,15 @@ penalty on the control:
 ``minimize_cost`` runs seeded multistart Nelder-Mead over the patch
 coefficients, with each evaluation solving the frictional equilibrium
 problem for that traction.  The state assembly is load-independent, so
-one :class:`StateSolver` shares its factorization across all optimizer
-evaluations.  Multistart optima are clustered by cost (radius 1e-4) to
-approximate a possibly non-unique solution set; ties between equal-cost
-minimizers resolve to the smaller control norm.
+one :class:`StateSolver` holds one ``qvi.DiscreteProblem`` for all
+optimizer evaluations.  Multistart optima are clustered by cost (radius
+1e-4) to approximate a possibly non-unique solution set; ties between
+equal-cost minimizers resolve to the smaller control norm.
 
-``run_oc_sequence`` perturbs the data along a vanishing schedule,
-re-optimizes each instance and measures control, state and cost
-deviations from the unperturbed optimum, mirroring the direct
-perturbation harness for the equilibrium problem.
+``run_oc_sequence`` perturbs the data along a vanishing
+``tykhonov.Schedule`` (the perturbed index of the direct harness, plus
+the kind ``target_perturb``), re-optimizes each instance and measures
+control, state and cost deviations from the unperturbed optimum.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ from scipy.optimize import minimize
 from . import fem, qvi
 from .tykhonov import (
     NON_CONVERGENT,
-    combine_coefficients,
-    decay_scales,
+    OC_SCHEDULE_KINDS,
+    Schedule,
+    _index_for,
+    check_kind,
     fit_tail_slope,
     judge_decay,
 )
 
-OC_SCHEDULE_KINDS = ("eps_decay", "load_perturb", "friction_perturb", "target_perturb")
+OCSchedule = Schedule  # the schedule of run_oc_sequence under its control-layer name
 
 
 class ControlError(RuntimeError):
@@ -172,12 +174,13 @@ def cost(
 
 
 class StateSolver:
-    """Shared assembly for repeated state solves under varying controls.
+    """Repeated state solves under varying controls.
 
-    The stiffness factorization, the base load and one load column per
-    patch are built once; solving for a coefficient vector is then a
-    cheap fixed-point run.  The base problem must leave ``f2`` unset:
-    the control supplies all gamma2 tractions.
+    One ``qvi.DiscreteProblem`` of the base problem (stiffness, Tresca
+    solver, base load ``F0``) and one load column per patch (``B``) are
+    built once; solving for a coefficient vector is then a cheap
+    fixed-point run.  The base problem must leave ``f2`` unset: the
+    control supplies all gamma2 tractions.
     """
 
     def __init__(self, problem: qvi.ProblemData, patches: ControlPatches):
@@ -185,19 +188,15 @@ class StateSolver:
             raise ValueError("the control supplies the gamma2 traction; leave f2 unset")
         if patches.mesh is not problem.mesh:
             raise ValueError("patches were built for a different mesh")
-        self.problem = problem
+        self.discrete = qvi.DiscreteProblem(problem)
         self.patches = patches
-        mesh = problem.mesh
-        K, F0, g3_idx, _ = qvi.discretize(problem)
-        self.tresca = qvi.TrescaSolver(K, mesh.free_nodes, g3_idx)
-        self.F0 = F0
+        self.F0 = self.discrete.F
         cols = []
         for p in range(patches.n_patches):
             unit = np.zeros(patches.n_patches)
             unit[p] = 1.0
-            cols.append(fem.assemble_load(mesh, 0.0, patches.traction(unit)))
+            cols.append(fem.assemble_load(problem.mesh, 0.0, patches.traction(unit)))
         self.B = np.column_stack(cols)
-        self.mu_star = problem.resolved_mu_star()
 
     def solve(self, coeffs, config: qvi.SolverConfig | None = None, eta0=None):
         """State u for the control ``coeffs``; returns (u, SolveReport).
@@ -205,29 +204,14 @@ class StateSolver:
         ``eta0`` seeds the fixed point, e.g. with the state of a nearby
         control; the iteration still runs to its usual tolerance.
         """
-        c = self.patches.coefficients(coeffs)
-        F = self.F0 + self.B @ c
-        return qvi.fixed_point(
-            self.problem.mesh, self.problem.g, self.tresca, F, self.mu_star, config, eta0
-        )
+        F = self.F0 + self.B @ self.patches.coefficients(coeffs)
+        return self.discrete.solve(F, self.discrete.problem.g, config, eta0)
 
     def evaluate(self, coeffs, weights: CostWeights, config=None, eta0=None):
         """Reduced cost at ``coeffs``; returns (cost, u)."""
         u, _ = self.solve(coeffs, config, eta0)
-        J = cost(self.problem.mesh, self.patches, weights, u, coeffs)
+        J = cost(self.patches.mesh, self.patches, weights, u, coeffs)
         return J, u
-
-
-def reduced_cost(
-    problem: qvi.ProblemData,
-    patches: ControlPatches,
-    weights: CostWeights,
-    coeffs,
-    config: qvi.SolverConfig | None = None,
-) -> float:
-    """One-off evaluation of the reduced cost (solves the state)."""
-    J, _ = StateSolver(problem, patches).evaluate(coeffs, weights, config)
-    return J
 
 
 def admissibility_violation(
@@ -356,27 +340,24 @@ def minimize_cost(
             best=(best.cost, best.coeffs),
         )
 
-    best_cost = min(s.cost for s in ok)
-    eligible = [s for s in ok if s.cost <= best_cost + tie_tol]
-    selected = min(eligible, key=lambda s: (patches.norm_sq(s.coeffs), s.index))
-
-    by_cost = sorted(ok, key=lambda s: s.cost)
-    clusters: list[tuple[float, np.ndarray, int]] = []
-    group: list[StartRecord] = []
-    for s in by_cost:
-        if group and s.cost - group[0].cost > cluster_radius:
-            rep = min(
-                (m for m in group if m.cost <= group[0].cost + tie_tol),
-                key=lambda m: (patches.norm_sq(m.coeffs), m.index),
-            )
-            clusters.append((rep.cost, rep.coeffs, len(group)))
-            group = []
-        group.append(s)
-    if group:
-        rep = min(
+    def representative(group):
+        """Smallest-norm start within tie_tol of the group's lowest cost."""
+        return min(
             (m for m in group if m.cost <= group[0].cost + tie_tol),
             key=lambda m: (patches.norm_sq(m.coeffs), m.index),
         )
+
+    by_cost = sorted(ok, key=lambda s: s.cost)
+    best_cost = by_cost[0].cost
+    selected = representative(by_cost)
+    groups = [[by_cost[0]]]
+    for s in by_cost[1:]:
+        if s.cost - groups[-1][0].cost > cluster_radius:
+            groups.append([])
+        groups[-1].append(s)
+    clusters = []
+    for group in groups:
+        rep = representative(group)
         clusters.append((rep.cost, rep.coeffs, len(group)))
 
     J_sel, u_sel = solver.evaluate(selected.coeffs, weights, config)
@@ -399,54 +380,6 @@ def minimize_cost(
         clusters=clusters,
         traces=traces,
     )
-
-
-# ---------------------------------------------------------------------------
-# perturbation schedules for the control problem
-
-@dataclass(frozen=True)
-class OCSchedule:
-    """Vanishing perturbations of the control problem's data.
-
-    ``eps_decay`` relaxes only the admissibility test; ``load_perturb``
-    shifts f0 by s_n * f0_shape; ``friction_perturb`` shifts the bound
-    by s_n * (da + db |r|); ``target_perturb`` shifts the target by
-    s_n * target_shape.
-    """
-
-    kind: str
-    length: int
-    amplitude: float = 1.0
-    decay: str = "inverse_n"
-    ratio: float = 0.5
-    f0_shape: object = 1.0
-    target_shape: object = 0.0
-    friction_da: float = 1.0
-    friction_db: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in OC_SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.length < 4:
-            raise ValueError("schedule needs at least four entries")
-        if self.decay == "geometric" and not (0.0 < self.ratio < 1.0):
-            raise ValueError("geometric decay needs 0 < ratio < 1")
-        if self.friction_da < 0.0 or self.friction_db < 0.0:
-            raise ValueError("friction perturbation coefficients must be nonnegative")
-        decay_scales(self.decay, self.length)  # validates the law name
-
-    def scales(self) -> np.ndarray:
-        return decay_scales(self.decay, self.length, self.amplitude, self.ratio)
-
-
-@dataclass(frozen=True, eq=False)
-class OCIndex:
-    """Perturbed data defining one approximating control problem."""
-
-    eps: float
-    f0: object
-    g: fem.FrictionBound
-    target: np.ndarray
 
 
 @dataclass(eq=False)
@@ -474,27 +407,11 @@ class OCReport:
         return max(self.violations) if self.violations else 0.0
 
 
-def _oc_instance(problem, target0, schedule, s):
-    """Perturbed (problem, target, index) for scale s."""
-    if schedule.kind == "eps_decay":
-        return problem, target0, (s, problem.f0, problem.g, target0)
-    if schedule.kind == "load_perturb":
-        f0n = combine_coefficients(problem.f0, s, schedule.f0_shape)
-        return problem.with_data(f0=f0n), target0, (0.0, f0n, problem.g, target0)
-    if schedule.kind == "friction_perturb":
-        gn = problem.g.shifted(s * schedule.friction_da, s * schedule.friction_db)
-        return problem.with_data(g=gn), target0, (0.0, problem.f0, gn, target0)
-    # target_perturb
-    shape = target_field(problem.mesh, schedule.target_shape)
-    tn = target0 + s * shape
-    return problem, tn, (0.0, problem.f0, problem.g, tn)
-
-
 def run_oc_sequence(
     problem: qvi.ProblemData,
     patches: ControlPatches,
     weights: CostWeights,
-    schedule: OCSchedule,
+    schedule: Schedule,
     config: qvi.SolverConfig | None = None,
     seed: int = 0,
     *,
@@ -511,10 +428,16 @@ def run_oc_sequence(
     Each perturbed run warm-starts from the base optimum (and its
     predecessor) plus ``seq_starts`` fresh starts.  Control deviations
     are measured in L2(gamma2), both against the selected base optimum
-    and against the nearest member of the base cluster catalog.
+    and against the nearest member of the base cluster catalog.  Raises
+    ValueError, before the base optimization, for a kind outside
+    ``OC_SCHEDULE_KINDS``.
     """
+    check_kind(schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
     mesh = problem.mesh
     target0 = target_field(mesh, weights.target)
+    shape = None
+    if schedule.kind == "target_perturb":
+        shape = target_field(mesh, schedule.target_shape)
     base = minimize_cost(
         problem,
         patches,
@@ -533,9 +456,9 @@ def run_oc_sequence(
     state_dev, violations = [], []
     prev = base.pair.coeffs
     for n, s in zip(ns, schedule.scales()):
-        prob_n, target_n, (eps_n, f0n, gn, tgt) = _oc_instance(
-            problem, target0, schedule, float(s)
-        )
+        theta = _index_for(problem, schedule, float(s))
+        prob_n = problem.with_data(f0=theta.f0, g=theta.g)
+        target_n = target0 if shape is None else target0 + float(s) * shape
         weights_n = CostWeights(weights.a0, weights.a2, target_n)
         try:
             res_n = minimize_cost(
@@ -553,8 +476,7 @@ def run_oc_sequence(
             )
         except (ControlError, qvi.SolverError) as exc:
             raise type(exc)(f"perturbed instance n={n} failed: {exc}") from exc
-        index = OCIndex(eps=eps_n, f0=f0n, g=gn, target=tgt)
-        eps_list.append(index.eps)
+        eps_list.append(theta.eps)
         costs.append(res_n.cost)
         cost_dev.append(abs(res_n.cost - base.cost))
         dc = np.sqrt(patches.norm_sq(res_n.pair.coeffs - base.pair.coeffs))
@@ -569,7 +491,7 @@ def run_oc_sequence(
         state_dev.append(float(fem.v_norm(mesh, res_n.pair.u - base.pair.u)))
         violations.append(
             admissibility_violation(
-                prob_n, patches, res_n.pair, eps=index.eps, seed=seed + n
+                prob_n, patches, res_n.pair, eps=theta.eps, seed=seed + n
             )
         )
         prev = res_n.pair.coeffs

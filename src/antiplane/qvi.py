@@ -19,6 +19,8 @@ Hintermueller-Ito-Kunisch 2002, Stadler 2004) then guesses which gamma3
 nodes stick and which slip, solves one linear system on the slip nodes
 (its LU kept while the slip set is unchanged) and stops when the
 discrete friction law holds; each outer step lifts the result to all nodes.
+``DiscreteProblem`` assembles K and builds that solver once per problem,
+for any number of loads and friction bounds.
 """
 
 from __future__ import annotations
@@ -245,35 +247,6 @@ class TrescaSolver:
         return u
 
 
-def solve_tresca(
-    K,
-    F,
-    bound: np.ndarray,
-    free_nodes: np.ndarray,
-    gamma3_nodes: np.ndarray,
-    *,
-    inner_tol: float = 1e-12,
-    max_inner: int = 50000,
-):
-    """One cold frozen-bound solve; ``bound`` holds the products w_i * G_i.
-
-    ``inner_tol`` and ``max_inner`` are the KKT tolerance and active-set
-    iteration cap of ``TrescaSolver.solve``.  Returns (u, iterations).
-    """
-    solver = TrescaSolver(K, free_nodes, gamma3_nodes)
-    return solver.solve(F, np.asarray(bound, dtype=float), inner_tol=inner_tol, max_inner=max_inner)
-
-
-def discretize(problem: ProblemData):
-    """Assemble (K, F) and the gamma3 quadrature data of a problem."""
-    mesh = problem.mesh
-    K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
-    F = fem.assemble_load(mesh, problem.f0, problem.f2)
-    idx = mesh.node_sets[fem.GAMMA3]
-    w = mesh.gamma3_weights[idx]
-    return K, F, idx, w
-
-
 def fixed_point(
     mesh: fem.Mesh,
     g: fem.FrictionBound,
@@ -355,15 +328,41 @@ def fixed_point(
     return eta, report
 
 
+class DiscreteProblem:
+    """The discretized problem: stiffness K, load F, Tresca solver and mu_star.
+
+    K and the Tresca factorization depend on the mesh and mu only, so one
+    instance solves the problem for any load and friction bound; ``F`` is
+    the problem's own load.  A solve gives bitwise the u of a fresh
+    ``solve_qvi`` of the same data.
+    """
+
+    def __init__(self, problem: ProblemData):
+        self.problem = problem
+        mesh = problem.mesh
+        self.K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
+        self.F = fem.assemble_load(mesh, problem.f0, problem.f2)
+        self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3])
+        self.mu_star = problem.resolved_mu_star()
+
+    def solve(
+        self,
+        F: np.ndarray,
+        g: fem.FrictionBound,
+        config: SolverConfig | None = None,
+        eta0: np.ndarray | None = None,
+    ):
+        """(u, SolveReport) for load ``F`` and bound ``g``; see ``fixed_point``."""
+        return fixed_point(self.problem.mesh, g, self.tresca, F, self.mu_star, config, eta0)
+
+
 def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
     """Fixed-point solve of the quasivariational problem.
 
     Returns (u, SolveReport); see ``fixed_point`` for failure modes.
     """
-    mesh = problem.mesh
-    K, F, g3_idx, _ = discretize(problem)
-    solver = TrescaSolver(K, mesh.free_nodes, g3_idx)
-    return fixed_point(mesh, problem.g, solver, F, problem.resolved_mu_star(), config)
+    discrete = DiscreteProblem(problem)
+    return discrete.solve(discrete.F, problem.g, config)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +465,12 @@ def complementarity_report(problem: ProblemData, u: np.ndarray):
     (nonpositive up to solver tolerance) and comp = lam*u + G*|u| (zero up
     to solver tolerance).
     """
-    K, F, idx, w = discretize(problem)
-    lam = ((K @ u) - F)[idx] / w
-    G = problem.g(problem.mesh.nodes[idx], np.abs(u[idx]))
+    mesh = problem.mesh
+    K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
+    F = fem.assemble_load(mesh, problem.f0, problem.f2)
+    idx = mesh.node_sets[fem.GAMMA3]
+    lam = ((K @ u) - F)[idx] / mesh.gamma3_weights[idx]
+    G = problem.g(mesh.nodes[idx], np.abs(u[idx]))
     stick_slack = np.abs(lam) - G
     comp = lam * u[idx] + G * np.abs(u[idx])
     return idx, lam, G, stick_slack, comp

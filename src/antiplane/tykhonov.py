@@ -11,11 +11,13 @@ a positive gap.
 
 Only the modulus perturbation changes the form a(., .): every other
 schedule kind, together with the unperturbed solution and the limit of
-an adversarial sequence, is solved on one stiffness matrix and one
-Tresca factorization, and each instance assembles only its own load.
-The membership certificate always tests against the base modulus, so
-it reuses that stiffness matrix, and an ``eps_decay`` sequence, whose
-instances all solve the base problem, reuses one solve.
+an adversarial sequence, is solved on one ``qvi.DiscreteProblem`` of
+the base problem, and each instance assembles only its own load.  The
+membership certificate always tests against the base modulus, so it
+reuses that stiffness matrix, and an ``eps_decay`` sequence, whose
+instances all solve the base problem, reuses one solve.  The same
+``Schedule`` drives ``control.run_oc_sequence``, which alone takes the
+kind ``target_perturb``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from scipy.optimize import linprog
 
 from . import fem, qvi
 
+# kinds of run_convergence and generate_sequence
 SCHEDULE_KINDS = (
     "eps_decay",
     "load_perturb",
@@ -35,6 +38,8 @@ SCHEDULE_KINDS = (
     "lame_perturb",
     "adversarial_load",
 )
+# kinds of control.run_oc_sequence
+OC_SCHEDULE_KINDS = ("eps_decay", "load_perturb", "friction_perturb", "target_perturb")
 DECAY_LAWS = ("inverse_n", "inverse_n_sq", "geometric", "zero")
 MU_LAWS = ("relative", "oscillation")
 
@@ -54,7 +59,11 @@ class Schedule:
     * ``traction_perturb``: f2_n = f2 + s_n * f2_shape;
     * ``friction_perturb``: g_n = g + s_n*(da + db |r|);
     * ``lame_perturb``: mu_n by ``mu_law``, eps_n = max |mu_n - mu|;
-    * ``adversarial_load``: f0_n = f0_target + s_n * f0_shape.
+    * ``adversarial_load``: f0_n = f0_target + s_n * f0_shape;
+    * ``target_perturb``: control target + s_n * target_shape.
+
+    ``SCHEDULE_KINDS`` lists the kinds of ``run_convergence`` and
+    ``OC_SCHEDULE_KINDS`` those of ``control.run_oc_sequence``.
     """
 
     kind: str
@@ -68,9 +77,10 @@ class Schedule:
     friction_db: float = 0.0
     f0_target: object = None
     mu_law: str = "relative"
+    target_shape: object = 0.0
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
+        if self.kind not in SCHEDULE_KINDS + OC_SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.decay not in DECAY_LAWS:
             raise ValueError(f"unknown decay law {self.decay!r}")
@@ -118,73 +128,58 @@ def combine_coefficients(base, scale: float, shape):
     return float(base) + scale * float(shape)
 
 
-def _index_for(problem: qvi.ProblemData, schedule: Schedule, s: float, n: int):
-    """Perturbed index theta_n and the problem to solve for it."""
-    if schedule.kind == "eps_decay":
-        theta = qvi.TykhonovIndex(s, problem.f0, problem.f2, problem.g)
-        return theta, problem
-    if schedule.kind == "load_perturb":
-        f0n = combine_coefficients(problem.f0, s, schedule.f0_shape)
-        theta = qvi.TykhonovIndex(0.0, f0n, problem.f2, problem.g)
-        return theta, problem.with_data(f0=f0n)
-    if schedule.kind == "traction_perturb":
-        f2n = combine_coefficients(problem.f2, s, schedule.f2_shape)
-        theta = qvi.TykhonovIndex(0.0, problem.f0, f2n, problem.g)
-        return theta, problem.with_data(f2=f2n)
-    if schedule.kind == "friction_perturb":
-        gn = problem.g.shifted(s * schedule.friction_da, s * schedule.friction_db)
-        theta = qvi.TykhonovIndex(0.0, problem.f0, problem.f2, gn)
-        return theta, problem.with_data(g=gn)
-    if schedule.kind == "adversarial_load":
-        f0n = combine_coefficients(schedule.f0_target, s, schedule.f0_shape)
-        theta = qvi.TykhonovIndex(0.0, f0n, problem.f2, problem.g)
-        return theta, problem.with_data(f0=f0n)
-    raise ValueError(f"schedule kind {schedule.kind!r} has no direct index")
+def check_kind(schedule: Schedule, kinds, harness: str) -> None:
+    """ValueError unless ``harness`` takes the schedule's kind."""
+    if schedule.kind not in kinds:
+        raise ValueError(f"{harness} does not take schedule kind {schedule.kind!r}")
 
 
-class _FixedModulus:
-    """One stiffness factorization for every instance that keeps mu.
+def _index_for(problem: qvi.ProblemData, schedule: Schedule, s: float):
+    """Perturbed index theta_n of scale s; ``target_perturb`` perturbs the
+    control target and leaves the data of the index untouched."""
+    kind = schedule.kind
+    f0, f2, g = problem.f0, problem.f2, problem.g
+    if kind == "load_perturb":
+        f0 = combine_coefficients(f0, s, schedule.f0_shape)
+    elif kind == "traction_perturb":
+        f2 = combine_coefficients(f2, s, schedule.f2_shape)
+    elif kind == "friction_perturb":
+        g = g.shifted(s * schedule.friction_da, s * schedule.friction_db)
+    elif kind == "adversarial_load":
+        f0 = combine_coefficients(schedule.f0_target, s, schedule.f0_shape)
+    elif kind == "lame_perturb":
+        raise ValueError(f"schedule kind {kind!r} has no direct index")
+    return qvi.TykhonovIndex(s if kind == "eps_decay" else 0.0, f0, f2, g)
 
-    K and the Tresca solver of the base problem are built once; a solve
-    assembles only its instance's load and runs the fixed point, which
-    gives bitwise the same u as a fresh ``qvi.solve_qvi`` of that instance.
+
+def _fixed_modulus_sequence(
+    discrete: qvi.DiscreteProblem,
+    schedule: Schedule,
+    config: qvi.SolverConfig | None = None,
+    u_base=None,
+):
+    """[(theta_n, u_n)] of a schedule that leaves mu untouched.
+
+    Every instance is solved on ``discrete``, the base problem's
+    discretization.  Instances that keep the base data (``eps_decay``)
+    share one solve of the base problem, or ``u_base`` when it is given.
     """
-
-    def __init__(self, problem: qvi.ProblemData):
-        self.problem = problem
-        mesh = problem.mesh
-        self.K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
-        self.tresca = qvi.TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3])
-        self.mu_star = problem.resolved_mu_star()
-
-    def solve(self, prob: qvi.ProblemData, config: qvi.SolverConfig | None = None):
-        """(u, SolveReport) of an instance with the base problem's mu."""
-        mesh = self.problem.mesh
-        F = fem.assemble_load(mesh, prob.f0, prob.f2)
-        return qvi.fixed_point(mesh, prob.g, self.tresca, F, self.mu_star, config)
-
-    def sequence(
-        self, schedule: Schedule, config: qvi.SolverConfig | None = None, u_base=None
-    ):
-        """[(theta_n, u_n)] of a schedule that leaves mu untouched.
-
-        Instances that keep the base data (``eps_decay``) share one solve
-        of the base problem, or ``u_base`` when it is given.
-        """
-        out = []
-        for n, s in enumerate(schedule.scales(), start=1):
-            theta, prob_n = _index_for(self.problem, schedule, float(s), n)
-            if prob_n is self.problem and u_base is not None:
-                out.append((theta, u_base))
-                continue
-            try:
-                u_n, _ = self.solve(prob_n, config)
-            except qvi.SolverError as exc:
-                raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
-            if prob_n is self.problem:
-                u_base = u_n
-            out.append((theta, u_n))
-        return out
+    mesh = discrete.problem.mesh
+    out = []
+    for n, s in enumerate(schedule.scales(), start=1):
+        theta = _index_for(discrete.problem, schedule, float(s))
+        if schedule.kind == "eps_decay" and u_base is not None:
+            out.append((theta, u_base))
+            continue
+        F = fem.assemble_load(mesh, theta.f0, theta.f2)
+        try:
+            u_n, _ = discrete.solve(F, theta.g, config)
+        except qvi.SolverError as exc:
+            raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
+        if schedule.kind == "eps_decay":
+            u_base = u_n
+        out.append((theta, u_n))
+    return out
 
 
 def generate_sequence(
@@ -195,12 +190,14 @@ def generate_sequence(
 ):
     """Solve every perturbed instance; returns [(theta_n, u_n)].
 
-    Raises SolverError naming the position when a perturbed instance
-    breaks the smallness condition or fails to converge.
+    Raises ValueError for ``target_perturb`` and SolverError naming the
+    position when a perturbed instance breaks the smallness condition or
+    fails to converge.
     """
+    check_kind(schedule, SCHEDULE_KINDS, "generate_sequence")
     if schedule.kind == "lame_perturb":
         return lame_perturb_sequence(problem, schedule, config, seed)
-    return _FixedModulus(problem).sequence(schedule, config)
+    return _fixed_modulus_sequence(qvi.DiscreteProblem(problem), schedule, config)
 
 
 def lame_perturb_sequence(
@@ -283,16 +280,19 @@ def run_convergence(
     noise_floor: float | None = None,
 ) -> ConvergenceReport:
     """Generate a schedule, measure errors against the unperturbed
-    solution, certify membership, fit the tail slope and judge decay."""
+    solution, certify membership, fit the tail slope and judge decay.
+
+    Raises ValueError for ``target_perturb`` before any solve."""
+    check_kind(schedule, SCHEDULE_KINDS, "run_convergence")
     cfg = config or qvi.SolverConfig()
     floor = noise_floor if noise_floor is not None else max(1e-6, 10.0 * cfg.outer_tol)
 
-    shared = _FixedModulus(problem)
-    u_ref, _ = shared.solve(problem, config)
+    shared = qvi.DiscreteProblem(problem)
+    u_ref, _ = shared.solve(shared.F, problem.g, config)
     if schedule.kind == "lame_perturb":
         seq = lame_perturb_sequence(problem, schedule, config, seed)
     else:
-        seq = shared.sequence(schedule, config, u_base=u_ref)
+        seq = _fixed_modulus_sequence(shared, schedule, config, u_base=u_ref)
     mesh = problem.mesh
 
     ns = list(range(1, schedule.length + 1))
@@ -309,7 +309,8 @@ def run_convergence(
     limit_gap = None
     errors_to_limit = None
     if schedule.kind == "adversarial_load":
-        u_bar, _ = shared.solve(problem.with_data(f0=schedule.f0_target), config)
+        F_bar = fem.assemble_load(mesh, schedule.f0_target, problem.f2)
+        u_bar, _ = shared.solve(F_bar, problem.g, config)
         limit_gap = float(fem.v_norm(mesh, u_bar - u_ref))
         errors_to_limit = [float(fem.v_norm(mesh, u_n - u_bar)) for _, u_n in seq]
 

@@ -293,6 +293,24 @@ class TestConstants:
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_mesh_without_free_node_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            """\
+            mesh:
+              dimension = 1
+              extents = 1.0
+              resolution = 1
+              partition = left:gamma1, right:gamma1
+
+            constants:
+              lipschitz = 0.5
+            """,
+        )
+        code = cli.main(["constants", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"])
+        assert code == 1
+        assert "error: no free node: every node lies on gamma1" in capsys.readouterr().err
+
 
 class TestValidate1d:
     def test_default_cases_pass(self, tmp_path, capsys):
@@ -406,6 +424,12 @@ class TestTykhonov:
         summary = summary_dict(out / "summary.csv")
         assert float(summary["limit_gap"]) > 0.05
 
+    def test_control_kind_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TYK_CFG.replace("kind = load_perturb", "kind = target_perturb"))
+        code = cli.main(["tykhonov", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "schedule: unknown schedule kind 'target_perturb'" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, TYK_CFG)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -489,6 +513,14 @@ class TestOcSequence:
         assert summary["verdict"] == "CONVERGENT"
         assert -1.2 < float(summary["slope"]) < -0.8
         ET.parse(out / "deviations.svg")
+
+    def test_direct_only_kind_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, CONTROL_CFG + "    oc:\n      kind = lame_perturb\n      length = 6\n"
+        )
+        code = cli.main(["oc-sequence", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "oc: unknown schedule kind 'lame_perturb'" in capsys.readouterr().err
 
     def test_tight_gate_flips_verdict(self, tmp_path, capsys):
         cfg = write_cfg(

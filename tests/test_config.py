@@ -339,6 +339,30 @@ class TestBuilders:
         with pytest.raises(config.ConfigError, match="schedule:"):
             config.build_schedule(cfg)
 
+    def test_build_schedule_refuses_the_control_kind(self, tmp_path):
+        path = write_cfg(
+            tmp_path,
+            MESH_1D + PROBLEM + "schedule:\n  kind = target_perturb\n  length = 8\n",
+        )
+        cfg = config.parse_config(path, "tykhonov")
+        with pytest.raises(
+            config.ConfigError, match="^schedule: unknown schedule kind 'target_perturb'$"
+        ):
+            config.build_schedule(cfg)
+
+    def test_build_oc_schedule_refuses_a_direct_kind(self, tmp_path):
+        path = write_cfg(
+            tmp_path,
+            MESH_1D + PROBLEM
+            + "control:\n  patches = 1\n  a0 = 1.0\n  a2 = 1.0\n"
+            + "oc:\n  kind = lame_perturb\n  length = 8\n",
+        )
+        cfg = config.parse_config(path, "oc-sequence")
+        with pytest.raises(
+            config.ConfigError, match="^oc: unknown schedule kind 'lame_perturb'$"
+        ):
+            config.build_oc_schedule(cfg)
+
     def test_build_patches_weights_and_oc(self, tmp_path):
         path = write_cfg(
             tmp_path,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from antiplane import constants, fem
+from antiplane import constants, fem, qvi
 
 RNG_SEED = 777
 
@@ -175,3 +175,27 @@ class TestSmallness:
         rep = constants.constants_report(mesh, 0.5, 1.0, tol=1e-9, seed=3)
         assert (rep.c0, rep.c3) == (c0, c3)
         assert rep.k == constants.smallness_margin(0.5, c0, c3, 1.0)[0]
+
+
+class TestNoFreeNode:
+    """Every node on gamma1: a named mesh error, not a numpy reduction error."""
+
+    def test_interval_of_one_element(self):
+        spec = fem.MeshSpec(1, (1.0,), (1,), {"left": "gamma1", "right": "gamma1"})
+        mesh = fem.build_mesh(spec)
+        with pytest.raises(fem.MeshError, match="no free node.*gamma1"):
+            constants.poincare_constant(mesh)
+        with pytest.raises(fem.MeshError, match="no free node.*gamma1"):
+            constants.space_constants(mesh)
+        with pytest.raises(fem.MeshError, match="no free node.*gamma1"):
+            constants.constants_report(mesh, 0.5, 1.0)
+
+    def test_square_of_one_element(self):
+        spec = fem.MeshSpec(
+            2, (1.0, 1.0), (1, 1),
+            {"left": "gamma1", "right": "gamma1", "bottom": "gamma3", "top": "gamma2"},
+        )
+        mesh = fem.build_mesh(spec)
+        problem = qvi.ProblemData(mesh, 1.0, 1.0, 0.5, fem.FrictionBound.constant(1.0))
+        with pytest.raises(fem.MeshError, match="no free node.*gamma1"):
+            qvi.solve_qvi(problem)

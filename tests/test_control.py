@@ -192,20 +192,17 @@ class TestCost:
 class TestReducedCost:
     def test_matches_closed_form(self, setup_1d):
         _, problem, patches = setup_1d
+        solver = control.StateSolver(problem, patches)
         w = control.CostWeights(1.0, 0.0, lambda x: x)
-        assert control.reduced_cost(problem, patches, w, [1.0]) <= 1e-20
-        assert control.reduced_cost(problem, patches, w, [0.0]) == pytest.approx(
-            1.0 / 3.0, rel=1e-12
-        )
+        assert solver.evaluate([1.0], w)[0] <= 1e-20
+        assert solver.evaluate([0.0], w)[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
         w13 = control.CostWeights(1.0, 1.0 / 3.0, lambda x: x)
-        assert control.reduced_cost(problem, patches, w13, [0.5]) == pytest.approx(
-            1.0 / 6.0, rel=1e-12
-        )
+        assert solver.evaluate([0.5], w13)[0] == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_zero_everything(self, setup_1d):
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, 0.0)
-        assert control.reduced_cost(problem, patches, w, [0.0]) == 0.0
+        assert control.StateSolver(problem, patches).evaluate([0.0], w)[0] == 0.0
 
     def test_propagates_solver_errors(self):
         mesh = control_mesh_2d(6)
@@ -215,7 +212,7 @@ class TestReducedCost:
         patches = control.ControlPatches(mesh, 1)
         w = control.CostWeights(1.0, 1.0, 0.0)
         with pytest.raises(qvi.SolverError, match="contraction"):
-            control.reduced_cost(problem, patches, w, [1.0])
+            control.StateSolver(problem, patches).evaluate([1.0], w)[0]
 
 
 class TestStateSolver:
@@ -452,6 +449,32 @@ class TestOCSequence:
         )
         with pytest.raises(qvi.SolverError, match="n=1"):
             control.run_oc_sequence(problem, patches, w, sched, seed=5, n_starts=2)
+
+    @pytest.mark.parametrize("kind", ["traction_perturb", "lame_perturb", "adversarial_load"])
+    def test_direct_only_kinds_refused_before_base_optimization(
+        self, setup_1d, kind, monkeypatch
+    ):
+        def no_optimization(*args, **kwargs):
+            raise AssertionError("optimized before the kind check")
+
+        monkeypatch.setattr(control, "minimize_cost", no_optimization)
+        _, problem, patches = setup_1d
+        w = control.CostWeights(1.0, 1.0, lambda x: x)
+        extra = {"f0_target": 1.0} if kind == "adversarial_load" else {}
+        sched = control.OCSchedule(kind=kind, length=6, **extra)
+        with pytest.raises(ValueError, match=kind):
+            control.run_oc_sequence(problem, patches, w, sched)
+
+    @pytest.mark.parametrize(
+        "kind", ["eps_decay", "load_perturb", "friction_perturb", "target_perturb"]
+    )
+    def test_eps_is_the_scale_only_for_eps_decay(self, setup_1d, kind):
+        _, problem, patches = setup_1d
+        w = control.CostWeights(1.0, 1.0, lambda x: x)
+        sched = control.OCSchedule(kind=kind, length=4, amplitude=0.1)
+        rep = control.run_oc_sequence(problem, patches, w, sched, n_starts=1, seq_starts=1)
+        expected = sched.scales() if kind == "eps_decay" else np.zeros(4)
+        assert np.array_equal(rep.eps, expected)
 
     def test_deterministic(self, setup_1d):
         _, problem, patches = setup_1d

@@ -112,9 +112,8 @@ class TestTresca:
         mesh = interval_mesh(32)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 2.0)
-        u, _ = qvi.solve_tresca(
-            K, F, np.zeros(1), mesh.free_nodes, mesh.node_sets["gamma3"]
-        )
+        solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
+        u, _ = solver.solve(F, np.zeros(1))
         ref = linear_solve(mesh, 1.0, 2.0)
         assert np.max(np.abs(u - ref)) < 1e-10
 
@@ -123,9 +122,8 @@ class TestTresca:
         mesh = interval_mesh(64)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 3.0)
-        u, _ = qvi.solve_tresca(
-            K, F, np.array([1.0]), mesh.free_nodes, mesh.node_sets["gamma3"]
-        )
+        solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
+        u, _ = solver.solve(F, np.array([1.0]))
         x = mesh.nodes
         assert np.max(np.abs(u - (-1.5 * x**2 + 2.0 * x))) < 1e-10
         prob = qvi.ProblemData(mesh, 1.0, 3.0, 0.0, fem.FrictionBound.constant(1.0))
@@ -136,9 +134,8 @@ class TestTresca:
         mesh = interval_mesh(32)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 1.0)
-        u, _ = qvi.solve_tresca(
-            K, F, np.array([10.0]), mesh.free_nodes, mesh.node_sets["gamma3"]
-        )
+        solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
+        u, _ = solver.solve(F, np.array([10.0]))
         assert u[-1] == 0.0
 
     def test_minimizer_beats_perturbations(self):
@@ -148,7 +145,7 @@ class TestTresca:
         g3 = mesh.node_sets["gamma3"]
         w = mesh.gamma3_weights[g3]
         bound = 0.4 * w
-        u, _ = qvi.solve_tresca(K, F, bound, mesh.free_nodes, g3)
+        u, _ = qvi.TrescaSolver(K, mesh.free_nodes, g3).solve(F, bound)
         g = fem.FrictionBound.constant(0.4)
         e_star = friction_energy(mesh, K, F, g, u)
         rng = np.random.default_rng(RNG_SEED)
@@ -167,7 +164,7 @@ class TestTresca:
         F = fem.assemble_load(mesh, 2.0, f2)
         g3 = mesh.node_sets["gamma3"]
         c = G * mesh.gamma3_weights[g3]
-        u, iterations = qvi.solve_tresca(K, F, c, mesh.free_nodes, g3)
+        u, iterations = qvi.TrescaSolver(K, mesh.free_nodes, g3).solve(F, c)
         assert type(iterations) is int and iterations >= 1
         assert np.any(u[g3] == 0.0) == stick
         assert kkt_residual(K, F, mesh.free_nodes, g3, c, u) <= 1e-10
@@ -209,14 +206,15 @@ class TestTresca:
         K = sp.csr_matrix((5, 5))
         F = np.zeros(5)
         with pytest.raises(qvi.SolverError, match="diagonal"):
-            qvi.solve_tresca(K, F, np.zeros(1), mesh.free_nodes, mesh.node_sets["gamma3"])
+            qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"]).solve(F, np.zeros(1))
 
     def test_rejects_negative_bound(self):
         mesh = interval_mesh(4)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 1.0)
+        solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
         with pytest.raises(qvi.SolverError, match="negative"):
-            qvi.solve_tresca(K, F, np.array([-1.0]), mesh.free_nodes, mesh.node_sets["gamma3"])
+            solver.solve(F, np.array([-1.0]))
 
 
 def _values(n, lo, hi):
@@ -551,7 +549,7 @@ class TestReducedFixedPoint:
         state = control.StateSolver(problem, patches)
         weights = control.CostWeights(1.0, 1e-3, 0.0)
         cfg = qvi.SolverConfig()
-        oracle_solver = control.StateSolver(problem, patches).tresca
+        oracle_solver = control.StateSolver(problem, patches).discrete.tresca
         coeffs = [np.array([0.6, 0.4]), np.array([0.61, 0.39])]
         slip_sets, eta = [], None
         for x in coeffs:
@@ -559,7 +557,7 @@ class TestReducedFixedPoint:
             eta = per_step_fixed_point(
                 mesh, problem.g, oracle_solver, F, cfg, eta, slip_sets
             )[0]
-        counts = self.count_work(monkeypatch, state.tresca)
+        counts = self.count_work(monkeypatch, state.discrete.tresca)
         u = None
         for x in coeffs:
             _, u = state.evaluate(x, weights, cfg, eta0=u)

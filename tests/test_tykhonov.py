@@ -338,6 +338,19 @@ class TestSequenceGeneration:
         assert a.violations == b.violations
         assert a.slope == b.slope
 
+    @pytest.mark.parametrize("harness", ["run_convergence", "generate_sequence"])
+    def test_target_perturb_refused_before_any_solve(self, harness, monkeypatch):
+        # the data of a target schedule never change, so the harness would
+        # solve the base problem length times and report zero errors
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before the kind check")
+
+        monkeypatch.setattr(fem, "assemble_stiffness", no_assembly)
+        problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=16)
+        schedule = tykhonov.Schedule(kind="target_perturb", length=6)
+        with pytest.raises(ValueError, match="target_perturb"):
+            getattr(tykhonov, harness)(problem, schedule)
+
 
 class TestTailSlope:
     def test_exact_power_law(self):
