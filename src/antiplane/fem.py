@@ -12,6 +12,15 @@ in the discrete working space V_h when its gamma1 coefficients vanish; the
 V-norm is the full H1 norm assembled from the consistent mass and unit
 stiffness matrices.  Friction terms on gamma3 are integrated with a lumped
 (nodal) rule, which keeps the nonsmooth term separable across nodes.
+
+Operators that depend only on the mesh are built once per mesh and kept
+in a per-mesh cache, weakly held so that it goes with the mesh: the
+element geometry, the mass and H1 Gram matrices, the Gram factor, and the
+stiffness matrix of a scalar modulus keyed on its value (one entry for
+mu = 1, which is also the unit stiffness, and one for the last other
+scalar modulus).  Cached arrays are read-only.  ``assemble_stiffness``
+itself always assembles; ``stiffness_matrix`` is its cached form, which
+checks the modulus and its floor on every call.
 """
 
 from __future__ import annotations
@@ -216,6 +225,22 @@ def element_midpoints(mesh: Mesh) -> np.ndarray:
     return mesh.nodes[mesh.elements].mean(axis=1)
 
 
+def _fresh(values, shape: tuple, source) -> np.ndarray:
+    """New float array of ``values`` broadcast to ``shape``; a ValueError
+    naming ``source``, the callable that returned them, when they do not fit."""
+    out = np.array(values, dtype=float)
+    if out.shape == shape:
+        return out
+    try:
+        return np.broadcast_to(out, shape).copy()
+    except ValueError:
+        if isinstance(source, FrictionBound):
+            name = f"friction bound {source.label or getattr(source.func, '__name__', '')!r}"
+        else:
+            name = f"coefficient {getattr(source, '__name__', source)!r}"
+        raise ValueError(f"{name} returned shape {out.shape}, expected {shape}") from None
+
+
 def element_values(mesh: Mesh, data) -> np.ndarray:
     """Sample a coefficient at the element midpoints.
 
@@ -224,8 +249,7 @@ def element_values(mesh: Mesh, data) -> np.ndarray:
     """
     m = len(mesh.elements)
     if callable(data):
-        out = np.asarray(data(element_midpoints(mesh)), dtype=float)
-        out = np.broadcast_to(out, (m,)).astype(float)
+        out = _fresh(data(element_midpoints(mesh)), (m,), data)
     elif np.ndim(data) == 0:
         out = np.full(m, float(data))
     else:
@@ -235,7 +259,7 @@ def element_values(mesh: Mesh, data) -> np.ndarray:
     return out
 
 
-def facet_midpoints(mesh: Mesh, tag: str) -> np.ndarray:
+def _facet_midpoints(mesh: Mesh, tag: str) -> np.ndarray:
     faces = mesh.facets[tag]
     if mesh.dimension == 1:
         return mesh.nodes[faces]
@@ -246,8 +270,7 @@ def facet_values(mesh: Mesh, tag: str, data) -> np.ndarray:
     """Sample a boundary coefficient at the facet midpoints of ``tag``."""
     m = len(mesh.facets[tag])
     if callable(data):
-        out = np.asarray(data(facet_midpoints(mesh, tag)), dtype=float)
-        out = np.broadcast_to(out, (m,)).astype(float)
+        out = _fresh(data(_facet_midpoints(mesh, tag)), (m,), data)
     elif np.ndim(data) == 0:
         out = np.full(m, float(data))
     else:
@@ -273,26 +296,59 @@ def assemble_stiffness(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_m
     """Assemble the weighted stiffness matrix K[i,j] = (mu grad phi_j, grad phi_i).
 
     The shear modulus ``mu`` is sampled at element midpoints and must stay
-    positive; when ``mu_star`` is given, values below it are rejected.
-    The element matrices mu_e meas_e grad phi_a . grad phi_b of all
-    elements are formed at once and summed in one sparse scatter.
+    finite and positive; when ``mu_star`` is given, values below it are
+    rejected (ValueError naming the value).  The element matrices
+    mu_e meas_e grad phi_a . grad phi_b of all elements are formed at
+    once and summed in one sparse scatter.  Assembles on every call;
+    ``stiffness_matrix`` is the cached form.
     """
     mu_e = element_values(mesh, mu)
+    _check_modulus(mu_e, mu_star)
+    return _assemble_gradient_form(mesh, mu_e)
+
+
+def _check_modulus(mu_e: np.ndarray, mu_star: float | None) -> None:
+    """ValueError unless the sampled moduli are finite, positive and at
+    least ``mu_star``."""
+    bad = mu_e[~np.isfinite(mu_e)]
+    if len(bad):
+        raise ValueError(f"shear modulus must be finite, sampled value {bad[0]}")
     low = float(mu_e.min())
     if low <= 0.0:
         raise ValueError(f"shear modulus must be positive, min sampled value {low}")
     if mu_star is not None and low < mu_star - 1e-14:
         raise ValueError(f"shear modulus drops to {low}, below the floor {mu_star}")
-    return _assemble_gradient_form(mesh, mu_e)
+
+
+_FORM_CACHE: "weakref.WeakKeyDictionary[Mesh, dict]" = weakref.WeakKeyDictionary()
+
+
+def _cached(mesh: Mesh, key: str, build):
+    """Entry ``key`` of the mesh's cache, made by ``build()`` on a miss."""
+    cache = _FORM_CACHE.setdefault(mesh, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _read_only(A):
+    """Mark the arrays of a cached matrix (or array) read-only; returns A."""
+    for arr in (A.data, A.indices, A.indptr) if sp.issparse(A) else (A,):
+        arr.flags.writeable = False
+    return A
 
 
 def _element_geometry(mesh: Mesh):
-    """Measure and basis gradients of every element.
+    """Measure and basis gradients of every element, cached per mesh.
 
     Returns (meas, grads) with grads[e, a] the gradient of the a-th local
     basis function, shape (m, k, d): lengths and -+1/h in 1D, areas and
     (b_a, c_a) / 2A in 2D.
     """
+    return _cached(mesh, "geometry", lambda: tuple(map(_read_only, _geometry(mesh))))
+
+
+def _geometry(mesh: Mesh):
     pts = mesh.nodes[mesh.elements]
     if mesh.dimension == 1:
         h = pts[:, 1] - pts[:, 0]
@@ -386,9 +442,9 @@ class FrictionBound:
             raise ValueError("Lipschitz rate must be nonnegative")
 
     def __call__(self, points: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """A new float array of g(points, r), shaped like r."""
         r = np.asarray(r, dtype=float)
-        out = np.asarray(self.func(points, r), dtype=float)
-        return np.broadcast_to(out, r.shape).astype(float)
+        return _fresh(self.func(points, r), r.shape, self)
 
     @classmethod
     def constant(cls, c: float) -> "FrictionBound":
@@ -433,28 +489,31 @@ def spd_factor(A):
     """Banded Cholesky factorization of a sparse symmetric positive definite A.
 
     A reverse Cuthill-McKee ordering turns the matrices of the structured
-    meshes into narrow bands; the upper band of the reordered matrix is
-    packed in LAPACK band storage and factored by ``dpbtrf``.  Only the
-    upper triangle of A is read.  Returns ``solve(b)`` for a vector or an
-    (n, k) array b, which permutes b, calls ``dpbtrs`` and undoes the
-    permutation.  Raises FactorizationError on a nonpositive pivot.
+    meshes into narrow bands.  The entries of A are moved to their
+    reordered positions through the inverse permutation, those on or
+    above the diagonal are packed in LAPACK upper band storage, and
+    ``dpbtrf`` factors the band; A itself is left unchanged.  Returns
+    ``solve(b)`` for a vector or an (n, k) array b, which permutes b,
+    calls ``dpbtrs`` and undoes the permutation.  Raises
+    FactorizationError on a nonpositive pivot.
     """
     A = sp.csr_matrix(A)
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
-    P = A[perm][:, perm].tocoo()
-    P.sum_duplicates()
-    upper = P.row <= P.col
-    i, j = P.row[upper], P.col[upper]
+    inverse = np.argsort(perm)
+    C = A.tocoo()
+    C.sum_duplicates()  # a no-op on the canonical matrices of the assembly
+    i, j = inverse[C.row], inverse[C.col]
+    upper = i <= j
+    i, j = i[upper], j[upper]
     kd = int(np.max(j - i, initial=0))
     band = np.zeros((kd + 1, A.shape[0]), order="F")
-    band[kd + i - j, j] = P.data[upper]  # LAPACK upper storage
+    band[kd + i - j, j] = C.data[upper]
     chol, info = dpbtrf(band, overwrite_ab=1)
     if info > 0:
         raise FactorizationError(
             f"matrix is not positive definite (pivot {info} of {A.shape[0]} "
             "in reverse Cuthill-McKee order)"
         )
-    inverse = np.argsort(perm)
 
     def solve(b):
         x, _ = dpbtrs(chol, np.asarray(b, dtype=float)[perm], overwrite_b=1)
@@ -464,35 +523,53 @@ def spd_factor(A):
 
 
 # ---------------------------------------------------------------------------
-# norms and cached forms
+# cached forms and norms
 
-_FORM_CACHE: "weakref.WeakKeyDictionary[Mesh, dict]" = weakref.WeakKeyDictionary()
+def stiffness_matrix(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_matrix:
+    """``assemble_stiffness(mesh, mu, mu_star)``, cached per mesh for a scalar mu.
 
-
-def _forms(mesh: Mesh) -> dict:
-    cache = _FORM_CACHE.get(mesh)
-    if cache is None:
-        cache = {}
-        _FORM_CACHE[mesh] = cache
-    if "gram" not in cache:
-        cache["mass"] = assemble_mass(mesh)
-        cache["stiff1"] = _assemble_gradient_form(mesh, np.ones(len(mesh.elements)))
-        cache["gram"] = (cache["mass"] + cache["stiff1"]).tocsr()
-    return cache
-
-
-def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    return _forms(mesh)["mass"]
+    ``mu`` and ``mu_star`` are checked on every call, hit or miss.  A
+    scalar modulus is kept under its value: mu = 1 shares its entry with
+    ``unit_stiffness``, and one more entry holds the last other scalar
+    modulus, so the cache does not grow with the number of moduli used.
+    The cached matrix is read-only.  A per-element array or a callable mu
+    is assembled afresh on every call.
+    """
+    if callable(mu) or np.ndim(mu) != 0:
+        return assemble_stiffness(mesh, mu, mu_star)
+    mu = float(mu)
+    _check_modulus(np.array([mu]), mu_star)
+    moduli = _cached(mesh, "stiffness", dict)
+    if mu not in moduli:
+        if mu != 1.0:  # keep the unit modulus and the last other one
+            for old in [m for m in moduli if m != 1.0]:
+                del moduli[old]
+        moduli[mu] = _read_only(assemble_stiffness(mesh, mu))
+    return moduli[mu]
 
 
 def unit_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Stiffness matrix with unit coefficient (the gradient Gram matrix)."""
-    return _forms(mesh)["stiff1"]
+    """Stiffness matrix with unit coefficient (the gradient Gram matrix).
+
+    It is the mu = 1 entry of ``stiffness_matrix``; built here first, it
+    is bitwise ``assemble_stiffness(mesh, 1.0)``.
+    """
+    moduli = _cached(mesh, "stiffness", dict)
+    if 1.0 not in moduli:
+        ones = np.ones(len(mesh.elements))
+        moduli[1.0] = _read_only(_assemble_gradient_form(mesh, ones))
+    return moduli[1.0]
+
+
+def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
+    return _cached(mesh, "mass", lambda: _read_only(assemble_mass(mesh)))
 
 
 def gram_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Matrix of the full H1 inner product (mass + unit stiffness)."""
-    return _forms(mesh)["gram"]
+    return _cached(
+        mesh, "gram", lambda: _read_only((mass_matrix(mesh) + unit_stiffness(mesh)).tocsr())
+    )
 
 
 def v_norm(mesh: Mesh, v: np.ndarray) -> float:
@@ -501,51 +578,7 @@ def v_norm(mesh: Mesh, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ (A @ v), 0.0)))
 
 
-def grad_seminorm(mesh: Mesh, v: np.ndarray) -> float:
-    S = unit_stiffness(mesh)
-    return float(np.sqrt(max(v @ (S @ v), 0.0)))
-
-
-def gamma3_norm(mesh: Mesh, v: np.ndarray) -> float:
-    """Lumped L2 norm on the gamma3 boundary, matching eval_j quadrature."""
-    idx = mesh.node_sets[GAMMA3]
-    if len(idx) == 0:
-        return 0.0
-    w = mesh.gamma3_weights[idx]
-    return float(np.sqrt(np.sum(w * v[idx] ** 2)))
-
-
 def gram_free_solve(mesh: Mesh):
     """Cached ``spd_factor`` solve of the H1 Gram matrix on the free nodes."""
-    cache = _forms(mesh)
-    if "gram_free_solve" not in cache:
-        free = mesh.free_nodes
-        cache["gram_free_solve"] = spd_factor(gram_matrix(mesh)[free][:, free])
-    return cache["gram_free_solve"]
-
-
-def dual_norm(mesh: Mesh, F: np.ndarray) -> float:
-    """Norm of a load functional over the constrained space.
-
-    Computed as sqrt(F' A^-1 F) on the free nodes, where A is the H1 Gram
-    matrix; this is the Riesz norm of v -> F.v over fields vanishing on
-    gamma1.
-    """
-    Ff = F[mesh.free_nodes]
-    z = gram_free_solve(mesh)(Ff)
-    return float(np.sqrt(max(Ff @ z, 0.0)))
-
-
-def in_space(mesh: Mesh, v: np.ndarray, tol: float = 0.0) -> bool:
-    """True when the field vanishes on all gamma1 nodes (lies in V_h)."""
-    g1 = mesh.node_sets[GAMMA1]
-    if len(g1) == 0:
-        return True
-    return bool(np.max(np.abs(v[g1])) <= tol)
-
-
-def zero_on_gamma1(mesh: Mesh, v: np.ndarray) -> np.ndarray:
-    """Copy of ``v`` with the gamma1 coefficients forced to zero."""
-    out = np.array(v, dtype=float)
-    out[mesh.node_sets[GAMMA1]] = 0.0
-    return out
+    free = mesh.free_nodes
+    return _cached(mesh, "gram_free_solve", lambda: spd_factor(gram_matrix(mesh)[free][:, free]))

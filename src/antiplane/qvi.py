@@ -334,13 +334,15 @@ class DiscreteProblem:
     K and the Tresca factorization depend on the mesh and mu only, so one
     instance solves the problem for any load and friction bound; ``F`` is
     the problem's own load.  A solve gives bitwise the u of a fresh
-    ``solve_qvi`` of the same data.
+    ``solve_qvi`` of the same data.  K comes from ``fem.stiffness_matrix``:
+    for a scalar mu it is the mesh's cached, read-only matrix, which the
+    certificate and the complementarity report of the same data reuse.
     """
 
     def __init__(self, problem: ProblemData):
         self.problem = problem
         mesh = problem.mesh
-        self.K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
+        self.K = fem.stiffness_matrix(mesh, problem.mu, problem.mu_star)
         self.F = fem.assemble_load(mesh, problem.f0, problem.f2)
         self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3])
         self.mu_star = problem.resolved_mu_star()
@@ -395,12 +397,13 @@ def membership_violation(
     every scaled nodal basis field around u, ``n_random`` seeded random
     fields, v = 0 and v = 2u; ``directions`` replaces it by the given
     fields.  All basis fields are tested at once, and the random fields in
-    blocks of rows that share one Gram-matrix product per norm.  A caller
-    that holds the stiffness matrix of ``mu`` passes it as ``stiffness``.
+    blocks of rows that share one Gram-matrix product per norm.  The
+    stiffness matrix of ``mu`` comes from ``fem.stiffness_matrix`` (cached
+    per mesh for a scalar mu) unless the caller passes it as ``stiffness``.
     Returns a Python float; a value <= 1e-8 certifies membership against
     the set.
     """
-    K = fem.assemble_stiffness(mesh, mu) if stiffness is None else stiffness
+    K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
     F = fem.assemble_load(mesh, theta.f0, theta.f2)
     res = F - K @ u
     ju_u = fem.eval_j(mesh, theta.g, u, u)
@@ -466,7 +469,7 @@ def complementarity_report(problem: ProblemData, u: np.ndarray):
     to solver tolerance).
     """
     mesh = problem.mesh
-    K = fem.assemble_stiffness(mesh, problem.mu, problem.mu_star)
+    K = fem.stiffness_matrix(mesh, problem.mu, problem.mu_star)
     F = fem.assemble_load(mesh, problem.f0, problem.f2)
     idx = mesh.node_sets[fem.GAMMA3]
     lam = ((K @ u) - F)[idx] / mesh.gamma3_weights[idx]

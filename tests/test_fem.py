@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiplane import fem, qvi
+from space_helpers import dual_norm, in_space, zero_on_gamma1
 
 RNG_SEED = 20260814
 
@@ -194,6 +195,26 @@ class TestStiffness:
         with pytest.raises(ValueError, match="floor"):
             fem.assemble_stiffness(mesh, 1.0, mu_star=2.0)
 
+    @pytest.mark.parametrize(
+        "mu",
+        [np.nan, np.inf, lambda x: np.where(np.abs(x - 0.375) < 0.01, np.nan, 1.0)],
+        ids=["nan", "inf", "callable-nan-on-one-element"],
+    )
+    def test_rejects_non_finite_mu(self, mu):
+        mesh = interval_mesh(4)
+        with pytest.raises(ValueError, match="shear modulus must be finite"):
+            fem.assemble_stiffness(mesh, mu)
+        with pytest.raises(ValueError, match="shear modulus must be finite"):
+            fem.stiffness_matrix(mesh, mu)
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf])
+    def test_solve_names_a_non_finite_modulus(self, mu):
+        problem = qvi.ProblemData(
+            interval_mesh(8), mu, 1.0, None, fem.FrictionBound.constant(0.5)
+        )
+        with pytest.raises(ValueError, match="shear modulus must be finite"):
+            qvi.solve_qvi(problem)
+
     def test_symmetry_and_positive_semidefinite(self):
         for mesh in (interval_mesh(7), square_mesh(3, 4)):
             K = fem.assemble_stiffness(mesh, 2.5)
@@ -216,6 +237,107 @@ class TestStiffness:
         K = fem.assemble_stiffness(mesh, 1.0)
         v = mesh.nodes[:, 0] * mesh.nodes[:, 1]
         assert abs(v @ (K @ v) - 2.0 / 3.0) < 5e-3
+
+
+def counting_assembly(monkeypatch):
+    """Record the modulus of every ``fem.assemble_stiffness`` call."""
+    calls = []
+    assemble = fem.assemble_stiffness
+
+    def counting(mesh, mu, *args, **kwargs):
+        calls.append(mu)
+        return assemble(mesh, mu, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble_stiffness", counting)
+    return calls
+
+
+def assert_read_only(K):
+    for arr in (K.data, K.indices, K.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+class TestStiffnessCache:
+    @pytest.mark.parametrize("mu", [1.0, 2.5])
+    def test_bitwise_equal_to_fresh_assembly(self, mu):
+        spec = square_mesh(5, 4).spec
+        mesh = fem.build_mesh(spec)
+        K = fem.stiffness_matrix(mesh, mu)
+        # a second mesh of the same spec computes its geometry afresh
+        fresh = fem.assemble_stiffness(fem.build_mesh(spec), mu)
+        for a, b in ((K.data, fresh.data), (K.indices, fresh.indices), (K.indptr, fresh.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert fem.stiffness_matrix(mesh, mu) is K
+
+    def test_geometry_is_cached_and_bitwise_equal(self):
+        spec = square_mesh(5, 4).spec
+        mesh = fem.build_mesh(spec)
+        geometry = fem._element_geometry(mesh)
+        assert fem._element_geometry(mesh) is geometry
+        for cached, fresh in zip(geometry, fem._element_geometry(fem.build_mesh(spec))):
+            assert np.array_equal(cached, fresh)
+
+    def test_cached_arrays_are_read_only(self):
+        mesh = square_mesh(3, 3)
+        for K in (
+            fem.stiffness_matrix(mesh, 1.0),
+            fem.stiffness_matrix(mesh, 0.7),
+            fem.mass_matrix(mesh),
+            fem.gram_matrix(mesh),
+        ):
+            assert_read_only(K)
+        meas, grads = fem._element_geometry(mesh)
+        with pytest.raises(ValueError, match="read-only"):
+            meas[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            grads[0, 0, 0] = 1.0
+
+    def test_unit_modulus_is_the_unit_stiffness(self, monkeypatch):
+        mesh = square_mesh(4, 4)
+        calls = counting_assembly(monkeypatch)
+        K = fem.stiffness_matrix(mesh, 1)
+        assert fem.unit_stiffness(mesh) is K
+        assert fem.stiffness_matrix(mesh, np.float64(1.0)) is K
+        assert calls == [1.0]
+        # built by unit_stiffness first, the entry is served without assembly
+        other = square_mesh(4, 4)
+        S = fem.unit_stiffness(other)
+        assert fem.stiffness_matrix(other, 1.0) is S
+        assert calls == [1.0]
+
+    def test_array_and_callable_moduli_are_not_cached(self, monkeypatch):
+        mesh = interval_mesh(6)
+        calls = counting_assembly(monkeypatch)
+        per_element = np.linspace(1.0, 2.0, 6)
+        for mu in (per_element, lambda x: 1.0 + x):
+            first = fem.stiffness_matrix(mesh, mu)
+            second = fem.stiffness_matrix(mesh, mu)
+            assert first is not second
+            assert np.array_equal(first.toarray(), second.toarray())
+            first.data[0] += 0.0  # a fresh matrix stays writable
+        assert len(calls) == 4
+        assert "stiffness" not in fem._FORM_CACHE.get(mesh, {})
+
+    def test_floor_is_checked_on_a_hit(self):
+        mesh = interval_mesh(4)
+        fem.stiffness_matrix(mesh, 1.5)
+        with pytest.raises(ValueError, match="floor"):
+            fem.stiffness_matrix(mesh, 1.5, mu_star=2.0)
+        with pytest.raises(ValueError, match="positive"):
+            fem.stiffness_matrix(mesh, -1.5)
+        assert fem.stiffness_matrix(mesh, 1.5, mu_star=1.5) is fem.stiffness_matrix(mesh, 1.5)
+
+    def test_cache_does_not_grow_with_the_moduli(self, monkeypatch):
+        mesh = interval_mesh(4)
+        calls = counting_assembly(monkeypatch)
+        for mu in (1.0, 2.0, 3.0, 2.0, 4.0):
+            fem.stiffness_matrix(mesh, mu)
+        assert sorted(fem._FORM_CACHE[mesh]["stiffness"]) == [1.0, 4.0]
+        assert calls == [1.0, 2.0, 3.0, 2.0, 4.0]
+        fem.stiffness_matrix(mesh, 1.0)
+        fem.stiffness_matrix(mesh, 4.0)
+        assert len(calls) == 5
 
 
 class TestMass:
@@ -360,6 +482,10 @@ def free_block(mesh, mu):
     return fem.assemble_stiffness(mesh, mu)[free][:, free]
 
 
+def _index_arrays(A):
+    return (A.row, A.col) if A.format == "coo" else (A.indices, A.indptr)
+
+
 def recording_dpbtrf(monkeypatch):
     """Record the band array of every ``dpbtrf`` call made by the kernel."""
     bands = []
@@ -392,6 +518,25 @@ class TestSpdFactor:
         before = b.copy()
         fem.spd_factor(K)(b)
         assert np.array_equal(b, before)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_leaves_the_matrix_alone(self, fmt):
+        K = free_block(square_mesh(4, 3), 1.3).asformat(fmt)
+        before = [arr.copy() for arr in (K.data, *_index_arrays(K))]
+        fem.spd_factor(K)
+        after = [K.data, *_index_arrays(K)]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_factors_a_read_only_cached_matrix(self):
+        mesh = square_mesh(4, 3)
+        K = fem.stiffness_matrix(mesh, 1.0)
+        free = mesh.free_nodes
+        solve = fem.spd_factor(K[free][:, free])
+        b = np.ones(len(free))
+        assert np.allclose(K[free][:, free] @ solve(b), b, rtol=0, atol=1e-12)
+        # a read-only matrix that is factored as it is
+        whole = fem.spd_factor(fem.gram_matrix(mesh))
+        assert np.allclose(fem.gram_matrix(mesh) @ whole(np.ones(mesh.n_nodes)), 1.0)
 
     def test_duplicate_entries_are_summed(self):
         # uncompressed CSR: the diagonal entry of row 0 is stored as 1 + 3
@@ -462,6 +607,57 @@ class TestFrictionBound:
         assert np.isclose(g.lipschitz, 0.55)
         assert np.allclose(g(None, np.array([2.0])), [1.0 + 1.0 + 0.1 + 0.1])
 
+    @pytest.mark.parametrize(
+        "func",
+        [
+            lambda x, r: 0.5 + 0.25 * np.abs(r),
+            lambda x, r: 0.75,  # a scalar is broadcast to r's shape
+            lambda x, r: [1, 2, 3],  # integers, not an array
+        ],
+        ids=["array", "scalar", "int-list"],
+    )
+    def test_values_are_those_of_the_broadcast(self, func):
+        r = np.array([-1.0, 0.5, 2.0])
+        expected = np.broadcast_to(np.asarray(func(None, r), dtype=float), r.shape)
+        out = fem.FrictionBound(func, 0.25)(None, r)
+        assert out.dtype == float and out.shape == r.shape
+        assert np.array_equal(out, expected)
+
+    def test_result_is_a_fresh_array(self):
+        stored = np.array([1.0, 2.0])
+        r = np.array([0.5, 0.25])
+        for func in (lambda x, r: r, lambda x, r: stored):
+            out = fem.FrictionBound(func, 1.0)(None, r)
+            assert not np.shares_memory(out, r) and not np.shares_memory(out, stored)
+            out[:] = -1.0
+        assert np.array_equal(r, [0.5, 0.25]) and np.array_equal(stored, [1.0, 2.0])
+
+    def test_wrong_shape_names_the_bound(self):
+        g = fem.FrictionBound(lambda x, r: np.ones(len(r) + 1), 0.0, label="too long")
+        message = r"friction bound 'too long' returned shape \(4,\), expected \(3,\)"
+        with pytest.raises(ValueError, match=message):
+            g(None, np.zeros(3))
+
+        def unlabelled(x, r):
+            return np.ones(2)
+
+        with pytest.raises(ValueError, match="friction bound 'unlabelled'"):
+            fem.FrictionBound(unlabelled, 0.0)(None, np.zeros(3))
+
+    def test_coefficient_callables_name_a_wrong_shape(self):
+        mesh = square_mesh(2, 2)
+
+        def body_force(x):
+            return np.ones(len(x) + 1)
+
+        message = r"coefficient 'body_force' returned shape \({}\), expected \({}\)"
+        with pytest.raises(ValueError, match=message.format("9,", "8,")):
+            fem.element_values(mesh, body_force)
+        with pytest.raises(ValueError, match=message.format("3,", "2,")):
+            fem.facet_values(mesh, "gamma2", body_force)
+        # a scalar-valued callable still fills every element
+        assert np.array_equal(fem.element_values(mesh, lambda x: 2.0), np.full(8, 2.0))
+
 
 class TestEvalJ:
     def test_constant_bound_point(self):
@@ -523,14 +719,14 @@ class TestNorms:
         # the functional v -> (z, v)_V has dual norm ||z||_V
         mesh = interval_mesh(16)
         rng = np.random.default_rng(RNG_SEED)
-        z = fem.zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
+        z = zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
         F = fem.gram_matrix(mesh) @ z
-        assert np.isclose(fem.dual_norm(mesh, F), fem.v_norm(mesh, z), rtol=1e-10)
+        assert np.isclose(dual_norm(mesh, F), fem.v_norm(mesh, z), rtol=1e-10)
 
     def test_space_membership_helpers(self):
         mesh = interval_mesh(4)
         v = np.ones(5)
-        assert not fem.in_space(mesh, v)
-        w = fem.zero_on_gamma1(mesh, v)
-        assert fem.in_space(mesh, w)
+        assert not in_space(mesh, v)
+        w = zero_on_gamma1(mesh, v)
+        assert in_space(mesh, w)
         assert w[0] == 0.0 and np.all(w[1:] == 1.0)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from antiplane import constants, control, fem, qvi
 from antiplane.oracle import analytic_1d, benchmark_problem, linear_solve
+from space_helpers import dual_norm, in_space, zero_on_gamma1
 
 RNG_SEED = 424242
 
@@ -151,7 +152,7 @@ class TestTresca:
         rng = np.random.default_rng(RNG_SEED)
         for scale in (1e-3, 1e-1, 1.0):
             for _ in range(30):
-                v = u + scale * fem.zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
+                v = u + scale * zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
                 assert friction_energy(mesh, K, F, g, v) >= e_star - 1e-12
 
     @pytest.mark.parametrize(
@@ -377,7 +378,7 @@ class TestFixedPoint:
         prob = qvi.ProblemData(mesh, 1.0, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2))
         u, rep = qvi.solve_qvi(prob)
         assert rep.converged and rep.contraction_ok
-        assert fem.in_space(mesh, u)
+        assert in_space(mesh, u)
         theta = qvi.TykhonovIndex(0.0, 1.0, 0.5, prob.g)
         assert qvi.membership_violation(mesh, 1.0, u, theta, seed=5) <= 1e-8
 
@@ -639,7 +640,7 @@ class TestAPrioriBound:
             u, rep = qvi.solve_qvi(prob)
             F = fem.assemble_load(prob.mesh, prob.f0, prob.f2)
             lhs = prob.resolved_mu_star() / rep.c0**2 * fem.v_norm(prob.mesh, u)
-            assert lhs <= fem.dual_norm(prob.mesh, F) * (1 + 1e-9)
+            assert lhs <= dual_norm(prob.mesh, F) * (1 + 1e-9)
 
 
 class TestFourPointEstimate:
@@ -650,7 +651,7 @@ class TestFourPointEstimate:
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(50):
             e1, e2, v1, v2 = (
-                fem.zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes)) for _ in range(4)
+                zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes)) for _ in range(4)
             )
             lhs = (
                 fem.eval_j(mesh, g, e1, v2)
@@ -706,7 +707,7 @@ def membership_oracle(mesh, mu, u, theta, *, directions=None, n_random=100, seed
     worst = max(worst, float(res @ u) - ju_u - eps * norm_u**2)
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
-        v = fem.zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
+        v = zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
         nv = fem.v_norm(mesh, v)
         if nv > 0.0:
             v *= (1.0 + norm_u) / nv
@@ -739,7 +740,7 @@ def certificate_case(name):
     # an oscillating error; the small basis scale leaves the largest
     # residual to the random fields (see test_each_random_block_counts)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    u = u + fem.zero_on_gamma1(mesh, 0.05 * np.sin(9.0 * x) * np.cos(7.0 * y))
+    u = u + zero_on_gamma1(mesh, 0.05 * np.sin(9.0 * x) * np.cos(7.0 * y))
     return mesh, mu, u, theta, {"basis_scale": 1e-3, "seed": 253}
 
 
@@ -806,7 +807,7 @@ class TestMembership:
         assert qvi.membership_violation(prob.mesh, prob.mu, u, tight, seed=0) > 1e-8
         F = fem.assemble_load(prob.mesh, prob.f0)
         F_shift = fem.assemble_load(prob.mesh, prob.f0 + delta)
-        gap = fem.dual_norm(prob.mesh, F_shift - F) / fem.v_norm(prob.mesh, u)
+        gap = dual_norm(prob.mesh, F_shift - F) / fem.v_norm(prob.mesh, u)
         relaxed = qvi.TykhonovIndex(gap * 1.0001, prob.f0 + delta, prob.f2, prob.g)
         assert qvi.membership_violation(prob.mesh, prob.mu, u, relaxed, seed=0) <= 1e-8
 
@@ -852,3 +853,31 @@ class TestComplementarity:
         idx, lam, G, stick_slack, comp = qvi.complementarity_report(prob, u)
         assert np.all(stick_slack <= 1e-8)
         assert np.all(comp <= 1e-8)
+
+
+class TestCertifiedSolveAssembly:
+    """solve_qvi, complementarity_report and membership_violation of one
+    problem share the mesh's cached stiffness matrix."""
+
+    @pytest.mark.parametrize("mu", [1.0, 0.8])
+    def test_one_stiffness_assembly(self, mu, monkeypatch):
+        assembled = []
+        assemble = fem.assemble_stiffness
+
+        def counting(*args, **kwargs):
+            assembled.append(args[1])
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "assemble_stiffness", counting)
+        mesh = square_mesh(6)
+        prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2))
+        u, _ = qvi.solve_qvi(prob)
+        kkt = qvi.complementarity_report(prob, u)
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+        violation = qvi.membership_violation(mesh, mu, u, theta, seed=3)
+        assert assembled == [mu]
+        # the same values as a certificate handed a freshly assembled K
+        K = assemble(mesh, mu)
+        fresh = qvi.membership_violation(mesh, mu, u, theta, seed=3, stiffness=K)
+        assert violation == fresh <= 1e-8
+        assert np.max(kkt[3]) <= 1e-8
