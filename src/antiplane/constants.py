@@ -25,22 +25,25 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative routine misses its tolerance within the cap."""
 
 
-def _power_iteration(apply_iter, rayleigh, v0, tol, maxiter):
-    """Generic power iteration with a Rayleigh-quotient stopping rule.
+def _power_iteration(solve, B, A, v0, tol, maxiter):
+    """Largest eigenvalue of B v = lambda A v by power iteration on A^-1 B.
 
-    ``apply_iter`` maps v to the next iterate, ``rayleigh`` returns the
-    eigenvalue estimate of an iterate.  Stops when the relative change of
-    the estimate falls below ``tol``.
+    ``solve`` applies A^-1.  Each iteration forms B v once, for both the
+    Rayleigh quotient (v'Bv)/(v'Av) of the normalized iterate and the
+    next iterate A^-1 B v.  Stops when the relative change of the
+    quotient falls below ``tol``; returns (lambda, v).
     """
     v = v0 / np.linalg.norm(v0)
-    lam = rayleigh(v)
+    Bv = B @ v
+    lam = float((v @ Bv) / (v @ (A @ v)))
     for _ in range(maxiter):
-        v = apply_iter(v)
+        v = solve(Bv)
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
             raise ConvergenceError("power iteration collapsed to the zero vector")
         v /= nrm
-        lam_new = rayleigh(v)
+        Bv = B @ v
+        lam_new = float((v @ Bv) / (v @ (A @ v)))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return lam_new, v
         lam = lam_new
@@ -71,19 +74,11 @@ def poincare_constant(
     free = mesh.free_nodes
     if len(free) == 0:
         raise fem.MeshError("no free node: every node lies on gamma1")
-    S = fem.unit_stiffness(mesh)[free][:, free].tocsr()
-    M = fem.mass_matrix(mesh)[free][:, free].tocsr()
-    solve = fem.spd_factor(S)
-
-    def apply_iter(v):
-        return solve(M @ v)
-
-    def rayleigh(v):
-        return float((v @ (M @ v)) / (v @ (S @ v)))
-
+    S = fem.submatrix(fem.unit_stiffness(mesh), free, free)
+    M = fem.submatrix(fem.mass_matrix(mesh), free, free)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(len(free))
-    lam, vec = _power_iteration(apply_iter, rayleigh, v0, tol, maxiter)
+    lam, vec = _power_iteration(fem.spd_factor(S), M, S, v0, tol, maxiter)
     c0 = float(np.sqrt(1.0 + lam))
     if return_field:
         field = np.zeros(mesh.n_nodes)
@@ -116,20 +111,13 @@ def trace_constant(
     w = np.zeros(mesh.n_nodes)
     w[idx] = mesh.gamma3_weights[idx]
     B = sp.diags(w[free]).tocsr()
-    A = fem.gram_matrix(mesh)[free][:, free].tocsr()
-    solve = fem.gram_free_solve(mesh)
-
-    def apply_iter(v):
-        return solve(B @ v)
-
-    def rayleigh(v):
-        return float((v @ (B @ v)) / (v @ (A @ v)))
-
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(len(free))
     if float(v0 @ (B @ v0)) == 0.0:
         v0 += 1.0  # make sure the start sees the boundary
-    lam, vec = _power_iteration(apply_iter, rayleigh, v0, tol, maxiter)
+    lam, vec = _power_iteration(
+        fem.gram_free_solve(mesh), B, fem.gram_free(mesh), v0, tol, maxiter
+    )
     c3 = float(np.sqrt(max(lam, 0.0)))
     if return_field:
         field = np.zeros(mesh.n_nodes)

@@ -168,8 +168,14 @@ def cost(
     coeffs,
 ) -> float:
     """Evaluate the tracking cost for a given state and control."""
-    diff = np.asarray(u, dtype=float) - target_field(mesh, weights.target)
-    misfit = float(diff @ (fem.mass_matrix(mesh) @ diff))
+    target = target_field(mesh, weights.target)
+    return _cost(fem.mass_matrix(mesh), target, patches, weights, u, coeffs)
+
+
+def _cost(M, target, patches, weights, u, coeffs) -> float:
+    """``cost`` with the mass matrix M and the nodal target given."""
+    diff = np.asarray(u, dtype=float) - target
+    misfit = float(diff @ (M @ diff))
     return weights.a0 * misfit + weights.a2 * patches.norm_sq(coeffs)
 
 
@@ -179,8 +185,11 @@ class StateSolver:
     One ``qvi.DiscreteProblem`` of the base problem (stiffness, Tresca
     solver, base load ``F0``) and one load column per patch (``B``) are
     built once; solving for a coefficient vector is then a cheap
-    fixed-point run.  The base problem must leave ``f2`` unset: the
-    control supplies all gamma2 tractions.
+    fixed-point run.  ``evaluate`` reads the mass matrix looked up at
+    construction and interpolates (and checks) the target once per
+    ``CostWeights`` object, on its first evaluation with that object.
+    The base problem must leave ``f2`` unset: the control supplies all
+    gamma2 tractions.
     """
 
     def __init__(self, problem: qvi.ProblemData, patches: ControlPatches):
@@ -197,6 +206,8 @@ class StateSolver:
             unit[p] = 1.0
             cols.append(fem.assemble_load(problem.mesh, 0.0, patches.traction(unit)))
         self.B = np.column_stack(cols)
+        self._mass = fem.mass_matrix(problem.mesh)
+        self._target = (None, None)  # the last weights object and its nodal target
 
     def solve(self, coeffs, config: qvi.SolverConfig | None = None, eta0=None):
         """State u for the control ``coeffs``; returns (u, SolveReport).
@@ -208,9 +219,12 @@ class StateSolver:
         return self.discrete.solve(F, self.discrete.problem.g, config, eta0)
 
     def evaluate(self, coeffs, weights: CostWeights, config=None, eta0=None):
-        """Reduced cost at ``coeffs``; returns (cost, u)."""
+        """Reduced cost at ``coeffs``; returns (cost, u), the cost bitwise
+        that of ``cost``."""
         u, _ = self.solve(coeffs, config, eta0)
-        J = cost(self.patches.mesh, self.patches, weights, u, coeffs)
+        if self._target[0] is not weights:
+            self._target = (weights, target_field(self.patches.mesh, weights.target))
+        J = _cost(self._mass, self._target[1], self.patches, weights, u, coeffs)
         return J, u
 
 

@@ -15,12 +15,13 @@ stiffness matrices.  Friction terms on gamma3 are integrated with a lumped
 
 Operators that depend only on the mesh are built once per mesh and kept
 in a per-mesh cache, weakly held so that it goes with the mesh: the
-element geometry, the mass and H1 Gram matrices, the Gram factor, and the
-stiffness matrix of a scalar modulus keyed on its value (one entry for
-mu = 1, which is also the unit stiffness, and one for the last other
-scalar modulus).  Cached arrays are read-only.  ``assemble_stiffness``
-itself always assembles; ``stiffness_matrix`` is its cached form, which
-checks the modulus and its floor on every call.
+element geometry, the element gradient products and the scatter pattern
+of the assembly, the mass and H1 Gram matrices, the free Gram block and
+its factor, and the stiffness matrix of a scalar modulus keyed on its
+value (one entry for mu = 1, which is also the unit stiffness, and one
+for the last other scalar modulus).  Cached arrays are read-only.
+``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
+its cached form, which checks the modulus and its floor on every call.
 """
 
 from __future__ import annotations
@@ -361,18 +362,34 @@ def _geometry(mesh: Mesh):
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Sum local (m, k, k) element matrices into the global sparse matrix."""
-    k = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, k, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, k)).ravel()
+    """Sum local (m, k, k) element matrices into the global sparse matrix.
+
+    The COO row and column arrays depend on the mesh only and are cached.
+    """
+    rows, cols = _cached(mesh, "scatter", lambda: _scatter_pattern(mesh))
     n = mesh.n_nodes
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def _scatter_pattern(mesh: Mesh):
+    """Global (row, column) of every local matrix entry, row-major per element."""
+    k = mesh.elements.shape[1]
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
+    return _read_only(rows), _read_only(cols)
+
+
+def _gradient_products(mesh: Mesh) -> np.ndarray:
+    """grad phi_a . grad phi_b of every element, shape (m, k, k), cached per mesh."""
+    _, grads = _element_geometry(mesh)
+    return _cached(
+        mesh, "gradient_products", lambda: _read_only(np.einsum("eid,ejd->eij", grads, grads))
+    )
+
+
 def _assemble_gradient_form(mesh: Mesh, coef_e: np.ndarray) -> sp.csr_matrix:
-    meas, grads = _element_geometry(mesh)
-    local = np.einsum("eid,ejd->eij", grads, grads)
-    return _scatter(mesh, (coef_e * meas)[:, None, None] * local)
+    meas, _ = _element_geometry(mesh)
+    return _scatter(mesh, (coef_e * meas)[:, None, None] * _gradient_products(mesh))
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -483,7 +500,29 @@ def eval_j(mesh: Mesh, g: FrictionBound, eta: np.ndarray, v: np.ndarray) -> floa
 
 
 # ---------------------------------------------------------------------------
-# SPD factorization
+# blocks and SPD factorization
+
+def submatrix(A, rows, cols) -> sp.csr_matrix:
+    """The block of a sparse matrix A on ``rows`` and ``cols``, as CSR.
+
+    ``rows`` and ``cols`` are sorted arrays of distinct indices.  The block
+    is cut in one pass over the index arrays of A in CSR form and keeps
+    its entry order, so data, indices and indptr equal those of scipy's
+    chained fancy indexing (rows first, then columns) without its
+    intermediate copy and index checks.
+    """
+    A = A.tocsr()
+    n_rows, n_cols = A.shape
+    row_pos = np.full(n_rows, -1)
+    row_pos[rows] = np.arange(len(rows))
+    col_pos = np.full(n_cols, -1)
+    col_pos[cols] = np.arange(len(cols))
+    entry_row = row_pos[np.repeat(np.arange(n_rows), np.diff(A.indptr))]
+    entry_col = col_pos[A.indices]
+    keep = (entry_row >= 0) & (entry_col >= 0)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_row[keep], minlength=len(rows)))))
+    return sp.csr_matrix((A.data[keep], entry_col[keep], indptr), shape=(len(rows), len(cols)))
+
 
 def spd_factor(A):
     """Banded Cholesky factorization of a sparse symmetric positive definite A.
@@ -578,7 +617,12 @@ def v_norm(mesh: Mesh, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ (A @ v), 0.0)))
 
 
-def gram_free_solve(mesh: Mesh):
-    """Cached ``spd_factor`` solve of the H1 Gram matrix on the free nodes."""
+def gram_free(mesh: Mesh) -> sp.csr_matrix:
+    """The H1 Gram matrix on the free nodes (cached, read-only)."""
     free = mesh.free_nodes
-    return _cached(mesh, "gram_free_solve", lambda: spd_factor(gram_matrix(mesh)[free][:, free]))
+    return _cached(mesh, "gram_free", lambda: _read_only(submatrix(gram_matrix(mesh), free, free)))
+
+
+def gram_free_solve(mesh: Mesh):
+    """Cached ``spd_factor`` solve of ``gram_free(mesh)``."""
+    return _cached(mesh, "gram_free_solve", lambda: spd_factor(gram_free(mesh)))

@@ -146,14 +146,13 @@ class TrescaSolver:
         if np.any(diag[self.free] <= 0.0):
             raise SolverError("stiffness matrix has a nonpositive diagonal entry")
 
-        Kcsc = K.tocsc()
         S, T = self.smooth, self.friction
-        self.K_st = Kcsc[S][:, T].toarray() if len(T) else np.zeros((len(S), 0))
-        K_tt = Kcsc[T][:, T].toarray() if len(T) else np.zeros((0, 0))
+        self.K_st = fem.submatrix(K, S, T).toarray()
+        K_tt = fem.submatrix(K, T, T).toarray()
 
         if len(S):
             try:
-                self._solve_smooth = fem.spd_factor(Kcsc[S][:, S])
+                self._solve_smooth = fem.spd_factor(fem.submatrix(K, S, S))
             except fem.FactorizationError as exc:
                 raise SolverError(f"stiffness block factorization failed: {exc}") from exc
             self.X = self._solve_smooth(self.K_st) if len(T) else np.zeros((len(S), 0))
@@ -193,25 +192,40 @@ class TrescaSolver:
             self._slip = (key, (lu, piv))
         return dgetrs(*self._slip[1], rhs)[0]
 
-    def _iterate(self, Ft, c, t, inner_tol, max_inner):
-        """Active-set iteration from the gamma3 guess t; returns (t, iterations)."""
-        if len(t) == 0:
+    @staticmethod
+    def _tolerance(Ft, inner_tol):
+        """Absolute KKT tolerance inner_tol (1 + max|F_t|) of a reduced load."""
+        return inner_tol * (1.0 + np.abs(Ft).max(initial=0.0))
+
+    def _iterate(self, Ft, c, t, tol, max_inner):
+        """Active-set iteration from the gamma3 guess t to the absolute KKT
+        tolerance ``tol``; returns (t, iterations)."""
+        n = len(t)
+        if n == 0:
             return t, 0
         A, sigma = self.A, self._sigma
-        tol = inner_tol * (1.0 + np.abs(Ft).max())
+        sigma_c = sigma * c
         lam = Ft - A @ t
         for iteration in range(1, max_inner + 1):
             z = t + sigma * lam
-            s = np.sign(z) * (np.abs(z) > sigma * c)
-            J = np.flatnonzero(s)
-            t = np.zeros(len(Ft))
+            s = np.sign(z) * (np.abs(z) > sigma_c)
+            J = s.nonzero()[0]
+            t = np.zeros(n)
             if len(J):
-                t[J] = self._slip_solve(J, Ft[J] - s[J] * c[J])
-            lam = Ft - A @ t
-            lam[J] = s[J] * c[J]
-            stick = s == 0.0
-            if (np.abs(lam[stick]) <= c[stick] + tol).all() and (s[J] * t[J] >= -tol).all():
-                return t, iteration
+                s_J = s[J]
+                lam_J = s_J * c[J]
+                t[J] = self._slip_solve(J, Ft[J] - lam_J)
+                lam = Ft - A @ t
+                lam[J] = lam_J
+                if not (s_J * t[J] >= -tol).all():
+                    continue  # a slip value against its sign
+            else:
+                lam = Ft - A @ t
+            if len(J) < n:
+                stick = s == 0.0
+                if not (np.abs(lam[stick]) <= c[stick] + tol).all():
+                    continue
+            return t, iteration
         raise SolverError(
             f"inner solver missed the friction law within {max_inner} "
             f"active-set iterations (tolerance {tol:.3e})"
@@ -237,7 +251,7 @@ class TrescaSolver:
         if not np.all(c >= 0.0):
             raise SolverError("negative or NaN friction bound coefficient")
         W, Ft = self._reduce_load(F)
-        t, iterations = self._iterate(Ft, c, t, inner_tol, max_inner)
+        t, iterations = self._iterate(Ft, c, t, self._tolerance(Ft, inner_tol), max_inner)
         return self._lift(t, W), iterations
 
     def _lift(self, t, W):
@@ -258,8 +272,9 @@ def fixed_point(
 ):
     """Run the bound-update iteration on a prebuilt inner solver.
 
-    The load is reduced once per run; each outer step runs the active-set
-    iteration from the previous gamma3 values and lifts the result.
+    The load is reduced and its inner tolerance set once per run; each
+    outer step evaluates the bound, runs the active-set iteration from
+    the previous gamma3 values and lifts the result for the increment.
     Returns (u, SolveReport).  Raises SolverError when the smallness
     condition fails without the override flag, when the bound or the
     reduced load is non-finite, or when an iteration cap is exceeded;
@@ -276,13 +291,17 @@ def fixed_point(
             )
         warnings.warn(f"attempting fixed point with non-contractive k = {k:.6f}")
 
-    # weights aligned with the solver's friction nodes
+    # per-run invariants: coordinates and weights of the solver's friction
+    # nodes, the Gram matrix of the V-norm and the absolute inner tolerance
+    x_free = mesh.nodes[solver.friction]
     w_free = mesh.gamma3_weights[solver.friction]
+    gram = fem.gram_matrix(mesh)
 
     eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
     if eta.shape != (mesh.n_nodes,):
         raise ValueError(f"eta0 must have {mesh.n_nodes} entries, got shape {eta.shape}")
     W, Ft = solver._reduce_load(F)
+    tol = solver._tolerance(Ft, cfg.inner_tol)
     t = eta[solver.friction]
     increments: list[float] = []
     ratios: list[float] = []
@@ -291,15 +310,16 @@ def fixed_point(
     iterations = 0
     for m in range(1, cfg.max_outer + 1):
         iterations = m
-        G = g(mesh.nodes[solver.friction], np.abs(t))
+        G = g(x_free, np.abs(t))
         if not np.isfinite(G).all():
             raise SolverError("friction bound took a non-finite value on gamma3")
-        if np.any(G < -1e-14):
+        if (G < -1e-14).any():
             raise SolverError("friction bound took a negative value on gamma3")
         c = w_free * np.maximum(G, 0.0)
-        t, inner_iterations = solver._iterate(Ft, c, t, cfg.inner_tol, cfg.max_inner)
+        t, inner_iterations = solver._iterate(Ft, c, t, tol, cfg.max_inner)
         u_new = solver._lift(t, W)
-        inc = fem.v_norm(mesh, u_new - eta)
+        d = u_new - eta  # fem.v_norm(mesh, d) on the Gram matrix looked up once
+        inc = float(np.sqrt(max(d @ (gram @ d), 0.0)))
         if increments and increments[-1] > 0.0:
             ratios.append(inc / increments[-1])
         increments.append(inc)

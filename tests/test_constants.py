@@ -93,6 +93,57 @@ class TestPoincare:
         assert len(solves) <= 12
 
 
+class CountingOperator:
+    """A matrix whose products with vectors are counted."""
+
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+def two_product_power_iteration(solve, B, A, v0, tol, maxiter):
+    """The power iteration that forms B v twice per iteration: for the
+    next iterate and again for the Rayleigh quotient."""
+    v = v0 / np.linalg.norm(v0)
+    lam = float((v @ (B @ v)) / (v @ (A @ v)))
+    for _ in range(maxiter):
+        v = solve(B @ v)
+        v /= np.linalg.norm(v)
+        lam_new = float((v @ (B @ v)) / (v @ (A @ v)))
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+            return lam_new, v
+        lam = lam_new
+    raise AssertionError("reference power iteration missed its tolerance")
+
+
+class TestPowerIteration:
+    def test_one_product_per_iteration(self):
+        mesh = square_mesh(6)
+        free = mesh.free_nodes
+        S = fem.submatrix(fem.unit_stiffness(mesh), free, free)
+        M = CountingOperator(fem.submatrix(fem.mass_matrix(mesh), free, free))
+        factor, solves = fem.spd_factor(S), []
+        v0 = np.random.default_rng(RNG_SEED).standard_normal(len(free))
+        constants._power_iteration(
+            lambda b: solves.append(1) or factor(b), M, S, v0, 1e-10, 100
+        )
+        # one product per iteration plus the first Rayleigh quotient
+        assert len(solves) >= 5
+        assert M.products == len(solves) + 1
+
+    @pytest.mark.parametrize("dim, n", [(2, 4), (2, 12), (1, 16)])
+    def test_constants_bitwise_equal_to_two_product_loop(self, dim, n, monkeypatch):
+        mesh = square_mesh(n) if dim == 2 else interval_mesh(n)
+        c0 = constants.poincare_constant(mesh, seed=0)
+        c3 = constants.trace_constant(mesh, seed=0)
+        monkeypatch.setattr(constants, "_power_iteration", two_product_power_iteration)
+        assert constants.poincare_constant(mesh, seed=0) == c0
+        assert constants.trace_constant(mesh, seed=0) == c3
+
+
 class TestTrace:
     def test_interval_matches_continuum(self):
         mesh = interval_mesh(512)

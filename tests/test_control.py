@@ -215,6 +215,42 @@ class TestReducedCost:
             control.StateSolver(problem, patches).evaluate([1.0], w)[0]
 
 
+class TestHoistedCost:
+    """``StateSolver.evaluate`` interpolates the target once per weights
+    object and gives bitwise the cost of ``control.cost``."""
+
+    def test_bitwise_cost_as_the_weights_change(self, setup_2d, monkeypatch):
+        mesh, problem, patches, _, weights = setup_2d
+        solver = control.StateSolver(problem, patches)
+        other = control.CostWeights(2.0, 1e-2, lambda x: 0.1 * x[:, 0])
+        shifted = weights.target + 0.01 * mesh.nodes[:, 0]
+        twin = control.CostWeights(weights.a0, weights.a2, shifted)
+        interpolations = []
+        target_field = control.target_field
+        monkeypatch.setattr(
+            control, "target_field", lambda m, t: interpolations.append(1) or target_field(m, t)
+        )
+        sequence = [
+            (weights, [0.9, 0.4]), (weights, [0.5, 0.1]), (other, [0.5, 0.1]),
+            (other, [0.3, 0.2]), (twin, [0.3, 0.2]), (weights, [0.2, -0.3]),
+        ]
+        u = None
+        for w, x in sequence:
+            J, u = solver.evaluate(np.array(x), w, eta0=u)
+            assert J == control.cost(mesh, patches, w, u, x)
+        # one per reference cost, and one each time the weights object changes
+        assert len(interpolations) == len(sequence) + 4
+
+    def test_target_off_the_clamped_boundary_raises(self, setup_1d):
+        _, problem, patches = setup_1d
+        solver = control.StateSolver(problem, patches)
+        bad = control.CostWeights(1.0, 0.0, 1.0)
+        for _ in range(2):  # a refused target is not kept
+            with pytest.raises(ValueError, match="clamped"):
+                solver.evaluate([0.5], bad)
+        assert solver.evaluate([1.0], control.CostWeights(1.0, 0.0, lambda x: x))[0] <= 1e-20
+
+
 class TestStateSolver:
     def test_rejects_fixed_traction(self, setup_1d):
         mesh, _, patches = setup_1d

@@ -340,6 +340,80 @@ class TestStiffnessCache:
         assert len(calls) == 5
 
 
+def _csr_arrays(A):
+    return A.data, A.indices, A.indptr
+
+
+class TestAssemblyCache:
+    """The gradient products and the scatter pattern are built once per mesh."""
+
+    def test_moduli_bitwise_equal_to_fresh_mesh_assembly(self):
+        spec = square_mesh(5, 4).spec
+        mesh = fem.build_mesh(spec)
+        per_element = np.linspace(1.0, 2.0, len(mesh.elements))
+        for mu in (0.5, 1.0, 2.5, per_element, lambda x: 1.0 + x[:, 0]):
+            K = fem.assemble_stiffness(mesh, mu)
+            # a second mesh of the same spec builds its products and pattern afresh
+            fresh = fem.assemble_stiffness(fem.build_mesh(spec), mu)
+            for a, b in zip(_csr_arrays(K), _csr_arrays(fresh)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        M, fresh = fem.assemble_mass(mesh), fem.assemble_mass(fem.build_mesh(spec))
+        assert np.array_equal(M.data, fresh.data) and np.array_equal(M.indices, fresh.indices)
+
+    def test_parts_are_cached_and_read_only(self):
+        mesh = interval_mesh(6)
+        fem.assemble_stiffness(mesh, 2.0)
+        products = fem._gradient_products(mesh)
+        assert fem._gradient_products(mesh) is products
+        _, grads = fem._element_geometry(mesh)
+        assert np.array_equal(products, np.einsum("eid,ejd->eij", grads, grads))
+        rows, cols = fem._FORM_CACHE[mesh]["scatter"]
+        for arr in (products, rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = arr.flat[0]
+
+
+def index_sets(mesh):
+    """The free, smooth, friction and empty node sets of the Tresca solver."""
+    free = mesh.free_nodes
+    friction = np.intersect1d(mesh.node_sets["gamma3"], free)
+    return {
+        "free": free,
+        "smooth": np.setdiff1d(free, friction),
+        "friction": friction,
+        "empty": np.zeros(0, dtype=np.int64),
+    }
+
+
+class TestSubmatrix:
+    @pytest.mark.parametrize("make_mesh", [lambda: interval_mesh(7), lambda: square_mesh(5, 4)])
+    @pytest.mark.parametrize("rows", ["free", "smooth", "friction", "empty"])
+    @pytest.mark.parametrize("cols", ["free", "smooth", "friction", "empty"])
+    def test_equals_chained_fancy_indexing(self, make_mesh, rows, cols):
+        mesh = make_mesh()
+        sets = index_sets(mesh)
+        r, c = sets[rows], sets[cols]
+        for A in (fem.stiffness_matrix(mesh, 1.3), fem.mass_matrix(mesh), fem.gram_matrix(mesh)):
+            block, ref = fem.submatrix(A, r, c), A[r][:, c]
+            assert block.format == "csr" and block.shape == ref.shape == (len(r), len(c))
+            for a, b in zip(_csr_arrays(block), _csr_arrays(ref)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_free_gram_block_is_cut_once(self, monkeypatch):
+        from antiplane import constants
+
+        cuts = []
+        submatrix = fem.submatrix
+        monkeypatch.setattr(fem, "submatrix", lambda A, r, c: cuts.append(1) or submatrix(A, r, c))
+        mesh = square_mesh(4, 4)
+        constants.trace_constant(mesh, seed=0)
+        fem.gram_free_solve(mesh)
+        assert len(cuts) == 1
+        block = fem.gram_free(mesh)
+        assert fem.gram_free(mesh) is block
+        assert_read_only(block)
+
+
 class TestMass:
     def test_total_mass_is_volume(self):
         for mesh, vol in ((interval_mesh(5), 1.0), (square_mesh(3, 2), 1.0)):

@@ -311,6 +311,24 @@ class TestFixedPoint:
         ref = -1.5 * x**2 + (3.0 - 5.0 / 6.0) * x
         assert np.max(np.abs(u - ref)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            fem.MeshSpec(1, (1.0,), (16,), {"left": "gamma1", "right": "gamma2"}),
+            fem.MeshSpec(
+                2, (1.0, 1.0), (4, 3),
+                {"left": "gamma1", "right": "gamma2", "bottom": "gamma2", "top": "gamma2"},
+            ),
+        ],
+    )
+    def test_no_free_gamma3_node_needs_no_inner_iteration(self, spec):
+        mesh = fem.build_mesh(spec)
+        prob = qvi.ProblemData(mesh, 1.0, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.1))
+        u, rep = qvi.solve_qvi(prob)
+        assert rep.converged and rep.outer_iterations == 2
+        assert rep.inner_sweeps == [0, 0]
+        assert np.allclose(u, linear_solve(mesh, 1.0, 1.0, 0.5), rtol=0, atol=1e-12)
+
     def test_zero_data_single_iteration(self):
         mesh = interval_mesh(16)
         prob = qvi.ProblemData(mesh, 1.0, 0.0, 0.0, fem.FrictionBound.constant(0.0))
