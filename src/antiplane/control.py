@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import fem, qvi
 from .tykhonov import (
@@ -292,6 +291,9 @@ def minimize_cost(
     ``tie_tol``); ``clusters`` groups all successful optima by cost
     within ``cluster_radius`` to expose non-unique minimizers.
     """
+    # deferred: only the optimizer needs scipy.optimize, so a solve does not load it
+    from scipy.optimize import minimize
+
     if n_starts < 1:
         raise ValueError("need at least one start")
     solver = StateSolver(problem, patches)

@@ -119,6 +119,9 @@ class SolveReport:
     c3: float
     k: float
     contraction_ok: bool
+    # a-posteriori bound ||u - u_m||_V <= k/(1-k) ||u_m - u_{m-1}||_V of the
+    # returned iterate when k < 1, else None; reported only, not a stop test
+    error_bound: float | None = None
 
 
 class TrescaSolver:
@@ -278,7 +281,8 @@ def fixed_point(
     Returns (u, SolveReport).  Raises SolverError when the smallness
     condition fails without the override flag, when the bound or the
     reduced load is non-finite, or when an iteration cap is exceeded;
-    ValueError when ``eta0`` or ``F`` has the wrong length.
+    ValueError when ``eta0`` or ``F`` has the wrong length or ``eta0`` a
+    non-finite entry.
     """
     cfg = config or SolverConfig()
     c0, c3 = constants.space_constants(mesh)
@@ -300,6 +304,9 @@ def fixed_point(
     eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
     if eta.shape != (mesh.n_nodes,):
         raise ValueError(f"eta0 must have {mesh.n_nodes} entries, got shape {eta.shape}")
+    if not np.isfinite(eta).all():
+        node = int(np.flatnonzero(~np.isfinite(eta))[0])
+        raise ValueError(f"eta0 must be finite, got {eta[node]} at node {node}")
     W, Ft = solver._reduce_load(F)
     tol = solver._tolerance(Ft, cfg.inner_tol)
     t = eta[solver.friction]
@@ -344,6 +351,7 @@ def fixed_point(
         c3=c3,
         k=k,
         contraction_ok=ok,
+        error_bound=k / (1.0 - k) * increments[-1] if ok else None,
     )
     return eta, report
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import fem, qvi
 
@@ -341,6 +340,9 @@ def verify_c4(
     domination at every sample, a two-variable linear program; returns
     (alpha, beta) with both nonnegative.
     """
+    # deferred: only this fit needs scipy.optimize, so a solve does not load it
+    from scipy.optimize import linprog
+
     points = np.atleast_1d(points)
     r_samples = np.asarray(r_samples, dtype=float)
     rows_r = []

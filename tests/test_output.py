@@ -1,6 +1,7 @@
 """Result writer tests: canonical cells, atomic CSV, SVG structure."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestSvg:
         )
         ET.parse(path)
         assert "a&lt;b &amp; c" in path.read_text()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "plain", "a<b & c", "&amp; &lt;", "<<>>&&", "'single' \"double\"",
+         "Tykhonov ‖u‖ ≤ ε & µ > 0", "κ<λ>&"],
+    )
+    def test_escape_matches_saxutils(self, text):
+        assert output._escape(text) == escape(text)
 
     def test_nonpositive_points_dropped(self, tmp_path):
         path = tmp_path / "p.svg"

@@ -372,6 +372,17 @@ class TestFixedPoint:
                 prob, qvi.SolverConfig(max_outer=1000, allow_non_contractive=True)
             )
         assert rep.converged and not rep.contraction_ok
+        assert rep.error_bound is None
+
+    def test_error_bound_covers_distance_to_tight_solve(self):
+        # L_g = 0.5 on the interval: k about 0.54
+        mesh = interval_mesh(64)
+        prob = qvi.ProblemData(mesh, 1.0, 3.0, 0.0, fem.FrictionBound.affine(0.5, 0.5))
+        u, rep = qvi.solve_qvi(prob, qvi.SolverConfig(outer_tol=1e-6))
+        ref, _ = qvi.solve_qvi(prob, qvi.SolverConfig(outer_tol=1e-12))
+        assert 0.5 < rep.k < 0.6 and rep.contraction_ok
+        assert rep.error_bound == rep.k / (1.0 - rep.k) * rep.increments[-1]
+        assert 0.0 < fem.v_norm(mesh, u - ref) <= rep.error_bound
 
     def test_outer_cap_raises(self):
         prob = benchmark_problem(1.0, 3.0, 1.0, 16)
@@ -624,6 +635,28 @@ class TestBadData:
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(ValueError, match=f"eta0 must have {mesh.n_nodes} entries"):
             qvi.fixed_point(mesh, g, solver, load(0.6), 1.0, eta0=np.zeros(mesh.n_nodes - 1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["smooth", "gamma3", "gamma1"])
+    def test_non_finite_eta0_rejected(self, where, value):
+        # unchecked, a NaN off gamma3 gives a "converged" run with a NaN first
+        # increment, and one on gamma3 an error that blames the bound or the
+        # inner solve
+        mesh, _, solver, _, load = control_square()
+        node = {
+            "smooth": solver.smooth[0],
+            "gamma3": solver.friction[0],
+            "gamma1": mesh.node_sets["gamma1"][0],
+        }[where]
+        eta0 = np.zeros(mesh.n_nodes)
+        eta0[node] = value
+        g = fem.FrictionBound.constant(0.05)
+        with pytest.raises(ValueError, match=f"eta0 must be finite, got .* at node {node}"):
+            qvi.fixed_point(mesh, g, solver, load(0.6), 1.0, eta0=eta0)
+        problem = qvi.ProblemData(mesh, 1.0, 0.2, None, g)
+        state = control.StateSolver(problem, control.ControlPatches(mesh, 1))
+        with pytest.raises(ValueError, match=f"eta0 must be finite, got .* at node {node}"):
+            state.solve(np.array([0.6]), eta0=eta0)
 
     def test_wrong_length_load_in_fixed_point(self):
         mesh, _, solver, _, load = control_square()
