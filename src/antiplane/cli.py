@@ -12,9 +12,11 @@ optimum).
 
 Exit codes: 0 on success, including a verdict that matches the
 configured ``expect``; 1 when a check or verdict fails or a solve does
-not converge; 2 on usage or configuration errors.  All results land in
-the output directory as CSV tables (always with a header row) and SVG
-plots, written atomically and byte-reproducible for a fixed seed.
+not converge; 2 on usage or configuration errors and on data that the
+solvers refuse with a ValueError (e.g. a shear modulus that is not
+positive).  All results land in the output directory as CSV tables
+(always with a header row) and SVG plots, written atomically and
+byte-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,15 +30,6 @@ import numpy as np
 from . import config as cfgmod
 from . import constants as constmod
 from . import control, fem, oracle, output, qvi, tykhonov
-
-SUBCOMMANDS = (
-    "constants",
-    "solve",
-    "validate-1d",
-    "tykhonov",
-    "control",
-    "oc-sequence",
-)
 
 NEEDS_SEED = {"constants", "tykhonov", "control", "oc-sequence"}
 
@@ -69,6 +62,25 @@ def _resolve_seed(args, cfg, subcommand) -> int | None:
 
 def _write_summary(out, pairs) -> None:
     output.write_csv(os.path.join(out, "summary.csv"), ["key", "value"], pairs)
+
+
+def _write_control(out, coeffs) -> None:
+    output.write_csv(os.path.join(out, "control.csv"), ["patch", "value"], list(enumerate(coeffs)))
+
+
+def _node_table(mesh, idx, names, columns):
+    """Header and rows of a per-node table: each node of ``idx``, its
+    coordinates, then its value in each of the named ``columns``."""
+    coords = mesh.nodes[idx].reshape(len(idx), mesh.dimension).T
+    header = ["node", "x", "y"][: 1 + mesh.dimension] + names
+    return header, [(int(i), *row) for i, *row in zip(idx, *coords, *columns)]
+
+
+def _verdict(report, expect) -> int:
+    print(f"verdict: {report.verdict} (expected {expect}), slope {report.slope!r}")
+    if report.verdict != expect:
+        raise VerdictFailure(f"verdict {report.verdict}, expected {expect}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -108,26 +120,13 @@ def _run_constants(cfg, out, seed):
     return 0
 
 
-def _solution_rows(mesh, u):
-    if mesh.dimension == 1:
-        header = ["node", "x", "u"]
-        rows = [(i, mesh.nodes[i], u[i]) for i in range(mesh.n_nodes)]
-    else:
-        header = ["node", "x", "y", "u"]
-        rows = [
-            (i, mesh.nodes[i, 0], mesh.nodes[i, 1], u[i])
-            for i in range(mesh.n_nodes)
-        ]
-    return header, rows
-
-
 def _run_solve(cfg, out, seed):
     mesh = cfgmod.build_mesh(cfg)
     problem = cfgmod.build_problem(cfg, mesh)
     solver_cfg = cfgmod.build_solver_config(cfg)
     u, report = qvi.solve_qvi(problem, solver_cfg)
 
-    header, rows = _solution_rows(mesh, u)
+    header, rows = _node_table(mesh, np.arange(mesh.n_nodes), ["u"], [u])
     output.write_csv(os.path.join(out, "solution.csv"), header, rows)
 
     ratios = [None] + list(report.ratios)
@@ -141,22 +140,13 @@ def _run_solve(cfg, out, seed):
     )
 
     idx, lam, G, stick_slack, comp = qvi.complementarity_report(problem, u)
-    coords = mesh.nodes[idx]
-    if mesh.dimension == 1:
-        coord_cols = [("x", coords)]
-    else:
-        coord_cols = [("x", coords[:, 0]), ("y", coords[:, 1])]
-    output.write_csv(
-        os.path.join(out, "multipliers.csv"),
-        ["node"] + [name for name, _ in coord_cols]
-        + ["u", "lambda", "bound", "stick_slack", "complementarity"],
-        [
-            (int(idx[i]),)
-            + tuple(col[i] for _, col in coord_cols)
-            + (u[idx[i]], lam[i], G[i], stick_slack[i], comp[i])
-            for i in range(len(idx))
-        ],
+    header, rows = _node_table(
+        mesh,
+        idx,
+        ["u", "lambda", "bound", "stick_slack", "complementarity"],
+        [u[idx], lam, G, stick_slack, comp],
     )
+    output.write_csv(os.path.join(out, "multipliers.csv"), header, rows)
 
     final_increment = report.increments[-1] if report.increments else 0.0
     pairs = [
@@ -242,7 +232,7 @@ def _run_tykhonov(cfg, out, seed):
         ("verdict", report.verdict),
         ("slope", report.slope),
         ("noise_floor", report.noise_floor),
-        ("max_violation", max(report.violations) if report.violations else 0.0),
+        ("max_violation", report.max_violation),
     ]
     if report.limit_gap is not None:
         pairs.append(("limit_gap", report.limit_gap))
@@ -259,11 +249,7 @@ def _run_tykhonov(cfg, out, seed):
         ylabel="V-norm error",
     )
 
-    expect = cfg["schedule"]["expect"]
-    print(f"verdict: {report.verdict} (expected {expect}), slope {report.slope!r}")
-    if report.verdict != expect:
-        raise VerdictFailure(f"verdict {report.verdict}, expected {expect}")
-    return 0
+    return _verdict(report, cfg["schedule"]["expect"])
 
 
 def _control_kwargs(cfg):
@@ -294,11 +280,7 @@ def _run_control(cfg, out, seed):
         **_control_kwargs(cfg),
     )
 
-    output.write_csv(
-        os.path.join(out, "control.csv"),
-        ["patch", "value"],
-        list(enumerate(result.pair.coeffs)),
-    )
+    _write_control(out, result.pair.coeffs)
     output.write_csv(
         os.path.join(out, "trace.csv"),
         ["start", "evaluation", "cost"],
@@ -387,11 +369,7 @@ def _run_oc_sequence(cfg, out, seed):
             )
         ),
     )
-    output.write_csv(
-        os.path.join(out, "control.csv"),
-        ["patch", "value"],
-        list(enumerate(report.base.pair.coeffs)),
-    )
+    _write_control(out, report.base.pair.coeffs)
     pairs = [
         ("kind", report.kind),
         ("verdict", report.verdict),
@@ -413,11 +391,7 @@ def _run_oc_sequence(cfg, out, seed):
         ylabel="deviation",
     )
 
-    expect = cfg["oc"]["expect"]
-    print(f"verdict: {report.verdict} (expected {expect}), slope {report.slope!r}")
-    if report.verdict != expect:
-        raise VerdictFailure(f"verdict {report.verdict}, expected {expect}")
-    return 0
+    return _verdict(report, oc["expect"])
 
 
 _RUNNERS = {
@@ -439,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="frictional antiplane shear laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
@@ -465,9 +439,14 @@ def main(argv=None) -> int:
     except VerdictFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except (qvi.SolverError, control.ControlError, fem.MeshError) as exc:
+    except (
+        qvi.SolverError, control.ControlError, fem.MeshError, constmod.ConvergenceError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -218,6 +218,19 @@ class Key:
     default: object = None
 
 
+# the keys that the schedule of run_convergence and that of run_oc_sequence share
+_SCHEDULE_KEYS = {
+    "kind": Key(_parse_str, required=True),
+    "length": Key(_parse_int, required=True),
+    "amplitude": Key(_parse_float, default=1.0),
+    "decay": Key(_parse_str, default="inverse_n"),
+    "ratio": Key(_parse_float, default=0.5),
+    "f0_shape": Key(_parse_coefficient, default=1.0),
+    "friction_da": Key(_parse_float, default=1.0),
+    "friction_db": Key(_parse_float, default=0.0),
+    "expect": Key(_parse_verdict, default=tykhonov.CONVERGENT),
+}
+
 SECTION_SCHEMAS = {
     "mesh": {
         "dimension": Key(_parse_int, required=True),
@@ -247,19 +260,11 @@ SECTION_SCHEMAS = {
         "require_contraction": Key(_parse_bool, default=False),
     },
     "schedule": {
-        "kind": Key(_parse_str, required=True),
-        "length": Key(_parse_int, required=True),
-        "amplitude": Key(_parse_float, default=1.0),
-        "decay": Key(_parse_str, default="inverse_n"),
-        "ratio": Key(_parse_float, default=0.5),
-        "f0_shape": Key(_parse_coefficient, default=1.0),
+        **_SCHEDULE_KEYS,
         "f2_shape": Key(_parse_coefficient, default=1.0),
-        "friction_da": Key(_parse_float, default=1.0),
-        "friction_db": Key(_parse_float, default=0.0),
         "f0_target": Key(_parse_coefficient),
         "mu_law": Key(_parse_str, default="relative"),
         "noise_floor": Key(_parse_float),
-        "expect": Key(_parse_verdict, default=tykhonov.CONVERGENT),
     },
     "control": {
         "patches": Key(_parse_int, required=True),
@@ -275,19 +280,11 @@ SECTION_SCHEMAS = {
         "max_evals": Key(_parse_int),
     },
     "oc": {
-        "kind": Key(_parse_str, required=True),
-        "length": Key(_parse_int, required=True),
-        "amplitude": Key(_parse_float, default=1.0),
-        "decay": Key(_parse_str, default="inverse_n"),
-        "ratio": Key(_parse_float, default=0.5),
-        "f0_shape": Key(_parse_coefficient, default=1.0),
+        **_SCHEDULE_KEYS,
         "target_shape": Key(_parse_coefficient, default=0.0),
-        "friction_da": Key(_parse_float, default=1.0),
-        "friction_db": Key(_parse_float, default=0.0),
         "seq_starts": Key(_parse_int, default=3),
         "ctrl_tol": Key(_parse_float, default=1e-3),
         "noise_floor": Key(_parse_float, default=1e-9),
-        "expect": Key(_parse_verdict, default=tykhonov.CONVERGENT),
     },
     "validate": {
         "cases": Key(_parse_cases, default=((1.0, 1.0, 1.0), (1.0, 3.0, 1.0),
@@ -390,41 +387,20 @@ def parse_config(path, subcommand):
 # builders
 
 def build_mesh(cfg) -> fem.Mesh:
-    mesh = cfg["mesh"]
     try:
-        spec = fem.MeshSpec(
-            dimension=mesh["dimension"],
-            extents=mesh["extents"],
-            resolution=mesh["resolution"],
-            partition=mesh["partition"],
-        )
+        spec = fem.MeshSpec(**cfg["mesh"])
     except ValueError as exc:
         raise ConfigError(f"mesh: {exc}") from None
     return fem.build_mesh(spec)
 
 
 def build_problem(cfg, mesh: fem.Mesh) -> qvi.ProblemData:
-    prob = cfg["problem"]
-    return qvi.ProblemData(
-        mesh=mesh,
-        mu=prob["mu"],
-        f0=prob["f0"],
-        f2=prob["f2"],
-        g=prob["g"],
-        mu_star=prob["mu_star"],
-    )
+    return qvi.ProblemData(mesh=mesh, **cfg["problem"])
 
 
 def build_solver_config(cfg) -> qvi.SolverConfig:
-    solver = cfg["solver"]
     try:
-        return qvi.SolverConfig(
-            outer_tol=solver["outer_tol"],
-            inner_tol=solver["inner_tol"],
-            max_outer=solver["max_outer"],
-            max_inner=solver["max_inner"],
-            allow_non_contractive=solver["allow_non_contractive"],
-        )
+        return qvi.SolverConfig(**cfg["solver"])
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
 

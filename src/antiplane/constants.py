@@ -12,7 +12,6 @@ implemented solver.  The inner solves use the banded Cholesky kernel
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,27 +143,22 @@ class ConstantsReport:
     ok: bool
 
 
-_CONSTANTS_CACHE: "weakref.WeakKeyDictionary[fem.Mesh, dict]" = weakref.WeakKeyDictionary()
-
-
 def space_constants(
     mesh: fem.Mesh, *, tol: float = 1e-10, maxiter: int = 10000, seed: int = 0
 ) -> tuple[float, float]:
-    """(c0, c3) for one mesh, cached because they depend on the mesh only.
+    """(c0, c3) for one mesh, kept in the mesh's cache because they depend
+    on the mesh only.
 
     Raises fem.MeshError when every node is clamped.
     """
-    per_mesh = _CONSTANTS_CACHE.get(mesh)
-    if per_mesh is None:
-        per_mesh = {}
-        _CONSTANTS_CACHE[mesh] = per_mesh
-    key = (tol, maxiter, seed)
-    if key not in per_mesh:
-        per_mesh[key] = (
+    return fem.cached(
+        mesh,
+        ("constants", tol, maxiter, seed),
+        lambda: (
             poincare_constant(mesh, tol=tol, maxiter=maxiter, seed=seed),
             trace_constant(mesh, tol=tol, maxiter=maxiter, seed=seed),
-        )
-    return per_mesh[key]
+        ),
+    )
 
 
 def constants_report(

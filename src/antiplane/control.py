@@ -11,8 +11,9 @@ coefficients, with each evaluation solving the frictional equilibrium
 problem for that traction.  The state assembly is load-independent, so
 one :class:`StateSolver` holds one ``qvi.DiscreteProblem`` for all
 optimizer evaluations.  Multistart optima are clustered by cost (radius
-1e-4) to approximate a possibly non-unique solution set; ties between
-equal-cost minimizers resolve to the smaller control norm.
+``CLUSTER_RADIUS``) to approximate a possibly non-unique solution set;
+ties between equal-cost minimizers (within ``TIE_TOL``) resolve to the
+smaller control norm.
 
 ``run_oc_sequence`` perturbs the data along a vanishing
 ``tykhonov.Schedule`` (the perturbed index of the direct harness, plus
@@ -38,7 +39,10 @@ from .tykhonov import (
     judge_decay,
 )
 
-OCSchedule = Schedule  # the schedule of run_oc_sequence under its control-layer name
+# costs within TIE_TOL of the lowest are ties; optima within CLUSTER_RADIUS in
+# cost form one cluster
+TIE_TOL = 1e-9
+CLUSTER_RADIUS = 1e-4
 
 
 class ControlError(RuntimeError):
@@ -56,15 +60,8 @@ def target_field(mesh: fem.Mesh, data) -> np.ndarray:
     The target must vanish on the clamped boundary so that it lies in
     the solution space.
     """
-    if callable(data):
-        out = np.asarray(data(mesh.nodes), dtype=float)
-        out = np.broadcast_to(out, (mesh.n_nodes,)).astype(float)
-    elif np.ndim(data) == 0:
-        out = np.full(mesh.n_nodes, float(data))
-    else:
-        out = np.asarray(data, dtype=float)
-        if out.shape != (mesh.n_nodes,):
-            raise ValueError(f"expected {mesh.n_nodes} nodal values, got {out.shape}")
+    out = fem.node_values(mesh, data)
+    fem.require_finite("target", out)
     clamped = out[mesh.node_sets[fem.GAMMA1]]
     if len(clamped) and np.max(np.abs(clamped)) > 1e-12:
         raise ValueError("target must vanish on the clamped boundary")
@@ -87,9 +84,9 @@ class CostWeights:
     target: object = 0.0
 
     def __post_init__(self):
-        if self.a0 <= 0.0:
+        if not self.a0 > 0.0:  # also refuses NaN
             raise ValueError("misfit weight a0 must be positive")
-        if self.a2 < 0.0:
+        if not self.a2 >= 0.0:
             raise ValueError("control penalty a2 must be nonnegative")
 
 
@@ -114,12 +111,13 @@ class ControlPatches:
         self.groups = np.array_split(np.arange(n_facets), n_patches)
         per_facet = fem.facet_measures(mesh, fem.GAMMA2)
         self.measures = np.array([per_facet[g].sum() for g in self.groups])
-        self.lower = None if lower is None else np.broadcast_to(
-            np.asarray(lower, dtype=float), (n_patches,)
-        ).copy()
-        self.upper = None if upper is None else np.broadcast_to(
-            np.asarray(upper, dtype=float), (n_patches,)
-        ).copy()
+        self.lower, self.upper = (
+            None if b is None else np.broadcast_to(np.asarray(b, dtype=float), (n_patches,)).copy()
+            for b in (lower, upper)
+        )
+        for name, b in (("lower", self.lower), ("upper", self.upper)):
+            if b is not None and np.isnan(b).any():
+                raise ValueError(f"patch bound {name} must not be NaN")
         if self.lower is not None and self.upper is not None:
             if np.any(self.lower >= self.upper):
                 raise ValueError("patch box must satisfy lower < upper")
@@ -279,8 +277,6 @@ def minimize_cost(
     xatol: float = 1e-9,
     fatol: float = 1e-12,
     max_evals: int | None = None,
-    tie_tol: float = 1e-9,
-    cluster_radius: float = 1e-4,
     check_admissibility: bool = True,
 ) -> ControlResult:
     """Multistart simplex minimization of the reduced cost.
@@ -288,8 +284,9 @@ def minimize_cost(
     Starts are the provided ``extra_starts``, the origin, and seeded
     normal draws of scale ``start_scale``.  The selected optimum is the
     smallest-norm coefficient vector among the cost-best starts (within
-    ``tie_tol``); ``clusters`` groups all successful optima by cost
-    within ``cluster_radius`` to expose non-unique minimizers.
+    the module constant ``TIE_TOL``); ``clusters`` groups all successful
+    optima by cost within ``CLUSTER_RADIUS`` to expose non-unique
+    minimizers.
     """
     # deferred: only the optimizer needs scipy.optimize, so a solve does not load it
     from scipy.optimize import minimize
@@ -357,9 +354,9 @@ def minimize_cost(
         )
 
     def representative(group):
-        """Smallest-norm start within tie_tol of the group's lowest cost."""
+        """Smallest-norm start within TIE_TOL of the group's lowest cost."""
         return min(
-            (m for m in group if m.cost <= group[0].cost + tie_tol),
+            (m for m in group if m.cost <= group[0].cost + TIE_TOL),
             key=lambda m: (patches.norm_sq(m.coeffs), m.index),
         )
 
@@ -368,7 +365,7 @@ def minimize_cost(
     selected = representative(by_cost)
     groups = [[by_cost[0]]]
     for s in by_cost[1:]:
-        if s.cost - groups[-1][0].cost > cluster_radius:
+        if s.cost - groups[-1][0].cost > CLUSTER_RADIUS:
             groups.append([])
         groups[-1].append(s)
     clusters = []

@@ -14,12 +14,14 @@ stiffness matrices.  Friction terms on gamma3 are integrated with a lumped
 (nodal) rule, which keeps the nonsmooth term separable across nodes.
 
 Operators that depend only on the mesh are built once per mesh and kept
-in a per-mesh cache, weakly held so that it goes with the mesh: the
-element geometry, the element gradient products and the scatter pattern
-of the assembly, the mass and H1 Gram matrices, the free Gram block and
-its factor, and the stiffness matrix of a scalar modulus keyed on its
-value (one entry for mu = 1, which is also the unit stiffness, and one
-for the last other scalar modulus).  Cached arrays are read-only.
+in a per-mesh cache (``cached``), weakly held so that it goes with the
+mesh: the element geometry, the element gradient products and the
+scatter pattern of the assembly, the mass and H1 Gram matrices, the free
+Gram block and its factor, the stiffness matrix of a scalar modulus
+keyed on its value (one entry for mu = 1, which is also the unit
+stiffness, and one for the last other scalar modulus), and the constants
+(c0, c3) of ``constants.space_constants`` keyed on their solver settings.
+Cached arrays are read-only.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
 its cached form, which checks the modulus and its floor on every call.
 """
@@ -85,6 +87,8 @@ class MeshSpec:
             raise MeshError("resolution must provide one count per dimension")
         if any(e <= 0 for e in self.extents):
             raise MeshError("extents must be positive")
+        if not np.isfinite(self.extents).all():
+            raise MeshError(f"extents must be finite, got {self.extents}")
         if any(int(r) < 1 for r in self.resolution):
             raise MeshError("resolution must be at least one element per direction")
         unknown = [s for s in self.partition if s not in sides]
@@ -242,22 +246,27 @@ def _fresh(values, shape: tuple, source) -> np.ndarray:
         raise ValueError(f"{name} returned shape {out.shape}, expected {shape}") from None
 
 
+def _sample(data, m: int, points, what: str) -> np.ndarray:
+    """``data`` at m points: a scalar fills them, a callable is evaluated at
+    ``points()``, and an array must hold one value per point (a ValueError
+    naming ``what`` otherwise)."""
+    if callable(data):
+        return _fresh(data(points()), (m,), data)
+    if np.ndim(data) == 0:
+        return np.full(m, float(data))
+    out = np.asarray(data, dtype=float)
+    if out.shape != (m,):
+        raise ValueError(f"expected {m} {what} values, got shape {out.shape}")
+    return out
+
+
 def element_values(mesh: Mesh, data) -> np.ndarray:
     """Sample a coefficient at the element midpoints.
 
     ``data`` may be a scalar, a callable of the midpoint coordinates, or
     an array with one value per element.
     """
-    m = len(mesh.elements)
-    if callable(data):
-        out = _fresh(data(element_midpoints(mesh)), (m,), data)
-    elif np.ndim(data) == 0:
-        out = np.full(m, float(data))
-    else:
-        out = np.asarray(data, dtype=float)
-        if out.shape != (m,):
-            raise ValueError(f"expected {m} element values, got shape {out.shape}")
-    return out
+    return _sample(data, len(mesh.elements), lambda: element_midpoints(mesh), "element")
 
 
 def _facet_midpoints(mesh: Mesh, tag: str) -> np.ndarray:
@@ -269,16 +278,21 @@ def _facet_midpoints(mesh: Mesh, tag: str) -> np.ndarray:
 
 def facet_values(mesh: Mesh, tag: str, data) -> np.ndarray:
     """Sample a boundary coefficient at the facet midpoints of ``tag``."""
-    m = len(mesh.facets[tag])
-    if callable(data):
-        out = _fresh(data(_facet_midpoints(mesh, tag)), (m,), data)
-    elif np.ndim(data) == 0:
-        out = np.full(m, float(data))
-    else:
-        out = np.asarray(data, dtype=float)
-        if out.shape != (m,):
-            raise ValueError(f"expected {m} facet values, got shape {out.shape}")
-    return out
+    return _sample(data, len(mesh.facets[tag]), lambda: _facet_midpoints(mesh, tag), "facet")
+
+
+def node_values(mesh: Mesh, data) -> np.ndarray:
+    """Sample a field at the nodes, like ``element_values``."""
+    return _sample(data, mesh.n_nodes, lambda: mesh.nodes, "nodal")
+
+
+def require_finite(name: str, values: np.ndarray, nodes=None) -> None:
+    """ValueError naming ``name``, the first non-finite entry of ``values``
+    and its node (``nodes[i]``, or i itself when ``nodes`` is None)."""
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        node = i if nodes is None else nodes[i]
+        raise ValueError(f"{name} must be finite, got {values[i]} at node {node}")
 
 
 def facet_measures(mesh: Mesh, tag: str) -> np.ndarray:
@@ -324,8 +338,8 @@ def _check_modulus(mu_e: np.ndarray, mu_star: float | None) -> None:
 _FORM_CACHE: "weakref.WeakKeyDictionary[Mesh, dict]" = weakref.WeakKeyDictionary()
 
 
-def _cached(mesh: Mesh, key: str, build):
-    """Entry ``key`` of the mesh's cache, made by ``build()`` on a miss."""
+def cached(mesh: Mesh, key, build):
+    """Entry ``key`` (hashable) of the mesh's cache, made by ``build()`` on a miss."""
     cache = _FORM_CACHE.setdefault(mesh, {})
     if key not in cache:
         cache[key] = build()
@@ -346,7 +360,7 @@ def _element_geometry(mesh: Mesh):
     basis function, shape (m, k, d): lengths and -+1/h in 1D, areas and
     (b_a, c_a) / 2A in 2D.
     """
-    return _cached(mesh, "geometry", lambda: tuple(map(_read_only, _geometry(mesh))))
+    return cached(mesh, "geometry", lambda: tuple(map(_read_only, _geometry(mesh))))
 
 
 def _geometry(mesh: Mesh):
@@ -366,7 +380,7 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
 
     The COO row and column arrays depend on the mesh only and are cached.
     """
-    rows, cols = _cached(mesh, "scatter", lambda: _scatter_pattern(mesh))
+    rows, cols = cached(mesh, "scatter", lambda: _scatter_pattern(mesh))
     n = mesh.n_nodes
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
@@ -382,7 +396,7 @@ def _scatter_pattern(mesh: Mesh):
 def _gradient_products(mesh: Mesh) -> np.ndarray:
     """grad phi_a . grad phi_b of every element, shape (m, k, k), cached per mesh."""
     _, grads = _element_geometry(mesh)
-    return _cached(
+    return cached(
         mesh, "gradient_products", lambda: _read_only(np.einsum("eid,ejd->eij", grads, grads))
     )
 
@@ -429,13 +443,11 @@ def assemble_load(mesh: Mesh, f0, f2=None) -> np.ndarray:
             if nonzero:
                 warnings.warn("traction given but gamma2 is empty; it is ignored")
             return F
-        f2_f = facet_values(mesh, GAMMA2, f2)
-        if mesh.dimension == 1:
-            np.add.at(F, faces, f2_f)
-        else:
-            lens = np.linalg.norm(mesh.nodes[faces[:, 1]] - mesh.nodes[faces[:, 0]], axis=1)
-            np.add.at(F, faces[:, 0], f2_f * lens / 2.0)
-            np.add.at(F, faces[:, 1], f2_f * lens / 2.0)
+        # each facet's share f2_f meas_f is split equally among its nodes
+        ends = faces.reshape(len(faces), -1)
+        share = facet_values(mesh, GAMMA2, f2) * facet_measures(mesh, GAMMA2) / ends.shape[1]
+        for a in range(ends.shape[1]):
+            np.add.at(F, ends[:, a], share)
     return F
 
 
@@ -455,7 +467,7 @@ class FrictionBound:
     label: str = ""
 
     def __post_init__(self):
-        if self.lipschitz < 0.0:
+        if not self.lipschitz >= 0.0:  # refuses NaN too, as do the checks below
             raise ValueError("Lipschitz rate must be nonnegative")
 
     def __call__(self, points: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -465,20 +477,20 @@ class FrictionBound:
 
     @classmethod
     def constant(cls, c: float) -> "FrictionBound":
-        if c < 0.0:
+        if not c >= 0.0:
             raise ValueError("constant friction bound must be nonnegative")
         return cls(lambda x, r: np.full_like(r, float(c)), 0.0, label=f"{c}")
 
     @classmethod
     def affine(cls, a: float, b: float) -> "FrictionBound":
         """Bound a + b*|r|, nonnegative for a, b >= 0."""
-        if a < 0.0 or b < 0.0:
+        if not (a >= 0.0 and b >= 0.0):
             raise ValueError("affine friction coefficients must be nonnegative")
         return cls(lambda x, r: a + b * np.abs(r), float(b), label=f"{a}+{b}|r|")
 
     def shifted(self, da: float, db: float) -> "FrictionBound":
         """Perturbed bound g(x, r) + da + db*|r| (da, db >= 0)."""
-        if da < 0.0 or db < 0.0:
+        if not (da >= 0.0 and db >= 0.0):
             raise ValueError("perturbation coefficients must be nonnegative")
         return FrictionBound(
             lambda x, r: self(x, r) + da + db * np.abs(r),
@@ -578,7 +590,7 @@ def stiffness_matrix(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_mat
         return assemble_stiffness(mesh, mu, mu_star)
     mu = float(mu)
     _check_modulus(np.array([mu]), mu_star)
-    moduli = _cached(mesh, "stiffness", dict)
+    moduli = cached(mesh, "stiffness", dict)
     if mu not in moduli:
         if mu != 1.0:  # keep the unit modulus and the last other one
             for old in [m for m in moduli if m != 1.0]:
@@ -593,7 +605,7 @@ def unit_stiffness(mesh: Mesh) -> sp.csr_matrix:
     It is the mu = 1 entry of ``stiffness_matrix``; built here first, it
     is bitwise ``assemble_stiffness(mesh, 1.0)``.
     """
-    moduli = _cached(mesh, "stiffness", dict)
+    moduli = cached(mesh, "stiffness", dict)
     if 1.0 not in moduli:
         ones = np.ones(len(mesh.elements))
         moduli[1.0] = _read_only(_assemble_gradient_form(mesh, ones))
@@ -601,12 +613,12 @@ def unit_stiffness(mesh: Mesh) -> sp.csr_matrix:
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    return _cached(mesh, "mass", lambda: _read_only(assemble_mass(mesh)))
+    return cached(mesh, "mass", lambda: _read_only(assemble_mass(mesh)))
 
 
 def gram_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Matrix of the full H1 inner product (mass + unit stiffness)."""
-    return _cached(
+    return cached(
         mesh, "gram", lambda: _read_only((mass_matrix(mesh) + unit_stiffness(mesh)).tocsr())
     )
 
@@ -620,9 +632,9 @@ def v_norm(mesh: Mesh, v: np.ndarray) -> float:
 def gram_free(mesh: Mesh) -> sp.csr_matrix:
     """The H1 Gram matrix on the free nodes (cached, read-only)."""
     free = mesh.free_nodes
-    return _cached(mesh, "gram_free", lambda: _read_only(submatrix(gram_matrix(mesh), free, free)))
+    return cached(mesh, "gram_free", lambda: _read_only(submatrix(gram_matrix(mesh), free, free)))
 
 
 def gram_free_solve(mesh: Mesh):
     """Cached ``spd_factor`` solve of ``gram_free(mesh)``."""
-    return _cached(mesh, "gram_free_solve", lambda: spd_factor(gram_free(mesh)))
+    return cached(mesh, "gram_free_solve", lambda: spd_factor(gram_free(mesh)))

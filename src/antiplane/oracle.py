@@ -38,30 +38,26 @@ def regime_of(mu: float, f0: float, g: float) -> Regime:
     return Regime.STICK
 
 
+def _slope_at_zero(mu: float, f0: float, g: float) -> float:
+    """u'(0) of the closed form, which the regime of the data fixes."""
+    regime = regime_of(mu, f0, g)
+    if regime is Regime.NEGATIVE_SLIP:
+        return f0 / mu + g
+    if regime is Regime.POSITIVE_SLIP:
+        return f0 / mu - g
+    return f0 / (2.0 * mu)
+
+
 def analytic_1d(mu: float, f0: float, g: float, x):
     """Closed-form solution values at ``x`` for constant data on (0, 1)."""
     x = np.asarray(x, dtype=float)
-    regime = regime_of(mu, f0, g)
-    if regime is Regime.NEGATIVE_SLIP:
-        b = f0 / mu + g
-    elif regime is Regime.POSITIVE_SLIP:
-        b = f0 / mu - g
-    else:
-        b = f0 / (2.0 * mu)
-    return -(f0 / (2.0 * mu)) * x**2 + b * x
+    return -(f0 / (2.0 * mu)) * x**2 + _slope_at_zero(mu, f0, g) * x
 
 
 def analytic_1d_slope(mu: float, f0: float, g: float, x):
     """Exact derivative of the closed-form solution."""
     x = np.asarray(x, dtype=float)
-    regime = regime_of(mu, f0, g)
-    if regime is Regime.NEGATIVE_SLIP:
-        b = f0 / mu + g
-    elif regime is Regime.POSITIVE_SLIP:
-        b = f0 / mu - g
-    else:
-        b = f0 / (2.0 * mu)
-    return -(f0 / mu) * x + b
+    return -(f0 / mu) * x + _slope_at_zero(mu, f0, g)
 
 
 def linear_solve(mesh: fem.Mesh, mu, f0, f2=None) -> np.ndarray:

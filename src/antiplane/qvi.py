@@ -202,33 +202,54 @@ class TrescaSolver:
 
     def _iterate(self, Ft, c, t, tol, max_inner):
         """Active-set iteration from the gamma3 guess t to the absolute KKT
-        tolerance ``tol``; returns (t, iterations)."""
+        tolerance ``tol``; returns (t, iterations).
+
+        t and lambda are functions of the sign vector s alone, so a sign
+        vector seen before means the iteration cycles.  From its first
+        repeat on, each iteration changes only the sign of the violator of
+        least index (Murty's rule; Judice-Pires, Comput. Oper. Res. 21,
+        1994), which ends for the positive definite A.
+        """
         n = len(t)
         if n == 0:
             return t, 0
         A, sigma = self.A, self._sigma
         sigma_c = sigma * c
         lam = Ft - A @ t
+        z = t + sigma * lam
+        s = np.sign(z) * (np.abs(z) > sigma_c)
+        seen = set()  # the sign vectors of the failed iterations
+        least_index = False
         for iteration in range(1, max_inner + 1):
-            z = t + sigma * lam
-            s = np.sign(z) * (np.abs(z) > sigma_c)
             J = s.nonzero()[0]
             t = np.zeros(n)
+            holds = True
             if len(J):
                 s_J = s[J]
                 lam_J = s_J * c[J]
                 t[J] = self._slip_solve(J, Ft[J] - lam_J)
                 lam = Ft - A @ t
                 lam[J] = lam_J
-                if not (s_J * t[J] >= -tol).all():
-                    continue  # a slip value against its sign
+                holds = (s_J * t[J] >= -tol).all()  # no slip value against its sign
             else:
                 lam = Ft - A @ t
-            if len(J) < n:
+            if holds and len(J) < n:
                 stick = s == 0.0
-                if not (np.abs(lam[stick]) <= c[stick] + tol).all():
-                    continue
-            return t, iteration
+                holds = (np.abs(lam[stick]) <= c[stick] + tol).all()
+            if holds:
+                return t, iteration
+            if not least_index:
+                z = t + sigma * lam
+                s_next = np.sign(z) * (np.abs(z) > sigma_c)
+                seen.add(s.tobytes())
+                least_index = s_next.tobytes() in seen
+            if least_index:
+                # the friction law node by node; flip the first node that breaks it
+                holds = np.where(s == 0.0, np.abs(lam) <= c + tol, s * t >= -tol)
+                i = int(np.argmin(holds))
+                s_next = s.copy()
+                s_next[i] = np.sign(lam[i]) if s[i] == 0.0 else 0.0
+            s = s_next
         raise SolverError(
             f"inner solver missed the friction law within {max_inner} "
             f"active-set iterations (tolerance {tol:.3e})"
@@ -242,8 +263,10 @@ class TrescaSolver:
         t_i + sigma_i lambda_i against +-sigma_i c_i, solves the slip
         block with t = 0 on the stick set, and stops once
         |lambda_i| <= c_i + tol on the stick set and s_i t_i >= -tol on
-        the slip set, with tol = inner_tol (1 + max|F_t|).  Stick values
-        are exactly zero.  Returns (u, iterations).
+        the slip set, with tol = inner_tol (1 + max|F_t|); a repeated sign
+        vector switches to the least-index rule of ``_iterate``.  Stick
+        values are exactly zero.  Returns (u, iterations); a non-finite
+        ``t0`` raises ValueError.
         """
         n = len(self.friction)
         c = np.asarray(c, dtype=float)
@@ -251,6 +274,7 @@ class TrescaSolver:
         for name, value in (("c", c), ("t0", t)):
             if value.shape != (n,):
                 raise ValueError(f"{name} must have {n} entries, got shape {value.shape}")
+        fem.require_finite("t0", t, self.friction)
         if not np.all(c >= 0.0):
             raise SolverError("negative or NaN friction bound coefficient")
         W, Ft = self._reduce_load(F)
@@ -304,9 +328,7 @@ def fixed_point(
     eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
     if eta.shape != (mesh.n_nodes,):
         raise ValueError(f"eta0 must have {mesh.n_nodes} entries, got shape {eta.shape}")
-    if not np.isfinite(eta).all():
-        node = int(np.flatnonzero(~np.isfinite(eta))[0])
-        raise ValueError(f"eta0 must be finite, got {eta[node]} at node {node}")
+    fem.require_finite("eta0", eta)
     W, Ft = solver._reduce_load(F)
     tol = solver._tolerance(Ft, cfg.inner_tol)
     t = eta[solver.friction]

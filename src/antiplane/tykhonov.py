@@ -95,23 +95,17 @@ class Schedule:
             raise ValueError("friction perturbation coefficients must be nonnegative")
 
     def scales(self) -> np.ndarray:
-        return decay_scales(self.decay, self.length, self.amplitude, self.ratio)
-
-
-def decay_scales(decay: str, length: int, amplitude: float = 1.0, ratio: float = 0.5):
-    """Scale sequence s_n, n = 1..length, for a named decay law."""
-    n = np.arange(1, length + 1, dtype=float)
-    if decay == "inverse_n":
-        s = 1.0 / n
-    elif decay == "inverse_n_sq":
-        s = 1.0 / n**2
-    elif decay == "geometric":
-        s = ratio**n
-    elif decay == "zero":
-        s = np.zeros_like(n)
-    else:
-        raise ValueError(f"unknown decay law {decay!r}")
-    return amplitude * s
+        """Scale sequence s_n, n = 1..length, of the decay law."""
+        n = np.arange(1, self.length + 1, dtype=float)
+        if self.decay == "inverse_n":
+            s = 1.0 / n
+        elif self.decay == "inverse_n_sq":
+            s = 1.0 / n**2
+        elif self.decay == "geometric":
+            s = self.ratio**n
+        else:  # "zero"
+            s = np.zeros_like(n)
+        return self.amplitude * s
 
 
 def combine_coefficients(base, scale: float, shape):
@@ -185,7 +179,6 @@ def generate_sequence(
     problem: qvi.ProblemData,
     schedule: Schedule,
     config: qvi.SolverConfig | None = None,
-    seed: int = 0,
 ):
     """Solve every perturbed instance; returns [(theta_n, u_n)].
 
@@ -195,7 +188,7 @@ def generate_sequence(
     """
     check_kind(schedule, SCHEDULE_KINDS, "generate_sequence")
     if schedule.kind == "lame_perturb":
-        return lame_perturb_sequence(problem, schedule, config, seed)
+        return lame_perturb_sequence(problem, schedule, config)
     return _fixed_modulus_sequence(qvi.DiscreteProblem(problem), schedule, config)
 
 
@@ -203,7 +196,6 @@ def lame_perturb_sequence(
     problem: qvi.ProblemData,
     schedule: Schedule,
     config: qvi.SolverConfig | None = None,
-    seed: int = 0,
 ):
     """Modulus perturbations; the index keeps the original data and
     carries eps_n = max |mu_n - mu| sampled at element midpoints."""
@@ -289,7 +281,7 @@ def run_convergence(
     shared = qvi.DiscreteProblem(problem)
     u_ref, _ = shared.solve(shared.F, problem.g, config)
     if schedule.kind == "lame_perturb":
-        seq = lame_perturb_sequence(problem, schedule, config, seed)
+        seq = lame_perturb_sequence(problem, schedule, config)
     else:
         seq = _fixed_modulus_sequence(shared, schedule, config, u_base=u_ref)
     mesh = problem.mesh

@@ -228,7 +228,7 @@ def test_criterion_08_target_perturbation_control():
     problem = qvi.ProblemData(mesh, 1.0, 0.0, None, fem.FrictionBound.constant(0.0))
     patches = control.ControlPatches(mesh, 1)
     weights = control.CostWeights(a0=1.0, a2=1.0, target=lambda x: x)
-    schedule = control.OCSchedule(
+    schedule = tykhonov.Schedule(
         kind="target_perturb", length=32, amplitude=0.1, target_shape=lambda x: x
     )
     report = control.run_oc_sequence(problem, patches, weights, schedule, seed=7)

@@ -538,3 +538,77 @@ class TestOcSequence:
         code = cli.main(["oc-sequence", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "NON-CONVERGENT" in capsys.readouterr().err
+
+    def test_cycling_active_set_instance_finishes(self, tmp_path, capsys):
+        # the warm-started inner solve of instance n = 2 used to revisit a
+        # sign vector and spin to max_inner; every instance now finishes
+        cfg = write_cfg(
+            tmp_path,
+            """\
+            mesh:
+              dimension = 2
+              extents = 1.0, 1.0
+              resolution = 12, 12
+              partition = left:gamma1, right:gamma2, bottom:gamma3, top:gamma3
+
+            problem:
+              mu = poly(1.0, 0.5)
+              f0 = poly(2.0, -1.0)
+              g = affine(0.3, 0.05)
+
+            control:
+              patches = 2
+              a0 = 1.0
+              a2 = 0.01
+              target = poly(0, 0.1)
+              n_starts = 2
+
+            oc:
+              kind = load_perturb
+              length = 4
+              expect = NON-CONVERGENT
+
+            run:
+              seed = 3
+            """,
+        )
+        out = tmp_path / "out"
+        assert cli.main(["oc-sequence", "--config", cfg, "--out", str(out)]) == 0
+        assert "verdict: NON-CONVERGENT" in capsys.readouterr().out
+        _, rows = read_csv(out / "oc_sequence.csv")
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4]
+        assert max(float(r[8]) for r in rows) <= 1e-8
+
+
+class TestDataErrors:
+    """Data the solvers refuse exits with a one-line error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "subcommand, edit, message",
+        [
+            ("solve", ("mu = 1.0", "mu = poly(1.0, -2.0)"), "shear modulus must be positive"),
+            ("solve", ("extents = 1.0", "extents = nan"), "extents must be finite"),
+            ("solve", ("extents = 1.0", "extents = inf"), "extents must be finite"),
+            ("control", ("g = 0.0", "g = 0.0\n      f2 = 1.0"), "control supplies the gamma2"),
+            ("control", ("a0 = 1.0", "a0 = nan"), "misfit weight a0 must be positive"),
+            ("control", ("target = poly(0, 1)", "target = nan"), "target must be finite"),
+        ],
+    )
+    def test_refused_data_exits_two(self, tmp_path, capsys, subcommand, edit, message):
+        text = SOLVE_CFG if subcommand == "solve" else CONTROL_CFG
+        assert edit[0] in text
+        cfg = write_cfg(tmp_path, text.replace(edit[0], edit[1]))
+        assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_unconverged_constants_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            SOLVE_CFG + "    constants:\n      max_iterations = 1\n    run:\n      seed = 1\n",
+        )
+        assert cli.main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: power iteration missed tolerance")
+        assert "Traceback" not in err

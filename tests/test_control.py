@@ -17,7 +17,7 @@ optimizer-free oracle for the quadratic cost.
 import numpy as np
 import pytest
 
-from antiplane import control, fem, qvi
+from antiplane import control, fem, qvi, tykhonov
 
 
 def traction_mesh_1d(n_elements=128):
@@ -100,6 +100,22 @@ class TestTargetField:
         with pytest.raises(ValueError, match="nodal values"):
             control.target_field(mesh, np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            np.nan,
+            lambda x: np.where(x > 0.5, np.nan, x),
+            lambda x: np.where(x > 0.5, np.inf, x),
+        ],
+    )
+    def test_rejects_non_finite(self, setup_1d, target):
+        mesh, problem, patches = setup_1d
+        with pytest.raises(ValueError, match="target must be finite, got .* at node"):
+            control.target_field(mesh, target)
+        weights = control.CostWeights(a0=1.0, a2=1.0, target=target)
+        with pytest.raises(ValueError, match="target must be finite"):
+            control.StateSolver(problem, patches).evaluate(np.zeros(1), weights)
+
     def test_rejects_nonzero_on_clamped_boundary(self, setup_1d):
         mesh, _, _ = setup_1d
         with pytest.raises(ValueError, match="clamped"):
@@ -114,6 +130,11 @@ class TestCostWeights:
     def test_rejects_negative_a2(self):
         with pytest.raises(ValueError, match="a2"):
             control.CostWeights(a0=1.0, a2=-0.1)
+
+    @pytest.mark.parametrize("a0, a2, field", [(np.nan, 1.0, "a0"), (1.0, np.nan, "a2")])
+    def test_rejects_nan(self, a0, a2, field):
+        with pytest.raises(ValueError, match=field):
+            control.CostWeights(a0=a0, a2=a2)
 
     def test_zero_a2_allowed_for_evaluation(self):
         w = control.CostWeights(a0=1.0, a2=0.0)
@@ -155,6 +176,19 @@ class TestControlPatches:
         mesh, _, _ = setup_1d
         with pytest.raises(ValueError, match="lower < upper"):
             control.ControlPatches(mesh, 1, lower=1.0, upper=1.0)
+
+    @pytest.mark.parametrize(
+        "box, field",
+        [
+            ({"lower": np.nan}, "lower"),
+            ({"upper": np.nan}, "upper"),
+            ({"lower": -1.0, "upper": [np.nan]}, "upper"),
+        ],
+    )
+    def test_rejects_nan_bound(self, setup_1d, box, field):
+        mesh, _, _ = setup_1d
+        with pytest.raises(ValueError, match=f"patch bound {field} must not be NaN"):
+            control.ControlPatches(mesh, 1, **box)
 
     def test_bounds_assembly(self):
         mesh = control_mesh_2d(8)
@@ -383,23 +417,23 @@ class TestMinimizeCost:
 class TestOCSchedule:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            control.OCSchedule(kind="mesh_perturb", length=8)
+            tykhonov.Schedule(kind="mesh_perturb", length=8)
 
     def test_rejects_short_length(self):
         with pytest.raises(ValueError, match="four"):
-            control.OCSchedule(kind="eps_decay", length=2)
+            tykhonov.Schedule(kind="eps_decay", length=2)
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError, match="ratio"):
-            control.OCSchedule(kind="eps_decay", length=8, decay="geometric", ratio=2.0)
+            tykhonov.Schedule(kind="eps_decay", length=8, decay="geometric", ratio=2.0)
 
     def test_rejects_negative_friction_shift(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            control.OCSchedule(kind="friction_perturb", length=8, friction_da=-1.0)
+            tykhonov.Schedule(kind="friction_perturb", length=8, friction_da=-1.0)
 
     def test_rejects_unknown_decay(self):
         with pytest.raises(ValueError, match="decay"):
-            control.OCSchedule(kind="eps_decay", length=8, decay="sqrt")
+            tykhonov.Schedule(kind="eps_decay", length=8, decay="sqrt")
 
 
 class TestOCSequence:
@@ -408,7 +442,7 @@ class TestOCSequence:
         # so the control deviation is exactly 0.025/n
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)
-        sched = control.OCSchedule(
+        sched = tykhonov.Schedule(
             kind="target_perturb", length=16, target_shape=lambda x: 0.1 * x
         )
         rep = control.run_oc_sequence(
@@ -424,7 +458,7 @@ class TestOCSequence:
     def test_fixed_target_stays_at_optimizer_tolerance(self, setup_1d):
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)
-        sched = control.OCSchedule(kind="target_perturb", length=6, decay="zero")
+        sched = tykhonov.Schedule(kind="target_perturb", length=6, decay="zero")
         rep = control.run_oc_sequence(problem, patches, w, sched, seed=1)
         assert rep.verdict == "CONVERGENT"
         assert max(rep.cost_dev) <= 1e-9
@@ -434,7 +468,7 @@ class TestOCSequence:
         # f2*(f0) = 1/4 - (5/32) f0, so the deviation is 5 s_n / 32
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)
-        sched = control.OCSchedule(kind="load_perturb", length=16, amplitude=0.5)
+        sched = tykhonov.Schedule(kind="load_perturb", length=16, amplitude=0.5)
         rep = control.run_oc_sequence(problem, patches, w, sched, seed=2)
         ns = np.arange(1, 17)
         assert np.allclose(rep.ctrl_dev, 5.0 * 0.5 / (32.0 * ns), rtol=1e-4)
@@ -448,7 +482,7 @@ class TestOCSequence:
     def test_eps_relaxation_changes_nothing_but_the_index(self, setup_1d):
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)
-        sched = control.OCSchedule(kind="eps_decay", length=6)
+        sched = tykhonov.Schedule(kind="eps_decay", length=6)
         rep = control.run_oc_sequence(problem, patches, w, sched, seed=3)
         assert rep.eps == pytest.approx(1.0 / np.arange(1, 7))
         assert max(rep.cost_dev) <= 1e-9
@@ -464,7 +498,7 @@ class TestOCSequence:
         solver = control.StateSolver(problem, patches)
         u_target, _ = solver.solve(np.array([0.6]))
         w = control.CostWeights(1.0, 1e-2, u_target)
-        sched = control.OCSchedule(
+        sched = tykhonov.Schedule(
             kind="friction_perturb", length=4, amplitude=0.02, friction_da=1.0
         )
         rep = control.run_oc_sequence(
@@ -480,7 +514,7 @@ class TestOCSequence:
         )
         patches = control.ControlPatches(mesh, 1)
         w = control.CostWeights(1.0, 1e-2, 0.0)
-        sched = control.OCSchedule(
+        sched = tykhonov.Schedule(
             kind="friction_perturb", length=4, friction_da=0.0, friction_db=5.0
         )
         with pytest.raises(qvi.SolverError, match="n=1"):
@@ -497,7 +531,7 @@ class TestOCSequence:
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)
         extra = {"f0_target": 1.0} if kind == "adversarial_load" else {}
-        sched = control.OCSchedule(kind=kind, length=6, **extra)
+        sched = tykhonov.Schedule(kind=kind, length=6, **extra)
         with pytest.raises(ValueError, match=kind):
             control.run_oc_sequence(problem, patches, w, sched)
 
@@ -507,7 +541,7 @@ class TestOCSequence:
     def test_eps_is_the_scale_only_for_eps_decay(self, setup_1d, kind):
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)
-        sched = control.OCSchedule(kind=kind, length=4, amplitude=0.1)
+        sched = tykhonov.Schedule(kind=kind, length=4, amplitude=0.1)
         rep = control.run_oc_sequence(problem, patches, w, sched, n_starts=1, seq_starts=1)
         expected = sched.scales() if kind == "eps_decay" else np.zeros(4)
         assert np.array_equal(rep.eps, expected)
@@ -515,7 +549,7 @@ class TestOCSequence:
     def test_deterministic(self, setup_1d):
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)
-        sched = control.OCSchedule(kind="load_perturb", length=6, amplitude=0.3)
+        sched = tykhonov.Schedule(kind="load_perturb", length=6, amplitude=0.3)
         a = control.run_oc_sequence(problem, patches, w, sched, seed=6)
         b = control.run_oc_sequence(problem, patches, w, sched, seed=6)
         assert a.ctrl_dev == b.ctrl_dev

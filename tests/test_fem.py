@@ -667,6 +667,21 @@ class TestFrictionBound:
         with pytest.raises(ValueError):
             fem.FrictionBound.affine(1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: fem.FrictionBound.constant(np.nan), "constant friction bound"),
+            (lambda: fem.FrictionBound.affine(np.nan, 0.5), "affine friction coefficients"),
+            (lambda: fem.FrictionBound.affine(1.0, np.nan), "affine friction coefficients"),
+            (lambda: fem.FrictionBound(lambda x, r: r, np.nan), "Lipschitz rate"),
+            (lambda: fem.FrictionBound.constant(1.0).shifted(np.nan, 0.0), "perturbation"),
+            (lambda: fem.FrictionBound.constant(1.0).shifted(0.0, np.nan), "perturbation"),
+        ],
+    )
+    def test_rejects_nan(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_lipschitz_spot_check(self):
         rng = np.random.default_rng(RNG_SEED)
         for g in (fem.FrictionBound.affine(0.3, 0.7), fem.FrictionBound.constant(1.2)):

@@ -202,6 +202,21 @@ class TestTresca:
         assert kkt_residual(K, F, mesh.free_nodes, g3, c, u) <= 1e-10
         assert np.max(np.abs(u - cd_oracle(K, F, mesh.free_nodes, g3, c))) <= 1e-10
 
+    def test_repeated_sign_vector_switches_to_least_index_rule(self):
+        # from this warm start the full active-set step returns to a sign
+        # vector it has seen and would cycle until max_inner; the least-index
+        # rule reaches the cold-start answer in a few iterations
+        K = sp.csr_matrix([[4.0, -2.0, 0.0], [-2.0, 2.0, -2.0], [0.0, -2.0, 5.0]])
+        solver = qvi.TrescaSolver(K, np.arange(3), np.arange(3))
+        F, c = np.array([4.0, 0.0, -4.0]), np.ones(3)
+        cold, cold_iterations = solver.solve(F, c)
+        assert cold_iterations == 1
+        assert np.max(np.abs(cold - [0.75, 0.0, -0.6])) <= 1e-14
+        u, iterations = solver.solve(F, c, t0=[-1.0, -2.0, -3.0])
+        assert iterations <= 20
+        assert np.max(np.abs(u - cold)) <= 1e-14
+        assert kkt_residual(K, F, np.arange(3), np.arange(3), c, u) <= 1e-12
+
     def test_rejects_nonpositive_diagonal(self):
         mesh = interval_mesh(4)
         K = sp.csr_matrix((5, 5))
@@ -657,6 +672,16 @@ class TestBadData:
         state = control.StateSolver(problem, control.ControlPatches(mesh, 1))
         with pytest.raises(ValueError, match=f"eta0 must be finite, got .* at node {node}"):
             state.solve(np.array([0.6]), eta0=eta0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t0_rejected(self, value):
+        # unchecked, a NaN sign repeats as a cycle with no violator to change
+        _, _, solver, c, load = control_square()
+        t0 = np.zeros(len(c))
+        t0[3] = value
+        node = solver.friction[3]
+        with pytest.raises(ValueError, match=f"t0 must be finite, got .* at node {node}"):
+            solver.solve(load(0.6), c, t0=t0)
 
     def test_wrong_length_load_in_fixed_point(self):
         mesh, _, solver, _, load = control_square()
