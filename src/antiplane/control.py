@@ -57,8 +57,8 @@ class ControlError(RuntimeError):
 def target_field(mesh: fem.Mesh, data) -> np.ndarray:
     """Nodal interpolation of a target displacement.
 
-    The target must vanish on the clamped boundary so that it lies in
-    the solution space.
+    The target must be finite and vanish on the clamped boundary so that
+    it lies in the solution space.
     """
     out = fem.node_values(mesh, data)
     fem.require_finite("target", out)
