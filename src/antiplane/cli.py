@@ -333,13 +333,10 @@ def _run_oc_sequence(cfg, out, seed):
         schedule,
         solver_cfg,
         seed=seed,
-        n_starts=cfg["control"]["n_starts"],
         seq_starts=oc["seq_starts"],
-        start_scale=cfg["control"]["start_scale"],
         ctrl_tol=oc["ctrl_tol"],
         noise_floor=oc["noise_floor"],
-        xatol=cfg["control"]["xatol"],
-        fatol=cfg["control"]["fatol"],
+        **_control_kwargs(cfg),
     )
 
     output.write_csv(

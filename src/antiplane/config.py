@@ -17,6 +17,7 @@ Coefficient values accept three expression forms besides plain numbers:
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass, fields
 
@@ -37,6 +38,17 @@ class ConfigError(Exception):
         if path is not None:
             where = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{where}{message}")
+
+
+class Config(dict):
+    """{section: {key: value}} of one file, with the file's ``path`` and
+    the header ``lines`` of its sections, so that a builder can point at
+    the section whose values it refuses."""
+
+    def __init__(self, sections, path, lines):
+        super().__init__(sections)
+        self.path = path
+        self.lines = lines
 
 
 @dataclass(frozen=True)
@@ -331,9 +343,9 @@ SUBCOMMAND_SECTIONS = {
 def parse_config(path, subcommand):
     """Typed configuration for one subcommand.
 
-    Returns {section: {key: value}} with defaults filled in; sections
-    irrelevant to the subcommand may be present (so one file can drive
-    several subcommands) but must still parse cleanly.
+    Returns a ``Config``, {section: {key: value}} with defaults filled
+    in; sections irrelevant to the subcommand may be present (so one
+    file can drive several subcommands) but must still parse cleanly.
     """
     if subcommand not in SUBCOMMAND_SECTIONS:
         raise ConfigError(f"unknown subcommand {subcommand!r}", path)
@@ -380,17 +392,25 @@ def parse_config(path, subcommand):
                 for key, spec in SECTION_SCHEMAS[name].items()
                 if not spec.required
             }
-    return typed
+    return Config(typed, path, section_lines)
 
 
 # ---------------------------------------------------------------------------
 # builders
 
-def build_mesh(cfg) -> fem.Mesh:
+@contextlib.contextmanager
+def _section(cfg, name):
+    """The values of section ``name``; a ValueError raised in the block
+    becomes a ConfigError naming the file and the section's header line."""
     try:
-        spec = fem.MeshSpec(**cfg["mesh"])
+        yield cfg[name]
     except ValueError as exc:
-        raise ConfigError(f"mesh: {exc}") from None
+        raise ConfigError(f"{name}: {exc}", cfg.path, cfg.lines.get(name)) from None
+
+
+def build_mesh(cfg) -> fem.Mesh:
+    with _section(cfg, "mesh") as values:
+        spec = fem.MeshSpec(**values)
     return fem.build_mesh(spec)
 
 
@@ -399,22 +419,17 @@ def build_problem(cfg, mesh: fem.Mesh) -> qvi.ProblemData:
 
 
 def build_solver_config(cfg) -> qvi.SolverConfig:
-    try:
-        return qvi.SolverConfig(**cfg["solver"])
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from None
+    with _section(cfg, "solver") as values:
+        return qvi.SolverConfig(**values)
 
 
 def _build_schedule(cfg, section, kinds) -> tykhonov.Schedule:
     """The ``section`` schedule; a kind outside ``kinds`` is a config error."""
-    values = cfg[section]
     names = {f.name for f in fields(tykhonov.Schedule)}
-    try:
+    with _section(cfg, section) as values:
         if values["kind"] not in kinds:
             raise ValueError(f"unknown schedule kind {values['kind']!r}")
         return tykhonov.Schedule(**{k: v for k, v in values.items() if k in names})
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
 
 
 def build_schedule(cfg) -> tykhonov.Schedule:
@@ -422,21 +437,15 @@ def build_schedule(cfg) -> tykhonov.Schedule:
 
 
 def build_patches(cfg, mesh: fem.Mesh) -> control.ControlPatches:
-    ctl = cfg["control"]
-    try:
+    with _section(cfg, "control") as ctl:
         return control.ControlPatches(
             mesh, ctl["patches"], lower=ctl["lower"], upper=ctl["upper"]
         )
-    except ValueError as exc:
-        raise ConfigError(f"control: {exc}") from None
 
 
 def build_weights(cfg) -> control.CostWeights:
-    ctl = cfg["control"]
-    try:
+    with _section(cfg, "control") as ctl:
         return control.CostWeights(a0=ctl["a0"], a2=ctl["a2"], target=ctl["target"])
-    except ValueError as exc:
-        raise ConfigError(f"control: {exc}") from None
 
 
 def build_oc_schedule(cfg) -> tykhonov.Schedule:

@@ -127,10 +127,10 @@ def trace_constant(
 
 def smallness_margin(lipschitz: float, c0: float, c3: float, mu_star: float):
     """Contraction factor k = L_g c0^2 c3^2 / mu_star and whether k < 1."""
-    if mu_star <= 0.0:
-        raise ValueError("mu_star must be positive")
-    if lipschitz < 0.0:
-        raise ValueError("Lipschitz rate must be nonnegative")
+    if not mu_star > 0.0:  # also refuses NaN
+        raise ValueError(f"mu_star must be positive, got {mu_star}")
+    if not lipschitz >= 0.0:
+        raise ValueError(f"lipschitz must be nonnegative, got {lipschitz}")
     k = lipschitz * c0**2 * c3**2 / mu_star
     return float(k), bool(k < 1.0)
 

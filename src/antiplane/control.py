@@ -23,6 +23,7 @@ control, state and cost deviations from the unperturbed optimum.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ from .tykhonov import (
     NON_CONVERGENT,
     OC_SCHEDULE_KINDS,
     Schedule,
+    SequenceReport,
     _index_for,
     check_kind,
     fit_tail_slope,
@@ -396,28 +398,16 @@ def minimize_cost(
 
 
 @dataclass(eq=False)
-class OCReport:
+class OCReport(SequenceReport):
     """Deviation of perturbed optima from the unperturbed optimum."""
 
-    kind: str
-    ns: list[int]
-    scales: list[float]
-    eps: list[float]
     costs: list[float]
     cost_dev: list[float]
     ctrl_dev: list[float]
     ctrl_dev_set: list[float]
     state_dev: list[float]
-    violations: list[float]
-    slope: float | None
-    verdict: str
     base: ControlResult
-    noise_floor: float
     ctrl_tol: float
-
-    @property
-    def max_violation(self) -> float:
-        return max(self.violations) if self.violations else 0.0
 
 
 def run_oc_sequence(
@@ -435,6 +425,7 @@ def run_oc_sequence(
     noise_floor: float = 1e-9,
     xatol: float = 1e-9,
     fatol: float = 1e-12,
+    max_evals: int | None = None,
 ) -> OCReport:
     """Optimize every perturbed instance and compare with the base optimum.
 
@@ -451,17 +442,16 @@ def run_oc_sequence(
     shape = None
     if schedule.kind == "target_perturb":
         shape = target_field(mesh, schedule.target_shape)
-    base = minimize_cost(
-        problem,
-        patches,
-        weights,
-        config,
-        n_starts=n_starts,
-        seed=seed,
+    optimize = functools.partial(
+        minimize_cost,
+        patches=patches,
+        config=config,
         start_scale=start_scale,
         xatol=xatol,
         fatol=fatol,
+        max_evals=max_evals,
     )
+    base = optimize(problem, weights=weights, n_starts=n_starts, seed=seed)
     reps = [rep for _, rep, _ in base.clusters]
 
     ns = list(range(1, schedule.length + 1))
@@ -469,22 +459,17 @@ def run_oc_sequence(
     state_dev, violations = [], []
     prev = base.pair.coeffs
     for n, s in zip(ns, schedule.scales()):
-        theta = _index_for(problem, schedule, float(s))
+        theta, _ = _index_for(problem, schedule, n, float(s))
         prob_n = problem.with_data(f0=theta.f0, g=theta.g)
         target_n = target0 if shape is None else target0 + float(s) * shape
         weights_n = CostWeights(weights.a0, weights.a2, target_n)
         try:
-            res_n = minimize_cost(
+            res_n = optimize(
                 prob_n,
-                patches,
-                weights_n,
-                config,
+                weights=weights_n,
                 n_starts=seq_starts,
                 seed=seed + n,
-                start_scale=start_scale,
                 extra_starts=(base.pair.coeffs, prev),
-                xatol=xatol,
-                fatol=fatol,
                 check_admissibility=False,
             )
         except (ControlError, qvi.SolverError) as exc:

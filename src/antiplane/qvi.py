@@ -75,8 +75,8 @@ class TykhonovIndex:
     g: fem.FrictionBound
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
+        if not self.eps >= 0.0:  # also refuses NaN
+            raise ValueError(f"eps must be nonnegative, got {self.eps}")
 
 
 @dataclass(frozen=True)

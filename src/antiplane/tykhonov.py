@@ -9,15 +9,18 @@ responds: conforming schedules decay (typically like the perturbation
 scale), while a sequence driven toward different limit data plateaus at
 a positive gap.
 
-Only the modulus perturbation changes the form a(., .): every other
-schedule kind, together with the unperturbed solution and the limit of
-an adversarial sequence, is solved on one ``qvi.DiscreteProblem`` of
-the base problem, and each instance assembles only its own load.  The
-membership certificate always tests against the base modulus, so it
-reuses that stiffness matrix, and an ``eps_decay`` sequence, whose
-instances all solve the base problem, reuses one solve.  The same
-``Schedule`` drives ``control.run_oc_sequence``, which alone takes the
-kind ``target_perturb``.
+One loop solves the instances of every kind from their index theta_n
+and modulus mu_n (``_index_for``).  Only the modulus perturbation
+changes the form a(., .), so a ``lame_perturb`` instance is solved on
+its own; every other instance, together with the unperturbed solution
+and the limit of an adversarial sequence, is solved on one
+``qvi.DiscreteProblem`` of the base problem and assembles only its own
+load.  The membership certificate always tests against the base
+modulus, so it reuses that stiffness matrix, and an ``eps_decay``
+sequence, whose instances all solve the base problem, reuses one solve.
+The same ``Schedule``, index and ``SequenceReport`` serve
+``control.run_oc_sequence``, which alone takes the kind
+``target_perturb``.
 """
 
 from __future__ import annotations
@@ -91,8 +94,11 @@ class Schedule:
             raise ValueError("geometric decay needs 0 < ratio < 1")
         if self.kind == "adversarial_load" and self.f0_target is None:
             raise ValueError("adversarial_load needs f0_target")
-        if self.friction_da < 0.0 or self.friction_db < 0.0:
-            raise ValueError("friction perturbation coefficients must be nonnegative")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        for name in ("friction_da", "friction_db"):
+            if not getattr(self, name) >= 0.0:  # also refuses NaN
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     def scales(self) -> np.ndarray:
         """Scale sequence s_n, n = 1..length, of the decay law."""
@@ -127,11 +133,13 @@ def check_kind(schedule: Schedule, kinds, harness: str) -> None:
         raise ValueError(f"{harness} does not take schedule kind {schedule.kind!r}")
 
 
-def _index_for(problem: qvi.ProblemData, schedule: Schedule, s: float):
-    """Perturbed index theta_n of scale s; ``target_perturb`` perturbs the
-    control target and leaves the data of the index untouched."""
+def _index_for(problem: qvi.ProblemData, schedule: Schedule, n: int, s: float):
+    """(theta_n, mu_n) of instance n with scale s.  ``lame_perturb`` moves
+    only mu_n, with eps_n = max |mu_n - mu| sampled at element midpoints;
+    ``target_perturb`` moves only the control target."""
     kind = schedule.kind
-    f0, f2, g = problem.f0, problem.f2, problem.g
+    f0, f2, g, mu = problem.f0, problem.f2, problem.g, problem.mu
+    eps = s if kind == "eps_decay" else 0.0
     if kind == "load_perturb":
         f0 = combine_coefficients(f0, s, schedule.f0_shape)
     elif kind == "traction_perturb":
@@ -141,32 +149,40 @@ def _index_for(problem: qvi.ProblemData, schedule: Schedule, s: float):
     elif kind == "adversarial_load":
         f0 = combine_coefficients(schedule.f0_target, s, schedule.f0_shape)
     elif kind == "lame_perturb":
-        raise ValueError(f"schedule kind {kind!r} has no direct index")
-    return qvi.TykhonovIndex(s if kind == "eps_decay" else 0.0, f0, f2, g)
+        if schedule.mu_law == "relative":
+            mu = combine_coefficients(problem.mu, s, problem.mu)
+        else:  # fixed-amplitude oscillation, scale law ignored
+            mu = combine_coefficients(problem.mu, schedule.amplitude * (-1.0) ** n, 1.0)
+        mu_n_e = fem.element_values(problem.mesh, mu)
+        eps = float(np.max(np.abs(mu_n_e - fem.element_values(problem.mesh, problem.mu))))
+    return qvi.TykhonovIndex(eps, f0, f2, g), mu
 
 
-def _fixed_modulus_sequence(
-    discrete: qvi.DiscreteProblem,
+def _solve_sequence(
+    problem: qvi.ProblemData,
     schedule: Schedule,
     config: qvi.SolverConfig | None = None,
+    shared: qvi.DiscreteProblem | None = None,
     u_base=None,
 ):
-    """[(theta_n, u_n)] of a schedule that leaves mu untouched.
-
-    Every instance is solved on ``discrete``, the base problem's
-    discretization.  Instances that keep the base data (``eps_decay``)
-    share one solve of the base problem, or ``u_base`` when it is given.
-    """
-    mesh = discrete.problem.mesh
+    """[(theta_n, u_n)] of the schedule.  An instance that keeps mu is solved
+    on ``shared``, the base problem's discretization (built on first use if
+    not given), a ``lame_perturb`` instance on its own.  Instances that keep
+    the base data (``eps_decay``) share one solve, or ``u_base`` if given."""
     out = []
     for n, s in enumerate(schedule.scales(), start=1):
-        theta = _index_for(discrete.problem, schedule, float(s))
+        theta, mu_n = _index_for(problem, schedule, n, float(s))
         if schedule.kind == "eps_decay" and u_base is not None:
             out.append((theta, u_base))
             continue
-        F = fem.assemble_load(mesh, theta.f0, theta.f2)
         try:
-            u_n, _ = discrete.solve(F, theta.g, config)
+            if schedule.kind == "lame_perturb":
+                u_n, _ = qvi.solve_qvi(problem.with_data(mu=mu_n, mu_star=None), config)
+            else:
+                if shared is None:
+                    shared = qvi.DiscreteProblem(problem)
+                F = fem.assemble_load(problem.mesh, theta.f0, theta.f2)
+                u_n, _ = shared.solve(F, theta.g, config)
         except qvi.SolverError as exc:
             raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
         if schedule.kind == "eps_decay":
@@ -187,53 +203,32 @@ def generate_sequence(
     fails to converge.
     """
     check_kind(schedule, SCHEDULE_KINDS, "generate_sequence")
-    if schedule.kind == "lame_perturb":
-        return lame_perturb_sequence(problem, schedule, config)
-    return _fixed_modulus_sequence(qvi.DiscreteProblem(problem), schedule, config)
+    return _solve_sequence(problem, schedule, config)
 
 
-def lame_perturb_sequence(
-    problem: qvi.ProblemData,
-    schedule: Schedule,
-    config: qvi.SolverConfig | None = None,
-):
-    """Modulus perturbations; the index keeps the original data and
-    carries eps_n = max |mu_n - mu| sampled at element midpoints."""
-    mu_e = fem.element_values(problem.mesh, problem.mu)
-    out = []
-    for n, s in enumerate(schedule.scales(), start=1):
-        if schedule.mu_law == "relative":
-            mu_n = combine_coefficients(problem.mu, float(s), problem.mu)
-        else:  # fixed-amplitude oscillation, scale law ignored
-            mu_n = combine_coefficients(problem.mu, schedule.amplitude * (-1.0) ** n, 1.0)
-        mu_n_e = fem.element_values(problem.mesh, mu_n)
-        eps_n = float(np.max(np.abs(mu_n_e - mu_e)))
-        theta = qvi.TykhonovIndex(eps_n, problem.f0, problem.f2, problem.g)
-        try:
-            u_n, _ = qvi.solve_qvi(problem.with_data(mu=mu_n, mu_star=None), config)
-        except qvi.SolverError as exc:
-            raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
-        out.append((theta, u_n))
-    return out
+@dataclass(eq=False)
+class SequenceReport:
+    """What ``run_convergence`` and ``control.run_oc_sequence`` both report."""
 
-
-@dataclass
-class ConvergenceReport:
     kind: str
     ns: list[int]
     scales: list[float]
     eps: list[float]
-    errors: list[float]
     violations: list[float]
     slope: float | None
     verdict: str
     noise_floor: float
-    limit_gap: float | None = None
-    errors_to_limit: list[float] | None = None
 
     @property
     def max_violation(self) -> float:
         return max(self.violations) if self.violations else 0.0
+
+
+@dataclass
+class ConvergenceReport(SequenceReport):
+    errors: list[float]
+    limit_gap: float | None = None
+    errors_to_limit: list[float] | None = None
 
 
 def fit_tail_slope(ns, errors) -> float | None:
@@ -267,7 +262,6 @@ def run_convergence(
     config: qvi.SolverConfig | None = None,
     seed: int = 0,
     *,
-    check_membership: bool = True,
     noise_floor: float | None = None,
 ) -> ConvergenceReport:
     """Generate a schedule, measure errors against the unperturbed
@@ -280,22 +274,17 @@ def run_convergence(
 
     shared = qvi.DiscreteProblem(problem)
     u_ref, _ = shared.solve(shared.F, problem.g, config)
-    if schedule.kind == "lame_perturb":
-        seq = lame_perturb_sequence(problem, schedule, config)
-    else:
-        seq = _fixed_modulus_sequence(shared, schedule, config, u_base=u_ref)
+    seq = _solve_sequence(problem, schedule, config, shared, u_base=u_ref)
     mesh = problem.mesh
 
     ns = list(range(1, schedule.length + 1))
     errors = [float(fem.v_norm(mesh, u_n - u_ref)) for _, u_n in seq]
-    violations = []
-    if check_membership:
-        for n, (theta, u_n) in zip(ns, seq):
-            violations.append(
-                qvi.membership_violation(
-                    mesh, problem.mu, u_n, theta, seed=seed + n, stiffness=shared.K
-                )
-            )
+    violations = [
+        qvi.membership_violation(
+            mesh, problem.mu, u_n, theta, seed=seed + n, stiffness=shared.K
+        )
+        for n, (theta, u_n) in zip(ns, seq)
+    ]
 
     limit_gap = None
     errors_to_limit = None

@@ -514,6 +514,17 @@ class TestOcSequence:
         assert -1.2 < float(summary["slope"]) < -0.8
         ET.parse(out / "deviations.svg")
 
+    def test_evaluation_cap_applies(self, tmp_path, capsys):
+        # the control section's max_evals caps every optimization of the
+        # sequence, as it caps the one of the control subcommand
+        text = CONTROL_CFG.replace("target = poly(0, 1)", "target = poly(0, 1)\n      max_evals = 3")
+        cfg = write_cfg(
+            tmp_path, text + "    oc:\n      kind = target_perturb\n      length = 4\n"
+        )
+        code = cli.main(["oc-sequence", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "no optimizer start converged within 3 evaluations" in capsys.readouterr().err
+
     def test_direct_only_kind_is_a_config_error(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, CONTROL_CFG + "    oc:\n      kind = lame_perturb\n      length = 6\n"
@@ -592,6 +603,11 @@ class TestDataErrors:
             ("control", ("g = 0.0", "g = 0.0\n      f2 = 1.0"), "control supplies the gamma2"),
             ("control", ("a0 = 1.0", "a0 = nan"), "misfit weight a0 must be positive"),
             ("control", ("target = poly(0, 1)", "target = nan"), "target must be finite"),
+            (
+                "constants",
+                ("seed = 5", "seed = 5\n    constants:\n      lipschitz = nan"),
+                "lipschitz must be nonnegative, got nan",
+            ),
         ],
     )
     def test_refused_data_exits_two(self, tmp_path, capsys, subcommand, edit, message):
@@ -602,6 +618,21 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand, edit, where",
+        [
+            ("solve", ("extents = 1.0", "extents = nan"), ":1: mesh: extents must be finite"),
+            ("control", ("a0 = 1.0", "a0 = nan"), ":12: control: misfit weight a0"),
+        ],
+    )
+    def test_builder_error_names_file_and_section_line(
+        self, tmp_path, capsys, subcommand, edit, where
+    ):
+        text = SOLVE_CFG if subcommand == "solve" else CONTROL_CFG
+        cfg = write_cfg(tmp_path, text.replace(edit[0], edit[1]))
+        assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}{where}")
 
     def test_unconverged_constants_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -206,6 +206,10 @@ class TestSmallness:
             constants.smallness_margin(0.5, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             constants.smallness_margin(-0.5, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="lipschitz must be nonnegative, got nan"):
+            constants.smallness_margin(np.nan, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="mu_star must be positive, got nan"):
+            constants.smallness_margin(1.0, 1.0, 1.0, np.nan)
 
     def test_report(self):
         mesh = interval_mesh(64)

@@ -894,6 +894,12 @@ class TestMembership:
         dirs = [np.zeros(prob.mesh.n_nodes), 2 * u, 0.5 * u]
         assert qvi.membership_violation(prob.mesh, prob.mu, u, theta, directions=dirs) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [-1e-3, float("nan")])
+    def test_index_rejects_bad_eps(self, eps):
+        g = fem.FrictionBound.constant(1.0)
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            qvi.TykhonovIndex(eps, 1.0, 0.0, g)
+
     def test_deterministic(self):
         prob = benchmark_problem(1.0, 3.0, 1.0, 32)
         u, _ = qvi.solve_qvi(prob)

@@ -70,6 +70,16 @@ class TestSchedule:
         with pytest.raises(ValueError, match="nonnegative"):
             tykhonov.Schedule(kind="friction_perturb", length=8, friction_da=-1.0)
 
+    @pytest.mark.parametrize("name", ["friction_da", "friction_db"])
+    def test_rejects_nan_friction_coefficient(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            tykhonov.Schedule(kind="friction_perturb", length=4, **{name: np.nan})
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            tykhonov.Schedule(kind="friction_perturb", length=4, amplitude=amplitude)
+
     def test_scales_inverse_n(self):
         s = tykhonov.Schedule(kind="load_perturb", length=5, amplitude=2.0).scales()
         assert np.allclose(s, [2.0, 1.0, 2.0 / 3.0, 0.5, 0.4])
@@ -440,6 +450,19 @@ def _shared_schedule(kind):
     return tykhonov.Schedule(kind=kind, length=SHARED_LENGTH, amplitude=0.5, **extra)
 
 
+def _count_tresca_setups(monkeypatch):
+    """List that gains one entry per ``qvi.TrescaSolver`` construction."""
+    built = []
+
+    class Counting(qvi.TrescaSolver):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(qvi, "TrescaSolver", Counting)
+    return built
+
+
 def _fresh_solutions(problem, schedule, seq):
     """u_n of every instance from its own cold ``qvi.solve_qvi``."""
     out = []
@@ -497,21 +520,23 @@ class TestSharedFactorization:
             assert report.limit_gap is None
 
     def test_one_tresca_setup_unless_mu_changes(self, kind, dim, monkeypatch):
-        built = []
-
-        class Counting(qvi.TrescaSolver):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
-
-        monkeypatch.setattr(qvi, "TrescaSolver", Counting)
+        built = _count_tresca_setups(monkeypatch)
         problem = _shared_problem(dim, kind)
         tykhonov.run_convergence(
-            problem, _shared_schedule(kind), check_membership=False
+            problem, _shared_schedule(kind)
         )
         # u_ref, the whole sequence and u_bar share one set-up; each
         # modulus instance needs its own
         expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
+        assert len(built) == expected
+
+    def test_generate_sequence_tresca_setups(self, kind, dim, monkeypatch):
+        built = _count_tresca_setups(monkeypatch)
+        problem = _shared_problem(dim, kind)
+        tykhonov.generate_sequence(problem, _shared_schedule(kind))
+        # the instances that keep mu share one set-up; no base set-up is
+        # built for a modulus sequence, whose instances each need their own
+        expected = SHARED_LENGTH if kind == "lame_perturb" else 1
         assert len(built) == expected
 
     def test_certificate_reuses_the_stiffness(self, kind, dim, monkeypatch):
