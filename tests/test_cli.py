@@ -517,7 +517,9 @@ class TestOcSequence:
     def test_evaluation_cap_applies(self, tmp_path, capsys):
         # the control section's max_evals caps every optimization of the
         # sequence, as it caps the one of the control subcommand
-        text = CONTROL_CFG.replace("target = poly(0, 1)", "target = poly(0, 1)\n      max_evals = 3")
+        text = CONTROL_CFG.replace(
+            "target = poly(0, 1)", "target = poly(0, 1)\n      max_evals = 3"
+        )
         cfg = write_cfg(
             tmp_path, text + "    oc:\n      kind = target_perturb\n      length = 4\n"
         )
