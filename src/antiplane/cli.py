@@ -22,6 +22,7 @@ byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -68,6 +69,11 @@ def _write_control(out, coeffs) -> None:
     output.write_csv(os.path.join(out, "control.csv"), ["patch", "value"], list(enumerate(coeffs)))
 
 
+def _write_columns(path, columns) -> None:
+    """A table from an ordered {column name: values} map, one row per index."""
+    output.write_csv(path, list(columns), zip(*columns.values()))
+
+
 def _node_table(mesh, idx, names, columns):
     """Header and rows of a per-node table: each node of ``idx``, its
     coordinates, then its value in each of the named ``columns``."""
@@ -89,13 +95,10 @@ def _verdict(report, expect) -> int:
 def _run_constants(cfg, out, seed):
     mesh = cfgmod.build_mesh(cfg)
     section = cfg["constants"]
-    mu_star = section["mu_star"]
-    if mu_star is None:
-        mu_star = 1.0
     report = constmod.constants_report(
         mesh,
         section["lipschitz"],
-        mu_star,
+        section["mu_star"],
         tol=section["tol"],
         maxiter=section["max_iterations"],
         seed=seed,
@@ -107,7 +110,7 @@ def _run_constants(cfg, out, seed):
             ("c0", report.c0),
             ("c3", report.c3),
             ("lipschitz", section["lipschitz"]),
-            ("mu_star", mu_star),
+            ("mu_star", section["mu_star"]),
             ("k", report.k),
             ("contraction", report.ok),
         ],
@@ -129,14 +132,11 @@ def _run_solve(cfg, out, seed):
     header, rows = _node_table(mesh, np.arange(mesh.n_nodes), ["u"], [u])
     output.write_csv(os.path.join(out, "solution.csv"), header, rows)
 
-    ratios = [None] + list(report.ratios)
+    # fixed_point gives one ratio fewer than increments: none for the first
     output.write_csv(
         os.path.join(out, "iterations.csv"),
         ["iteration", "increment", "ratio"],
-        [
-            (i + 1, inc, ratios[i] if i < len(ratios) else None)
-            for i, inc in enumerate(report.increments)
-        ],
+        zip(itertools.count(1), report.increments, [None] + report.ratios),
     )
 
     idx, lam, G, stick_slack, comp = qvi.complementarity_report(problem, u)
@@ -148,7 +148,7 @@ def _run_solve(cfg, out, seed):
     )
     output.write_csv(os.path.join(out, "multipliers.csv"), header, rows)
 
-    final_increment = report.increments[-1] if report.increments else 0.0
+    final_increment = report.increments[-1]
     pairs = [
         ("converged", report.converged),
         ("outer_iterations", report.outer_iterations),
@@ -218,14 +218,16 @@ def _run_tykhonov(cfg, out, seed):
         noise_floor=cfg["schedule"]["noise_floor"],
     )
 
-    header = ["n", "scale", "eps", "error", "violation"]
-    columns = [report.ns, report.scales, report.eps, report.errors, report.violations]
+    columns = {
+        "n": report.ns,
+        "scale": report.scales,
+        "eps": report.eps,
+        "error": report.errors,
+        "violation": report.violations,
+    }
     if report.errors_to_limit is not None:
-        header.append("error_to_limit")
-        columns.append(report.errors_to_limit)
-    output.write_csv(
-        os.path.join(out, "sequence.csv"), header, list(zip(*columns))
-    )
+        columns["error_to_limit"] = report.errors_to_limit
+    _write_columns(os.path.join(out, "sequence.csv"), columns)
 
     pairs = [
         ("kind", report.kind),
@@ -252,17 +254,12 @@ def _run_tykhonov(cfg, out, seed):
     return _verdict(report, cfg["schedule"]["expect"])
 
 
+# the optimizer keywords that the control section sets, under their own names
+_CONTROL_KEYS = ("n_starts", "start_scale", "xatol", "fatol", "max_evals")
+
+
 def _control_kwargs(cfg):
-    ctl = cfg["control"]
-    kwargs = {
-        "n_starts": ctl["n_starts"],
-        "start_scale": ctl["start_scale"],
-        "xatol": ctl["xatol"],
-        "fatol": ctl["fatol"],
-    }
-    if ctl["max_evals"] is not None:
-        kwargs["max_evals"] = ctl["max_evals"]
-    return kwargs
+    return {key: cfg["control"][key] for key in _CONTROL_KEYS}
 
 
 def _run_control(cfg, out, seed):
@@ -339,33 +336,18 @@ def _run_oc_sequence(cfg, out, seed):
         **_control_kwargs(cfg),
     )
 
-    output.write_csv(
-        os.path.join(out, "oc_sequence.csv"),
-        [
-            "n",
-            "scale",
-            "eps",
-            "cost",
-            "cost_dev",
-            "ctrl_dev",
-            "ctrl_dev_set",
-            "state_dev",
-            "violation",
-        ],
-        list(
-            zip(
-                report.ns,
-                report.scales,
-                report.eps,
-                report.costs,
-                report.cost_dev,
-                report.ctrl_dev,
-                report.ctrl_dev_set,
-                report.state_dev,
-                report.violations,
-            )
-        ),
-    )
+    columns = {
+        "n": report.ns,
+        "scale": report.scales,
+        "eps": report.eps,
+        "cost": report.costs,
+        "cost_dev": report.cost_dev,
+        "ctrl_dev": report.ctrl_dev,
+        "ctrl_dev_set": report.ctrl_dev_set,
+        "state_dev": report.state_dev,
+        "violation": report.violations,
+    }
+    _write_columns(os.path.join(out, "oc_sequence.csv"), columns)
     _write_control(out, report.base.pair.coeffs)
     pairs = [
         ("kind", report.kind),

@@ -4,7 +4,9 @@ The format is deliberately tiny: a line ``name:`` opens a section and
 ``key = value`` assigns within it.  Blank lines and ``#`` comments are
 ignored.  Unknown sections, unknown keys, duplicate entries and type
 mismatches are all hard errors carrying the offending line number, so
-typos never silently fall back to defaults.
+typos never silently fall back to defaults.  A section that the
+subcommand reads but the file omits is parsed as an empty section, so its
+schema defaults are filled through the same path as those of a present one.
 
 Coefficient values accept three expression forms besides plain numbers:
 
@@ -24,8 +26,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import control, fem, qvi, tykhonov
-
-SIDES = ("left", "right", "bottom", "top")
 
 
 class ConfigError(Exception):
@@ -199,7 +199,7 @@ def _parse_partition(text):
         if ":" not in part:
             raise ValueError(f"expected side:tag pairs, got {part.strip()!r}")
         side, tag = (p.strip() for p in part.split(":", 1))
-        if side not in SIDES:
+        if side not in fem.SIDES_2D:
             raise ValueError(f"unknown side {side!r}")
         if tag not in fem.TAGS:
             raise ValueError(f"unknown boundary tag {tag!r}")
@@ -266,7 +266,7 @@ SECTION_SCHEMAS = {
     },
     "constants": {
         "lipschitz": Key(_parse_float, default=0.0),
-        "mu_star": Key(_parse_float),
+        "mu_star": Key(_parse_float, default=1.0),
         "tol": Key(_parse_float, default=1e-10),
         "max_iterations": Key(_parse_int, default=10000),
         "require_contraction": Key(_parse_bool, default=False),
@@ -355,8 +355,16 @@ def parse_config(path, subcommand):
         if name not in SECTION_SCHEMAS:
             raise ConfigError(f"unknown section {name!r}", path, section_lines[name])
 
+    # the subcommand's absent sections go through the loop as empty ones,
+    # after the present ones, in the order of SUBCOMMAND_SECTIONS
+    wanted = SUBCOMMAND_SECTIONS[subcommand]
+    absent = {name: {} for name in wanted if name not in sections}
     typed: dict[str, dict[str, object]] = {}
-    for name, entries in sections.items():
+    for name, entries in {**sections, **absent}.items():
+        if name in absent and wanted[name]:
+            raise ConfigError(
+                f"subcommand {subcommand!r} needs a {name!r} section", path
+            )
         schema = SECTION_SCHEMAS[name]
         out: dict[str, object] = {}
         for key, (text, line) in entries.items():
@@ -379,19 +387,6 @@ def parse_config(path, subcommand):
                 )
             out[key] = spec.default
         typed[name] = out
-
-    wanted = SUBCOMMAND_SECTIONS[subcommand]
-    for name, required in wanted.items():
-        if required and name not in sections:
-            raise ConfigError(
-                f"subcommand {subcommand!r} needs a {name!r} section", path
-            )
-        if name not in typed:
-            typed[name] = {
-                key: spec.default
-                for key, spec in SECTION_SCHEMAS[name].items()
-                if not spec.required
-            }
     return Config(typed, path, section_lines)
 
 

@@ -125,12 +125,17 @@ def trace_constant(
     return c3
 
 
-def smallness_margin(lipschitz: float, c0: float, c3: float, mu_star: float):
-    """Contraction factor k = L_g c0^2 c3^2 / mu_star and whether k < 1."""
+def _check_margin_data(lipschitz: float, mu_star: float) -> None:
+    """ValueError unless mu_star > 0 and lipschitz >= 0 (NaN refused)."""
     if not mu_star > 0.0:  # also refuses NaN
         raise ValueError(f"mu_star must be positive, got {mu_star}")
     if not lipschitz >= 0.0:
         raise ValueError(f"lipschitz must be nonnegative, got {lipschitz}")
+
+
+def smallness_margin(lipschitz: float, c0: float, c3: float, mu_star: float):
+    """Contraction factor k = L_g c0^2 c3^2 / mu_star and whether k < 1."""
+    _check_margin_data(lipschitz, mu_star)
     k = lipschitz * c0**2 * c3**2 / mu_star
     return float(k), bool(k < 1.0)
 
@@ -170,7 +175,10 @@ def constants_report(
     maxiter: int = 10000,
     seed: int = 0,
 ) -> ConstantsReport:
-    """Both constants (cached per mesh) and the contraction margin for one mesh."""
+    """Both constants (cached per mesh) and the contraction margin for one
+    mesh; a bad ``lipschitz`` or ``mu_star`` is refused before the constants
+    are computed."""
+    _check_margin_data(lipschitz, mu_star)
     c0, c3 = space_constants(mesh, tol=tol, maxiter=maxiter, seed=seed)
     k, ok = smallness_margin(lipschitz, c0, c3, mu_star)
     return ConstantsReport(c0=c0, c3=c3, k=k, ok=ok)

@@ -288,13 +288,20 @@ def minimize_cost(
     smallest-norm coefficient vector among the cost-best starts (within
     the module constant ``TIE_TOL``); ``clusters`` groups all successful
     optima by cost within ``CLUSTER_RADIUS`` to expose non-unique
-    minimizers.
+    minimizers.  Raises ValueError, before any state solve, for
+    ``n_starts`` or ``max_evals`` below 1 or a negative or non-finite
+    ``start_scale``, ``xatol`` or ``fatol``.
     """
     # deferred: only the optimizer needs scipy.optimize, so a solve does not load it
     from scipy.optimize import minimize
 
     if n_starts < 1:
         raise ValueError("need at least one start")
+    if max_evals is not None and max_evals < 1:
+        raise ValueError(f"max_evals must be at least 1, got {max_evals}")
+    for name, value in (("start_scale", start_scale), ("xatol", xatol), ("fatol", fatol)):
+        if not 0.0 <= value < np.inf:  # also refuses NaN
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     solver = StateSolver(problem, patches)
     d = patches.n_patches
     rng = np.random.default_rng(seed)
@@ -434,9 +441,15 @@ def run_oc_sequence(
     are measured in L2(gamma2), both against the selected base optimum
     and against the nearest member of the base cluster catalog.  Raises
     ValueError, before the base optimization, for a kind outside
-    ``OC_SCHEDULE_KINDS``.
+    ``OC_SCHEDULE_KINDS``, ``seq_starts`` below 1 or a negative or NaN
+    ``ctrl_tol`` or ``noise_floor``.
     """
     check_kind(schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
+    if seq_starts < 1:
+        raise ValueError(f"seq_starts must be at least 1, got {seq_starts}")
+    for name, value in (("ctrl_tol", ctrl_tol), ("noise_floor", noise_floor)):
+        if not value >= 0.0:  # also refuses NaN
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     mesh = problem.mesh
     target0 = target_field(mesh, weights.target)
     shape = None

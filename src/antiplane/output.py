@@ -84,6 +84,22 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _text(x, y, size, body, anchor=None, extra="") -> str:
+    """One sans-serif text element; ``body`` is escaped here."""
+    anchor = "" if anchor is None else f' text-anchor="{anchor}"'
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{_escape(body)}</text>'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke, width) -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
 def write_svg_loglog(path, series, *, title, xlabel, ylabel) -> None:
     """Log-log line plot of ``series`` = [(label, xs, ys), ...].
 
@@ -109,13 +125,13 @@ def write_svg_loglog(path, series, *, title, xlabel, ylabel) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
+        _text(f"{_WIDTH / 2:.0f}", 24, 15, title, anchor="middle"),
     ]
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
+    mid_x, mid_y = f"{x0 + plot_w / 2:.0f}", f"{_MARGIN_T + plot_h / 2:.0f}"
 
     if kept:
         xlo, xhi = _decades([p[0] for _, pts in kept for p in pts])
@@ -128,25 +144,13 @@ def write_svg_loglog(path, series, *, title, xlabel, ylabel) -> None:
             return y0 - (math.log10(y) - ylo) / (yhi - ylo) * plot_h
 
         for d in range(xlo, xhi + 1):
-            x = px(10.0 ** d)
-            parts.append(
-                f'<line x1="{_fmt(x)}" y1="{y0}" x2="{_fmt(x)}" '
-                f'y2="{_MARGIN_T}" stroke="#dddddd" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(x)}" y="{y0 + 18}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">1e{d}</text>'
-            )
+            x = _fmt(px(10.0 ** d))
+            parts.append(_line(x, y0, x, _MARGIN_T, "#dddddd", 1))
+            parts.append(_text(x, y0 + 18, 11, f"1e{d}", anchor="middle"))
         for d in range(ylo, yhi + 1):
             y = py(10.0 ** d)
-            parts.append(
-                f'<line x1="{x0}" y1="{_fmt(y)}" x2="{x0 + plot_w}" '
-                f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{x0 - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">1e{d}</text>'
-            )
+            parts.append(_line(x0, _fmt(y), x0 + plot_w, _fmt(y), "#dddddd", 1))
+            parts.append(_text(x0 - 8, _fmt(y + 4), 11, f"1e{d}", anchor="end"))
         for i, (label, pts) in enumerate(kept):
             color = PALETTE[i % len(PALETTE)]
             coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
@@ -160,47 +164,26 @@ def write_svg_loglog(path, series, *, title, xlabel, ylabel) -> None:
                     f'fill="{color}"/>'
                 )
     else:
-        parts.append(
-            f'<text x="{x0 + plot_w / 2:.0f}" y="{_MARGIN_T + plot_h / 2:.0f}" '
-            'text-anchor="middle" font-family="sans-serif" font-size="13">'
-            "no positive data to plot</text>"
-        )
+        parts.append(_text(mid_x, mid_y, 13, "no positive data to plot", anchor="middle"))
 
     parts.append(
         f'<rect x="{x0}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     )
-    parts.append(
-        f'<text x="{x0 + plot_w / 2:.0f}" y="{_HEIGHT - 12}" '
-        'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f"{_escape(xlabel)}</text>"
-    )
-    parts.append(
-        f'<text x="20" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.0f})">'
-        f"{_escape(ylabel)}</text>"
-    )
+    parts.append(_text(mid_x, _HEIGHT - 12, 13, xlabel, anchor="middle"))
+    rotate = f' transform="rotate(-90 20 {mid_y})"'
+    parts.append(_text(20, mid_y, 13, ylabel, anchor="middle", extra=rotate))
 
     legend_x = x0 + plot_w + 12
     legend_y = _MARGIN_T + 10
     for i, (label, _) in enumerate(kept):
         color = PALETTE[i % len(PALETTE)]
         y = legend_y + 18 * i
-        parts.append(
-            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 22}" y2="{y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{_escape(label)}</text>'
-        )
+        parts.append(_line(legend_x, y, legend_x + 22, y, color, 2))
+        parts.append(_text(legend_x + 28, y + 4, 11, label))
     for j, label in enumerate(empty):
         y = legend_y + 18 * (len(kept) + j)
-        parts.append(
-            f'<text x="{legend_x}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11" fill="#888888">{_escape(label)} (no data)</text>'
-        )
+        parts.append(_text(legend_x, y + 4, 11, f"{label} (no data)", extra=' fill="#888888"'))
 
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")

@@ -267,8 +267,11 @@ def run_convergence(
     """Generate a schedule, measure errors against the unperturbed
     solution, certify membership, fit the tail slope and judge decay.
 
-    Raises ValueError for ``target_perturb`` before any solve."""
+    Raises ValueError for ``target_perturb`` or a negative or NaN
+    ``noise_floor`` before any solve."""
     check_kind(schedule, SCHEDULE_KINDS, "run_convergence")
+    if noise_floor is not None and not noise_floor >= 0.0:  # also refuses NaN
+        raise ValueError(f"noise_floor must be nonnegative, got {noise_floor}")
     cfg = config or qvi.SolverConfig()
     floor = noise_floor if noise_floor is not None else max(1e-6, 10.0 * cfg.outer_tol)
 

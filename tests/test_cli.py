@@ -90,6 +90,15 @@ CONTROL_CFG = """\
     """
 
 
+# a target sequence on top of the control problem
+OC_CFG = CONTROL_CFG + """\
+    oc:
+      kind = target_perturb
+      length = 4
+      target_shape = poly(0, 1)
+    """
+
+
 @pytest.fixture(scope="module")
 def solve_run_dir(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("solve")
@@ -610,16 +619,27 @@ class TestDataErrors:
                 ("seed = 5", "seed = 5\n    constants:\n      lipschitz = nan"),
                 "lipschitz must be nonnegative, got nan",
             ),
+            ("control", ("a2 = 1.0", "a2 = 1.0\n      max_evals = -1"), "max_evals must be at least 1"),
+            ("control", ("a2 = 1.0", "a2 = 1.0\n      max_evals = 0"), "max_evals must be at least 1"),
+            ("control", ("a2 = 1.0", "a2 = 1.0\n      start_scale = nan"), "start_scale must be finite"),
+            ("control", ("a2 = 1.0", "a2 = 1.0\n      xatol = nan"), "xatol must be finite"),
+            ("control", ("a2 = 1.0", "a2 = 1.0\n      fatol = nan"), "fatol must be finite"),
+            ("oc-sequence", ("length = 4", "length = 4\n      ctrl_tol = nan"), "ctrl_tol must be"),
+            ("oc-sequence", ("length = 4", "length = 4\n      seq_starts = 0"), "seq_starts must be"),
+            ("oc-sequence", ("length = 4", "length = 4\n      noise_floor = nan"), "noise_floor"),
+            ("tykhonov", ("length = 12", "length = 12\n      noise_floor = nan"), "noise_floor"),
         ],
     )
     def test_refused_data_exits_two(self, tmp_path, capsys, subcommand, edit, message):
-        text = SOLVE_CFG if subcommand == "solve" else CONTROL_CFG
+        text = {"solve": SOLVE_CFG, "tykhonov": TYK_CFG, "oc-sequence": OC_CFG}.get(
+            subcommand, CONTROL_CFG
+        )
         assert edit[0] in text
         cfg = write_cfg(tmp_path, text.replace(edit[0], edit[1]))
         assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "subcommand, edit, where",

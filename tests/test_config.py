@@ -1,11 +1,13 @@
 """Config parser tests: strict typing, line-numbered errors, builders."""
 
+import dataclasses
+import inspect
 import textwrap
 
 import numpy as np
 import pytest
 
-from antiplane import config, fem
+from antiplane import config, constants, control, fem, qvi, tykhonov
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -424,3 +426,55 @@ class TestBuilders:
         cfg = config.parse_config(path, "control")
         with pytest.raises(config.ConfigError, match="control:.*a0"):
             config.build_weights(cfg)
+
+
+def _signature_defaults(func):
+    return {
+        name: p.default
+        for name, p in inspect.signature(func).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+
+
+def _field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+# (section, library name of the defaults, its {name: default}, {config key: library name})
+_DEFAULT_PAIRS = [
+    ("solver", "qvi.SolverConfig", _field_defaults(qvi.SolverConfig), {}),
+    ("schedule", "tykhonov.Schedule", _field_defaults(tykhonov.Schedule), {}),
+    ("oc", "tykhonov.Schedule", _field_defaults(tykhonov.Schedule), {}),
+    ("control", "control.minimize_cost", _signature_defaults(control.minimize_cost), {}),
+    ("control", "control.run_oc_sequence", _signature_defaults(control.run_oc_sequence), {}),
+    ("control", "control.CostWeights", _field_defaults(control.CostWeights), {}),
+    ("oc", "control.run_oc_sequence", _signature_defaults(control.run_oc_sequence), {}),
+    ("schedule", "tykhonov.run_convergence", _signature_defaults(tykhonov.run_convergence), {}),
+    (
+        "constants",
+        "constants.constants_report",
+        _signature_defaults(constants.constants_report),
+        {"max_iterations": "maxiter"},
+    ),
+]
+
+
+class TestDefaults:
+    """A config default that feeds a library argument equals the library's
+    own default, so leaving a key out means the same as not passing it."""
+
+    @pytest.mark.parametrize(
+        "section, library, defaults, renamed",
+        _DEFAULT_PAIRS,
+        ids=[f"{section}-{library}" for section, library, _, _ in _DEFAULT_PAIRS],
+    )
+    def test_config_default_is_the_library_default(self, section, library, defaults, renamed):
+        shared = 0
+        for key, spec in config.SECTION_SCHEMAS[section].items():
+            name = renamed.get(key, key)
+            if spec.required or name not in defaults:
+                continue
+            assert spec.default == defaults[name], f"{section}.{key} vs {library}.{name}"
+            assert type(spec.default) is type(defaults[name]), f"{section}.{key}"
+            shared += 1
+        assert shared > 0

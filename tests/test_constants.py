@@ -211,6 +211,24 @@ class TestSmallness:
         with pytest.raises(ValueError, match="mu_star must be positive, got nan"):
             constants.smallness_margin(1.0, 1.0, 1.0, np.nan)
 
+    @pytest.mark.parametrize(
+        "lipschitz, mu_star, message",
+        [
+            (np.nan, 1.0, "lipschitz must be nonnegative, got nan"),
+            (-0.5, 1.0, "lipschitz must be nonnegative, got -0.5"),
+            (0.5, np.nan, "mu_star must be positive, got nan"),
+            (0.5, 0.0, "mu_star must be positive, got 0.0"),
+        ],
+    )
+    def test_report_refuses_before_the_constants(self, monkeypatch, lipschitz, mu_star, message):
+        def not_called(*args, **kwargs):
+            raise AssertionError("a constant was computed before the refusal")
+
+        monkeypatch.setattr(constants, "poincare_constant", not_called)
+        monkeypatch.setattr(constants, "trace_constant", not_called)
+        with pytest.raises(ValueError, match=message):
+            constants.constants_report(interval_mesh(16), lipschitz, mu_star)
+
     def test_report(self):
         mesh = interval_mesh(64)
         rep = constants.constants_report(mesh, 0.5, 1.0, seed=0)

@@ -14,6 +14,8 @@ is affine, so normal equations on sampled patch responses give an
 optimizer-free oracle for the quadratic cost.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -412,6 +414,54 @@ class TestMinimizeCost:
         assert np.array_equal(a.pair.coeffs, b.pair.coeffs)
         assert a.cost == b.cost
         assert a.traces == b.traces
+
+
+class TestUpFrontRefusals:
+    """Bad optimizer and gate settings are refused by name before any
+    Tresca solver is built (the patched class fails if it is)."""
+
+    @pytest.fixture(autouse=True)
+    def no_tresca_setup(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Tresca solver was built before the refusal")
+
+        monkeypatch.setattr(qvi, "TrescaSolver", refuse)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_evals": 0}, "max_evals must be at least 1, got 0"),
+            ({"max_evals": -1}, "max_evals must be at least 1, got -1"),
+            ({"start_scale": np.nan}, "start_scale must be finite and nonnegative, got nan"),
+            ({"start_scale": np.inf}, "start_scale must be finite and nonnegative, got inf"),
+            ({"start_scale": -1.0}, "start_scale must be finite and nonnegative, got -1.0"),
+            ({"xatol": np.nan}, "xatol must be finite and nonnegative, got nan"),
+            ({"fatol": np.nan}, "fatol must be finite and nonnegative, got nan"),
+        ],
+    )
+    def test_minimize_cost(self, setup_1d, kwargs, message):
+        _, problem, patches = setup_1d
+        w = control.CostWeights(1.0, 1.0, lambda x: x)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            control.minimize_cost(problem, patches, w, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seq_starts": 0}, "seq_starts must be at least 1, got 0"),
+            ({"ctrl_tol": np.nan}, "ctrl_tol must be nonnegative, got nan"),
+            ({"ctrl_tol": -1e-3}, "ctrl_tol must be nonnegative, got -0.001"),
+            ({"noise_floor": np.nan}, "noise_floor must be nonnegative, got nan"),
+            ({"max_evals": 0}, "max_evals must be at least 1, got 0"),
+            ({"xatol": np.nan}, "xatol must be finite and nonnegative, got nan"),
+        ],
+    )
+    def test_run_oc_sequence(self, setup_1d, kwargs, message):
+        _, problem, patches = setup_1d
+        w = control.CostWeights(1.0, 1.0, lambda x: x)
+        sched = tykhonov.Schedule(kind="target_perturb", length=4, target_shape=lambda x: x)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            control.run_oc_sequence(problem, patches, w, sched, **kwargs)
 
 
 class TestOCSchedule:

@@ -1,5 +1,6 @@
 """Result writer tests: canonical cells, atomic CSV, SVG structure."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -7,6 +8,10 @@ import numpy as np
 import pytest
 
 from antiplane import output
+
+SVG_SHA256 = "2eb62e6f294afd9851b0182582861fe17efe459d52d23d36aa1063865db18cc7"
+EMPTY_SVG_SHA256 = "411d0a22d867a747ab1913f8c346e9078ec2a56b73e32b4524ec680806aee877"
+CSV_SHA256 = "18adb0b1c0f6bd9d2c9a4c1943e10662a1e6ff11951fa0ef714afabf77178960"
 
 
 class TestFormatCell:
@@ -129,3 +134,42 @@ class TestSvg:
         output.write_svg_loglog(tmp_path / "a.svg", *args, **kwargs)
         output.write_svg_loglog(tmp_path / "b.svg", *args, **kwargs)
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+class TestPinnedBytes:
+    """sha256 of files written from literal inputs, recorded before the SVG
+    writer was refactored: a changed byte in either writer fails here."""
+
+    def _digest(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_svg_bytes(self, tmp_path):
+        path = tmp_path / "p.svg"
+        output.write_svg_loglog(
+            path,
+            [
+                ("decay & <rate>", [1, 2, 4, 8], [0.5, 0.25, 0.125, 0.0625]),
+                ("flat", [1, 2, 4, 8], [3e-3, 2.5e-3, 0.0, 2e-3]),
+                ("none > 0", [1, 2], [0.0, -1.0]),
+            ],
+            title="a < b & c > d",
+            xlabel="n & m",
+            ylabel="<error>",
+        )
+        assert self._digest(path) == SVG_SHA256
+
+    def test_svg_bytes_without_data(self, tmp_path):
+        path = tmp_path / "p.svg"
+        output.write_svg_loglog(
+            path, [("zero", [1, 2], [0.0, 0.0])], title="t", xlabel="n", ylabel="e"
+        )
+        assert self._digest(path) == EMPTY_SVG_SHA256
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        output.write_csv(
+            path,
+            ["a", "b", "c"],
+            [(None, True, 3), (np.float64(0.1), False, np.int64(-7)), (1e-300, "x,y", 2.5)],
+        )
+        assert self._digest(path) == CSV_SHA256

@@ -361,6 +361,15 @@ class TestSequenceGeneration:
         with pytest.raises(ValueError, match="target_perturb"):
             getattr(tykhonov, harness)(problem, schedule)
 
+    @pytest.mark.parametrize("floor, shown", [(np.nan, "nan"), (-1e-6, "-1e-06")])
+    def test_bad_noise_floor_refused_before_any_solve(self, floor, shown, monkeypatch):
+        built = _count_tresca_setups(monkeypatch)
+        problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=16)
+        schedule = tykhonov.Schedule(kind="load_perturb", length=4)
+        with pytest.raises(ValueError, match=f"noise_floor must be nonnegative, got {shown}"):
+            tykhonov.run_convergence(problem, schedule, noise_floor=floor)
+        assert built == []
+
 
 class TestTailSlope:
     def test_exact_power_law(self):
