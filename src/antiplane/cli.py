@@ -94,7 +94,7 @@ def _verdict(report, expect) -> int:
 
 def _run_constants(cfg, out, seed):
     mesh = cfgmod.build_mesh(cfg)
-    section = cfg["constants"]
+    section = cfgmod.build_constants(cfg)
     report = constmod.constants_report(
         mesh,
         section["lipschitz"],
@@ -267,7 +267,7 @@ def _run_control(cfg, out, seed):
     problem = cfgmod.build_problem(cfg, mesh)
     solver_cfg = cfgmod.build_solver_config(cfg)
     patches = cfgmod.build_patches(cfg, mesh)
-    weights = cfgmod.build_weights(cfg)
+    weights = cfgmod.build_weights(cfg, mesh)
     result = control.minimize_cost(
         problem,
         patches,
@@ -320,7 +320,7 @@ def _run_oc_sequence(cfg, out, seed):
     problem = cfgmod.build_problem(cfg, mesh)
     solver_cfg = cfgmod.build_solver_config(cfg)
     patches = cfgmod.build_patches(cfg, mesh)
-    weights = cfgmod.build_weights(cfg)
+    weights = cfgmod.build_weights(cfg, mesh)
     schedule = cfgmod.build_oc_schedule(cfg)
     oc = cfg["oc"]
     report = control.run_oc_sequence(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import control, fem, qvi, tykhonov
+from . import constants, control, fem, qvi, tykhonov
 
 
 class ConfigError(Exception):
@@ -410,7 +410,10 @@ def build_mesh(cfg) -> fem.Mesh:
 
 
 def build_problem(cfg, mesh: fem.Mesh) -> qvi.ProblemData:
-    return qvi.ProblemData(mesh=mesh, **cfg["problem"])
+    with _section(cfg, "problem") as values:
+        problem = qvi.ProblemData(mesh=mesh, **values)
+        fem.modulus_values(mesh, problem.mu, problem.mu_star)
+    return problem
 
 
 def build_solver_config(cfg) -> qvi.SolverConfig:
@@ -438,9 +441,16 @@ def build_patches(cfg, mesh: fem.Mesh) -> control.ControlPatches:
         )
 
 
-def build_weights(cfg) -> control.CostWeights:
+def build_weights(cfg, mesh: fem.Mesh) -> control.CostWeights:
     with _section(cfg, "control") as ctl:
+        control.target_field(mesh, ctl["target"])
         return control.CostWeights(a0=ctl["a0"], a2=ctl["a2"], target=ctl["target"])
+
+
+def build_constants(cfg):
+    with _section(cfg, "constants") as values:
+        constants.check_margin_data(values["lipschitz"], values["mu_star"])
+        return values
 
 
 def build_oc_schedule(cfg) -> tykhonov.Schedule:

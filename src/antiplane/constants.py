@@ -7,7 +7,8 @@ the full H1 norm).  Both are computed exactly for the discrete space by
 power iteration on small generalized eigenvalue problems, so the
 contraction prediction k = L_g * c0^2 * c3^2 / mu_star is sharp for the
 implemented solver.  The inner solves use the banded Cholesky kernel
-``fem.spd_factor``; the trace constant shares the cached Gram factor.
+``fem.spd_factor``: c0 shares its cached factor with the Tresca solver,
+c3 the cached Gram factor.
 """
 
 from __future__ import annotations
@@ -70,14 +71,13 @@ def poincare_constant(
     unit square, so the iteration needs about ten solves.  Raises
     fem.MeshError when every node is clamped.
     """
+    solve = fem.stiffness_free_solve(mesh)
     free = mesh.free_nodes
-    if len(free) == 0:
-        raise fem.MeshError("no free node: every node lies on gamma1")
     S = fem.submatrix(fem.unit_stiffness(mesh), free, free)
     M = fem.submatrix(fem.mass_matrix(mesh), free, free)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(len(free))
-    lam, vec = _power_iteration(fem.spd_factor(S), M, S, v0, tol, maxiter)
+    lam, vec = _power_iteration(solve, M, S, v0, tol, maxiter)
     c0 = float(np.sqrt(1.0 + lam))
     if return_field:
         field = np.zeros(mesh.n_nodes)
@@ -125,7 +125,7 @@ def trace_constant(
     return c3
 
 
-def _check_margin_data(lipschitz: float, mu_star: float) -> None:
+def check_margin_data(lipschitz: float, mu_star: float) -> None:
     """ValueError unless mu_star > 0 and lipschitz >= 0 (NaN refused)."""
     if not mu_star > 0.0:  # also refuses NaN
         raise ValueError(f"mu_star must be positive, got {mu_star}")
@@ -135,7 +135,7 @@ def _check_margin_data(lipschitz: float, mu_star: float) -> None:
 
 def smallness_margin(lipschitz: float, c0: float, c3: float, mu_star: float):
     """Contraction factor k = L_g c0^2 c3^2 / mu_star and whether k < 1."""
-    _check_margin_data(lipschitz, mu_star)
+    check_margin_data(lipschitz, mu_star)
     k = lipschitz * c0**2 * c3**2 / mu_star
     return float(k), bool(k < 1.0)
 
@@ -178,7 +178,7 @@ def constants_report(
     """Both constants (cached per mesh) and the contraction margin for one
     mesh; a bad ``lipschitz`` or ``mu_star`` is refused before the constants
     are computed."""
-    _check_margin_data(lipschitz, mu_star)
+    check_margin_data(lipschitz, mu_star)
     c0, c3 = space_constants(mesh, tol=tol, maxiter=maxiter, seed=seed)
     k, ok = smallness_margin(lipschitz, c0, c3, mu_star)
     return ConstantsReport(c0=c0, c3=c3, k=k, ok=ok)

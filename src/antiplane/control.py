@@ -36,7 +36,7 @@ from .tykhonov import (
     Schedule,
     SequenceReport,
     _index_for,
-    check_kind,
+    check_schedule,
     fit_tail_slope,
     judge_decay,
 )
@@ -444,7 +444,7 @@ def run_oc_sequence(
     ``OC_SCHEDULE_KINDS``, ``seq_starts`` below 1 or a negative or NaN
     ``ctrl_tol`` or ``noise_floor``.
     """
-    check_kind(schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
+    check_schedule(problem, schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
     if seq_starts < 1:
         raise ValueError(f"seq_starts must be at least 1, got {seq_starts}")
     for name, value in (("ctrl_tol", ctrl_tol), ("noise_floor", noise_floor)):

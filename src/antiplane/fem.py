@@ -17,10 +17,11 @@ Operators that depend only on the mesh are built once per mesh and kept
 in a per-mesh cache (``cached``), weakly held so that it goes with the
 mesh: the element geometry, the element gradient products and the
 scatter pattern of the assembly, the mass and H1 Gram matrices, the free
-Gram block and its factor, the stiffness matrix of a scalar modulus
-keyed on its value (one entry for mu = 1, which is also the unit
-stiffness, and one for the last other scalar modulus), and the constants
-(c0, c3) of ``constants.space_constants`` keyed on their solver settings.
+Gram block and its factor, the factor of the free unit stiffness block,
+the stiffness matrix of a scalar modulus keyed on its value (one entry
+for mu = 1, which is also the unit stiffness, and one for the last other
+scalar modulus), and the constants (c0, c3) of
+``constants.space_constants`` keyed on their solver settings.
 Cached arrays are read-only.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
 its cached form, which checks the modulus and its floor on every call.
@@ -317,14 +318,13 @@ def assemble_stiffness(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_m
     once and summed in one sparse scatter.  Assembles on every call;
     ``stiffness_matrix`` is the cached form.
     """
+    return _assemble_gradient_form(mesh, modulus_values(mesh, mu, mu_star))
+
+
+def modulus_values(mesh: Mesh, mu, mu_star: float | None = None) -> np.ndarray:
+    """``element_values`` of the modulus mu; ValueError unless they are
+    finite, positive and at least ``mu_star``."""
     mu_e = element_values(mesh, mu)
-    _check_modulus(mu_e, mu_star)
-    return _assemble_gradient_form(mesh, mu_e)
-
-
-def _check_modulus(mu_e: np.ndarray, mu_star: float | None) -> None:
-    """ValueError unless the sampled moduli are finite, positive and at
-    least ``mu_star``."""
     bad = mu_e[~np.isfinite(mu_e)]
     if len(bad):
         raise ValueError(f"shear modulus must be finite, sampled value {bad[0]}")
@@ -333,6 +333,7 @@ def _check_modulus(mu_e: np.ndarray, mu_star: float | None) -> None:
         raise ValueError(f"shear modulus must be positive, min sampled value {low}")
     if mu_star is not None and low < mu_star - 1e-14:
         raise ValueError(f"shear modulus drops to {low}, below the floor {mu_star}")
+    return mu_e
 
 
 _FORM_CACHE: "weakref.WeakKeyDictionary[Mesh, dict]" = weakref.WeakKeyDictionary()
@@ -549,6 +550,8 @@ def spd_factor(A):
     FactorizationError on a nonpositive pivot.
     """
     A = sp.csr_matrix(A)
+    if A.shape[0] == 0:
+        return lambda b: np.array(b, dtype=float)
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
     inverse = np.argsort(perm)
     C = A.tocoo()
@@ -589,7 +592,7 @@ def stiffness_matrix(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_mat
     if callable(mu) or np.ndim(mu) != 0:
         return assemble_stiffness(mesh, mu, mu_star)
     mu = float(mu)
-    _check_modulus(np.array([mu]), mu_star)
+    modulus_values(mesh, mu, mu_star)
     moduli = cached(mesh, "stiffness", dict)
     if mu not in moduli:
         if mu != 1.0:  # keep the unit modulus and the last other one
@@ -638,3 +641,14 @@ def gram_free(mesh: Mesh) -> sp.csr_matrix:
 def gram_free_solve(mesh: Mesh):
     """Cached ``spd_factor`` solve of ``gram_free(mesh)``."""
     return cached(mesh, "gram_free_solve", lambda: spd_factor(gram_free(mesh)))
+
+
+def stiffness_free_solve(mesh: Mesh, mu: float = 1.0):
+    """Solve with mu S_ff, S_ff the unit stiffness on the free nodes: the
+    cached ``spd_factor`` solve of S_ff divided by mu.  Raises MeshError
+    when every node is clamped."""
+    free = mesh.free_nodes
+    if len(free) == 0:
+        raise MeshError("no free node: every node lies on gamma1")
+    unit = cached(mesh, "S_ff", lambda: spd_factor(submatrix(unit_stiffness(mesh), free, free)))
+    return unit if mu == 1.0 else lambda b: unit(b) / mu

@@ -12,15 +12,13 @@ update until the fixed point is reached.  The update is a contraction with
 factor k = L_g c0^2 c3^2 / mu_star; k >= 1 must be overridden explicitly.
 
 The Tresca energy is smooth except for separable absolute values on the
-gamma3 nodes.  A banded Cholesky factorization (``fem.spd_factor``) of
-the smooth block reduces each fixed-point run's load to the gamma3 block
-once; a primal-dual active-set iteration (semismooth Newton;
-Hintermueller-Ito-Kunisch 2002, Stadler 2004) then guesses which gamma3
-nodes stick and which slip, solves one linear system on the slip nodes
-(its LU kept while the slip set is unchanged) and stops when the
-discrete friction law holds; each outer step lifts the result to all nodes.
-``DiscreteProblem`` assembles K and builds that solver once per problem,
-for any number of loads and friction bounds.
+gamma3 nodes.  ``TrescaSolver`` minimizes it in the free-T (capacitance)
+form on one banded Cholesky factorization of the free block: a
+primal-dual active-set iteration (semismooth Newton; Hintermueller-Ito-
+Kunisch 2002, Stadler 2004) whose steps are one band solve each, with
+slip multipliers in the load and stick nodes held at zero by a small
+dense solve.  ``DiscreteProblem`` assembles K and builds that solver once
+per problem, for any number of loads and friction bounds.
 """
 
 from __future__ import annotations
@@ -124,120 +122,125 @@ class SolveReport:
     error_bound: float | None = None
 
 
+_Z_BLOCK = 32  # columns of Z solved for at a time, so no |free| x |gamma3| array is held
+
+
 class TrescaSolver:
     """Exact minimizer of 0.5 v'Kv - F'v + sum_i c_i |v_i| over V_h.
 
-    The nonsmooth coefficients c_i live on the gamma3 nodes.  A banded
-    Cholesky factorization (reverse Cuthill-McKee order) of the smooth
-    free block reduces a load to W = K_SS^-1 F_S and F_t = F_T - K_ST' W,
-    once per ``fixed_point`` run.  A primal-dual active-set iteration
-    (semismooth Newton) on (F_t, c, t) splits the gamma3 nodes into stick
-    (t_i = 0) and slip (lambda_i = +-c_i) sets until the friction law
-    holds to tolerance; the LU of the slip block A_JJ is kept while the
-    slip set J is unchanged, across solves.  The lift is u = [W - X t; t].
+    The free-T (capacitance) form on one banded Cholesky factorization of
+    the free block K_ff: ``free_solve``, a solve with K_ff made elsewhere
+    (for a scalar mu, ``DiscreteProblem`` passes the mesh's cached one), or
+    one made here.  The active-set iteration of ``_iterate`` splits the
+    gamma3 nodes T into slip nodes, whose multipliers +-c_i enter the load,
+    and stick nodes I, held at zero by the multipliers of Z_II lambda_I =
+    u0_I with Z = (K_ff^-1)_TT (Proskurowski-Widlund 1976).  A column of Z
+    is solved for when its node first sticks and kept (gamma3 rows only),
+    as are the LU factors of Z_II while I is unchanged and the last
+    multiplier, for the next warm start.
     """
 
-    def __init__(self, K, free_nodes, gamma3_nodes):
-        self.free = np.asarray(free_nodes, dtype=np.int64)
-        self.friction = np.intersect1d(
-            np.asarray(gamma3_nodes, dtype=np.int64), self.free
-        )
-        self.smooth = np.setdiff1d(self.free, self.friction)
+    def __init__(self, K, free_nodes, gamma3_nodes, free_solve=None):
         self.n_nodes = K.shape[0]
-
+        self.free = np.sort(np.asarray(free_nodes, dtype=np.int64))
+        on_gamma3 = np.zeros(self.n_nodes, dtype=bool)
+        on_gamma3[np.asarray(gamma3_nodes, dtype=np.int64)] = True
+        self._pos = np.flatnonzero(on_gamma3[self.free])  # gamma3 rows of the free block
+        self.friction = T = self.free[self._pos]
         diag = K.diagonal()
         if np.any(diag[self.free] <= 0.0):
             raise SolverError("stiffness matrix has a nonpositive diagonal entry")
+        self._K = K
+        self._solve = self._factor(K) if free_solve is None else free_solve
+        # With sigma = 1/K_ii the primal guess sways the set choice and the
+        # iteration can cycle between sets; a sigma three orders larger
+        # leaves the choice to the multiplier.
+        self._sigma = 1e3 / diag[T]
+        self._Z = np.full((len(T), len(T)), np.nan)  # a column not solved for is NaN
+        self._stick = (None, None)  # stick set I (as bytes), LU factors of Z_II
+        self._lam = None  # multiplier of the last solve
 
-        S, T = self.smooth, self.friction
-        self.K_st = fem.submatrix(K, S, T).toarray()
-        K_tt = fem.submatrix(K, T, T).toarray()
-
-        if len(S):
-            try:
-                self._solve_smooth = fem.spd_factor(fem.submatrix(K, S, S))
-            except fem.FactorizationError as exc:
+    def _factor(self, K):
+        """Solve with K_ff.  With no smooth node K_ff is the friction block,
+        whose failed factorization is refused as a singular slip block
+        once a solve needs it; otherwise it raises SolverError here."""
+        try:
+            return fem.spd_factor(fem.submatrix(K, self.free, self.free))
+        except fem.FactorizationError as exc:
+            if len(self.friction) < len(self.free):
                 raise SolverError(f"stiffness block factorization failed: {exc}") from exc
-            self.X = self._solve_smooth(self.K_st) if len(T) else np.zeros((len(S), 0))
-        else:
-            self._solve_smooth = None
-            self.X = np.zeros((0, len(T)))
+            error = SolverError(f"slip block is singular: {exc}")
 
-        # load-independent Schur complement of the smooth block
-        self.A = K_tt - (self.K_st.T @ self.X if len(S) else 0.0)
-        if len(T) and np.any(np.diag(self.A) <= 0.0):
-            raise SolverError("reduced friction block is not positive definite")
-        # With sigma = 1/diag(A) the primal guess sways the set choice and the
-        # iteration can cycle between sets (seen on warm starts); a sigma
-        # three orders larger leaves the choice to the multiplier.
-        self._sigma = 1e3 / np.diag(self.A)
-        self._slip = (None, None)  # slip set J (as bytes), LU factors of A_JJ
+        def refuse(b):
+            raise error
+
+        return refuse
 
     def _reduce_load(self, F):
-        """(W, F_t) of the load F; a non-finite F_t raises SolverError."""
+        """w = K_ff^-1 F_f; a w that is not finite on gamma3 raises SolverError."""
         F = np.asarray(F, dtype=float)
         if F.shape != (self.n_nodes,):
             raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
-        S, T = self.smooth, self.friction
-        W = self._solve_smooth(F[S]) if len(S) else np.zeros(0)
-        Ft = F[T] - self.K_st.T @ W
-        if not np.isfinite(Ft).all():
+        w = self._solve(F[self.free])
+        if not np.isfinite(w[self._pos]).all():
             raise SolverError("load is non-finite on the gamma3 block")
-        return W, Ft
+        return w
 
-    def _slip_solve(self, J, rhs):
-        """Solve A_JJ x = rhs with the kept LU factors of the slip block."""
-        key = J.tobytes()
-        if key != self._slip[0]:
-            lu, piv, info = dgetrf(self.A[np.ix_(J, J)])
-            if info > 0:
-                raise SolverError(f"slip block is singular (zero pivot {info} in its LU)")
-            self._slip = (key, (lu, piv))
-        return dgetrs(*self._slip[1], rhs)[0]
+    def _stick_solve(self, I, rhs):
+        """Z_II^-1 rhs, solving for the missing columns of Z first."""
+        key = I.tobytes()
+        if key != self._stick[0]:
+            new = I[np.isnan(self._Z[0, I])]
+            for start in range(0, len(new), _Z_BLOCK):
+                cols = new[start:start + _Z_BLOCK]
+                E = np.zeros((len(self.free), len(cols)))
+                E[self._pos[cols], np.arange(len(cols))] = 1.0
+                self._Z[:, cols] = self._solve(E)[self._pos]
+            self._stick = (key, dgetrf(self._Z[np.ix_(I, I)])[:2])
+        return dgetrs(*self._stick[1], rhs)[0]
 
-    @staticmethod
-    def _tolerance(Ft, inner_tol):
-        """Absolute KKT tolerance inner_tol (1 + max|F_t|) of a reduced load."""
-        return inner_tol * (1.0 + np.abs(Ft).max(initial=0.0))
+    def _iterate(self, w, c, t, lam, inner_tol, max_inner):
+        """Active-set iteration from the gamma3 guess t and multiplier lam,
+        by default K_TT (w_T - t), the gamma3 residual of w with gamma3
+        values t; returns (u, iterations) and keeps the final multiplier.
 
-    def _iterate(self, Ft, c, t, tol, max_inner):
-        """Active-set iteration from the gamma3 guess t to the absolute KKT
-        tolerance ``tol``; returns (t, iterations).
-
-        t and lambda are functions of the sign vector s alone, so a sign
-        vector seen before means the iteration cycles.  From its first
-        repeat on, each iteration changes only the sign of the violator of
-        least index (Murty's rule; Judice-Pires, Comput. Oper. Res. 21,
-        1994), which ends for the positive definite A.
+        Each iteration is one band solve of w less the slip multipliers and
+        the stick solve.  t and lambda depend on the sign vector s alone, so
+        from the first repeated s on, each iteration flips only the violator
+        of least index (Murty's rule; Judice-Pires, Comput. Oper. Res. 21,
+        1994), which ends for positive definite K_ff.
         """
-        n = len(t)
-        if n == 0:
-            return t, 0
-        A, sigma = self.A, self._sigma
+        u = np.zeros(self.n_nodes)
+        pos = self._pos
+        if len(pos) == 0:
+            u[self.free] = w
+            return u, 0
+        if lam is None:  # u is zero but on gamma3 for this one product
+            u[self.friction] = w[pos] - t
+            lam = (self._K @ u)[self.friction]
+            u[self.friction] = 0.0
+        sigma = self._sigma
         sigma_c = sigma * c
-        lam = Ft - A @ t
-        z = t + sigma * lam
-        s = np.sign(z) * (np.abs(z) > sigma_c)
+        tol = inner_tol * (1.0 + c.max())
+        # a node off zero slips its way, a node at zero slips where its
+        # multiplier exceeds the bound (not on a stale one below a grown bound)
+        s = np.where(t != 0.0, np.sign(t), np.sign(lam) * (np.abs(lam) > c))
+        rhs = np.zeros(len(self.free))
         seen = set()  # the sign vectors of the failed iterations
         least_index = False
         for iteration in range(1, max_inner + 1):
-            J = s.nonzero()[0]
-            t = np.zeros(n)
-            holds = True
-            if len(J):
-                s_J = s[J]
-                lam_J = s_J * c[J]
-                t[J] = self._slip_solve(J, Ft[J] - lam_J)
-                lam = Ft - A @ t
-                lam[J] = lam_J
-                holds = (s_J * t[J] >= -tol).all()  # no slip value against its sign
-            else:
-                lam = Ft - A @ t
-            if holds and len(J) < n:
-                stick = s == 0.0
-                holds = (np.abs(lam[stick]) <= c[stick] + tol).all()
-            if holds:
-                return t, iteration
+            lam = s * c
+            rhs[pos] = lam
+            u_free = w - self._solve(rhs)
+            t = u_free[pos]
+            I = (s == 0.0).nonzero()[0]
+            if len(I):
+                lam[I] = self._stick_solve(I, t[I])
+                t -= self._Z[:, I] @ lam[I]
+                t[I] = 0.0
+            # no slip value against its sign, no stick multiplier above its bound
+            if (s * t).min() >= -tol and (not len(I) or (np.abs(lam[I]) <= c[I] + tol).all()):
+                break
             if not least_index:
                 z = t + sigma * lam
                 s_next = np.sign(z) * (np.abs(z) > sigma_c)
@@ -250,23 +253,30 @@ class TrescaSolver:
                 s_next = s.copy()
                 s_next[i] = np.sign(lam[i]) if s[i] == 0.0 else 0.0
             s = s_next
-        raise SolverError(
-            f"inner solver missed the friction law within {max_inner} "
-            f"active-set iterations (tolerance {tol:.3e})"
-        )
+        else:
+            raise SolverError(
+                f"inner solver missed the friction law within {max_inner} "
+                f"active-set iterations (tolerance {tol:.3e})"
+            )
+        self._lam = lam
+        if len(I):  # lift: one more band solve with the stick multipliers
+            rhs[pos] = lam
+            u_free = w - self._solve(rhs)
+            u_free[pos[I]] = 0.0
+        u[self.free] = u_free
+        return u, iteration
 
     def solve(self, F, c, t0=None, *, inner_tol=1e-12, max_inner=50000):
         """Minimize for load ``F`` and nonsmooth coefficients ``c`` (= w_i G_i).
 
-        ``t0`` warm-starts the active sets from a guess of the gamma3
-        values.  Each iteration picks the sign s_i of every node from
-        t_i + sigma_i lambda_i against +-sigma_i c_i, solves the slip
-        block with t = 0 on the stick set, and stops once
-        |lambda_i| <= c_i + tol on the stick set and s_i t_i >= -tol on
-        the slip set, with tol = inner_tol (1 + max|F_t|); a repeated sign
-        vector switches to the least-index rule of ``_iterate``.  Stick
-        values are exactly zero.  Returns (u, iterations); a non-finite
-        ``t0`` raises ValueError.
+        ``t0`` warm-starts from a guess of the gamma3 values and the
+        multiplier of the last solve; without it the start is t = 0 and
+        the default multiplier of ``_iterate``.  Each iteration picks the sign s_i of every
+        node from t_i + sigma_i lambda_i against +-sigma_i c_i (sigma_i =
+        1e3 / K_ii) and stops once |lambda_i| <= c_i + tol on the stick set
+        and s_i t_i >= -tol on the slip set, tol = inner_tol (1 + max c).
+        Stick values are exactly zero.  Returns (u, iterations); a
+        non-finite ``t0`` raises ValueError.
         """
         n = len(self.friction)
         c = np.asarray(c, dtype=float)
@@ -277,15 +287,8 @@ class TrescaSolver:
         fem.require_finite("t0", t, self.friction)
         if not np.all(c >= 0.0):
             raise SolverError("negative or NaN friction bound coefficient")
-        W, Ft = self._reduce_load(F)
-        t, iterations = self._iterate(Ft, c, t, self._tolerance(Ft, inner_tol), max_inner)
-        return self._lift(t, W), iterations
-
-    def _lift(self, t, W):
-        u = np.zeros(self.n_nodes)
-        u[self.smooth] = W - self.X @ t
-        u[self.friction] = t
-        return u
+        lam = None if t0 is None else self._lam
+        return self._iterate(self._reduce_load(F), c, t, lam, inner_tol, max_inner)
 
 
 def fixed_point(
@@ -299,10 +302,10 @@ def fixed_point(
 ):
     """Run the bound-update iteration on a prebuilt inner solver.
 
-    The load is reduced and its inner tolerance set once per run; each
-    outer step evaluates the bound, runs the active-set iteration from
-    the previous gamma3 values and lifts the result for the increment.
-    Returns (u, SolveReport).  Raises SolverError when the smallness
+    The load is reduced once per run; each outer step evaluates the bound
+    and runs the active-set iteration from the previous gamma3 values and
+    multiplier (on the first step as ``TrescaSolver.solve`` with t0 =
+    ``eta0`` on gamma3).  Returns (u, SolveReport).  Raises SolverError when the smallness
     condition fails without the override flag, when the bound or the
     reduced load is non-finite, or when an iteration cap is exceeded;
     ValueError when ``eta0`` or ``F`` has the wrong length or ``eta0`` a
@@ -320,7 +323,7 @@ def fixed_point(
         warnings.warn(f"attempting fixed point with non-contractive k = {k:.6f}")
 
     # per-run invariants: coordinates and weights of the solver's friction
-    # nodes, the Gram matrix of the V-norm and the absolute inner tolerance
+    # nodes, the Gram matrix of the V-norm and the reduced load w
     x_free = mesh.nodes[solver.friction]
     w_free = mesh.gamma3_weights[solver.friction]
     gram = fem.gram_matrix(mesh)
@@ -329,24 +332,21 @@ def fixed_point(
     if eta.shape != (mesh.n_nodes,):
         raise ValueError(f"eta0 must have {mesh.n_nodes} entries, got shape {eta.shape}")
     fem.require_finite("eta0", eta)
-    W, Ft = solver._reduce_load(F)
-    tol = solver._tolerance(Ft, cfg.inner_tol)
+    w = solver._reduce_load(F)
     t = eta[solver.friction]
+    lam = None if eta0 is None else solver._lam
     increments: list[float] = []
     ratios: list[float] = []
     inner_log: list[int] = []
-    converged = False
-    iterations = 0
     for m in range(1, cfg.max_outer + 1):
-        iterations = m
         G = g(x_free, np.abs(t))
         if not np.isfinite(G).all():
             raise SolverError("friction bound took a non-finite value on gamma3")
         if (G < -1e-14).any():
             raise SolverError("friction bound took a negative value on gamma3")
         c = w_free * np.maximum(G, 0.0)
-        t, inner_iterations = solver._iterate(Ft, c, t, tol, cfg.max_inner)
-        u_new = solver._lift(t, W)
+        u_new, inner_iterations = solver._iterate(w, c, t, lam, cfg.inner_tol, cfg.max_inner)
+        t, lam = u_new[solver.friction], solver._lam
         d = u_new - eta  # fem.v_norm(mesh, d) on the Gram matrix looked up once
         inc = float(np.sqrt(max(d @ (gram @ d), 0.0)))
         if increments and increments[-1] > 0.0:
@@ -355,9 +355,8 @@ def fixed_point(
         inner_log.append(inner_iterations)
         eta = u_new
         if inc < cfg.outer_tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise SolverError(
             f"outer fixed point missed tolerance {cfg.outer_tol} within "
             f"{cfg.max_outer} iterations (last increment {increments[-1]:.3e})"
@@ -365,7 +364,7 @@ def fixed_point(
 
     report = SolveReport(
         converged=True,
-        outer_iterations=iterations,
+        outer_iterations=m,
         increments=increments,
         ratios=ratios,
         inner_sweeps=inner_log,
@@ -381,9 +380,10 @@ def fixed_point(
 class DiscreteProblem:
     """The discretized problem: stiffness K, load F, Tresca solver and mu_star.
 
-    K and the Tresca factorization depend on the mesh and mu only, so one
-    instance solves the problem for any load and friction bound; ``F`` is
-    the problem's own load.  A solve gives bitwise the u of a fresh
+    K and the Tresca factorization (for a scalar mu the mesh's cached
+    ``fem.stiffness_free_solve``, which c0 shares) depend on the mesh and
+    mu only, so one instance solves the problem for any load and friction
+    bound; ``F`` is the problem's own load.  A solve gives bitwise the u of a fresh
     ``solve_qvi`` of the same data.  K comes from ``fem.stiffness_matrix``:
     for a scalar mu it is the mesh's cached, read-only matrix, which the
     certificate and the complementarity report of the same data reuse.
@@ -394,7 +394,9 @@ class DiscreteProblem:
         mesh = problem.mesh
         self.K = fem.stiffness_matrix(mesh, problem.mu, problem.mu_star)
         self.F = fem.assemble_load(mesh, problem.f0, problem.f2)
-        self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3])
+        mu = problem.mu
+        shared = None if callable(mu) or np.ndim(mu) else fem.stiffness_free_solve(mesh, mu)
+        self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3], shared)
         self.mu_star = problem.resolved_mu_star()
 
     def solve(

@@ -127,10 +127,13 @@ def combine_coefficients(base, scale: float, shape):
     return float(base) + scale * float(shape)
 
 
-def check_kind(schedule: Schedule, kinds, harness: str) -> None:
-    """ValueError unless ``harness`` takes the schedule's kind."""
+def check_schedule(problem: qvi.ProblemData, schedule: Schedule, kinds, harness: str) -> None:
+    """ValueError unless ``harness`` takes the schedule's kind and the
+    problem has the data that the kind perturbs."""
     if schedule.kind not in kinds:
         raise ValueError(f"{harness} does not take schedule kind {schedule.kind!r}")
+    if schedule.kind == "traction_perturb" and problem.f2 is None:
+        raise ValueError("traction_perturb perturbs f2, but the problem sets no f2")
 
 
 def _index_for(problem: qvi.ProblemData, schedule: Schedule, n: int, s: float):
@@ -198,11 +201,11 @@ def generate_sequence(
 ):
     """Solve every perturbed instance; returns [(theta_n, u_n)].
 
-    Raises ValueError for ``target_perturb`` and SolverError naming the
+    Raises ValueError as ``check_schedule`` and SolverError naming the
     position when a perturbed instance breaks the smallness condition or
     fails to converge.
     """
-    check_kind(schedule, SCHEDULE_KINDS, "generate_sequence")
+    check_schedule(problem, schedule, SCHEDULE_KINDS, "generate_sequence")
     return _solve_sequence(problem, schedule, config)
 
 
@@ -267,9 +270,9 @@ def run_convergence(
     """Generate a schedule, measure errors against the unperturbed
     solution, certify membership, fit the tail slope and judge decay.
 
-    Raises ValueError for ``target_perturb`` or a negative or NaN
+    Raises ValueError as ``check_schedule`` or for a negative or NaN
     ``noise_floor`` before any solve."""
-    check_kind(schedule, SCHEDULE_KINDS, "run_convergence")
+    check_schedule(problem, schedule, SCHEDULE_KINDS, "run_convergence")
     if noise_floor is not None and not noise_floor >= 0.0:  # also refuses NaN
         raise ValueError(f"noise_floor must be nonnegative, got {noise_floor}")
     cfg = config or qvi.SolverConfig()

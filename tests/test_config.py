@@ -400,7 +400,7 @@ class TestBuilders:
         patches = config.build_patches(cfg, mesh)
         assert patches.n_patches == 1
         assert patches.lower == -2.0
-        weights = config.build_weights(cfg)
+        weights = config.build_weights(cfg, mesh)
         assert weights.a2 == 0.5
         schedule = config.build_oc_schedule(cfg)
         assert schedule.kind == "target_perturb"
@@ -425,7 +425,7 @@ class TestBuilders:
         )
         cfg = config.parse_config(path, "control")
         with pytest.raises(config.ConfigError, match="control:.*a0"):
-            config.build_weights(cfg)
+            config.build_weights(cfg, config.build_mesh(cfg))
 
 
 def _signature_defaults(func):

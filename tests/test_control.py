@@ -596,6 +596,29 @@ class TestOCSequence:
         expected = sched.scales() if kind == "eps_decay" else np.zeros(4)
         assert np.array_equal(rep.eps, expected)
 
+    def test_one_stiffness_factorization_per_run(self, monkeypatch):
+        # every optimization of a scalar-mu run builds its own Tresca
+        # solver, and all of them share the mesh's one factor of S_ff; the
+        # other factorization is the Gram block of c3
+        factored = []
+        factor = fem.spd_factor
+
+        def counting(matrix):
+            factored.append(matrix.shape)
+            return factor(matrix)
+
+        monkeypatch.setattr(fem, "spd_factor", counting)
+        mesh = control_mesh_2d(4)
+        problem = qvi.ProblemData(mesh, 1.0, 0.2, None, fem.FrictionBound.affine(0.05, 0.2))
+        patches = control.ControlPatches(mesh, 1)
+        w = control.CostWeights(1.0, 1e-3, lambda x: 0.1 * x[:, 0])
+        sched = tykhonov.Schedule(kind="load_perturb", length=4, amplitude=0.3)
+        control.run_oc_sequence(
+            problem, patches, w, sched, seed=3, n_starts=1, seq_starts=1
+        )
+        n_free = len(mesh.free_nodes)
+        assert factored == [(n_free, n_free)] * 2
+
     def test_deterministic(self, setup_1d):
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)

@@ -212,7 +212,7 @@ class TestTresca:
         cold, cold_iterations = solver.solve(F, c)
         assert cold_iterations == 1
         assert np.max(np.abs(cold - [0.75, 0.0, -0.6])) <= 1e-14
-        u, iterations = solver.solve(F, c, t0=[-1.0, -2.0, -3.0])
+        u, iterations = solver.solve(F, c, t0=[-3.0, -3.0, 1.0])
         assert iterations <= 20
         assert np.max(np.abs(u - cold)) <= 1e-14
         assert kkt_residual(K, F, np.arange(3), np.arange(3), c, u) <= 1e-12
@@ -427,54 +427,69 @@ class TestFixedPoint:
         assert qvi.membership_violation(mesh, 1.0, u, theta, seed=5) <= 1e-8
 
 
-def per_step_tresca(solver, F, c, t0, inner_tol, max_inner, slip_sets=None):
-    """The frozen-bound solve that reduces F on every call and solves the
-    slip block afresh with ``np.linalg.solve`` in every active-set
-    iteration.  Appends each nonempty slip set to ``slip_sets``."""
-    S, T = solver.smooth, solver.friction
-    W = solver._solve_smooth(F[S]) if len(S) else np.zeros(0)
-    Ft = F[T] - solver.K_st.T @ W if len(S) else F[T].copy()
-
-    def lift(t):
-        u = np.zeros(solver.n_nodes)
-        if len(S):
-            u[S] = W - (solver.X @ t if len(t) else 0.0)
-        u[T] = t
-        return u
-
-    if len(T) == 0:
-        return lift(np.zeros(0)), 0
-    A, sigma = solver.A, solver._sigma
-    tol = inner_tol * (1.0 + np.abs(Ft).max())
+def per_step_tresca(solver, F, c, t0, lam0, inner_tol, max_inner, stick_sets=None):
+    """The frozen-bound solve that reduces F on every call and, in every
+    active-set iteration, solves for the gamma3 columns of K_ff^-1 on the
+    stick set and solves the stick system with ``np.linalg.solve`` afresh.
+    ``lam0`` is the multiplier of a warm start, None for the solver's
+    first guess.  Returns (u, lam, iterations) and appends each nonempty
+    stick set to ``stick_sets``."""
+    free, pos = solver.free, solver._pos
+    w = solver._solve(F[free])
+    u = np.zeros(solver.n_nodes)
+    if len(pos) == 0:
+        u[free] = w
+        return u, lam0, 0
     t = np.array(t0, dtype=float)
-    lam = Ft - A @ t
+    if lam0 is None:
+        v = np.zeros(solver.n_nodes)
+        v[solver.friction] = w[pos] - t
+        lam0 = (solver._K @ v)[solver.friction]
+    lam = lam0
+    sigma = solver._sigma
+    tol = inner_tol * (1.0 + c.max())
+    s = np.where(t != 0.0, np.sign(t), np.sign(lam) * (np.abs(lam) > c))
+    rhs = np.zeros(len(free))
     for iteration in range(1, max_inner + 1):
+        I = np.flatnonzero(s == 0.0)
+        lam = s * c
+        rhs[pos] = lam
+        u_free = w - solver._solve(rhs)
+        t = u_free[pos]
+        if len(I):
+            if stick_sets is not None:
+                stick_sets.append(I.tobytes())
+            E = np.zeros((len(free), len(I)))
+            E[pos[I], np.arange(len(I))] = 1.0
+            Z_I = np.ascontiguousarray(solver._solve(E)[pos])
+            lam[I] = np.linalg.solve(Z_I[I], t[I])
+            t -= Z_I @ lam[I]
+            t[I] = 0.0
+        if (s * t >= -tol).all() and (np.abs(lam[I]) <= c[I] + tol).all():
+            if len(I):
+                rhs[pos] = lam
+                u_free = w - solver._solve(rhs)
+                u_free[pos[I]] = 0.0
+            u[free] = u_free
+            return u, lam, iteration
         z = t + sigma * lam
         s = np.sign(z) * (np.abs(z) > sigma * c)
-        J = np.flatnonzero(s)
-        if slip_sets is not None and len(J):
-            slip_sets.append(J.tobytes())
-        t = np.zeros(len(T))
-        t[J] = np.linalg.solve(A[J][:, J], Ft[J] - s[J] * c[J])
-        lam = Ft - A @ t
-        lam[J] = s[J] * c[J]
-        stick = s == 0.0
-        if (np.abs(lam[stick]) <= c[stick] + tol).all() and (s[J] * t[J] >= -tol).all():
-            return lift(t), iteration
     raise AssertionError("per-step oracle missed the friction law")
 
 
-def per_step_fixed_point(mesh, g, solver, F, cfg, eta0=None, slip_sets=None):
+def per_step_fixed_point(mesh, g, solver, F, cfg, eta0=None, lam0=None, stick_sets=None):
     """The bound-update loop with one full frozen-bound solve per outer
-    step.  Returns (u, increments, ratios, inner_sweeps)."""
+    step, carrying the multiplier from step to step.  Returns (u,
+    increments, ratios, inner_sweeps, lam)."""
     T = solver.friction
     w = mesh.gamma3_weights[T]
     eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
+    lam = lam0
     increments, ratios, sweeps = [], [], []
     for _ in range(cfg.max_outer):
         c = w * np.maximum(g(mesh.nodes[T], np.abs(eta[T])), 0.0)
-        u, its = per_step_tresca(
-            solver, F, c, eta[T], cfg.inner_tol, cfg.max_inner, slip_sets
+        u, lam, its = per_step_tresca(
+            solver, F, c, eta[T], lam, cfg.inner_tol, cfg.max_inner, stick_sets
         )
         inc = fem.v_norm(mesh, u - eta)
         if increments and increments[-1] > 0.0:
@@ -483,7 +498,7 @@ def per_step_fixed_point(mesh, g, solver, F, cfg, eta0=None, slip_sets=None):
         sweeps.append(its)
         eta = u
         if inc < cfg.outer_tol:
-            return eta, increments, ratios, sweeps
+            return eta, increments, ratios, sweeps, lam
     raise AssertionError("per-step oracle missed the outer tolerance")
 
 
@@ -522,8 +537,9 @@ def fixed_point_instances(draw):
 
 
 class TestReducedFixedPoint:
-    """The fixed point reduces its load once and keeps the slip-block LU;
-    its results are bitwise those of the per-step loop."""
+    """The fixed point reduces its load once, solves for each column of
+    K_ff^-1 once and keeps the stick-block LU; its results are bitwise
+    those of the per-step loop."""
 
     @settings(
         max_examples=40,
@@ -550,42 +566,62 @@ class TestReducedFixedPoint:
 
     @staticmethod
     def count_work(monkeypatch, solver):
-        """Counters of smooth-block solves on ``solver`` and of slip-block
-        LU factorizations."""
-        counts = {"smooth": 0, "slip": 0}
-        solve_smooth, dgetrf = solver._solve_smooth, qvi.dgetrf
+        """Counters of the band solves of ``solver`` that see the load (its
+        right-hand side is nonzero off gamma3), of the columns solved for
+        and of stick-block LU factorizations."""
+        counts = {"load": 0, "columns": 0, "stick": 0}
+        band_solve, dgetrf = solver._solve, qvi.dgetrf
+        off_gamma3 = np.ones(len(solver.free), dtype=bool)
+        off_gamma3[solver._pos] = False
 
-        def counted_smooth(b):
-            counts["smooth"] += 1
-            return solve_smooth(b)
+        def counted_solve(b):
+            if b.ndim == 2:
+                counts["columns"] += b.shape[1]
+            elif b[off_gamma3].any():
+                counts["load"] += 1
+            return band_solve(b)
 
         def counted_dgetrf(a):
-            counts["slip"] += 1
+            counts["stick"] += 1
             return dgetrf(a)
 
-        solver._solve_smooth = counted_smooth
+        solver._solve = counted_solve
         monkeypatch.setattr(qvi, "dgetrf", counted_dgetrf)
         return counts
 
-    @pytest.mark.parametrize("b, min_outer", [(0.0, 2), (0.2, 6), (0.6, 20)])
-    def test_one_smooth_solve_and_lu_per_slip_set(self, monkeypatch, b, min_outer):
+    @staticmethod
+    def stuck_nodes(stick_sets):
+        """Number of distinct nodes in the recorded stick sets."""
+        return len(set().union(*(np.frombuffer(I, dtype=np.int64) for I in stick_sets)))
+
+    # traction -0.2 leaves six of the twelve gamma3 nodes stuck
+    @pytest.mark.parametrize("b, min_outer", [(0.0, 2), (0.2, 8), (0.6, 14)])
+    def test_one_load_solve_and_lu_per_stick_set(self, monkeypatch, b, min_outer):
         mesh, K, solver, _, load = control_square()
         g = fem.FrictionBound.affine(0.05, b)
-        F = load(0.6)
+        F = load(-0.2)
         cfg = qvi.SolverConfig()
-        slip_sets = []
+        stick_sets = []
         ref = per_step_fixed_point(
             mesh, g, qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"]),
-            F, cfg, slip_sets=slip_sets,
+            F, cfg, stick_sets=stick_sets,
         )
         counts = self.count_work(monkeypatch, solver)
         u, rep = qvi.fixed_point(mesh, g, solver, F, 1.0, cfg)
         assert np.array_equal(u, ref[0])
         assert rep.outer_iterations >= min_outer
-        assert counts["smooth"] == 1
-        # the slip set repeats, so a factorization per iteration would show
-        assert len(slip_sets) > set_changes(slip_sets) >= 1
-        assert counts["slip"] <= set_changes(slip_sets)
+        assert counts["load"] == 1
+        assert counts["columns"] == self.stuck_nodes(stick_sets) < len(solver.friction)
+        # the stick set repeats, so a factorization per iteration would show
+        assert len(stick_sets) > set_changes(stick_sets) >= 1
+        assert counts["stick"] <= set_changes(stick_sets)
+
+    def test_all_slip_solves_for_no_column(self, monkeypatch):
+        mesh, K, solver, _, load = control_square()
+        counts = self.count_work(monkeypatch, solver)
+        u, _ = qvi.fixed_point(mesh, fem.FrictionBound.affine(0.05, 0.2), solver, load(0.6), 1.0)
+        assert np.all(u[solver.friction] != 0.0)
+        assert counts["columns"] == counts["stick"] == 0
 
     def test_lu_kept_across_state_evaluations(self, monkeypatch):
         mesh = square_mesh(6)
@@ -595,21 +631,22 @@ class TestReducedFixedPoint:
         weights = control.CostWeights(1.0, 1e-3, 0.0)
         cfg = qvi.SolverConfig()
         oracle_solver = control.StateSolver(problem, patches).discrete.tresca
-        coeffs = [np.array([0.6, 0.4]), np.array([0.61, 0.39])]
-        slip_sets, eta = [], None
+        coeffs = [np.array([-0.2, -0.3]), np.array([-0.21, -0.29])]
+        stick_sets, eta, lam = [], None, None
         for x in coeffs:
             F = state.F0 + state.B @ patches.coefficients(x)
-            eta = per_step_fixed_point(
-                mesh, problem.g, oracle_solver, F, cfg, eta, slip_sets
-            )[0]
+            eta, *_, lam = per_step_fixed_point(
+                mesh, problem.g, oracle_solver, F, cfg, eta, lam, stick_sets
+            )
         counts = self.count_work(monkeypatch, state.discrete.tresca)
         u = None
         for x in coeffs:
             _, u = state.evaluate(x, weights, cfg, eta0=u)
         assert np.array_equal(u, eta)
-        assert counts["smooth"] == 2
-        assert len(slip_sets) > set_changes(slip_sets) >= 1
-        assert counts["slip"] <= set_changes(slip_sets)
+        assert counts["load"] == 2
+        assert counts["columns"] == self.stuck_nodes(stick_sets)
+        assert len(stick_sets) > set_changes(stick_sets) >= 1
+        assert counts["stick"] <= set_changes(stick_sets)
 
 
 class TestBadData:
@@ -659,7 +696,7 @@ class TestBadData:
         # inner solve
         mesh, _, solver, _, load = control_square()
         node = {
-            "smooth": solver.smooth[0],
+            "smooth": np.setdiff1d(mesh.free_nodes, solver.friction)[0],
             "gamma3": solver.friction[0],
             "gamma1": mesh.node_sets["gamma1"][0],
         }[where]
@@ -935,6 +972,61 @@ class TestComplementarity:
         idx, lam, G, stick_slack, comp = qvi.complementarity_report(prob, u)
         assert np.all(stick_slack <= 1e-8)
         assert np.all(comp <= 1e-8)
+
+
+class TestSharedFreeFactor:
+    """The free-T solver of a scalar mu factors nothing of its own, and its
+    stick solves hold no array of |smooth| x |gamma3| entries."""
+
+    @staticmethod
+    def recording_factor(monkeypatch):
+        """(factored shapes, right-hand-side and result sizes) of every
+        ``fem.spd_factor`` made while patched and of its solves."""
+        factored, sizes = [], []
+        factor = fem.spd_factor
+
+        def recording(matrix):
+            factored.append(matrix.shape)
+            solve = factor(matrix)
+
+            def recorded(b):
+                x = solve(b)
+                sizes.extend([np.size(b), np.size(x)])
+                return x
+
+            return recorded
+
+        monkeypatch.setattr(fem, "spd_factor", recording)
+        return factored, sizes
+
+    @pytest.mark.parametrize("mu", [1.0, 0.8])
+    def test_certified_solve_factors_twice(self, mu, monkeypatch):
+        factored, _ = self.recording_factor(monkeypatch)
+        mesh = square_mesh(8)
+        prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2))
+        u, _ = qvi.solve_qvi(prob)
+        qvi.complementarity_report(prob, u)
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+        assert qvi.membership_violation(mesh, mu, u, theta, seed=3) <= 1e-8
+        # S_ff, shared by c0 and the Tresca solver, and the Gram block of c3
+        n_free = len(mesh.free_nodes)
+        assert factored == [(n_free, n_free)] * 2
+
+    def test_no_smooth_by_gamma3_array(self, monkeypatch):
+        _, sizes = self.recording_factor(monkeypatch)
+        mesh = square_mesh(32)
+        K = fem.assemble_stiffness(mesh, 1.0)
+        g3 = mesh.node_sets[fem.GAMMA3]
+        solver = qvi.TrescaSolver(K, mesh.free_nodes, g3)
+        F = fem.assemble_load(mesh, 0.9605, 0.5169)
+        g = fem.FrictionBound.affine(0.9992, 0.1007)
+        u, _ = qvi.fixed_point(mesh, g, solver, F, 1.0)
+        stuck = int(np.sum(u[solver.friction] == 0.0))
+        assert stuck > len(solver.friction) // 2
+        limit = (len(mesh.free_nodes) - len(solver.friction)) * len(solver.friction)
+        held = [v for v in vars(solver).values() if isinstance(v, np.ndarray)]
+        assert max(sizes) < limit
+        assert max(a.size for a in held) < limit
 
 
 class TestCertifiedSolveAssembly:

@@ -219,6 +219,19 @@ class TestTractionPerturb:
         assert report.verdict == tykhonov.CONVERGENT
         assert report.max_violation <= 1e-8
 
+    @pytest.mark.parametrize("harness", [tykhonov.run_convergence, tykhonov.generate_sequence])
+    def test_problem_without_f2_refused_before_any_solve(self, harness, monkeypatch):
+        problem = oracle.benchmark_problem(1.0, 3.0, 1.0, 16).with_data(f2=None)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(qvi, "DiscreteProblem", refuse)
+        monkeypatch.setattr(qvi, "solve_qvi", refuse)
+        schedule = tykhonov.Schedule(kind="traction_perturb", length=4)
+        with pytest.raises(ValueError, match="traction_perturb perturbs f2.*no f2"):
+            harness(problem, schedule)
+
 
 class TestLamePerturb:
 
