@@ -35,7 +35,6 @@ from .qvi import (
     SolverError,
     TykhonovIndex,
     membership_violation,
-    fixed_point,
     solve_qvi,
 )
 from .tykhonov import (
@@ -85,7 +84,6 @@ __all__ = [
     "SolverError",
     "TykhonovIndex",
     "membership_violation",
-    "fixed_point",
     "solve_qvi",
     "CONVERGENT",
     "NON_CONVERGENT",

@@ -6,9 +6,10 @@ seminorm) and the gamma3 trace constant c3 (lumped boundary norm against
 the full H1 norm).  Both are computed exactly for the discrete space by
 power iteration on small generalized eigenvalue problems, so the
 contraction prediction k = L_g * c0^2 * c3^2 / mu_star is sharp for the
-implemented solver.  The inner solves use the banded Cholesky kernel
-``fem.spd_factor``: c0 shares its cached factor with the Tresca solver,
-c3 the cached Gram factor.
+implemented solver.  Both read the mesh's cached free blocks and their
+banded Cholesky factors (``fem.free_block``) and cut no block of their
+own besides the mass: c0 the unit stiffness, which the Tresca solver of
+a scalar modulus shares, c3 the H1 Gram matrix.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ def poincare_constant(
     unit square, so the iteration needs about ten solves.  Raises
     fem.MeshError when every node is clamped.
     """
-    solve = fem.stiffness_free_solve(mesh)
+    S, solve = fem.free_block(mesh, "stiffness")
     free = mesh.free_nodes
-    S = fem.submatrix(fem.unit_stiffness(mesh), free, free)
     M = fem.submatrix(fem.mass_matrix(mesh), free, free)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(len(free))
@@ -114,9 +114,8 @@ def trace_constant(
     v0 = rng.standard_normal(len(free))
     if float(v0 @ (B @ v0)) == 0.0:
         v0 += 1.0  # make sure the start sees the boundary
-    lam, vec = _power_iteration(
-        fem.gram_free_solve(mesh), B, fem.gram_free(mesh), v0, tol, maxiter
-    )
+    G, solve = fem.free_block(mesh, "gram")
+    lam, vec = _power_iteration(solve, B, G, v0, tol, maxiter)
     c3 = float(np.sqrt(max(lam, 0.0)))
     if return_field:
         field = np.zeros(mesh.n_nodes)

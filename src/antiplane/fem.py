@@ -16,11 +16,11 @@ stiffness matrices.  Friction terms on gamma3 are integrated with a lumped
 Operators that depend only on the mesh are built once per mesh and kept
 in a per-mesh cache (``cached``), weakly held so that it goes with the
 mesh: the element geometry, the element gradient products and the
-scatter pattern of the assembly, the mass and H1 Gram matrices, the free
-Gram block and its factor, the factor of the free unit stiffness block,
-the stiffness matrix of a scalar modulus keyed on its value (one entry
-for mu = 1, which is also the unit stiffness, and one for the last other
-scalar modulus), and the constants (c0, c3) of
+scatter pattern of the assembly, the mass and H1 Gram matrices, the
+stiffness matrix of a scalar modulus keyed on its value (one entry for
+mu = 1, which is also the unit stiffness, and one for the last other
+scalar modulus), the free block and its factor of each H1 form (unit
+stiffness and Gram, ``free_block``), and the constants (c0, c3) of
 ``constants.space_constants`` keyed on their solver settings.
 Cached arrays are read-only.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
@@ -501,12 +501,14 @@ class FrictionBound:
 
 
 def eval_j(mesh: Mesh, g: FrictionBound, eta: np.ndarray, v: np.ndarray) -> float:
-    """Lumped friction functional j(eta, v) = sum_i w_i g(x_i, |eta_i|) |v_i|."""
+    """Lumped friction functional j(eta, v) = sum_i w_i g(x_i, |eta_i|) |v_i|;
+    ValueError when the bound is not finite or negative on gamma3."""
     idx = mesh.node_sets[GAMMA3]
     if len(idx) == 0:
         return 0.0
     w = mesh.gamma3_weights[idx]
     G = g(mesh.nodes[idx], np.abs(eta[idx]))
+    require_finite("friction bound", G, idx)
     if np.any(G < -1e-14):
         raise ValueError("friction bound took a negative value on gamma3")
     return float(np.sum(w * G * np.abs(v[idx])))
@@ -583,11 +585,11 @@ def stiffness_matrix(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_mat
     """``assemble_stiffness(mesh, mu, mu_star)``, cached per mesh for a scalar mu.
 
     ``mu`` and ``mu_star`` are checked on every call, hit or miss.  A
-    scalar modulus is kept under its value: mu = 1 shares its entry with
-    ``unit_stiffness``, and one more entry holds the last other scalar
-    modulus, so the cache does not grow with the number of moduli used.
-    The cached matrix is read-only.  A per-element array or a callable mu
-    is assembled afresh on every call.
+    scalar modulus is kept under its value: mu = 1 is the unit stiffness
+    of the norms and constants, and one more entry holds the last other
+    scalar modulus, so the cache does not grow with the number of moduli
+    used.  The cached matrix is read-only.  A per-element array or a
+    callable mu is assembled afresh on every call.
     """
     if callable(mu) or np.ndim(mu) != 0:
         return assemble_stiffness(mesh, mu, mu_star)
@@ -602,19 +604,6 @@ def stiffness_matrix(mesh: Mesh, mu, mu_star: float | None = None) -> sp.csr_mat
     return moduli[mu]
 
 
-def unit_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Stiffness matrix with unit coefficient (the gradient Gram matrix).
-
-    It is the mu = 1 entry of ``stiffness_matrix``; built here first, it
-    is bitwise ``assemble_stiffness(mesh, 1.0)``.
-    """
-    moduli = cached(mesh, "stiffness", dict)
-    if 1.0 not in moduli:
-        ones = np.ones(len(mesh.elements))
-        moduli[1.0] = _read_only(_assemble_gradient_form(mesh, ones))
-    return moduli[1.0]
-
-
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return cached(mesh, "mass", lambda: _read_only(assemble_mass(mesh)))
 
@@ -622,7 +611,7 @@ def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
 def gram_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Matrix of the full H1 inner product (mass + unit stiffness)."""
     return cached(
-        mesh, "gram", lambda: _read_only((mass_matrix(mesh) + unit_stiffness(mesh)).tocsr())
+        mesh, "gram", lambda: _read_only((mass_matrix(mesh) + stiffness_matrix(mesh, 1.0)).tocsr())
     )
 
 
@@ -632,23 +621,20 @@ def v_norm(mesh: Mesh, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ (A @ v), 0.0)))
 
 
-def gram_free(mesh: Mesh) -> sp.csr_matrix:
-    """The H1 Gram matrix on the free nodes (cached, read-only)."""
+def free_block(mesh: Mesh, form: str):
+    """(A_ff, solve): the block on the free nodes of the H1 form ``form``,
+    "stiffness" (the unit stiffness) or "gram", and the ``spd_factor``
+    solve of it, built together once per mesh; A_ff is read-only.
+    Raises MeshError when every node is clamped."""
     free = mesh.free_nodes
-    return cached(mesh, "gram_free", lambda: _read_only(submatrix(gram_matrix(mesh), free, free)))
-
-
-def gram_free_solve(mesh: Mesh):
-    """Cached ``spd_factor`` solve of ``gram_free(mesh)``."""
-    return cached(mesh, "gram_free_solve", lambda: spd_factor(gram_free(mesh)))
-
-
-def stiffness_free_solve(mesh: Mesh, mu: float = 1.0):
-    """Solve with mu S_ff, S_ff the unit stiffness on the free nodes: the
-    cached ``spd_factor`` solve of S_ff divided by mu.  Raises MeshError
-    when every node is clamped."""
-    free = mesh.free_nodes
+    if form not in ("stiffness", "gram"):
+        raise ValueError(f"unknown H1 form {form!r}")
     if len(free) == 0:
         raise MeshError("no free node: every node lies on gamma1")
-    unit = cached(mesh, "S_ff", lambda: spd_factor(submatrix(unit_stiffness(mesh), free, free)))
-    return unit if mu == 1.0 else lambda b: unit(b) / mu
+
+    def build():
+        whole = stiffness_matrix(mesh, 1.0) if form == "stiffness" else gram_matrix(mesh)
+        block = _read_only(submatrix(whole, free, free))
+        return block, spd_factor(block)
+
+    return cached(mesh, ("free", form), build)

@@ -17,8 +17,9 @@ form on one banded Cholesky factorization of the free block: a
 primal-dual active-set iteration (semismooth Newton; Hintermueller-Ito-
 Kunisch 2002, Stadler 2004) whose steps are one band solve each, with
 slip multipliers in the load and stick nodes held at zero by a small
-dense solve.  ``DiscreteProblem`` assembles K and builds that solver once
-per problem, for any number of loads and friction bounds.
+dense solve.  ``DiscreteProblem`` builds that solver and resolves c0, c3
+and the other invariants of a solve once per problem, for any number of
+loads and friction bounds; ``DiscreteProblem.solve`` runs ``fixed_point``.
 """
 
 from __future__ import annotations
@@ -131,13 +132,14 @@ class TrescaSolver:
     The free-T (capacitance) form on one banded Cholesky factorization of
     the free block K_ff: ``free_solve``, a solve with K_ff made elsewhere
     (for a scalar mu, ``DiscreteProblem`` passes the mesh's cached one), or
-    one made here.  The active-set iteration of ``_iterate`` splits the
-    gamma3 nodes T into slip nodes, whose multipliers +-c_i enter the load,
-    and stick nodes I, held at zero by the multipliers of Z_II lambda_I =
-    u0_I with Z = (K_ff^-1)_TT (Proskurowski-Widlund 1976).  A column of Z
-    is solved for when its node first sticks and kept (gamma3 rows only),
-    as are the LU factors of Z_II while I is unchanged and the last
-    multiplier, for the next warm start.
+    one made here (SolverError when K_ff does not factor).  The active-set
+    iteration of ``_iterate`` splits the gamma3 nodes T into slip nodes,
+    whose multipliers +-c_i enter the load, and stick nodes I, held at
+    zero by the multipliers of Z_II lambda_I = u0_I with Z = (K_ff^-1)_TT
+    (Proskurowski-Widlund 1976).  A column of Z is solved for when its
+    node first sticks and kept (gamma3 rows only), as are the LU factors
+    of Z_II while I is unchanged and the last multiplier, for the next
+    warm start.
     """
 
     def __init__(self, K, free_nodes, gamma3_nodes, free_solve=None):
@@ -151,7 +153,12 @@ class TrescaSolver:
         if np.any(diag[self.free] <= 0.0):
             raise SolverError("stiffness matrix has a nonpositive diagonal entry")
         self._K = K
-        self._solve = self._factor(K) if free_solve is None else free_solve
+        if free_solve is None:
+            try:
+                free_solve = fem.spd_factor(fem.submatrix(K, self.free, self.free))
+            except fem.FactorizationError as exc:
+                raise SolverError(f"stiffness block factorization failed: {exc}") from exc
+        self._solve = free_solve
         # With sigma = 1/K_ii the primal guess sways the set choice and the
         # iteration can cycle between sets; a sigma three orders larger
         # leaves the choice to the multiplier.
@@ -159,22 +166,6 @@ class TrescaSolver:
         self._Z = np.full((len(T), len(T)), np.nan)  # a column not solved for is NaN
         self._stick = (None, None)  # stick set I (as bytes), LU factors of Z_II
         self._lam = None  # multiplier of the last solve
-
-    def _factor(self, K):
-        """Solve with K_ff.  With no smooth node K_ff is the friction block,
-        whose failed factorization is refused as a singular slip block
-        once a solve needs it; otherwise it raises SolverError here."""
-        try:
-            return fem.spd_factor(fem.submatrix(K, self.free, self.free))
-        except fem.FactorizationError as exc:
-            if len(self.friction) < len(self.free):
-                raise SolverError(f"stiffness block factorization failed: {exc}") from exc
-            error = SolverError(f"slip block is singular: {exc}")
-
-        def refuse(b):
-            raise error
-
-        return refuse
 
     def _reduce_load(self, F):
         """w = K_ff^-1 F_f; a w that is not finite on gamma3 raises SolverError."""
@@ -291,29 +282,38 @@ class TrescaSolver:
         return self._iterate(self._reduce_load(F), c, t, lam, inner_tol, max_inner)
 
 
+def _bound(g: fem.FrictionBound, points: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """g(points, r) clipped at zero; SolverError when a value is not finite
+    or is negative beyond rounding."""
+    G = g(points, r)
+    if not np.isfinite(G).all():
+        raise SolverError("friction bound took a non-finite value on gamma3")
+    if (G < -1e-14).any():
+        raise SolverError("friction bound took a negative value on gamma3")
+    return np.maximum(G, 0.0)
+
+
 def fixed_point(
-    mesh: fem.Mesh,
-    g: fem.FrictionBound,
-    solver: TrescaSolver,
+    discrete: "DiscreteProblem",
     F: np.ndarray,
-    mu_star: float,
+    g: fem.FrictionBound,
     config: SolverConfig | None = None,
     eta0: np.ndarray | None = None,
 ):
-    """Run the bound-update iteration on a prebuilt inner solver.
+    """Run the bound-update iteration on the Tresca solver of ``discrete``.
 
     The load is reduced once per run; each outer step evaluates the bound
     and runs the active-set iteration from the previous gamma3 values and
     multiplier (on the first step as ``TrescaSolver.solve`` with t0 =
-    ``eta0`` on gamma3).  Returns (u, SolveReport).  Raises SolverError when the smallness
-    condition fails without the override flag, when the bound or the
-    reduced load is non-finite, or when an iteration cap is exceeded;
-    ValueError when ``eta0`` or ``F`` has the wrong length or ``eta0`` a
-    non-finite entry.
+    ``eta0`` on gamma3).  Returns (u, SolveReport).  Raises SolverError
+    when the smallness condition fails without the override flag, when
+    the bound or the reduced load is non-finite, or when an iteration cap
+    is exceeded; ValueError when ``eta0`` or ``F`` has the wrong length or
+    ``eta0`` a non-finite entry.
     """
     cfg = config or SolverConfig()
-    c0, c3 = constants.space_constants(mesh)
-    k, ok = constants.smallness_margin(g.lipschitz, c0, c3, mu_star)
+    mesh, solver, c0, c3 = discrete.problem.mesh, discrete.tresca, discrete.c0, discrete.c3
+    k, ok = constants.smallness_margin(g.lipschitz, c0, c3, discrete.mu_star)
     if not ok:
         if not cfg.allow_non_contractive:
             raise SolverError(
@@ -321,12 +321,6 @@ def fixed_point(
                 "certified, pass allow_non_contractive to attempt it anyway"
             )
         warnings.warn(f"attempting fixed point with non-contractive k = {k:.6f}")
-
-    # per-run invariants: coordinates and weights of the solver's friction
-    # nodes, the Gram matrix of the V-norm and the reduced load w
-    x_free = mesh.nodes[solver.friction]
-    w_free = mesh.gamma3_weights[solver.friction]
-    gram = fem.gram_matrix(mesh)
 
     eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
     if eta.shape != (mesh.n_nodes,):
@@ -339,16 +333,11 @@ def fixed_point(
     ratios: list[float] = []
     inner_log: list[int] = []
     for m in range(1, cfg.max_outer + 1):
-        G = g(x_free, np.abs(t))
-        if not np.isfinite(G).all():
-            raise SolverError("friction bound took a non-finite value on gamma3")
-        if (G < -1e-14).any():
-            raise SolverError("friction bound took a negative value on gamma3")
-        c = w_free * np.maximum(G, 0.0)
+        c = discrete.weights * _bound(g, discrete.points, np.abs(t))
         u_new, inner_iterations = solver._iterate(w, c, t, lam, cfg.inner_tol, cfg.max_inner)
         t, lam = u_new[solver.friction], solver._lam
         d = u_new - eta  # fem.v_norm(mesh, d) on the Gram matrix looked up once
-        inc = float(np.sqrt(max(d @ (gram @ d), 0.0)))
+        inc = float(np.sqrt(max(d @ (discrete.gram @ d), 0.0)))
         if increments and increments[-1] > 0.0:
             ratios.append(inc / increments[-1])
         increments.append(inc)
@@ -378,26 +367,33 @@ def fixed_point(
 
 
 class DiscreteProblem:
-    """The discretized problem: stiffness K, load F, Tresca solver and mu_star.
+    """Stiffness K, load F, Tresca solver, mu_star, the constants (c0, c3),
+    the friction nodes' coordinates ``points`` and weights ``weights``
+    and the Gram matrix ``gram`` of the V-norm, each resolved once.
 
-    K and the Tresca factorization (for a scalar mu the mesh's cached
-    ``fem.stiffness_free_solve``, which c0 shares) depend on the mesh and
-    mu only, so one instance solves the problem for any load and friction
-    bound; ``F`` is the problem's own load.  A solve gives bitwise the u of a fresh
-    ``solve_qvi`` of the same data.  K comes from ``fem.stiffness_matrix``:
-    for a scalar mu it is the mesh's cached, read-only matrix, which the
-    certificate and the complementarity report of the same data reuse.
+    For a scalar mu, K is the mesh's cached, read-only matrix, which the
+    certificates of the same data reuse, and the solver runs on the
+    mesh's factor of the free unit stiffness block (``fem.free_block``),
+    which c0 shares.  All but F depend on the mesh and mu only, so one
+    instance solves the problem for any load and friction bound, bitwise
+    as a fresh ``solve_qvi`` of the same data would.
     """
 
     def __init__(self, problem: ProblemData):
         self.problem = problem
-        mesh = problem.mesh
-        self.K = fem.stiffness_matrix(mesh, problem.mu, problem.mu_star)
+        mesh, mu = problem.mesh, problem.mu
+        self.K = fem.stiffness_matrix(mesh, mu, problem.mu_star)
         self.F = fem.assemble_load(mesh, problem.f0, problem.f2)
-        mu = problem.mu
-        shared = None if callable(mu) or np.ndim(mu) else fem.stiffness_free_solve(mesh, mu)
+        shared = None
+        if not (callable(mu) or np.ndim(mu)):  # mu S_ff: the unit block's factor over mu
+            unit = fem.free_block(mesh, "stiffness")[1]
+            shared = unit if mu == 1.0 else lambda b: unit(b) / mu
         self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3], shared)
         self.mu_star = problem.resolved_mu_star()
+        self.c0, self.c3 = constants.space_constants(mesh)
+        self.points = mesh.nodes[self.tresca.friction]
+        self.weights = mesh.gamma3_weights[self.tresca.friction]
+        self.gram = fem.gram_matrix(mesh)
 
     def solve(
         self,
@@ -407,7 +403,7 @@ class DiscreteProblem:
         eta0: np.ndarray | None = None,
     ):
         """(u, SolveReport) for load ``F`` and bound ``g``; see ``fixed_point``."""
-        return fixed_point(self.problem.mesh, g, self.tresca, F, self.mu_star, config, eta0)
+        return fixed_point(self, F, g, config, eta0)
 
 
 def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
@@ -453,21 +449,21 @@ def membership_violation(
     stiffness matrix of ``mu`` comes from ``fem.stiffness_matrix`` (cached
     per mesh for a scalar mu) unless the caller passes it as ``stiffness``.
     Returns a Python float; a value <= 1e-8 certifies membership against
-    the set.
+    the set.  A bound not finite or negative at u raises SolverError.
     """
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
     F = fem.assemble_load(mesh, theta.f0, theta.f2)
     res = F - K @ u
-    ju_u = fem.eval_j(mesh, theta.g, u, u)
     norm_u = fem.v_norm(mesh, u)
     eps = theta.eps
     gram = fem.gram_matrix(mesh)
 
-    # lumped friction weights w_i g(x_i, |u_i|), zero off gamma3
+    # lumped friction weights w_i g(x_i, |u_i|), zero off gamma3, and j(u, u)
     g3 = mesh.node_sets[fem.GAMMA3]
     wG = np.zeros(mesh.n_nodes)
     if len(g3):
-        wG[g3] = mesh.gamma3_weights[g3] * theta.g(mesh.nodes[g3], np.abs(u[g3]))
+        wG[g3] = mesh.gamma3_weights[g3] * _bound(theta.g, mesh.nodes[g3], np.abs(u[g3]))
+    ju_u = float(np.sum(wG[g3] * np.abs(u[g3])))
 
     def v_norms(V):
         return np.sqrt(np.maximum(np.einsum("ij,ji->i", V, gram @ V.T), 0.0))
@@ -518,14 +514,14 @@ def complementarity_report(problem: ProblemData, u: np.ndarray):
 
     Returns (idx, lam, G, stick_slack, comp) with stick_slack = |lam| - G
     (nonpositive up to solver tolerance) and comp = lam*u + G*|u| (zero up
-    to solver tolerance).
+    to solver tolerance); SolverError when G is not finite or negative.
     """
     mesh = problem.mesh
     K = fem.stiffness_matrix(mesh, problem.mu, problem.mu_star)
     F = fem.assemble_load(mesh, problem.f0, problem.f2)
     idx = mesh.node_sets[fem.GAMMA3]
     lam = ((K @ u) - F)[idx] / mesh.gamma3_weights[idx]
-    G = problem.g(mesh.nodes[idx], np.abs(u[idx]))
+    G = _bound(problem.g, mesh.nodes[idx], np.abs(u[idx]))
     stick_slack = np.abs(lam) - G
     comp = lam * u[idx] + G * np.abs(u[idx])
     return idx, lam, G, stick_slack, comp

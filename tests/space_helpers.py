@@ -9,7 +9,7 @@ from antiplane import fem
 
 
 def grad_seminorm(mesh: fem.Mesh, v: np.ndarray) -> float:
-    S = fem.unit_stiffness(mesh)
+    S = fem.stiffness_matrix(mesh, 1.0)
     return float(np.sqrt(max(v @ (S @ v), 0.0)))
 
 
@@ -30,7 +30,7 @@ def dual_norm(mesh: fem.Mesh, F: np.ndarray) -> float:
     gamma1.
     """
     Ff = F[mesh.free_nodes]
-    z = fem.gram_free_solve(mesh)(Ff)
+    z = fem.free_block(mesh, "gram")[1](Ff)
     return float(np.sqrt(max(Ff @ z, 0.0)))
 
 

@@ -75,7 +75,7 @@ class TestPoincare:
     def test_matches_dense_eigensolver(self, dim, n, monkeypatch):
         mesh = square_mesh(n) if dim == 2 else interval_mesh(n)
         free = mesh.free_nodes
-        S = fem.unit_stiffness(mesh)[free][:, free].toarray()
+        S = fem.stiffness_matrix(mesh, 1.0)[free][:, free].toarray()
         A = fem.gram_matrix(mesh)[free][:, free].toarray()
         c0_ref = np.sqrt(scipy.linalg.eigh(A, S, eigvals_only=True)[-1])
 
@@ -123,7 +123,7 @@ class TestPowerIteration:
     def test_one_product_per_iteration(self):
         mesh = square_mesh(6)
         free = mesh.free_nodes
-        S = fem.submatrix(fem.unit_stiffness(mesh), free, free)
+        S = fem.free_block(mesh, "stiffness")[0]
         M = CountingOperator(fem.submatrix(fem.mass_matrix(mesh), free, free))
         factor, solves = fem.spd_factor(S), []
         v0 = np.random.default_rng(RNG_SEED).standard_normal(len(free))

@@ -315,6 +315,31 @@ class TestStateSolver:
             assert np.allclose(u, u0 + V @ c, atol=1e-12)
 
 
+    def test_constants_resolved_once_per_state_solver(self, monkeypatch):
+        # the 4x4 square of one patch that the control benchmark optimizes on:
+        # about 80 state solves, which read c0 and c3 from their DiscreteProblem
+        from antiplane import constants
+
+        calls, built = [], []
+        space_constants = constants.space_constants
+        monkeypatch.setattr(
+            constants, "space_constants", lambda *a, **k: calls.append(1) or space_constants(*a, **k)
+        )
+        init = control.StateSolver.__init__
+        monkeypatch.setattr(
+            control.StateSolver, "__init__", lambda *a: built.append(1) or init(*a)
+        )
+        mesh = control_mesh_2d(4)
+        problem = qvi.ProblemData(mesh, 1.0, 0.9635, None, fem.FrictionBound.affine(0.159, 0.1))
+        patches = control.ControlPatches(mesh, 1)
+        target = lambda x: np.sin(2.0 * x[:, 0])  # noqa: E731
+        res = control.minimize_cost(
+            problem, patches, control.CostWeights(1.0, 1e-3, target), n_starts=1, seed=0
+        )
+        assert res.starts[0].n_evals > 20
+        assert len(calls) == len(built) == 1
+
+
 class TestMinimizeCost:
     @pytest.mark.parametrize("a2", [1.0 / 3.0, 1.0, 3.0])
     def test_closed_form_minimizer(self, setup_1d, a2):

@@ -297,14 +297,16 @@ class TestStiffnessCache:
         mesh = square_mesh(4, 4)
         calls = counting_assembly(monkeypatch)
         K = fem.stiffness_matrix(mesh, 1)
-        assert fem.unit_stiffness(mesh) is K
         assert fem.stiffness_matrix(mesh, np.float64(1.0)) is K
+        # the Gram matrix and the free unit stiffness block read the same entry
+        fem.gram_matrix(mesh)
+        fem.free_block(mesh, "stiffness")
         assert calls == [1.0]
-        # built by unit_stiffness first, the entry is served without assembly
+        # built for the Gram matrix first, the entry is served without assembly
         other = square_mesh(4, 4)
-        S = fem.unit_stiffness(other)
-        assert fem.stiffness_matrix(other, 1.0) is S
-        assert calls == [1.0]
+        fem.gram_matrix(other)
+        fem.stiffness_matrix(other, 1.0)
+        assert calls == [1.0, 1.0]
 
     def test_array_and_callable_moduli_are_not_cached(self, monkeypatch):
         mesh = interval_mesh(6)
@@ -399,19 +401,28 @@ class TestSubmatrix:
             for a, b in zip(_csr_arrays(block), _csr_arrays(ref)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    def test_free_gram_block_is_cut_once(self, monkeypatch):
+    @pytest.mark.parametrize("form", ["stiffness", "gram"])
+    def test_free_block_is_cut_once(self, form, monkeypatch):
         from antiplane import constants
 
         cuts = []
         submatrix = fem.submatrix
-        monkeypatch.setattr(fem, "submatrix", lambda A, r, c: cuts.append(1) or submatrix(A, r, c))
+        monkeypatch.setattr(fem, "submatrix", lambda A, r, c: cuts.append(A) or submatrix(A, r, c))
         mesh = square_mesh(4, 4)
-        constants.trace_constant(mesh, seed=0)
-        fem.gram_free_solve(mesh)
-        assert len(cuts) == 1
-        block = fem.gram_free(mesh)
-        assert fem.gram_free(mesh) is block
+        whole = fem.stiffness_matrix(mesh, 1.0) if form == "stiffness" else fem.gram_matrix(mesh)
+        constants.space_constants(mesh, seed=0)
+        block, solve = fem.free_block(mesh, form)
+        assert sum(A is whole for A in cuts) == 1
+        assert fem.free_block(mesh, form) == (block, solve)
         assert_read_only(block)
+        free = mesh.free_nodes
+        assert np.array_equal(block.toarray(), whole[free][:, free].toarray())
+        b = np.ones(len(free))
+        assert np.allclose(block @ solve(b), b, rtol=0, atol=1e-12)
+
+    def test_free_block_names_its_form(self):
+        with pytest.raises(ValueError, match="unknown H1 form 'mass'"):
+            fem.free_block(square_mesh(2, 2), "mass")
 
 
 class TestMass:

@@ -98,14 +98,16 @@ def kkt_residual(K, F, free, gamma3, c, u):
 def control_square():
     """The 6x6 square of the control tests: mu = 1, f0 = 0.2, bound 0.05.
 
-    Returns (mesh, K, solver, c, load) with load(traction) the load vector
-    under a constant gamma2 traction.
+    Returns (mesh, discrete, c, load): ``discrete`` the problem's
+    ``DiscreteProblem`` (K, Tresca solver), c the frozen coefficients of
+    the bound and load(traction) the load vector under a constant gamma2
+    traction.
     """
     mesh = square_mesh(6)
-    K = fem.assemble_stiffness(mesh, 1.0)
-    solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
-    c = 0.05 * mesh.gamma3_weights[solver.friction]
-    return mesh, K, solver, c, lambda traction: fem.assemble_load(mesh, 0.2, traction)
+    problem = qvi.ProblemData(mesh, 1.0, 0.2, None, fem.FrictionBound.constant(0.05))
+    discrete = qvi.DiscreteProblem(problem)
+    c = 0.05 * mesh.gamma3_weights[discrete.tresca.friction]
+    return mesh, discrete, c, lambda traction: fem.assemble_load(mesh, 0.2, traction)
 
 
 class TestTresca:
@@ -176,7 +178,8 @@ class TestTresca:
         # the state under traction 0.6 slips forward on all twelve gamma3
         # nodes; under -0.6 every node slips backward, so one iteration from
         # that warm start cannot settle the sets
-        _, _, solver, c, load = control_square()
+        _, discrete, c, load = control_square()
+        solver = discrete.tresca
         t0 = solver.solve(load(0.6), c)[0][solver.friction]
         with pytest.raises(qvi.SolverError, match="active-set"):
             solver.solve(load(-0.6), c, t0=t0, max_inner=1)
@@ -192,7 +195,8 @@ class TestTresca:
         ],
     )
     def test_wrong_sign_warm_start_converges(self, warm, target):
-        mesh, K, solver, c, load = control_square()
+        mesh, discrete, c, load = control_square()
+        K, solver = discrete.K, discrete.tresca
         t0 = solver.solve(load(warm), c)[0][solver.friction]
         F = load(target)
         u, _ = solver.solve(F, c, t0=t0)
@@ -477,10 +481,12 @@ def per_step_tresca(solver, F, c, t0, lam0, inner_tol, max_inner, stick_sets=Non
     raise AssertionError("per-step oracle missed the friction law")
 
 
-def per_step_fixed_point(mesh, g, solver, F, cfg, eta0=None, lam0=None, stick_sets=None):
-    """The bound-update loop with one full frozen-bound solve per outer
-    step, carrying the multiplier from step to step.  Returns (u,
-    increments, ratios, inner_sweeps, lam)."""
+def per_step_fixed_point(discrete, F, g, cfg, eta0=None, lam0=None, stick_sets=None):
+    """The bound-update loop on the Tresca solver of ``discrete`` with one
+    full frozen-bound solve per outer step, carrying the multiplier from
+    step to step; the bound's nodes, weights and norms are looked up
+    afresh.  Returns (u, increments, ratios, inner_sweeps, lam)."""
+    mesh, solver = discrete.problem.mesh, discrete.tresca
     T = solver.friction
     w = mesh.gamma3_weights[T]
     eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
@@ -526,14 +532,13 @@ def fixed_point_instances(draw):
     m = len(mesh.elements)
     n2 = len(mesh.facets[fem.GAMMA2])
     mu = draw(_values(m, 0.2, 5.0))
-    F = fem.assemble_load(
-        mesh, draw(_values(m, -3.0, 3.0)), draw(_values(n2, -3.0, 3.0)) if n2 else None
-    )
+    f0 = draw(_values(m, -3.0, 3.0))
+    f2 = draw(_values(n2, -3.0, 3.0)) if n2 else None
     c0, c3 = constants.space_constants(mesh)
     b = draw(st.floats(0.05, 0.9)) * mu.min() / (c0**2 * c3**2)
     g = fem.FrictionBound.affine(draw(st.floats(0.0, 1.0)), b)
     eta0 = draw(st.one_of(st.none(), _values(mesh.n_nodes, -2.0, 2.0)))
-    return mesh, fem.assemble_stiffness(mesh, mu), F, g, float(mu.min()), eta0
+    return qvi.ProblemData(mesh, mu, f0, f2, g), eta0
 
 
 class TestReducedFixedPoint:
@@ -550,15 +555,13 @@ class TestReducedFixedPoint:
     )
     @given(fixed_point_instances())
     def test_bitwise_equal_to_per_step_loop(self, instance):
-        mesh, K, F, g, mu_star, eta0 = instance
-        g3 = mesh.node_sets[fem.GAMMA3]
+        problem, eta0 = instance
+        discrete = qvi.DiscreteProblem(problem)
         cfg = qvi.SolverConfig()
-        u, rep = qvi.fixed_point(
-            mesh, g, qvi.TrescaSolver(K, mesh.free_nodes, g3), F, mu_star, cfg, eta0
-        )
-        ref = per_step_fixed_point(
-            mesh, g, qvi.TrescaSolver(K, mesh.free_nodes, g3), F, cfg, eta0
-        )
+        u, rep = qvi.fixed_point(discrete, discrete.F, problem.g, cfg, eta0)
+        # a second DiscreteProblem: a Tresca solver with no kept columns or LU
+        oracle = qvi.DiscreteProblem(problem)
+        ref = per_step_fixed_point(oracle, discrete.F, problem.g, cfg, eta0)
         assert np.array_equal(u, ref[0])
         assert rep.increments == ref[1]
         assert rep.ratios == ref[2]
@@ -597,17 +600,16 @@ class TestReducedFixedPoint:
     # traction -0.2 leaves six of the twelve gamma3 nodes stuck
     @pytest.mark.parametrize("b, min_outer", [(0.0, 2), (0.2, 8), (0.6, 14)])
     def test_one_load_solve_and_lu_per_stick_set(self, monkeypatch, b, min_outer):
-        mesh, K, solver, _, load = control_square()
+        _, discrete, _, load = control_square()
+        solver = discrete.tresca
         g = fem.FrictionBound.affine(0.05, b)
         F = load(-0.2)
         cfg = qvi.SolverConfig()
         stick_sets = []
-        ref = per_step_fixed_point(
-            mesh, g, qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"]),
-            F, cfg, stick_sets=stick_sets,
-        )
+        oracle = qvi.DiscreteProblem(discrete.problem)
+        ref = per_step_fixed_point(oracle, F, g, cfg, stick_sets=stick_sets)
         counts = self.count_work(monkeypatch, solver)
-        u, rep = qvi.fixed_point(mesh, g, solver, F, 1.0, cfg)
+        u, rep = qvi.fixed_point(discrete, F, g, cfg)
         assert np.array_equal(u, ref[0])
         assert rep.outer_iterations >= min_outer
         assert counts["load"] == 1
@@ -617,9 +619,10 @@ class TestReducedFixedPoint:
         assert counts["stick"] <= set_changes(stick_sets)
 
     def test_all_slip_solves_for_no_column(self, monkeypatch):
-        mesh, K, solver, _, load = control_square()
+        _, discrete, _, load = control_square()
+        solver = discrete.tresca
         counts = self.count_work(monkeypatch, solver)
-        u, _ = qvi.fixed_point(mesh, fem.FrictionBound.affine(0.05, 0.2), solver, load(0.6), 1.0)
+        u, _ = qvi.fixed_point(discrete, load(0.6), fem.FrictionBound.affine(0.05, 0.2))
         assert np.all(u[solver.friction] != 0.0)
         assert counts["columns"] == counts["stick"] == 0
 
@@ -630,14 +633,12 @@ class TestReducedFixedPoint:
         state = control.StateSolver(problem, patches)
         weights = control.CostWeights(1.0, 1e-3, 0.0)
         cfg = qvi.SolverConfig()
-        oracle_solver = control.StateSolver(problem, patches).discrete.tresca
+        oracle = control.StateSolver(problem, patches).discrete
         coeffs = [np.array([-0.2, -0.3]), np.array([-0.21, -0.29])]
         stick_sets, eta, lam = [], None, None
         for x in coeffs:
             F = state.F0 + state.B @ patches.coefficients(x)
-            eta, *_, lam = per_step_fixed_point(
-                mesh, problem.g, oracle_solver, F, cfg, eta, lam, stick_sets
-            )
+            eta, *_, lam = per_step_fixed_point(oracle, F, problem.g, cfg, eta, lam, stick_sets)
         counts = self.count_work(monkeypatch, state.discrete.tresca)
         u = None
         for x in coeffs:
@@ -657,6 +658,23 @@ class TestBadData:
         with pytest.raises(qvi.SolverError, match="friction bound .*non-finite"):
             qvi.solve_qvi(prob, qvi.SolverConfig(max_inner=5))
 
+    def test_nan_bound_at_the_solution_fails_the_certificate(self):
+        # the fixed point never evaluates the bound at its final iterate, so
+        # only the certificates see a bound that is NaN above half the largest
+        # slip; unchecked, they return NaN, which passes every "> 1e-8" gate
+        mesh = square_mesh(6)
+        prob = qvi.ProblemData(mesh, 1.0, 0.2, 0.6, fem.FrictionBound.affine(0.05, 0.2))
+        u, _ = qvi.solve_qvi(prob)
+        half = 0.5 * np.max(np.abs(u[mesh.node_sets["gamma3"]]))
+        bad = fem.FrictionBound(lambda x, r: np.where(r > half, np.nan, 0.05 + 0.2 * r), 0.2)
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, bad)
+        with pytest.raises(qvi.SolverError, match="friction bound .*non-finite"):
+            qvi.membership_violation(mesh, 1.0, u, theta, seed=0)
+        with pytest.raises(qvi.SolverError, match="friction bound .*non-finite"):
+            qvi.complementarity_report(prob.with_data(g=bad), u)
+        with pytest.raises(ValueError, match="friction bound must be finite, got nan at node"):
+            fem.eval_j(mesh, bad, u, u)
+
     def test_infinite_bound_rejected(self):
         mesh = interval_mesh(16)
         bad = fem.FrictionBound(lambda x, r: np.full_like(r, np.inf), 0.0)
@@ -666,27 +684,28 @@ class TestBadData:
 
     @pytest.mark.parametrize("where", ["everywhere", "interior", "gamma3"])
     def test_nan_load_fails_fast(self, where):
-        mesh, _, solver, c, load = control_square()
+        _, discrete, c, load = control_square()
+        solver = discrete.tresca
         F = load(0.6)
         node = {"everywhere": slice(None), "interior": 24, "gamma3": solver.friction[0]}
         F[node[where]] = np.nan
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(qvi.SolverError, match="load .*non-finite"):
-            qvi.fixed_point(mesh, g, solver, F, 1.0, qvi.SolverConfig(max_inner=5))
+            qvi.fixed_point(discrete, F, g, qvi.SolverConfig(max_inner=5))
         with pytest.raises(qvi.SolverError, match="load .*non-finite"):
             solver.solve(F, c, max_inner=5)
 
     def test_nan_coefficient_rejected(self):
-        _, _, solver, c, load = control_square()
+        _, discrete, c, load = control_square()
         c[2] = np.nan
         with pytest.raises(qvi.SolverError, match="NaN friction bound"):
-            solver.solve(load(0.6), c, max_inner=5)
+            discrete.tresca.solve(load(0.6), c, max_inner=5)
 
     def test_wrong_length_eta0(self):
-        mesh, _, solver, _, load = control_square()
+        mesh, discrete, _, load = control_square()
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(ValueError, match=f"eta0 must have {mesh.n_nodes} entries"):
-            qvi.fixed_point(mesh, g, solver, load(0.6), 1.0, eta0=np.zeros(mesh.n_nodes - 1))
+            qvi.fixed_point(discrete, load(0.6), g, eta0=np.zeros(mesh.n_nodes - 1))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["smooth", "gamma3", "gamma1"])
@@ -694,17 +713,18 @@ class TestBadData:
         # unchecked, a NaN off gamma3 gives a "converged" run with a NaN first
         # increment, and one on gamma3 an error that blames the bound or the
         # inner solve
-        mesh, _, solver, _, load = control_square()
+        mesh, discrete, _, load = control_square()
+        T = discrete.tresca.friction
         node = {
-            "smooth": np.setdiff1d(mesh.free_nodes, solver.friction)[0],
-            "gamma3": solver.friction[0],
+            "smooth": np.setdiff1d(mesh.free_nodes, T)[0],
+            "gamma3": T[0],
             "gamma1": mesh.node_sets["gamma1"][0],
         }[where]
         eta0 = np.zeros(mesh.n_nodes)
         eta0[node] = value
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(ValueError, match=f"eta0 must be finite, got .* at node {node}"):
-            qvi.fixed_point(mesh, g, solver, load(0.6), 1.0, eta0=eta0)
+            qvi.fixed_point(discrete, load(0.6), g, eta0=eta0)
         problem = qvi.ProblemData(mesh, 1.0, 0.2, None, g)
         state = control.StateSolver(problem, control.ControlPatches(mesh, 1))
         with pytest.raises(ValueError, match=f"eta0 must be finite, got .* at node {node}"):
@@ -713,7 +733,8 @@ class TestBadData:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_t0_rejected(self, value):
         # unchecked, a NaN sign repeats as a cycle with no violator to change
-        _, _, solver, c, load = control_square()
+        _, discrete, c, load = control_square()
+        solver = discrete.tresca
         t0 = np.zeros(len(c))
         t0[3] = value
         node = solver.friction[3]
@@ -721,10 +742,10 @@ class TestBadData:
             solver.solve(load(0.6), c, t0=t0)
 
     def test_wrong_length_load_in_fixed_point(self):
-        mesh, _, solver, _, load = control_square()
+        mesh, discrete, _, load = control_square()
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(ValueError, match=f"F must have {mesh.n_nodes} entries"):
-            qvi.fixed_point(mesh, g, solver, load(0.6)[:-1], 1.0)
+            qvi.fixed_point(discrete, load(0.6)[:-1], g)
 
     @pytest.mark.parametrize(
         "name, shorten",
@@ -733,17 +754,17 @@ class TestBadData:
          ("t0", lambda F, c, t: (F, c, t[:3]))],
     )
     def test_wrong_length_solve_arguments(self, name, shorten):
-        _, _, solver, c, load = control_square()
+        _, discrete, c, load = control_square()
         F, c, t0 = shorten(load(0.6), c, np.zeros(len(c)))
         with pytest.raises(ValueError, match=f"{name} must have"):
-            solver.solve(F, c, t0=t0)
+            discrete.tresca.solve(F, c, t0=t0)
 
     def test_singular_slip_block_named(self):
-        # positive diagonal, singular: both nodes slip and A_JJ has no LU
+        # positive diagonal, singular: a free block of friction nodes only,
+        # refused when the solver is built, before any solve
         K = sp.csr_matrix(np.ones((2, 2)))
-        solver = qvi.TrescaSolver(K, [0, 1], [0, 1])
-        with pytest.raises(qvi.SolverError, match="slip block"):
-            solver.solve(np.ones(2), np.zeros(2))
+        with pytest.raises(qvi.SolverError, match="stiffness block factorization failed"):
+            qvi.TrescaSolver(K, [0, 1], [0, 1])
 
 
 class TestAPrioriBound:
@@ -1012,15 +1033,28 @@ class TestSharedFreeFactor:
         n_free = len(mesh.free_nodes)
         assert factored == [(n_free, n_free)] * 2
 
+    @pytest.mark.parametrize("mu", [1.0, 0.8])
+    def test_certified_solve_cuts_the_stiffness_block_once(self, mu, monkeypatch):
+        cut = []
+        submatrix = fem.submatrix
+        monkeypatch.setattr(fem, "submatrix", lambda A, r, c: cut.append(A) or submatrix(A, r, c))
+        mesh = square_mesh(8)
+        prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2))
+        u, _ = qvi.solve_qvi(prob)
+        qvi.complementarity_report(prob, u)
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+        assert qvi.membership_violation(mesh, mu, u, theta, seed=3) <= 1e-8
+        # S_ff is cut once, for the factor that c0 and the Tresca solver share
+        unit = fem.stiffness_matrix(mesh, 1.0)
+        assert sum(A is unit for A in cut) == 1
+
     def test_no_smooth_by_gamma3_array(self, monkeypatch):
         _, sizes = self.recording_factor(monkeypatch)
         mesh = square_mesh(32)
-        K = fem.assemble_stiffness(mesh, 1.0)
-        g3 = mesh.node_sets[fem.GAMMA3]
-        solver = qvi.TrescaSolver(K, mesh.free_nodes, g3)
-        F = fem.assemble_load(mesh, 0.9605, 0.5169)
         g = fem.FrictionBound.affine(0.9992, 0.1007)
-        u, _ = qvi.fixed_point(mesh, g, solver, F, 1.0)
+        discrete = qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 0.9605, 0.5169, g))
+        solver = discrete.tresca
+        u, _ = qvi.fixed_point(discrete, discrete.F, g)
         stuck = int(np.sum(u[solver.friction] == 0.0))
         assert stuck > len(solver.friction) // 2
         limit = (len(mesh.free_nodes) - len(solver.friction)) * len(solver.friction)
@@ -1029,29 +1063,37 @@ class TestSharedFreeFactor:
         assert max(a.size for a in held) < limit
 
 
+def counting_gradient_forms(monkeypatch):
+    """The modulus of every gradient-form assembly (``fem._assemble_gradient_form``),
+    the unit stiffness of the norms and constants included."""
+    assembled = []
+    assemble = fem._assemble_gradient_form
+
+    def counting(mesh, coef_e):
+        assembled.append(float(coef_e[0]))
+        return assemble(mesh, coef_e)
+
+    monkeypatch.setattr(fem, "_assemble_gradient_form", counting)
+    return assembled
+
+
 class TestCertifiedSolveAssembly:
     """solve_qvi, complementarity_report and membership_violation of one
     problem share the mesh's cached stiffness matrix."""
 
     @pytest.mark.parametrize("mu", [1.0, 0.8])
     def test_one_stiffness_assembly(self, mu, monkeypatch):
-        assembled = []
-        assemble = fem.assemble_stiffness
-
-        def counting(*args, **kwargs):
-            assembled.append(args[1])
-            return assemble(*args, **kwargs)
-
-        monkeypatch.setattr(fem, "assemble_stiffness", counting)
+        assembled = counting_gradient_forms(monkeypatch)
         mesh = square_mesh(6)
         prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2))
         u, _ = qvi.solve_qvi(prob)
         kkt = qvi.complementarity_report(prob, u)
         theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
         violation = qvi.membership_violation(mesh, mu, u, theta, seed=3)
-        assert assembled == [mu]
+        # K, and the unit stiffness of c0 and the V-norm when mu is not 1
+        assert assembled == ([mu] if mu == 1.0 else [mu, 1.0])
         # the same values as a certificate handed a freshly assembled K
-        K = assemble(mesh, mu)
+        K = fem.assemble_stiffness(mesh, mu)
         fresh = qvi.membership_violation(mesh, mu, u, theta, seed=3, stiffness=K)
         assert violation == fresh <= 1e-8
         assert np.max(kkt[3]) <= 1e-8

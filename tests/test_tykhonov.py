@@ -368,7 +368,7 @@ class TestSequenceGeneration:
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled before the kind check")
 
-        monkeypatch.setattr(fem, "assemble_stiffness", no_assembly)
+        monkeypatch.setattr(fem, "_assemble_gradient_form", no_assembly)
         problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=16)
         schedule = tykhonov.Schedule(kind="target_perturb", length=6)
         with pytest.raises(ValueError, match="target_perturb"):
@@ -569,21 +569,22 @@ class TestSharedFactorization:
             certified.append((mu, u.copy(), theta, kw["seed"]))
             return original(mesh, mu, u, theta, **kw)
 
-        assembled = []
-        assemble = fem.assemble_stiffness
+        assembled = []  # every gradient-form assembly, the unit stiffness included
+        assemble = fem._assemble_gradient_form
 
         def counting(*args, **kwargs):
             assembled.append(1)
             return assemble(*args, **kwargs)
 
         monkeypatch.setattr(qvi, "membership_violation", recording)
-        monkeypatch.setattr(fem, "assemble_stiffness", counting)
+        monkeypatch.setattr(fem, "_assemble_gradient_form", counting)
         problem = _shared_problem(dim, kind)
         report = tykhonov.run_convergence(problem, _shared_schedule(kind), seed=4)
-        # one K for u_ref, the sequence and every certificate; each
-        # modulus instance assembles its own
+        # one K for u_ref, the sequence and every certificate, and the unit
+        # stiffness of the norms and constants unless mu = 1; each modulus
+        # instance assembles its own
         expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
-        assert len(assembled) == expected
+        assert len(assembled) == expected + (problem.mu != 1.0)
         # the same values as certificates that assemble their own K
         fresh = [
             original(problem.mesh, mu, u, theta, seed=seed)
