@@ -10,10 +10,12 @@ penalty on the control:
 coefficients, with each evaluation solving the frictional equilibrium
 problem for that traction.  The state assembly is load-independent, so
 one :class:`StateSolver` holds one ``qvi.DiscreteProblem`` for all
-optimizer evaluations.  Multistart optima are clustered by cost (radius
-``CLUSTER_RADIUS``) to approximate a possibly non-unique solution set;
-ties between equal-cost minimizers (within ``TIE_TOL``) resolve to the
-smaller control norm.
+optimizer evaluations, each started from the secant through its start's
+last d + 1 evaluated (control, state) pairs (``_predict``), which is
+exact wherever the control-to-state map is affine.  Multistart optima
+are clustered by cost (radius ``CLUSTER_RADIUS``) to approximate a
+possibly non-unique solution set; ties between equal-cost minimizers
+(within ``TIE_TOL``) resolve to the smaller control norm.
 
 ``run_oc_sequence`` perturbs the data along a vanishing
 ``tykhonov.Schedule`` (the perturbed index of the direct harness, plus
@@ -25,9 +27,11 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from . import fem, qvi
 from .tykhonov import (
@@ -45,6 +49,9 @@ from .tykhonov import (
 # cost form one cluster
 TIE_TOL = 1e-9
 CLUSTER_RADIUS = 1e-4
+# secant weights beyond this l1 norm extrapolate far and amplify the stored
+# states' tolerance-level errors; such a solve starts from the last state
+SECANT_WEIGHT_CAP = 10.0
 
 
 class ControlError(RuntimeError):
@@ -125,9 +132,12 @@ class ControlPatches:
                 raise ValueError("patch box must satisfy lower < upper")
 
     def coefficients(self, coeffs) -> np.ndarray:
+        """``coeffs`` as a float array; ValueError for a wrong shape or a
+        non-finite entry."""
         out = np.asarray(coeffs, dtype=float)
         if out.shape != (self.n_patches,):
             raise ValueError(f"expected {self.n_patches} coefficients, got {out.shape}")
+        fem.require_finite("control coefficients", out)
         return out
 
     def traction(self, coeffs) -> np.ndarray:
@@ -211,8 +221,8 @@ class StateSolver:
     def solve(self, coeffs, config: qvi.SolverConfig | None = None, eta0=None):
         """State u for the control ``coeffs``; returns (u, SolveReport).
 
-        ``eta0`` seeds the fixed point, e.g. with the state of a nearby
-        control; the iteration still runs to its usual tolerance.
+        ``eta0`` seeds the fixed point, e.g. with the secant prediction of
+        ``_predict``; the iteration still runs to its usual tolerance.
         """
         F = self.F0 + self.B @ self.patches.coefficients(coeffs)
         return self.discrete.solve(F, self.discrete.problem.g, config, eta0)
@@ -266,6 +276,22 @@ class ControlResult:
     traces: list[list[float]] = field(repr=False)
 
 
+def _predict(history: deque, x: np.ndarray) -> np.ndarray | None:
+    """Start for the state solve at control ``x``: with d + 1 = ``maxlen``
+    (control, state) pairs (x_j, u_j) in ``history``, the secant
+    sum_j beta_j u_j with [X; 1'] beta = [x; 1].  The last state when there
+    are fewer pairs, the system is singular or ||beta||_1 exceeds
+    ``SECANT_WEIGHT_CAP``; None when there is none."""
+    if len(history) == history.maxlen:
+        X, U = map(np.array, zip(*history))
+        A = np.ones((len(X), len(X)))
+        A[:-1] = X.T
+        _, _, beta, info = dgesv(A, np.append(x, 1.0))
+        if info == 0 and np.abs(beta).sum() <= SECANT_WEIGHT_CAP:  # info > 0: singular
+            return beta @ U
+    return history[-1][1] if history else None
+
+
 def minimize_cost(
     problem: qvi.ProblemData,
     patches: ControlPatches,
@@ -288,9 +314,12 @@ def minimize_cost(
     smallest-norm coefficient vector among the cost-best starts (within
     the module constant ``TIE_TOL``); ``clusters`` groups all successful
     optima by cost within ``CLUSTER_RADIUS`` to expose non-unique
-    minimizers.  Raises ValueError, before any state solve, for
-    ``n_starts`` or ``max_evals`` below 1 or a negative or non-finite
-    ``start_scale``, ``xatol`` or ``fatol``.
+    minimizers.  Each state solve starts from ``_predict`` on its own
+    start's pairs; the selected optimum's state is solved again from a
+    cold start.  Raises ValueError, before any state solve, for
+    ``n_starts`` or ``max_evals`` below 1, a negative or non-finite
+    ``start_scale``, ``xatol`` or ``fatol``, or an extra start of the
+    wrong shape or with a non-finite entry.
     """
     # deferred: only the optimizer needs scipy.optimize, so a solve does not load it
     from scipy.optimize import minimize
@@ -302,11 +331,10 @@ def minimize_cost(
     for name, value in (("start_scale", start_scale), ("xatol", xatol), ("fatol", fatol)):
         if not 0.0 <= value < np.inf:  # also refuses NaN
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    solver = StateSolver(problem, patches)
     d = patches.n_patches
+    x0s = [patches.coefficients(x) for x in extra_starts]
+    solver = StateSolver(problem, patches)
     rng = np.random.default_rng(seed)
-
-    x0s = [np.asarray(x, dtype=float) for x in extra_starts]
     x0s.append(np.zeros(d))
     while len(x0s) < len(extra_starts) + n_starts:
         x0s.append(start_scale * rng.standard_normal(d))
@@ -321,11 +349,11 @@ def minimize_cost(
     traces: list[list[float]] = []
     for i, x0 in enumerate(x0s):
         trace: list[float] = []
-        warm = {"eta": None}  # rolling state, private to this start
+        history: deque = deque(maxlen=d + 1)  # (x, u) pairs, private to this start
 
         def fun(x):
-            J, u = solver.evaluate(x, weights, config, eta0=warm["eta"])
-            warm["eta"] = u
+            J, u = solver.evaluate(x, weights, config, eta0=_predict(history, x))
+            history.append((x, u))
             trace.append(float(J))
             return J
 

@@ -298,7 +298,8 @@ class TestConstants:
               require_contraction = true
             """,
         )
-        code = cli.main(["constants", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"])
+        out = str(tmp_path / "o")
+        code = cli.main(["constants", "--config", cfg, "--out", out, "--seed", "1"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
 
@@ -316,7 +317,8 @@ class TestConstants:
               lipschitz = 0.5
             """,
         )
-        code = cli.main(["constants", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"])
+        out = str(tmp_path / "o")
+        code = cli.main(["constants", "--config", cfg, "--out", out, "--seed", "1"])
         assert code == 1
         assert "error: no free node: every node lies on gamma1" in capsys.readouterr().err
 
@@ -610,7 +612,11 @@ class TestDataErrors:
     @pytest.mark.parametrize(
         "subcommand, edit, message",
         [
-            ("solve", ("mu = 1.0", "mu = poly(1.0, -2.0)"), "problem: shear modulus must be positive"),
+            (
+                "solve",
+                ("mu = 1.0", "mu = poly(1.0, -2.0)"),
+                "problem: shear modulus must be positive",
+            ),
             ("solve", ("extents = 1.0", "extents = nan"), "extents must be finite"),
             ("solve", ("extents = 1.0", "extents = inf"), "extents must be finite"),
             ("control", ("g = 0.0", "g = 0.0\n      f2 = 1.0"), "control supplies the gamma2"),
@@ -621,13 +627,33 @@ class TestDataErrors:
                 ("seed = 5", "seed = 5\n    constants:\n      lipschitz = nan"),
                 "constants: lipschitz must be nonnegative, got nan",
             ),
-            ("control", ("a2 = 1.0", "a2 = 1.0\n      max_evals = -1"), "max_evals must be at least 1"),
-            ("control", ("a2 = 1.0", "a2 = 1.0\n      max_evals = 0"), "max_evals must be at least 1"),
-            ("control", ("a2 = 1.0", "a2 = 1.0\n      start_scale = nan"), "start_scale must be finite"),
+            (
+                "control",
+                ("a2 = 1.0", "a2 = 1.0\n      max_evals = -1"),
+                "max_evals must be at least 1",
+            ),
+            (
+                "control",
+                ("a2 = 1.0", "a2 = 1.0\n      max_evals = 0"),
+                "max_evals must be at least 1",
+            ),
+            (
+                "control",
+                ("a2 = 1.0", "a2 = 1.0\n      start_scale = nan"),
+                "start_scale must be finite",
+            ),
             ("control", ("a2 = 1.0", "a2 = 1.0\n      xatol = nan"), "xatol must be finite"),
             ("control", ("a2 = 1.0", "a2 = 1.0\n      fatol = nan"), "fatol must be finite"),
-            ("oc-sequence", ("length = 4", "length = 4\n      ctrl_tol = nan"), "ctrl_tol must be"),
-            ("oc-sequence", ("length = 4", "length = 4\n      seq_starts = 0"), "seq_starts must be"),
+            (
+                "oc-sequence",
+                ("length = 4", "length = 4\n      ctrl_tol = nan"),
+                "ctrl_tol must be",
+            ),
+            (
+                "oc-sequence",
+                ("length = 4", "length = 4\n      seq_starts = 0"),
+                "seq_starts must be",
+            ),
             ("oc-sequence", ("length = 4", "length = 4\n      noise_floor = nan"), "noise_floor"),
             ("tykhonov", ("length = 12", "length = 12\n      noise_floor = nan"), "noise_floor"),
             ("tykhonov", ("kind = load_perturb", "kind = traction_perturb"), "problem sets no f2"),

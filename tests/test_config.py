@@ -437,7 +437,11 @@ def _signature_defaults(func):
 
 
 def _field_defaults(cls):
-    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    return {
+        f.name: f.default
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+    }
 
 
 # (section, library name of the defaults, its {name: default}, {config key: library name})

@@ -14,7 +14,9 @@ is affine, so normal equations on sampled patch responses give an
 optimizer-free oracle for the quadratic cost.
 """
 
+import functools
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -45,6 +47,32 @@ def control_mesh_2d(n=12):
         },
     )
     return fem.build_mesh(spec)
+
+
+def frictional_square(n=4, n_patches=1):
+    """Control on the n x n square under an affine bound active on all of
+    gamma3; n = 4 with one patch is the square the control benchmark
+    optimizes on.  Returns (problem, patches, weights)."""
+    mesh = control_mesh_2d(n)
+    problem = qvi.ProblemData(mesh, 1.0, 0.9635, None, fem.FrictionBound.affine(0.159, 0.1))
+    weights = control.CostWeights(1.0, 1e-3, lambda x: np.sin(2.0 * x[:, 0]))
+    return problem, control.ControlPatches(mesh, n_patches), weights
+
+
+def frictionless_interval():
+    """The closed-form 1D problem of the module docstring at a2 = 1."""
+    mesh = traction_mesh_1d()
+    problem = qvi.ProblemData(mesh, 1.0, 0.0, None, fem.FrictionBound.constant(0.0))
+    return problem, control.ControlPatches(mesh, 1), control.CostWeights(1.0, 1.0, lambda x: x)
+
+
+# warm starts cannot matter without friction, so each determinism test also
+# runs a frictional 2D case of two patches
+DETERMINISM_CASES = pytest.mark.parametrize(
+    "case",
+    [frictionless_interval, functools.partial(frictional_square, 4, 2)],
+    ids=["1d-frictionless", "2d-two-patch-friction"],
+)
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +243,13 @@ class TestCost:
         val = control.cost(mesh, patches, w, u, [0.3])
         assert val == pytest.approx(1.0 * 0.25 + 2.0 * 0.09, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficients(self, setup_1d, bad):
+        mesh, _, patches = setup_1d
+        w = control.CostWeights(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=f"control coefficients must be finite, got {bad}"):
+            control.cost(mesh, patches, w, np.zeros(mesh.n_nodes), [bad])
+
     def test_control_term_scales_quadratically(self, setup_1d):
         mesh, _, patches = setup_1d
         w = control.CostWeights(1.0, 3.0, 0.0)
@@ -323,19 +358,16 @@ class TestStateSolver:
         calls, built = [], []
         space_constants = constants.space_constants
         monkeypatch.setattr(
-            constants, "space_constants", lambda *a, **k: calls.append(1) or space_constants(*a, **k)
+            constants,
+            "space_constants",
+            lambda *a, **k: calls.append(1) or space_constants(*a, **k),
         )
         init = control.StateSolver.__init__
         monkeypatch.setattr(
             control.StateSolver, "__init__", lambda *a: built.append(1) or init(*a)
         )
-        mesh = control_mesh_2d(4)
-        problem = qvi.ProblemData(mesh, 1.0, 0.9635, None, fem.FrictionBound.affine(0.159, 0.1))
-        patches = control.ControlPatches(mesh, 1)
-        target = lambda x: np.sin(2.0 * x[:, 0])  # noqa: E731
-        res = control.minimize_cost(
-            problem, patches, control.CostWeights(1.0, 1e-3, target), n_starts=1, seed=0
-        )
+        problem, patches, weights = frictional_square()
+        res = control.minimize_cost(problem, patches, weights, n_starts=1, seed=0)
         assert res.starts[0].n_evals > 20
         assert len(calls) == len(built) == 1
 
@@ -431,14 +463,73 @@ class TestMinimizeCost:
         assert np.isfinite(best_cost)
         assert best_coeffs.shape == (1,)
 
-    def test_deterministic(self, setup_1d):
-        _, problem, patches = setup_1d
-        w = control.CostWeights(1.0, 1.0, lambda x: x)
+    @DETERMINISM_CASES
+    def test_deterministic(self, case):
+        problem, patches, w = case()
         a = control.minimize_cost(problem, patches, w, seed=10)
         b = control.minimize_cost(problem, patches, w, seed=10)
         assert np.array_equal(a.pair.coeffs, b.pair.coeffs)
+        assert np.array_equal(a.pair.u, b.pair.u)
         assert a.cost == b.cost
         assert a.traces == b.traces
+
+
+class TestSecantWarmStart:
+    """Each state solve of a start begins at the secant through the start's
+    last d + 1 evaluated (control, state) pairs."""
+
+    def test_fallbacks(self):
+        u = [np.full(3, 1.0), np.full(3, 2.0)]
+        history = deque(maxlen=2)  # one patch
+        assert control._predict(history, np.array([0.5])) is None
+        history.append((np.array([0.0]), u[0]))
+        assert control._predict(history, np.array([0.5])) is u[0]
+        history.append((np.array([0.0]), u[1]))  # coincident controls
+        assert control._predict(history, np.array([0.5])) is u[1]
+
+    def test_weight_cap(self):
+        history = deque([(np.array([0.0]), np.zeros(2)), (np.array([1.0]), np.ones(2))], maxlen=2)
+        assert np.allclose(control._predict(history, np.array([3.0])), 3.0)
+        # beta = (-19, 20) lies beyond SECANT_WEIGHT_CAP: the last state
+        assert control._predict(history, np.array([20.0])) is history[-1][1]
+
+    @pytest.mark.parametrize("x", [0.95, 1.3])
+    def test_exact_on_a_fixed_split(self, x):
+        # on the all-slip split the state map is affine under the affine
+        # bound; the tight tolerance keeps the stored states' own errors
+        # (about 1e-11 at the default 1e-10) below the 1e-12 checked here
+        problem, patches, _ = frictional_square()
+        solver = control.StateSolver(problem, patches)
+        config = qvi.SolverConfig(outer_tol=1e-13)
+        gamma3 = problem.mesh.node_sets[fem.GAMMA3]
+        history = deque(maxlen=2)
+        for c in (0.9, 1.0):
+            u, _ = solver.solve([c], config)
+            history.append((np.array([c]), u))
+        eta0 = control._predict(history, np.array([x]))
+        u, report = solver.solve([x], config, eta0=eta0)
+        assert all((h[gamma3] > 0.0).all() for _, h in history) and (u[gamma3] > 0.0).all()
+        assert fem.v_norm(problem.mesh, u - eta0) <= 1e-12
+        assert report.outer_iterations == 1
+
+    @pytest.mark.parametrize("n, n_patches", [(4, 1), (8, 2)])
+    def test_outer_steps_per_state_solve(self, monkeypatch, n, n_patches):
+        # started from the previous evaluation's state, one simplex step
+        # away, these runs average 7.4 and 7.3 outer steps per solve; the
+        # count includes the cold solve of the selected optimum
+        steps = []
+        fixed_point = qvi.fixed_point
+
+        def counting(*args):
+            u, report = fixed_point(*args)
+            steps.append(report.outer_iterations)
+            return u, report
+
+        monkeypatch.setattr(qvi, "fixed_point", counting)
+        problem, patches, weights = frictional_square(n, n_patches)
+        control.minimize_cost(problem, patches, weights, n_starts=1, seed=0)
+        assert len(steps) > 50
+        assert np.mean(steps) <= 2.0
 
 
 class TestUpFrontRefusals:
@@ -462,6 +553,12 @@ class TestUpFrontRefusals:
             ({"start_scale": -1.0}, "start_scale must be finite and nonnegative, got -1.0"),
             ({"xatol": np.nan}, "xatol must be finite and nonnegative, got nan"),
             ({"fatol": np.nan}, "fatol must be finite and nonnegative, got nan"),
+            ({"extra_starts": [[np.nan]]}, "control coefficients must be finite, got nan"),
+            (
+                {"extra_starts": [[0.5], [-np.inf]]},
+                "control coefficients must be finite, got -inf",
+            ),
+            ({"extra_starts": [[0.5, 0.5]]}, "expected 1 coefficients, got (2,)"),
         ],
     )
     def test_minimize_cost(self, setup_1d, kwargs, message):
@@ -644,9 +741,9 @@ class TestOCSequence:
         n_free = len(mesh.free_nodes)
         assert factored == [(n_free, n_free)] * 2
 
-    def test_deterministic(self, setup_1d):
-        _, problem, patches = setup_1d
-        w = control.CostWeights(1.0, 1.0, lambda x: x)
+    @DETERMINISM_CASES
+    def test_deterministic(self, case):
+        problem, patches, w = case()
         sched = tykhonov.Schedule(kind="load_perturb", length=6, amplitude=0.3)
         a = control.run_oc_sequence(problem, patches, w, sched, seed=6)
         b = control.run_oc_sequence(problem, patches, w, sched, seed=6)

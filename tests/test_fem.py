@@ -626,7 +626,11 @@ class TestSpdFactor:
     def test_duplicate_entries_are_summed(self):
         # uncompressed CSR: the diagonal entry of row 0 is stored as 1 + 3
         A = sp.csr_matrix(
-            (np.array([1.0, 3.0, -1.0, -1.0, 4.0]), np.array([0, 0, 1, 0, 1]), np.array([0, 3, 5])),
+            (
+                np.array([1.0, 3.0, -1.0, -1.0, 4.0]),
+                np.array([0, 0, 1, 0, 1]),
+                np.array([0, 3, 5]),
+            ),
             shape=(2, 2),
         )
         assert not A.has_canonical_format
