@@ -3,13 +3,13 @@
 Two constants control the fixed-point analysis of the friction problem:
 the Friedrichs-Poincare constant c0 (full H1 norm against the gradient
 seminorm) and the gamma3 trace constant c3 (lumped boundary norm against
-the full H1 norm).  Both are computed exactly for the discrete space by
-power iteration on small generalized eigenvalue problems, so the
-contraction prediction k = L_g * c0^2 * c3^2 / mu_star is sharp for the
-implemented solver.  Both read the mesh's cached free blocks and their
-banded Cholesky factors (``fem.free_block``) and cut no block of their
-own besides the mass: c0 the unit stiffness, which the Tresca solver of
-a scalar modulus shares, c3 the H1 Gram matrix.
+the full H1 norm).  Both are the largest eigenvalues of small generalized
+eigenvalue problems for the discrete space, so the contraction prediction
+k = L_g * c0^2 * c3^2 / mu_star is sharp for the implemented solver.  c0
+comes from a power iteration on the mesh's cached factor of the free unit
+stiffness block, which the Tresca solver of a scalar modulus shares; c3
+is exact, from one dense eigensolve on the gamma3 block of the inverse
+H1 Gram block, both from ``fem.free_block``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.linalg.lapack import dsyevd
 
 from . import fem
 
@@ -32,7 +32,7 @@ def _power_iteration(solve, B, A, v0, tol, maxiter):
     ``solve`` applies A^-1.  Each iteration forms B v once, for both the
     Rayleigh quotient (v'Bv)/(v'Av) of the normalized iterate and the
     next iterate A^-1 B v.  Stops when the relative change of the
-    quotient falls below ``tol``; returns (lambda, v).
+    quotient falls below ``tol``; returns lambda.
     """
     v = v0 / np.linalg.norm(v0)
     Bv = B @ v
@@ -46,7 +46,7 @@ def _power_iteration(solve, B, A, v0, tol, maxiter):
         Bv = B @ v
         lam_new = float((v @ Bv) / (v @ (A @ v)))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new, v
+            return lam_new
         lam = lam_new
     raise ConvergenceError(
         f"power iteration missed tolerance {tol} within {maxiter} iterations "
@@ -54,14 +54,7 @@ def _power_iteration(solve, B, A, v0, tol, maxiter):
     )
 
 
-def poincare_constant(
-    mesh: fem.Mesh,
-    *,
-    tol: float = 1e-10,
-    maxiter: int = 10000,
-    seed: int = 0,
-    return_field: bool = False,
-):
+def poincare_constant(mesh: fem.Mesh, *, tol: float = 1e-10, maxiter: int = 10000, seed: int = 0):
     """Best constant c0 with ||v||_V <= c0 ||grad v|| on the discrete space.
 
     c0^2 = 1 + lambda with lambda the largest eigenvalue of M v = lambda S v
@@ -72,56 +65,32 @@ def poincare_constant(
     unit square, so the iteration needs about ten solves.  Raises
     fem.MeshError when every node is clamped.
     """
-    S, solve = fem.free_block(mesh, "stiffness")
+    S, solve, _ = fem.free_block(mesh, "stiffness")
     free = mesh.free_nodes
     M = fem.submatrix(fem.mass_matrix(mesh), free, free)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(len(free))
-    lam, vec = _power_iteration(solve, M, S, v0, tol, maxiter)
-    c0 = float(np.sqrt(1.0 + lam))
-    if return_field:
-        field = np.zeros(mesh.n_nodes)
-        field[free] = vec
-        return c0, field
-    return c0
+    v0 = np.random.default_rng(seed).standard_normal(len(free))
+    return float(np.sqrt(1.0 + _power_iteration(solve, M, S, v0, tol, maxiter)))
 
 
-def trace_constant(
-    mesh: fem.Mesh,
-    *,
-    tol: float = 1e-10,
-    maxiter: int = 10000,
-    seed: int = 0,
-    return_field: bool = False,
-):
+def trace_constant(mesh: fem.Mesh) -> float:
     """Best constant c3 with ||v||_{gamma3} <= c3 ||v||_V on the discrete space.
 
     The boundary norm is the lumped gamma3 quadrature used by the friction
-    functional.  Square root of the largest eigenvalue of B v = lambda
-    (M + S) v with B the diagonal lumped boundary mass; returns 0 when
-    gamma3 carries no free node.
+    functional, B = diag(w) on the gamma3 nodes T.  c3^2 is the largest
+    eigenvalue of B v = lambda (M + S) v, which B confines to T: that of
+    W^1/2 Z W^1/2 with Z = ((M + S)_ff^-1)_TT from the Gram block's factor
+    (``fem.free_block``), found by one dense symmetric eigensolve.
+    Returns 0 when gamma3 carries no node.
     """
-    free = mesh.free_nodes
     idx = mesh.node_sets[fem.GAMMA3]
     if len(idx) == 0:
-        if return_field:
-            return 0.0, np.zeros(mesh.n_nodes)
         return 0.0
-    w = np.zeros(mesh.n_nodes)
-    w[idx] = mesh.gamma3_weights[idx]
-    B = sp.diags(w[free]).tocsr()
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(len(free))
-    if float(v0 @ (B @ v0)) == 0.0:
-        v0 += 1.0  # make sure the start sees the boundary
-    G, solve = fem.free_block(mesh, "gram")
-    lam, vec = _power_iteration(solve, B, G, v0, tol, maxiter)
-    c3 = float(np.sqrt(max(lam, 0.0)))
-    if return_field:
-        field = np.zeros(mesh.n_nodes)
-        field[free] = vec
-        return c3, field
-    return c3
+    Z = fem.free_block(mesh, "gram")[1]
+    root = np.sqrt(mesh.gamma3_weights[idx])
+    eigenvalues, _, info = dsyevd(root[:, None] * Z * root, compute_v=0)
+    if info:
+        raise ConvergenceError(f"the dense eigensolve of c3 failed (LAPACK info {info})")
+    return float(np.sqrt(max(eigenvalues[-1], 0.0)))
 
 
 def check_margin_data(lipschitz: float, mu_star: float) -> None:
@@ -155,14 +124,12 @@ def space_constants(
 
     Raises fem.MeshError when every node is clamped.
     """
-    return fem.cached(
-        mesh,
-        ("constants", tol, maxiter, seed),
-        lambda: (
-            poincare_constant(mesh, tol=tol, maxiter=maxiter, seed=seed),
-            trace_constant(mesh, tol=tol, maxiter=maxiter, seed=seed),
-        ),
-    )
+
+    def build():
+        c3 = trace_constant(mesh)  # before c0, so the Gram band is gone when S_ff's is made
+        return poincare_constant(mesh, tol=tol, maxiter=maxiter, seed=seed), c3
+
+    return fem.cached(mesh, ("constants", tol, maxiter, seed), build)
 
 
 def constants_report(

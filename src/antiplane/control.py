@@ -137,7 +137,7 @@ class ControlPatches:
         out = np.asarray(coeffs, dtype=float)
         if out.shape != (self.n_patches,):
             raise ValueError(f"expected {self.n_patches} coefficients, got {out.shape}")
-        fem.require_finite("control coefficients", out)
+        fem.require_finite("control coefficients", out, what="patch")
         return out
 
     def traction(self, coeffs) -> np.ndarray:

@@ -19,8 +19,9 @@ mesh: the element geometry, the element gradient products and the
 scatter pattern of the assembly, the mass and H1 Gram matrices, the
 stiffness matrix of a scalar modulus keyed on its value (one entry for
 mu = 1, which is also the unit stiffness, and one for the last other
-scalar modulus), the free block and its factor of each H1 form (unit
-stiffness and Gram, ``free_block``), and the constants (c0, c3) of
+scalar modulus), the free block of each H1 form with the gamma3 block
+of its inverse (unit stiffness, which keeps its band factor too, and
+Gram, ``free_block``), and the constants (c0, c3) of
 ``constants.space_constants`` keyed on their solver settings.
 Cached arrays are read-only.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
@@ -35,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotri
+from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -287,13 +288,14 @@ def node_values(mesh: Mesh, data) -> np.ndarray:
     return _sample(data, mesh.n_nodes, lambda: mesh.nodes, "nodal")
 
 
-def require_finite(name: str, values: np.ndarray, nodes=None) -> None:
+def require_finite(name: str, values: np.ndarray, nodes=None, what: str = "node") -> None:
     """ValueError naming ``name``, the first non-finite entry of ``values``
-    and its node (``nodes[i]``, or i itself when ``nodes`` is None)."""
+    and its index (``nodes[i]``, or i itself when ``nodes`` is None), called
+    a ``what``."""
     if not np.isfinite(values).all():
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         node = i if nodes is None else nodes[i]
-        raise ValueError(f"{name} must be finite, got {values[i]} at node {node}")
+        raise ValueError(f"{name} must be finite, got {values[i]} at {what} {node}")
 
 
 def facet_measures(mesh: Mesh, tag: str) -> np.ndarray:
@@ -539,22 +541,46 @@ def submatrix(A, rows, cols) -> sp.csr_matrix:
     return sp.csr_matrix((A.data[keep], entry_col[keep], indptr), shape=(len(rows), len(cols)))
 
 
-def spd_factor(A):
+def _band_order(A, last: np.ndarray) -> np.ndarray:
+    """Band ordering of the symmetric sparse A (CSR) with the rows ``last`` last.
+
+    Without ``last`` it is the reverse Cuthill-McKee order.  Otherwise the
+    breadth-first levels from a virtual node joined to ``last`` (an extra
+    CSR row) are reversed, so ``last`` fills the tail; rows the search does
+    not reach come first.
+    """
+    n = A.shape[0]
+    if len(last) == 0:
+        return reverse_cuthill_mckee(A, symmetric_mode=True)
+    indptr = np.append(A.indptr, A.nnz + len(last))
+    graph = sp.csr_matrix(
+        (np.ones(indptr[-1]), np.concatenate((A.indices, last)), indptr), shape=(n + 1, n + 1)
+    )
+    order = breadth_first_order(graph, n, return_predecessors=False)[:0:-1]
+    return np.concatenate((np.setdiff1d(np.arange(n), order), order))
+
+
+def spd_factor(A, last=()):
     """Banded Cholesky factorization of a sparse symmetric positive definite A.
 
-    A reverse Cuthill-McKee ordering turns the matrices of the structured
-    meshes into narrow bands.  The entries of A are moved to their
-    reordered positions through the inverse permutation, those on or
-    above the diagonal are packed in LAPACK upper band storage, and
-    ``dpbtrf`` factors the band; A itself is left unchanged.  Returns
-    ``solve(b)`` for a vector or an (n, k) array b, which permutes b,
-    calls ``dpbtrs`` and undoes the permutation.  Raises
+    The rows are ordered into a narrow band by ``_band_order``, with the
+    rows ``last`` last.  The entries of A are moved to their reordered
+    positions through the inverse permutation, those on or above the
+    diagonal are packed in LAPACK upper band storage, and ``dpbtrf``
+    factors the band U'U; A itself is left unchanged.  Returns (solve, Z):
+    ``solve(b)`` for a vector or an (n, k) array b permutes b, calls
+    ``dpbtrs`` and undoes the permutation; Z = (A^-1)[last, last] in the
+    order of ``last``.  The trailing block U_TT of the factor satisfies
+    U_TT'U_TT = A_TT - A_TS A_SS^-1 A_ST (the Schur complement, George-Liu
+    1981), so ``dpotri`` on U_TT gives Z with no solve.  Raises
     FactorizationError on a nonpositive pivot.
     """
     A = sp.csr_matrix(A)
-    if A.shape[0] == 0:
-        return lambda b: np.array(b, dtype=float)
-    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    last = np.asarray(last, dtype=np.int64)
+    n, m = A.shape[0], len(last)
+    if n == 0:
+        return (lambda b: np.array(b, dtype=float)), np.zeros((0, 0))
+    perm = _band_order(A, last)
     inverse = np.argsort(perm)
     C = A.tocoo()
     C.sum_duplicates()  # a no-op on the canonical matrices of the assembly
@@ -562,20 +588,29 @@ def spd_factor(A):
     upper = i <= j
     i, j = i[upper], j[upper]
     kd = int(np.max(j - i, initial=0))
-    band = np.zeros((kd + 1, A.shape[0]), order="F")
+    band = np.zeros((kd + 1, n), order="F")
     band[kd + i - j, j] = C.data[upper]
     chol, info = dpbtrf(band, overwrite_ab=1)
     if info > 0:
         raise FactorizationError(
-            f"matrix is not positive definite (pivot {info} of {A.shape[0]} "
-            "in reverse Cuthill-McKee order)"
+            f"matrix is not positive definite (pivot {info} of {n} in band order)"
         )
 
     def solve(b):
         x, _ = dpbtrs(chol, np.asarray(b, dtype=float)[perm], overwrite_b=1)
         return x[inverse]
 
-    return solve
+    Z = np.zeros((m, m))
+    if m:
+        row, col = np.triu_indices(m)
+        near = col - row <= kd
+        row, col = row[near], col[near]
+        Z[row, col] = chol[kd + row - col, n - m + col]  # U_TT
+        Z = dpotri(Z)[0]  # its upper triangle
+        Z = np.triu(Z) + np.triu(Z, 1).T
+        q = inverse[last] - (n - m)  # the rows of ``last`` in the trailing block
+        Z = Z[np.ix_(q, q)]
+    return solve, Z
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +657,12 @@ def v_norm(mesh: Mesh, v: np.ndarray) -> float:
 
 
 def free_block(mesh: Mesh, form: str):
-    """(A_ff, solve): the block on the free nodes of the H1 form ``form``,
-    "stiffness" (the unit stiffness) or "gram", and the ``spd_factor``
-    solve of it, built together once per mesh; A_ff is read-only.
-    Raises MeshError when every node is clamped."""
+    """The block A_ff on the free nodes of the H1 form ``form`` and the
+    gamma3 part Z = (A_ff^-1)_TT of its inverse, built together once per
+    mesh by ``spd_factor`` with the gamma3 nodes T last: (S_ff, solve, Z)
+    for "stiffness" (the unit stiffness), (G_ff, Z) for "gram", whose band
+    factor is dropped.  The arrays are read-only.  Raises MeshError when
+    every node is clamped."""
     free = mesh.free_nodes
     if form not in ("stiffness", "gram"):
         raise ValueError(f"unknown H1 form {form!r}")
@@ -635,6 +672,7 @@ def free_block(mesh: Mesh, form: str):
     def build():
         whole = stiffness_matrix(mesh, 1.0) if form == "stiffness" else gram_matrix(mesh)
         block = _read_only(submatrix(whole, free, free))
-        return block, spd_factor(block)
+        solve, Z = spd_factor(block, np.searchsorted(free, mesh.node_sets[GAMMA3]))
+        return (block, solve, _read_only(Z)) if form == "stiffness" else (block, _read_only(Z))
 
     return cached(mesh, ("free", form), build)

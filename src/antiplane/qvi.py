@@ -12,14 +12,15 @@ update until the fixed point is reached.  The update is a contraction with
 factor k = L_g c0^2 c3^2 / mu_star; k >= 1 must be overridden explicitly.
 
 The Tresca energy is smooth except for separable absolute values on the
-gamma3 nodes.  ``TrescaSolver`` minimizes it in the free-T (capacitance)
-form on one banded Cholesky factorization of the free block: a
+gamma3 nodes T.  ``TrescaSolver`` minimizes it in the free-T
+(capacitance) form on one banded Cholesky factorization of the free
+block with T last, whose trailing block gives Z = (K_ff^-1)_TT: a
 primal-dual active-set iteration (semismooth Newton; Hintermueller-Ito-
-Kunisch 2002, Stadler 2004) whose steps are one band solve each, with
-slip multipliers in the load and stick nodes held at zero by a small
-dense solve.  ``DiscreteProblem`` builds that solver and resolves c0, c3
-and the other invariants of a solve once per problem, for any number of
-loads and friction bounds; ``DiscreteProblem.solve`` runs ``fixed_point``.
+Kunisch 2002, Stadler 2004) of dense |T|-sized steps, with stick nodes
+held at zero by a small dense solve, and one band solve to lift u.
+``DiscreteProblem`` builds that solver and resolves c0, c3 and the other
+invariants of a solve once per problem, for any number of loads and
+friction bounds; ``DiscreteProblem.solve`` runs ``fixed_point``.
 """
 
 from __future__ import annotations
@@ -123,26 +124,23 @@ class SolveReport:
     error_bound: float | None = None
 
 
-_Z_BLOCK = 32  # columns of Z solved for at a time, so no |free| x |gamma3| array is held
-
-
 class TrescaSolver:
     """Exact minimizer of 0.5 v'Kv - F'v + sum_i c_i |v_i| over V_h.
 
     The free-T (capacitance) form on one banded Cholesky factorization of
-    the free block K_ff: ``free_solve``, a solve with K_ff made elsewhere
-    (for a scalar mu, ``DiscreteProblem`` passes the mesh's cached one), or
-    one made here (SolverError when K_ff does not factor).  The active-set
-    iteration of ``_iterate`` splits the gamma3 nodes T into slip nodes,
-    whose multipliers +-c_i enter the load, and stick nodes I, held at
-    zero by the multipliers of Z_II lambda_I = u0_I with Z = (K_ff^-1)_TT
-    (Proskurowski-Widlund 1976).  A column of Z is solved for when its
-    node first sticks and kept (gamma3 rows only), as are the LU factors
-    of Z_II while I is unchanged and the last multiplier, for the next
-    warm start.
+    the free block K_ff with the gamma3 nodes T last: ``factor``, the
+    (solve, Z) pair of ``fem.spd_factor`` made elsewhere (for a scalar mu,
+    ``DiscreteProblem`` passes the mesh's cached one), or one made here
+    (SolverError when K_ff does not factor), with Z = (K_ff^-1)_TT read
+    off the factor's trailing block.  The active-set iteration of
+    ``_iterate`` is dense algebra on Z: it splits T into slip nodes, whose
+    multipliers +-c_i enter the load, and stick nodes I, held at zero by
+    the multipliers of Z_II lambda_I = t_I (Proskurowski-Widlund 1976).
+    The LU factors of Z_II are kept while I is unchanged, and the last
+    multiplier for the next warm start.
     """
 
-    def __init__(self, K, free_nodes, gamma3_nodes, free_solve=None):
+    def __init__(self, K, free_nodes, gamma3_nodes, factor=None):
         self.n_nodes = K.shape[0]
         self.free = np.sort(np.asarray(free_nodes, dtype=np.int64))
         on_gamma3 = np.zeros(self.n_nodes, dtype=bool)
@@ -152,18 +150,16 @@ class TrescaSolver:
         diag = K.diagonal()
         if np.any(diag[self.free] <= 0.0):
             raise SolverError("stiffness matrix has a nonpositive diagonal entry")
-        self._K = K
-        if free_solve is None:
+        if factor is None:
             try:
-                free_solve = fem.spd_factor(fem.submatrix(K, self.free, self.free))
+                factor = fem.spd_factor(fem.submatrix(K, self.free, self.free), self._pos)
             except fem.FactorizationError as exc:
                 raise SolverError(f"stiffness block factorization failed: {exc}") from exc
-        self._solve = free_solve
+        self._solve, self._Z = factor
         # With sigma = 1/K_ii the primal guess sways the set choice and the
         # iteration can cycle between sets; a sigma three orders larger
         # leaves the choice to the multiplier.
         self._sigma = 1e3 / diag[T]
-        self._Z = np.full((len(T), len(T)), np.nan)  # a column not solved for is NaN
         self._stick = (None, None)  # stick set I (as bytes), LU factors of Z_II
         self._lam = None  # multiplier of the last solve
 
@@ -178,56 +174,48 @@ class TrescaSolver:
         return w
 
     def _stick_solve(self, I, rhs):
-        """Z_II^-1 rhs, solving for the missing columns of Z first."""
+        """Z_II^-1 rhs on the LU factors of Z_II, kept while I is unchanged."""
         key = I.tobytes()
         if key != self._stick[0]:
-            new = I[np.isnan(self._Z[0, I])]
-            for start in range(0, len(new), _Z_BLOCK):
-                cols = new[start:start + _Z_BLOCK]
-                E = np.zeros((len(self.free), len(cols)))
-                E[self._pos[cols], np.arange(len(cols))] = 1.0
-                self._Z[:, cols] = self._solve(E)[self._pos]
             self._stick = (key, dgetrf(self._Z[np.ix_(I, I)])[:2])
         return dgetrs(*self._stick[1], rhs)[0]
 
     def _iterate(self, w, c, t, lam, inner_tol, max_inner):
         """Active-set iteration from the gamma3 guess t and multiplier lam,
-        by default K_TT (w_T - t), the gamma3 residual of w with gamma3
-        values t; returns (u, iterations) and keeps the final multiplier.
+        by default the exact reaction S_TT (w_T - t) = Z^-1 (w_T - t) of
+        the gamma3 values t; returns (u, iterations) and keeps the final
+        multiplier.
 
-        Each iteration is one band solve of w less the slip multipliers and
-        the stick solve.  t and lambda depend on the sign vector s alone, so
-        from the first repeated s on, each iteration flips only the violator
-        of least index (Murty's rule; Judice-Pires, Comput. Oper. Res. 21,
-        1994), which ends for positive definite K_ff.
+        Each iteration is dense algebra on Z: t = w_T - Z lambda with the
+        slip multipliers, then the stick solve.  t and lambda depend on the
+        sign vector s alone, so from the first repeated s on, each
+        iteration flips only the violator of least index (Murty's rule;
+        Judice-Pires, Comput. Oper. Res. 21, 1994), which ends for positive
+        definite K_ff.  One band solve lifts the final multiplier to u.
         """
         u = np.zeros(self.n_nodes)
-        pos = self._pos
+        pos, Z = self._pos, self._Z
         if len(pos) == 0:
             u[self.free] = w
             return u, 0
-        if lam is None:  # u is zero but on gamma3 for this one product
-            u[self.friction] = w[pos] - t
-            lam = (self._K @ u)[self.friction]
-            u[self.friction] = 0.0
+        w_T = w[pos]
+        if lam is None:
+            lam = self._stick_solve(np.arange(len(pos)), w_T - t)
         sigma = self._sigma
         sigma_c = sigma * c
         tol = inner_tol * (1.0 + c.max())
         # a node off zero slips its way, a node at zero slips where its
         # multiplier exceeds the bound (not on a stale one below a grown bound)
         s = np.where(t != 0.0, np.sign(t), np.sign(lam) * (np.abs(lam) > c))
-        rhs = np.zeros(len(self.free))
         seen = set()  # the sign vectors of the failed iterations
         least_index = False
         for iteration in range(1, max_inner + 1):
             lam = s * c
-            rhs[pos] = lam
-            u_free = w - self._solve(rhs)
-            t = u_free[pos]
+            t = w_T - Z @ lam
             I = (s == 0.0).nonzero()[0]
             if len(I):
                 lam[I] = self._stick_solve(I, t[I])
-                t -= self._Z[:, I] @ lam[I]
+                t -= Z[:, I] @ lam[I]
                 t[I] = 0.0
             # no slip value against its sign, no stick multiplier above its bound
             if (s * t).min() >= -tol and (not len(I) or (np.abs(lam[I]) <= c[I] + tol).all()):
@@ -250,11 +238,10 @@ class TrescaSolver:
                 f"active-set iterations (tolerance {tol:.3e})"
             )
         self._lam = lam
-        if len(I):  # lift: one more band solve with the stick multipliers
-            rhs[pos] = lam
-            u_free = w - self._solve(rhs)
-            u_free[pos[I]] = 0.0
-        u[self.free] = u_free
+        rhs = np.zeros(len(self.free))
+        rhs[pos] = lam
+        u[self.free] = w - self._solve(rhs)
+        u[self.friction[I]] = 0.0
         return u, iteration
 
     def solve(self, F, c, t0=None, *, inner_tol=1e-12, max_inner=50000):
@@ -384,13 +371,14 @@ class DiscreteProblem:
         mesh, mu = problem.mesh, problem.mu
         self.K = fem.stiffness_matrix(mesh, mu, problem.mu_star)
         self.F = fem.assemble_load(mesh, problem.f0, problem.f2)
-        shared = None
-        if not (callable(mu) or np.ndim(mu)):  # mu S_ff: the unit block's factor over mu
-            unit = fem.free_block(mesh, "stiffness")[1]
-            shared = unit if mu == 1.0 else lambda b: unit(b) / mu
-        self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3], shared)
-        self.mu_star = problem.resolved_mu_star()
+        # the constants first: c3 drops the Gram band before the stiffness band is built
         self.c0, self.c3 = constants.space_constants(mesh)
+        factor = None
+        if not (callable(mu) or np.ndim(mu)):  # mu S_ff: the unit block's factor over mu
+            _, unit, Z = fem.free_block(mesh, "stiffness")
+            factor = (unit, Z) if mu == 1.0 else (lambda b: unit(b) / mu, Z / mu)
+        self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3], factor)
+        self.mu_star = problem.resolved_mu_star()
         self.points = mesh.nodes[self.tresca.friction]
         self.weights = mesh.gamma3_weights[self.tresca.friction]
         self.gram = fem.gram_matrix(mesh)

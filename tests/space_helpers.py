@@ -26,11 +26,11 @@ def dual_norm(mesh: fem.Mesh, F: np.ndarray) -> float:
     """Norm of a load functional over the constrained space.
 
     Computed as sqrt(F' A^-1 F) on the free nodes, where A is the H1 Gram
-    matrix; this is the Riesz norm of v -> F.v over fields vanishing on
-    gamma1.
+    matrix, factored here (the mesh's cache keeps no Gram factor); this is
+    the Riesz norm of v -> F.v over fields vanishing on gamma1.
     """
     Ff = F[mesh.free_nodes]
-    z = fem.free_block(mesh, "gram")[1](Ff)
+    z = fem.spd_factor(fem.free_block(mesh, "gram")[0])[0](Ff)
     return float(np.sqrt(max(Ff @ z, 0.0)))
 
 

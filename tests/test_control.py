@@ -250,6 +250,11 @@ class TestCost:
         with pytest.raises(ValueError, match=f"control coefficients must be finite, got {bad}"):
             control.cost(mesh, patches, w, np.zeros(mesh.n_nodes), [bad])
 
+    def test_non_finite_coefficient_names_its_patch(self):
+        patches = control.ControlPatches(control_mesh_2d(4), 2)
+        with pytest.raises(ValueError, match="finite, got nan at patch 1$"):
+            patches.traction([0.1, np.nan])
+
     def test_control_term_scales_quadratically(self, setup_1d):
         mesh, _, patches = setup_1d
         w = control.CostWeights(1.0, 3.0, 0.0)
@@ -725,9 +730,9 @@ class TestOCSequence:
         factored = []
         factor = fem.spd_factor
 
-        def counting(matrix):
+        def counting(matrix, last=()):
             factored.append(matrix.shape)
-            return factor(matrix)
+            return factor(matrix, last)
 
         monkeypatch.setattr(fem, "spd_factor", counting)
         mesh = control_mesh_2d(4)

@@ -411,14 +411,21 @@ class TestSubmatrix:
         mesh = square_mesh(4, 4)
         whole = fem.stiffness_matrix(mesh, 1.0) if form == "stiffness" else fem.gram_matrix(mesh)
         constants.space_constants(mesh, seed=0)
-        block, solve = fem.free_block(mesh, form)
+        entry = fem.free_block(mesh, form)
+        block, Z = entry[0], entry[-1]
+        assert len(entry) == (3 if form == "stiffness" else 2)
         assert sum(A is whole for A in cuts) == 1
-        assert fem.free_block(mesh, form) == (block, solve)
+        assert fem.free_block(mesh, form) == entry
         assert_read_only(block)
+        assert not Z.flags.writeable
         free = mesh.free_nodes
         assert np.array_equal(block.toarray(), whole[free][:, free].toarray())
-        b = np.ones(len(free))
-        assert np.allclose(block @ solve(b), b, rtol=0, atol=1e-12)
+        pos = np.searchsorted(free, mesh.node_sets["gamma3"])
+        Z_ref = np.linalg.inv(block.toarray())[np.ix_(pos, pos)]
+        assert np.allclose(Z, Z_ref, rtol=0, atol=1e-12)
+        if form == "stiffness":
+            b = np.ones(len(free))
+            assert np.allclose(block @ entry[1](b), b, rtol=0, atol=1e-12)
 
     def test_free_block_names_its_form(self):
         with pytest.raises(ValueError, match="unknown H1 form 'mass'"):
@@ -562,6 +569,9 @@ class TestLoad:
 # SPD factorization kernel
 
 
+SIDES = {"left": "gamma1", "right": "gamma2", "bottom": "gamma3", "top": "gamma3"}
+
+
 def free_block(mesh, mu):
     free = mesh.free_nodes
     return fem.assemble_stiffness(mesh, mu)[free][:, free]
@@ -592,7 +602,7 @@ class TestSpdFactor:
         K = free_block(mesh, mu)
         shape = (K.shape[0],) if n_columns == 0 else (K.shape[0], n_columns)
         b = np.random.default_rng(seed).standard_normal(shape)
-        x = fem.spd_factor(K)(b)
+        x = fem.spd_factor(K)[0](b)
         x_ref = spla.spsolve(K.tocsc(), b).reshape(shape)  # spsolve drops a unit axis
         assert x.shape == shape
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
@@ -601,7 +611,7 @@ class TestSpdFactor:
         K = free_block(square_mesh(4, 3), 1.0)
         b = np.arange(2.0 * K.shape[0]).reshape(-1, 2)
         before = b.copy()
-        fem.spd_factor(K)(b)
+        fem.spd_factor(K)[0](b)
         assert np.array_equal(b, before)
 
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
@@ -616,11 +626,11 @@ class TestSpdFactor:
         mesh = square_mesh(4, 3)
         K = fem.stiffness_matrix(mesh, 1.0)
         free = mesh.free_nodes
-        solve = fem.spd_factor(K[free][:, free])
+        solve = fem.spd_factor(K[free][:, free])[0]
         b = np.ones(len(free))
         assert np.allclose(K[free][:, free] @ solve(b), b, rtol=0, atol=1e-12)
         # a read-only matrix that is factored as it is
-        whole = fem.spd_factor(fem.gram_matrix(mesh))
+        whole = fem.spd_factor(fem.gram_matrix(mesh))[0]
         assert np.allclose(fem.gram_matrix(mesh) @ whole(np.ones(mesh.n_nodes)), 1.0)
 
     def test_duplicate_entries_are_summed(self):
@@ -635,7 +645,7 @@ class TestSpdFactor:
         )
         assert not A.has_canonical_format
         b = np.array([1.0, 2.0])
-        assert np.allclose(fem.spd_factor(A)(b), np.linalg.solve(A.toarray(), b), rtol=1e-14)
+        assert np.allclose(fem.spd_factor(A)[0](b), np.linalg.solve(A.toarray(), b), rtol=1e-14)
 
     def test_reverse_cuthill_mckee_narrows_a_strip(self, monkeypatch):
         spec = fem.MeshSpec(
@@ -648,6 +658,56 @@ class TestSpdFactor:
         fem.spd_factor(K)
         [band] = bands
         assert band.shape[0] - 1 <= 6  # superdiagonals kept
+
+    @pytest.mark.parametrize(
+        "mesh, mu",
+        [
+            (interval_mesh(9), 1.0),
+            (interval_mesh(9, right="gamma1", left="gamma3"), 1.0),
+            (square_mesh(1, 1, dict(SIDES, right="gamma3")), 1.0),
+            (square_mesh(7, 3, dict(SIDES, top="gamma2")), 1.0),
+            (square_mesh(12, 12), 1.0),
+            (square_mesh(12, 12, dict(SIDES, right="gamma3")), 1.0),
+            (square_mesh(6, 5), np.linspace(0.2, 5.0, 60)),
+        ],
+    )
+    def test_gamma3_block_of_the_inverse(self, mesh, mu):
+        free = mesh.free_nodes
+        K = free_block(mesh, mu)
+        last = np.searchsorted(free, mesh.node_sets["gamma3"])
+        solve, Z = fem.spd_factor(K, last)
+        E = np.zeros((len(free), len(last)))
+        E[last, np.arange(len(last))] = 1.0
+        columns = solve(E)[last]
+        dense = np.linalg.inv(K.toarray())[np.ix_(last, last)]
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(Z - columns)) <= 1e-13 * scale
+        assert np.max(np.abs(Z - dense)) <= 1e-13 * scale
+        assert np.array_equal(Z, Z.T)
+
+    def test_rows_out_of_reach_of_last(self):
+        # two uncoupled blocks: the search from ``last`` never enters the second
+        K = free_block(interval_mesh(6), 1.0)
+        A = sp.block_diag([K, 2.0 * K]).tocsr()
+        last = np.array([5, 2])
+        solve, Z = fem.spd_factor(A, last)
+        dense = np.linalg.inv(A.toarray())
+        assert np.allclose(Z, dense[np.ix_(last, last)], rtol=0, atol=1e-13)
+        b = np.arange(12.0)
+        assert np.allclose(solve(b), dense @ b, rtol=0, atol=1e-12)
+
+    def test_gamma3_rows_come_last_in_the_band(self, monkeypatch):
+        # the band of the 12x12 stiffness with gamma3 on bottom and top holds
+        # two grid rows per level; the trailing block is gamma3's
+        mesh = square_mesh(12, 12)
+        K = free_block(mesh, 1.0)
+        last = np.searchsorted(mesh.free_nodes, mesh.node_sets["gamma3"])
+        bands = recording_dpbtrf(monkeypatch)
+        fem.spd_factor(K, last)
+        [band] = bands
+        tail = band[:, -len(last):]
+        assert sorted(tail[-1]) == sorted(K.diagonal()[last])
+        assert band.shape[0] - 1 <= 2 * 13 + 1
 
     def test_indefinite_matrix_raises(self):
         # positive diagonal, off-diagonal couplings three times too strong
