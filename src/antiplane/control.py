@@ -12,7 +12,8 @@ problem for that traction.  The state assembly is load-independent, so
 one :class:`StateSolver` holds one ``qvi.DiscreteProblem`` for all
 optimizer evaluations, each started from the secant through its start's
 last d + 1 evaluated (control, state) pairs (``_predict``), which is
-exact wherever the control-to-state map is affine.  Multistart optima
+exact wherever the control-to-state map is affine; a control that the
+start has solved before is answered from its record.  Multistart optima
 are clustered by cost (radius ``CLUSTER_RADIUS``) to approximate a
 possibly non-unique solution set; ties between equal-cost minimizers
 (within ``TIE_TOL``) resolve to the smaller control norm.
@@ -178,14 +179,16 @@ def cost(
 ) -> float:
     """Evaluate the tracking cost for a given state and control."""
     target = target_field(mesh, weights.target)
-    return _cost(fem.mass_matrix(mesh), target, patches, weights, u, coeffs)
+    c = patches.coefficients(coeffs)
+    return _cost(fem.mass_matrix(mesh), target, patches, weights, u, c)
 
 
-def _cost(M, target, patches, weights, u, coeffs) -> float:
-    """``cost`` with the mass matrix M and the nodal target given."""
+def _cost(M, target, patches, weights, u, c) -> float:
+    """``cost`` with the mass matrix M, the nodal target and the checked
+    coefficients c given (``patches.norm_sq`` without its check)."""
     diff = np.asarray(u, dtype=float) - target
     misfit = float(diff @ (M @ diff))
-    return weights.a0 * misfit + weights.a2 * patches.norm_sq(coeffs)
+    return weights.a0 * misfit + weights.a2 * float(patches.measures @ c**2)
 
 
 class StateSolver:
@@ -229,11 +232,13 @@ class StateSolver:
 
     def evaluate(self, coeffs, weights: CostWeights, config=None, eta0=None):
         """Reduced cost at ``coeffs``; returns (cost, u), the cost bitwise
-        that of ``cost``."""
-        u, _ = self.solve(coeffs, config, eta0)
+        that of ``cost``.  ``coeffs`` is checked once, for the load and the
+        cost."""
+        c = self.patches.coefficients(coeffs)
+        u, _ = self.discrete.solve(self.F0 + self.B @ c, self.discrete.problem.g, config, eta0)
         if self._target[0] is not weights:
             self._target = (weights, target_field(self.patches.mesh, weights.target))
-        J = _cost(self._mass, self._target[1], self.patches, weights, u, coeffs)
+        J = _cost(self._mass, self._target[1], self.patches, weights, u, c)
         return J, u
 
 
@@ -314,12 +319,17 @@ def minimize_cost(
     smallest-norm coefficient vector among the cost-best starts (within
     the module constant ``TIE_TOL``); ``clusters`` groups all successful
     optima by cost within ``CLUSTER_RADIUS`` to expose non-unique
-    minimizers.  Each state solve starts from ``_predict`` on its own
-    start's pairs; the selected optimum's state is solved again from a
-    cold start.  Raises ValueError, before any state solve, for
-    ``n_starts`` or ``max_evals`` below 1, a negative or non-finite
-    ``start_scale``, ``xatol`` or ``fatol``, or an extra start of the
-    wrong shape or with a non-finite entry.
+    minimizers.  Each start solves the state once per distinct control:
+    it records the cost of every control it solves, keyed by the
+    control's bytes, and answers the optimizer's revisits from that
+    record; its trace still has one cost per optimizer call.  Each state
+    solve starts from ``_predict`` on the (control, state) pairs its
+    start has solved; the selected optimum's state is solved again from
+    a cold start.
+    Raises ValueError, before any state solve, for ``n_starts`` or
+    ``max_evals`` below 1, a negative or non-finite ``start_scale``,
+    ``xatol`` or ``fatol``, or an extra start of the wrong shape or with
+    a non-finite entry.
     """
     # deferred: only the optimizer needs scipy.optimize, so a solve does not load it
     from scipy.optimize import minimize
@@ -349,13 +359,17 @@ def minimize_cost(
     traces: list[list[float]] = []
     for i, x0 in enumerate(x0s):
         trace: list[float] = []
-        history: deque = deque(maxlen=d + 1)  # (x, u) pairs, private to this start
+        history: deque = deque(maxlen=d + 1)  # solved (x, u) pairs, private to this start
+        solved: dict = {}  # the cost of each control this start solved, by its bytes
 
         def fun(x):
-            J, u = solver.evaluate(x, weights, config, eta0=_predict(history, x))
-            history.append((x, u))
-            trace.append(float(J))
-            return J
+            key = x.tobytes()
+            if key not in solved:  # a revisit is answered from the record
+                J, u = solver.evaluate(x, weights, config, eta0=_predict(history, x))
+                history.append((x, u))
+                solved[key] = J
+            trace.append(float(solved[key]))
+            return solved[key]
 
         res = minimize(
             fun,

@@ -19,10 +19,12 @@ mesh: the element geometry, the element gradient products and the
 scatter pattern of the assembly, the mass and H1 Gram matrices, the
 stiffness matrix of a scalar modulus keyed on its value (one entry for
 mu = 1, which is also the unit stiffness, and one for the last other
-scalar modulus), the free block of each H1 form with the gamma3 block
-of its inverse (unit stiffness, which keeps its band factor too, and
-Gram, ``free_block``), and the constants (c0, c3) of
-``constants.space_constants`` keyed on their solver settings.
+scalar modulus), the band layout that the factors of all free blocks
+share (``free_factor``), the free block of each H1 form with the gamma3
+block of its inverse (unit stiffness, which keeps its band factor too
+until ``release_free_block``, and Gram, ``free_block``), and the
+constants (c0, c3) of ``constants.space_constants`` keyed on their
+solver settings.
 Cached arrays are read-only.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
 its cached form, which checks the modulus and its floor on every call.
@@ -560,37 +562,99 @@ def _band_order(A, last: np.ndarray) -> np.ndarray:
     return np.concatenate((np.setdiff1d(np.arange(n), order), order))
 
 
-def spd_factor(A, last=()):
+@dataclass(frozen=True, eq=False)
+class BandLayout:
+    """Where ``spd_factor`` puts the entries of a sparse symmetric matrix.
+
+    It holds the CSR pattern it was made for (``indptr``, ``indices``),
+    the band order ``perm`` of ``_band_order`` with the rows ``last``
+    last and its ``inverse``, the mask ``upper`` of the entries on or
+    above the diagonal in that order, the half bandwidth ``kd`` and the
+    flat (Fortran-order) band position ``at`` of each upper entry; for
+    Z = (A^-1)[last, last], the flat positions ``z_band`` of the trailing
+    block's upper triangle within the band, their flat places ``z_at`` in
+    the m x m block, and ``z_take``, the rows of ``last`` in that block.
+    All are integer or boolean arrays of O(nnz) entries.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    perm: np.ndarray
+    inverse: np.ndarray
+    upper: np.ndarray
+    kd: int
+    at: np.ndarray
+    z_band: np.ndarray
+    z_at: np.ndarray
+    z_take: np.ndarray
+
+
+def _canonical(A) -> sp.csr_matrix:
+    """A as CSR with sorted indices and no duplicates; a copy only when A
+    is not already so."""
+    A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
+def band_layout(A, last=()) -> BandLayout:
+    """The ``BandLayout`` of the pattern of the sparse symmetric A with the
+    rows ``last`` last; it depends on the positions of the entries only."""
+    A = _canonical(A)
+    last = np.asarray(last, dtype=np.int64)
+    n, m = A.shape[0], len(last)
+    perm = _band_order(A, last)
+    inverse = np.argsort(perm)
+    i = inverse[np.repeat(np.arange(n), np.diff(A.indptr))]
+    j = inverse[A.indices]
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    kd = int(np.max(j - i, initial=0))
+    row, col = np.triu_indices(m)
+    near = col - row <= kd
+    row, col = row[near], col[near]
+    return BandLayout(
+        A.indptr, A.indices, perm, inverse, upper, kd,
+        at=kd + i - j + (kd + 1) * j,
+        z_band=kd + row - col + (kd + 1) * (n - m + col),
+        z_at=row * m + col,
+        z_take=inverse[last] - (n - m),
+    )
+
+
+def spd_factor(A, last=(), layout: BandLayout | None = None):
     """Banded Cholesky factorization of a sparse symmetric positive definite A.
 
     The rows are ordered into a narrow band by ``_band_order``, with the
-    rows ``last`` last.  The entries of A are moved to their reordered
-    positions through the inverse permutation, those on or above the
-    diagonal are packed in LAPACK upper band storage, and ``dpbtrf``
-    factors the band U'U; A itself is left unchanged.  Returns (solve, Z):
-    ``solve(b)`` for a vector or an (n, k) array b permutes b, calls
-    ``dpbtrs`` and undoes the permutation; Z = (A^-1)[last, last] in the
-    order of ``last``.  The trailing block U_TT of the factor satisfies
+    rows ``last`` last; ``layout``, a ``band_layout`` of A's pattern made
+    once for several matrices, replaces ``last`` and that ordering
+    (ValueError when A's CSR pattern is not the layout's).  The entries
+    of A on or above the diagonal of the reordered matrix are packed in
+    LAPACK upper band storage, and ``dpbtrf`` factors the band U'U; A
+    itself is left unchanged.  Returns (solve, Z): ``solve(b)`` for a
+    vector or an (n, k) array b permutes b, calls ``dpbtrs`` and undoes
+    the permutation; Z = (A^-1)[last, last] in the order of ``last``.
+    The trailing block U_TT of the factor satisfies
     U_TT'U_TT = A_TT - A_TS A_SS^-1 A_ST (the Schur complement, George-Liu
     1981), so ``dpotri`` on U_TT gives Z with no solve.  Raises
     FactorizationError on a nonpositive pivot.
     """
-    A = sp.csr_matrix(A)
-    last = np.asarray(last, dtype=np.int64)
-    n, m = A.shape[0], len(last)
+    A = _canonical(A)
+    n = A.shape[0]
     if n == 0:
         return (lambda b: np.array(b, dtype=float)), np.zeros((0, 0))
-    perm = _band_order(A, last)
-    inverse = np.argsort(perm)
-    C = A.tocoo()
-    C.sum_duplicates()  # a no-op on the canonical matrices of the assembly
-    i, j = inverse[C.row], inverse[C.col]
-    upper = i <= j
-    i, j = i[upper], j[upper]
-    kd = int(np.max(j - i, initial=0))
-    band = np.zeros((kd + 1, n), order="F")
-    band[kd + i - j, j] = C.data[upper]
-    chol, info = dpbtrf(band, overwrite_ab=1)
+    if layout is None:
+        layout = band_layout(A, last)
+    elif not (
+        np.array_equal(A.indptr, layout.indptr) and np.array_equal(A.indices, layout.indices)
+    ):
+        raise ValueError("the matrix's sparsity pattern is not the one of the band layout")
+    perm, inverse, kd = layout.perm, layout.inverse, layout.kd
+    band = np.zeros((kd + 1) * n)
+    band[layout.at] = A.data[layout.upper]
+    chol, info = dpbtrf(band.reshape((kd + 1, n), order="F"), overwrite_ab=1)
     if info > 0:
         raise FactorizationError(
             f"matrix is not positive definite (pivot {info} of {n} in band order)"
@@ -600,16 +664,13 @@ def spd_factor(A, last=()):
         x, _ = dpbtrs(chol, np.asarray(b, dtype=float)[perm], overwrite_b=1)
         return x[inverse]
 
+    m = len(layout.z_take)
     Z = np.zeros((m, m))
     if m:
-        row, col = np.triu_indices(m)
-        near = col - row <= kd
-        row, col = row[near], col[near]
-        Z[row, col] = chol[kd + row - col, n - m + col]  # U_TT
+        Z.flat[layout.z_at] = chol.reshape(-1, order="F")[layout.z_band]  # U_TT
         Z = dpotri(Z)[0]  # its upper triangle
         Z = np.triu(Z) + np.triu(Z, 1).T
-        q = inverse[last] - (n - m)  # the rows of ``last`` in the trailing block
-        Z = Z[np.ix_(q, q)]
+        Z = Z[np.ix_(layout.z_take, layout.z_take)]
     return solve, Z
 
 
@@ -656,23 +717,41 @@ def v_norm(mesh: Mesh, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ (A @ v), 0.0)))
 
 
+def free_factor(mesh: Mesh, A):
+    """(A_ff, solve, Z): the block of A on the free nodes and its
+    ``spd_factor`` with the gamma3 nodes last, for A of the mesh's element
+    pattern (an H1 form or a stiffness matrix).  The band layout is made
+    once per mesh, from the first block factored, and kept in the mesh's
+    cache for the others; ValueError when A's free block has another
+    pattern."""
+    free = mesh.free_nodes
+    block = submatrix(A, free, free)
+    last = np.searchsorted(free, mesh.node_sets[GAMMA3])
+    layout = cached(mesh, "band layout", lambda: band_layout(block, last))
+    return (block, *spd_factor(block, layout=layout))
+
+
 def free_block(mesh: Mesh, form: str):
     """The block A_ff on the free nodes of the H1 form ``form`` and the
     gamma3 part Z = (A_ff^-1)_TT of its inverse, built together once per
-    mesh by ``spd_factor`` with the gamma3 nodes T last: (S_ff, solve, Z)
-    for "stiffness" (the unit stiffness), (G_ff, Z) for "gram", whose band
-    factor is dropped.  The arrays are read-only.  Raises MeshError when
-    every node is clamped."""
-    free = mesh.free_nodes
+    mesh by ``free_factor``: (S_ff, solve, Z) for "stiffness" (the unit
+    stiffness), (G_ff, Z) for "gram", whose band factor is dropped.  The
+    arrays are read-only.  Raises MeshError when every node is clamped."""
     if form not in ("stiffness", "gram"):
         raise ValueError(f"unknown H1 form {form!r}")
-    if len(free) == 0:
+    if len(mesh.free_nodes) == 0:
         raise MeshError("no free node: every node lies on gamma1")
 
     def build():
         whole = stiffness_matrix(mesh, 1.0) if form == "stiffness" else gram_matrix(mesh)
-        block = _read_only(submatrix(whole, free, free))
-        solve, Z = spd_factor(block, np.searchsorted(free, mesh.node_sets[GAMMA3]))
-        return (block, solve, _read_only(Z)) if form == "stiffness" else (block, _read_only(Z))
+        block, solve, Z = free_factor(mesh, whole)
+        block, Z = _read_only(block), _read_only(Z)
+        return (block, solve, Z) if form == "stiffness" else (block, Z)
 
     return cached(mesh, ("free", form), build)
+
+
+def release_free_block(mesh: Mesh, form: str) -> None:
+    """Drop the mesh's cached ``free_block(mesh, form)`` and with it its
+    band factor; the next ``free_block`` call cuts and factors it again."""
+    _FORM_CACHE.get(mesh, {}).pop(("free", form), None)

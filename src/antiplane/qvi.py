@@ -272,12 +272,16 @@ class TrescaSolver:
 def _bound(g: fem.FrictionBound, points: np.ndarray, r: np.ndarray) -> np.ndarray:
     """g(points, r) clipped at zero; SolverError when a value is not finite
     or is negative beyond rounding."""
-    G = g(points, r)
-    if not np.isfinite(G).all():
-        raise SolverError("friction bound took a non-finite value on gamma3")
-    if (G < -1e-14).any():
+    G = g(points, r)  # a new array: clipped in place
+    lo, hi = np.minimum.reduce(G, initial=0.0), np.maximum.reduce(G, initial=0.0)
+    if not (lo >= -1e-14 and hi < np.inf):  # a NaN fails both
+        if not np.isfinite(G).all():
+            raise SolverError("friction bound took a non-finite value on gamma3")
         raise SolverError("friction bound took a negative value on gamma3")
-    return np.maximum(G, 0.0)
+    return np.maximum(G, 0.0, out=G)
+
+
+_DEFAULT_CONFIG = SolverConfig()
 
 
 def fixed_point(
@@ -298,7 +302,7 @@ def fixed_point(
     is exceeded; ValueError when ``eta0`` or ``F`` has the wrong length or
     ``eta0`` a non-finite entry.
     """
-    cfg = config or SolverConfig()
+    cfg = config or _DEFAULT_CONFIG
     mesh, solver, c0, c3 = discrete.problem.mesh, discrete.tresca, discrete.c0, discrete.c3
     k, ok = constants.smallness_margin(g.lipschitz, c0, c3, discrete.mu_star)
     if not ok:
@@ -309,7 +313,8 @@ def fixed_point(
             )
         warnings.warn(f"attempting fixed point with non-contractive k = {k:.6f}")
 
-    eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
+    # eta0 is read only: eta is rebound, never written, and never returned as given
+    eta = np.zeros(mesh.n_nodes) if eta0 is None else np.asarray(eta0, dtype=float)
     if eta.shape != (mesh.n_nodes,):
         raise ValueError(f"eta0 must have {mesh.n_nodes} entries, got shape {eta.shape}")
     fem.require_finite("eta0", eta)
@@ -361,9 +366,12 @@ class DiscreteProblem:
     For a scalar mu, K is the mesh's cached, read-only matrix, which the
     certificates of the same data reuse, and the solver runs on the
     mesh's factor of the free unit stiffness block (``fem.free_block``),
-    which c0 shares.  All but F depend on the mesh and mu only, so one
-    instance solves the problem for any load and friction bound, bitwise
-    as a fresh ``solve_qvi`` of the same data would.
+    which c0 shares.  Any other mu factors its own K_ff on the mesh's
+    band layout (``fem.free_factor``), after it has released the unit
+    band, so that one band is held at a time; a later scalar mu on the
+    mesh factors the unit block again.  All but F depend on the mesh and
+    mu only, so one instance solves the problem for any load and friction
+    bound, bitwise as a fresh ``solve_qvi`` of the same data would.
     """
 
     def __init__(self, problem: ProblemData):
@@ -373,10 +381,15 @@ class DiscreteProblem:
         self.F = fem.assemble_load(mesh, problem.f0, problem.f2)
         # the constants first: c3 drops the Gram band before the stiffness band is built
         self.c0, self.c3 = constants.space_constants(mesh)
-        factor = None
         if not (callable(mu) or np.ndim(mu)):  # mu S_ff: the unit block's factor over mu
             _, unit, Z = fem.free_block(mesh, "stiffness")
             factor = (unit, Z) if mu == 1.0 else (lambda b: unit(b) / mu, Z / mu)
+        else:  # c0 is cached: the unit band goes before K_ff's is made
+            fem.release_free_block(mesh, "stiffness")
+            try:
+                factor = fem.free_factor(mesh, self.K)[1:]
+            except fem.FactorizationError as exc:
+                raise SolverError(f"stiffness block factorization failed: {exc}") from exc
         self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3], factor)
         self.mu_star = problem.resolved_mu_star()
         self.points = mesh.nodes[self.tresca.friction]

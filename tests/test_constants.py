@@ -76,8 +76,8 @@ class TestPoincare:
         solves = []
         factor = fem.spd_factor
 
-        def counting(matrix, last=()):
-            solve, Z = factor(matrix, last)
+        def counting(matrix, last=(), layout=None):
+            solve, Z = factor(matrix, last, layout)
             return (lambda b: solves.append(1) or solve(b)), Z
 
         monkeypatch.setattr(fem, "spd_factor", counting)

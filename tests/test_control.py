@@ -537,6 +537,94 @@ class TestSecantWarmStart:
         assert np.mean(steps) <= 2.0
 
 
+def recorded_minimize_cost(monkeypatch, problem, patches, weights, n_starts):
+    """``minimize_cost`` with seed 0 and the (control, cost) of each of its
+    state solves, one list per start (each start's first solve and the
+    final solve of the selected optimum are the cold ones)."""
+    solves = []
+    evaluate = control.StateSolver.evaluate
+
+    def recording(self, coeffs, weights, config=None, eta0=None):
+        if eta0 is None:
+            solves.append([])
+        J, u = evaluate(self, coeffs, weights, config, eta0)
+        solves[-1].append((np.array(coeffs), J))
+        return J, u
+
+    monkeypatch.setattr(control.StateSolver, "evaluate", recording)
+    result = control.minimize_cost(problem, patches, weights, n_starts=n_starts, seed=0)
+    monkeypatch.setattr(control.StateSolver, "evaluate", evaluate)
+    assert len(solves) == n_starts + 1 and len(solves[-1]) == 1
+    return result, solves[:-1]
+
+
+def reference_starts(problem, patches, weights, result):
+    """The starts of ``result`` rerun as ``minimize_cost`` runs them but
+    with a state solve at every optimizer call: [(OptimizeResult, trace,
+    the controls of the calls)]."""
+    from scipy.optimize import minimize
+
+    d = patches.n_patches
+    solver = control.StateSolver(problem, patches)
+    runs = []
+    for start in result.starts:
+        history, trace, calls = deque(maxlen=d + 1), [], []
+
+        def fun(x):
+            calls.append(x.tobytes())
+            J, u = solver.evaluate(x, weights, eta0=control._predict(history, x))
+            history.append((x, u))
+            trace.append(float(J))
+            return J
+
+        options = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000 * d, "maxfev": 2000 * d}
+        res = minimize(
+            fun, start.x0, method="Nelder-Mead", bounds=patches.bounds(), options=options
+        )
+        runs.append((res, trace, calls))
+    return runs
+
+
+class TestRevisitMemo:
+    """Each start solves the state once per distinct control and answers
+    Nelder-Mead's revisits from its record of the costs it solved."""
+
+    def test_one_state_solve_per_distinct_control(self, monkeypatch):
+        problem, patches, weights = frictional_square()
+        result, (solves,) = recorded_minimize_cost(monkeypatch, problem, patches, weights, 1)
+        (start,), (trace,) = result.starts, result.traces
+        assert len(solves) < start.n_evals == len(trace)
+        assert len({x.tobytes() for x, _ in solves}) == len(solves)
+        # a revisit's cost is the recorded one, bitwise
+        assert set(trace) == {J for _, J in solves}
+
+    def test_matches_the_solve_at_every_call(self, monkeypatch):
+        # up to the first revisit both runs make the same calls; a revisit
+        # solved again from another warm start lands on the same fixed point
+        # within the outer tolerance, not bitwise, and so do the solves after
+        # it, so the simplex may take another path to the same optimum
+        problem, patches, weights = frictional_square()
+        result, _ = recorded_minimize_cost(monkeypatch, problem, patches, weights, 1)
+        ((ref, ref_trace, calls),) = reference_starts(problem, patches, weights, result)
+        (start,), (trace,) = result.starts, result.traces
+        first_revisit = next(i for i, x in enumerate(calls) if x in calls[:i])
+        assert trace[:first_revisit] == ref_trace[:first_revisit]
+        assert start.cost == pytest.approx(ref.fun, rel=1e-10)
+        assert np.allclose(start.coeffs, ref.x, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("n_patches", [2, 3])
+    def test_bitwise_equal_to_the_solve_at_every_call(self, monkeypatch, n_patches):
+        problem, patches, weights = frictional_square(4, n_patches)
+        result, solves = recorded_minimize_cost(monkeypatch, problem, patches, weights, 3)
+        runs = reference_starts(problem, patches, weights, result)
+        for start, trace, start_solves, (ref, ref_trace, _) in zip(
+            result.starts, result.traces, solves, runs
+        ):
+            assert len(start_solves) == start.n_evals  # no revisit in these runs
+            assert start.n_evals == ref.nfev and trace == ref_trace
+            assert start.cost == ref.fun and np.array_equal(start.coeffs, ref.x)
+
+
 class TestUpFrontRefusals:
     """Bad optimizer and gate settings are refused by name before any
     Tresca solver is built (the patched class fails if it is)."""
@@ -730,9 +818,9 @@ class TestOCSequence:
         factored = []
         factor = fem.spd_factor
 
-        def counting(matrix, last=()):
+        def counting(matrix, last=(), layout=None):
             factored.append(matrix.shape)
-            return factor(matrix, last)
+            return factor(matrix, last, layout)
 
         monkeypatch.setattr(fem, "spd_factor", counting)
         mesh = control_mesh_2d(4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -719,6 +721,103 @@ class TestSpdFactor:
             fem.spd_factor(K_bad[free][:, free])
         with pytest.raises(qvi.SolverError, match="stiffness block factorization failed"):
             qvi.TrescaSolver(K_bad, free, [8])
+
+
+def counting_band_orders(monkeypatch):
+    """List that gains one entry per ``fem._band_order`` call."""
+    calls = []
+    band_order = fem._band_order
+    monkeypatch.setattr(fem, "_band_order", lambda A, last: calls.append(1) or band_order(A, last))
+    return calls
+
+
+def live_bands(monkeypatch):
+    """For every ``dpbtrf`` call, the number of band factors made before it
+    that are still alive."""
+    alive, made = [], []
+    original = fem.dpbtrf
+
+    def recording(ab, **kw):
+        alive.append(sum(ref() is not None for ref in made))
+        chol, info = original(ab, **kw)
+        made.append(weakref.ref(chol))
+        return chol, info
+
+    monkeypatch.setattr(fem, "dpbtrf", recording)
+    return alive
+
+
+def certified_solve(mesh, mu):
+    prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.affine(0.9, 0.2))
+    u, _ = qvi.solve_qvi(prob)
+    qvi.complementarity_report(prob, u)
+    theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+    assert qvi.membership_violation(mesh, mu, u, theta, seed=3) <= 1e-8
+    return u
+
+
+class TestBandLayout:
+    """The free blocks of a mesh (Gram, unit stiffness, a per-element
+    modulus) share one band layout, made once per mesh."""
+
+    @pytest.mark.parametrize("mu", [1.0, "per-element"], ids=["scalar", "element"])
+    def test_one_band_order_per_mesh(self, mu, monkeypatch):
+        calls = counting_band_orders(monkeypatch)
+        mesh = square_mesh(8, 8)
+        if mu == "per-element":
+            mu = np.linspace(0.8, 1.2, len(mesh.elements))
+        certified_solve(mesh, mu)
+        certified_solve(mesh, mu)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [interval_mesh(9), square_mesh(7, 3, dict(SIDES, top="gamma2")), square_mesh(12, 12)],
+        ids=["1D", "7x3", "12x12"],
+    )
+    def test_bitwise_equal_to_independent_factors(self, mesh):
+        free = mesh.free_nodes
+        last = np.searchsorted(free, mesh.node_sets["gamma3"])
+        modulus = np.linspace(0.5, 2.0, len(mesh.elements))
+        forms = (
+            fem.gram_matrix(mesh),
+            fem.stiffness_matrix(mesh, 1.0),
+            fem.assemble_stiffness(mesh, modulus),
+        )
+        b = np.random.default_rng(RNG_SEED).standard_normal((len(free), 2))
+        layout = None
+        for A in forms:
+            block = fem.submatrix(A, free, free)
+            layout = layout or fem.band_layout(block, last)
+            solve, Z = fem.spd_factor(block, layout=layout)
+            solve_ref, Z_ref = fem.spd_factor(block, last)
+            assert np.array_equal(solve(b), solve_ref(b))
+            assert np.array_equal(Z, Z_ref) and Z.shape == (len(last), len(last))
+
+    def test_layout_of_another_pattern_raises(self):
+        K = free_block(square_mesh(4, 4), 1.0)
+        layout = fem.band_layout(K, [0, 1])
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            fem.spd_factor(free_block(square_mesh(4, 3), 1.0), layout=layout)
+        diagonal = sp.diags(K.diagonal()).tocsr()  # the same size, fewer entries
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            fem.spd_factor(diagonal, layout=layout)
+        fem.spd_factor(2.0 * K, layout=layout)  # the same pattern, other values
+
+    def test_per_element_modulus_holds_one_band_at_a_time(self, monkeypatch):
+        alive = live_bands(monkeypatch)
+        mesh = square_mesh(8, 8)
+        mu = np.linspace(0.8, 1.2, len(mesh.elements))
+        g = fem.FrictionBound.affine(0.9, 0.2)
+        discrete = qvi.DiscreteProblem(qvi.ProblemData(mesh, mu, 1.0, 0.5, g))
+        # the Gram band of c3, the unit band of c0 (released), then K_ff's
+        assert alive == [0, 0, 0]
+        free, gamma3 = mesh.free_nodes, mesh.node_sets["gamma3"]
+        own = qvi.TrescaSolver(discrete.K, free, gamma3)  # K_ff ordered and factored afresh
+        c = np.full(len(gamma3), 0.05)
+        assert np.array_equal(discrete.tresca.solve(discrete.F, c)[0], own.solve(discrete.F, c)[0])
+        # a later scalar modulus on the mesh factors the unit block again
+        assert np.array_equal(certified_solve(mesh, 1.0), certified_solve(square_mesh(8, 8), 1.0))
 
 
 # ---------------------------------------------------------------------------

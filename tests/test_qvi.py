@@ -1074,9 +1074,9 @@ class TestSharedFreeFactor:
         factored, sizes = [], []
         factor = fem.spd_factor
 
-        def recording(matrix, last=()):
+        def recording(matrix, last=(), layout=None):
             factored.append(matrix.shape)
-            solve, Z = factor(matrix, last)
+            solve, Z = factor(matrix, last, layout)
 
             def recorded(b):
                 x = solve(b)
