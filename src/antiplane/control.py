@@ -180,14 +180,15 @@ def cost(
     """Evaluate the tracking cost for a given state and control."""
     target = target_field(mesh, weights.target)
     c = patches.coefficients(coeffs)
-    return _cost(fem.mass_matrix(mesh), target, patches, weights, u, c)
+    return _cost(qvi._product(fem.mass_matrix(mesh)), target, patches, weights, u, c)
 
 
-def _cost(M, target, patches, weights, u, c) -> float:
-    """``cost`` with the mass matrix M, the nodal target and the checked
-    coefficients c given (``patches.norm_sq`` without its check)."""
+def _cost(mass, target, patches, weights, u, c) -> float:
+    """``cost`` with the product x -> M x of the mass matrix, the nodal
+    target and the checked coefficients c given (``patches.norm_sq``
+    without its check)."""
     diff = np.asarray(u, dtype=float) - target
-    misfit = float(diff @ (M @ diff))
+    misfit = float(diff @ mass(diff))
     return weights.a0 * misfit + weights.a2 * float(patches.measures @ c**2)
 
 
@@ -196,12 +197,14 @@ class StateSolver:
 
     One ``qvi.DiscreteProblem`` of the base problem (stiffness, Tresca
     solver, base load ``F0``) and one load column per patch (``B``) are
-    built once; solving for a coefficient vector is then a cheap
-    fixed-point run.  ``evaluate`` reads the mass matrix looked up at
-    construction and interpolates (and checks) the target once per
-    ``CostWeights`` object, on its first evaluation with that object.
-    The base problem must leave ``f2`` unset: the control supplies all
-    gamma2 tractions.
+    built once, and the base load and the columns reduced once, R =
+    K_ff^-1 [F0_f | B_f] in one band solve; solving for a coefficient
+    vector c is then a fixed-point run on the reduced load R_0 + R_B c,
+    with no band solve for the load.  ``evaluate`` reads the mass matrix
+    looked up at construction and interpolates (and checks) the target
+    once per ``CostWeights`` object, on its first evaluation with that
+    object.  The base problem must leave ``f2`` unset: the control
+    supplies all gamma2 tractions.
     """
 
     def __init__(self, problem: qvi.ProblemData, patches: ControlPatches):
@@ -218,8 +221,17 @@ class StateSolver:
             unit[p] = 1.0
             cols.append(fem.assemble_load(problem.mesh, 0.0, patches.traction(unit)))
         self.B = np.column_stack(cols)
-        self._mass = fem.mass_matrix(problem.mesh)
+        tresca = self.discrete.tresca
+        R = np.asfortranarray(tresca._solve(np.column_stack([self.F0, self.B])[tresca.free]))
+        self._R0, self._RB = R[:, 0], R[:, 1:]
+        self._mass = qvi._product(fem.mass_matrix(problem.mesh))
         self._target = (None, None)  # the last weights object and its nodal target
+
+    def _fixed_point(self, c, config, eta0):
+        """(u, SolveReport) of ``qvi.fixed_point`` on the reduced load of
+        the checked coefficients c."""
+        w = self._R0 + self._RB @ c
+        return qvi.fixed_point(self.discrete, None, self.discrete.problem.g, config, eta0, w=w)
 
     def solve(self, coeffs, config: qvi.SolverConfig | None = None, eta0=None):
         """State u for the control ``coeffs``; returns (u, SolveReport).
@@ -227,19 +239,17 @@ class StateSolver:
         ``eta0`` seeds the fixed point, e.g. with the secant prediction of
         ``_predict``; the iteration still runs to its usual tolerance.
         """
-        F = self.F0 + self.B @ self.patches.coefficients(coeffs)
-        return self.discrete.solve(F, self.discrete.problem.g, config, eta0)
+        return self._fixed_point(self.patches.coefficients(coeffs), config, eta0)
 
     def evaluate(self, coeffs, weights: CostWeights, config=None, eta0=None):
         """Reduced cost at ``coeffs``; returns (cost, u), the cost bitwise
         that of ``cost``.  ``coeffs`` is checked once, for the load and the
         cost."""
         c = self.patches.coefficients(coeffs)
-        u, _ = self.discrete.solve(self.F0 + self.B @ c, self.discrete.problem.g, config, eta0)
+        u, _ = self._fixed_point(c, config, eta0)
         if self._target[0] is not weights:
             self._target = (weights, target_field(self.patches.mesh, weights.target))
-        J = _cost(self._mass, self._target[1], self.patches, weights, u, c)
-        return J, u
+        return _cost(self._mass, self._target[1], self.patches, weights, u, c), u
 
 
 def admissibility_violation(
@@ -287,11 +297,13 @@ def _predict(history: deque, x: np.ndarray) -> np.ndarray | None:
     sum_j beta_j u_j with [X; 1'] beta = [x; 1].  The last state when there
     are fewer pairs, the system is singular or ||beta||_1 exceeds
     ``SECANT_WEIGHT_CAP``; None when there is none."""
-    if len(history) == history.maxlen:
-        X, U = map(np.array, zip(*history))
-        A = np.ones((len(X), len(X)))
-        A[:-1] = X.T
-        _, _, beta, info = dgesv(A, np.append(x, 1.0))
+    n = len(history)
+    if n == history.maxlen:
+        A, U = np.empty((n, n)), np.empty((n, len(history[-1][1])))
+        for j, (x_j, u_j) in enumerate(history):
+            A[:-1, j], U[j] = x_j, u_j
+        A[-1] = 1.0
+        _, _, beta, info = dgesv(A, np.concatenate((x, (1.0,))))
         if info == 0 and np.abs(beta).sum() <= SECANT_WEIGHT_CAP:  # info > 0: singular
             return beta @ U
     return history[-1][1] if history else None
@@ -364,12 +376,13 @@ def minimize_cost(
 
         def fun(x):
             key = x.tobytes()
-            if key not in solved:  # a revisit is answered from the record
+            J = solved.get(key)
+            if J is None:  # a revisit is answered from the record
                 J, u = solver.evaluate(x, weights, config, eta0=_predict(history, x))
                 history.append((x, u))
                 solved[key] = J
-            trace.append(float(solved[key]))
-            return solved[key]
+            trace.append(float(J))
+            return J
 
         res = minimize(
             fun,

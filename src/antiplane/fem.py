@@ -21,8 +21,8 @@ stiffness matrix of a scalar modulus keyed on its value (one entry for
 mu = 1, which is also the unit stiffness, and one for the last other
 scalar modulus), the band layout that the factors of all free blocks
 share (``free_factor``), the free block of each H1 form with the gamma3
-block of its inverse (unit stiffness, which keeps its band factor too
-until ``release_free_block``, and Gram, ``free_block``), and the
+block of its inverse (unit stiffness, which keeps its band factor too,
+weakly after ``release_free_block``, and Gram, ``free_block``), and the
 constants (c0, c3) of ``constants.space_constants`` keyed on their
 solver settings.
 Cached arrays are read-only.
@@ -743,6 +743,10 @@ def free_block(mesh: Mesh, form: str):
         raise MeshError("no free node: every node lies on gamma1")
 
     def build():
+        released = _FORM_CACHE[mesh].pop(("released", form), None)
+        solve = released and released[1]()
+        if solve is not None:  # a problem still holds the released factor
+            return released[0], solve, released[2]
         whole = stiffness_matrix(mesh, 1.0) if form == "stiffness" else gram_matrix(mesh)
         block, solve, Z = free_factor(mesh, whole)
         block, Z = _read_only(block), _read_only(Z)
@@ -753,5 +757,19 @@ def free_block(mesh: Mesh, form: str):
 
 def release_free_block(mesh: Mesh, form: str) -> None:
     """Drop the mesh's cached ``free_block(mesh, form)`` and with it its
-    band factor; the next ``free_block`` call cuts and factors it again."""
-    _FORM_CACHE.get(mesh, {}).pop(("free", form), None)
+    band factor, unless something else holds the factor's ``solve``: the
+    cache keeps a weak reference to it (and the block and Z, until it
+    goes), and the next ``free_block`` call takes the entry back while the
+    factor is alive, or cuts and factors the block again."""
+    cache = _FORM_CACHE.get(mesh, {})
+    entry = cache.pop(("free", form), None)
+    if entry is None or form == "gram":  # the Gram entry holds no factor
+        return
+    key = ("released", form)
+
+    def drop(ref):  # the factor is gone: so are the block and Z kept with it
+        if cache.get(key, (None, None))[1] is ref:
+            del cache[key]
+
+    block, solve, Z = entry
+    cache[key] = (block, weakref.ref(solve, drop), Z)

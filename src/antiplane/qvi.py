@@ -25,6 +25,7 @@ friction bounds; ``DiscreteProblem.solve`` runs ``fixed_point``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -33,6 +34,11 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import constants, fem
+
+try:  # the kernel of scipy's CSR matrix-vector product
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # moved in this scipy: products go through ``@``
+    _csr_matvec = None
 
 
 class SolverError(RuntimeError):
@@ -163,12 +169,14 @@ class TrescaSolver:
         self._stick = (None, None)  # stick set I (as bytes), LU factors of Z_II
         self._lam = None  # multiplier of the last solve
 
-    def _reduce_load(self, F):
-        """w = K_ff^-1 F_f; a w that is not finite on gamma3 raises SolverError."""
-        F = np.asarray(F, dtype=float)
-        if F.shape != (self.n_nodes,):
-            raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
-        w = self._solve(F[self.free])
+    def _reduce_load(self, F, w=None):
+        """w = K_ff^-1 F_f, or the given w with F not read; a w that is not
+        finite on gamma3 raises SolverError."""
+        if w is None:
+            F = np.asarray(F, dtype=float)
+            if F.shape != (self.n_nodes,):
+                raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
+            w = self._solve(F[self.free])
         if not np.isfinite(w[self._pos]).all():
             raise SolverError("load is non-finite on the gamma3 block")
         return w
@@ -193,21 +201,22 @@ class TrescaSolver:
         Judice-Pires, Comput. Oper. Res. 21, 1994), which ends for positive
         definite K_ff.  One band solve lifts the final multiplier to u.
         """
-        u = np.zeros(self.n_nodes)
         pos, Z = self._pos, self._Z
         if len(pos) == 0:
+            u = np.zeros(self.n_nodes)
             u[self.free] = w
             return u, 0
         w_T = w[pos]
         if lam is None:
             lam = self._stick_solve(np.arange(len(pos)), w_T - t)
-        sigma = self._sigma
-        sigma_c = sigma * c
         tol = inner_tol * (1.0 + c.max())
         # a node off zero slips its way, a node at zero slips where its
         # multiplier exceeds the bound (not on a stale one below a grown bound)
-        s = np.where(t != 0.0, np.sign(t), np.sign(lam) * (np.abs(lam) > c))
-        seen = set()  # the sign vectors of the failed iterations
+        s = np.sign(t)
+        at_zero = (t == 0.0).nonzero()[0]
+        if len(at_zero):
+            s[at_zero] = np.sign(lam[at_zero]) * (np.abs(lam[at_zero]) > c[at_zero])
+        seen = None  # the sign vectors of the failed iterations, made on the first
         least_index = False
         for iteration in range(1, max_inner + 1):
             lam = s * c
@@ -220,6 +229,9 @@ class TrescaSolver:
             # no slip value against its sign, no stick multiplier above its bound
             if (s * t).min() >= -tol and (not len(I) or (np.abs(lam[I]) <= c[I] + tol).all()):
                 break
+            if seen is None:
+                seen, sigma = set(), self._sigma
+                sigma_c = sigma * c
             if not least_index:
                 z = t + sigma * lam
                 s_next = np.sign(z) * (np.abs(z) > sigma_c)
@@ -240,8 +252,10 @@ class TrescaSolver:
         self._lam = lam
         rhs = np.zeros(len(self.free))
         rhs[pos] = lam
+        u = np.zeros(self.n_nodes)
         u[self.free] = w - self._solve(rhs)
-        u[self.friction[I]] = 0.0
+        if len(I):
+            u[self.friction[I]] = 0.0
         return u, iteration
 
     def solve(self, F, c, t0=None, *, inner_tol=1e-12, max_inner=50000):
@@ -281,29 +295,52 @@ def _bound(g: fem.FrictionBound, points: np.ndarray, r: np.ndarray) -> np.ndarra
     return np.maximum(G, 0.0, out=G)
 
 
+def _product(A):
+    """x -> A @ x for a float CSR matrix A and a float vector x, bitwise
+    ``A @ x``: it calls the kernel that ``@`` calls after its operator
+    dispatch, which takes about 3 us a product (4.7 against 1.4 us for
+    the Gram matrix of a 4x4 mesh, timeit, 2-vCPU host)."""
+    if _csr_matvec is None or A.format != "csr" or A.dtype != np.float64:
+        return A.__matmul__
+    n, m = A.shape
+    indptr, indices, data = A.indptr, A.indices, A.data
+
+    def product(x):
+        y = np.zeros(n)
+        _csr_matvec(n, m, indptr, indices, data, x, y)
+        return y
+
+    return product
+
+
 _DEFAULT_CONFIG = SolverConfig()
 
 
 def fixed_point(
     discrete: "DiscreteProblem",
-    F: np.ndarray,
+    F: np.ndarray | None,
     g: fem.FrictionBound,
     config: SolverConfig | None = None,
     eta0: np.ndarray | None = None,
+    *,
+    w: np.ndarray | None = None,
 ):
     """Run the bound-update iteration on the Tresca solver of ``discrete``.
 
-    The load is reduced once per run; each outer step evaluates the bound
-    and runs the active-set iteration from the previous gamma3 values and
-    multiplier (on the first step as ``TrescaSolver.solve`` with t0 =
-    ``eta0`` on gamma3).  Returns (u, SolveReport).  Raises SolverError
-    when the smallness condition fails without the override flag, when
-    the bound or the reduced load is non-finite, or when an iteration cap
-    is exceeded; ValueError when ``eta0`` or ``F`` has the wrong length or
-    ``eta0`` a non-finite entry.
+    The load is reduced once per run, to w = K_ff^-1 F_f, unless the
+    reduced load ``w`` is given, and F is then not read; each outer step
+    evaluates the bound and runs the active-set iteration from the
+    previous gamma3 values and multiplier (on the first step as
+    ``TrescaSolver.solve`` with t0 = ``eta0`` on gamma3).  Returns (u,
+    SolveReport).  Raises SolverError when the smallness condition fails
+    without the override flag, when the bound or the reduced load is
+    non-finite on gamma3, when an increment is not finite, or when an
+    iteration cap is exceeded; ValueError
+    when ``eta0`` or ``F`` has the wrong length or ``eta0`` a non-finite
+    entry.
     """
     cfg = config or _DEFAULT_CONFIG
-    mesh, solver, c0, c3 = discrete.problem.mesh, discrete.tresca, discrete.c0, discrete.c3
+    solver, c0, c3 = discrete.tresca, discrete.c0, discrete.c3
     k, ok = constants.smallness_margin(g.lipschitz, c0, c3, discrete.mu_star)
     if not ok:
         if not cfg.allow_non_contractive:
@@ -314,29 +351,32 @@ def fixed_point(
         warnings.warn(f"attempting fixed point with non-contractive k = {k:.6f}")
 
     # eta0 is read only: eta is rebound, never written, and never returned as given
-    eta = np.zeros(mesh.n_nodes) if eta0 is None else np.asarray(eta0, dtype=float)
-    if eta.shape != (mesh.n_nodes,):
-        raise ValueError(f"eta0 must have {mesh.n_nodes} entries, got shape {eta.shape}")
+    n = solver.n_nodes
+    eta = np.zeros(n) if eta0 is None else np.asarray(eta0, dtype=float)
+    if eta.shape != (n,):
+        raise ValueError(f"eta0 must have {n} entries, got shape {eta.shape}")
     fem.require_finite("eta0", eta)
-    w = solver._reduce_load(F)
-    t = eta[solver.friction]
+    w = solver._reduce_load(F, w)
+    friction, iterate, gram = solver.friction, solver._iterate, discrete.gram_product
+    weights, points = discrete.weights, discrete.points
+    inner_tol, max_inner = cfg.inner_tol, cfg.max_inner
+    t = eta[friction]
     lam = None if eta0 is None else solver._lam
     increments: list[float] = []
-    ratios: list[float] = []
     inner_log: list[int] = []
     for m in range(1, cfg.max_outer + 1):
-        c = discrete.weights * _bound(g, discrete.points, np.abs(t))
-        u_new, inner_iterations = solver._iterate(w, c, t, lam, cfg.inner_tol, cfg.max_inner)
-        t, lam = u_new[solver.friction], solver._lam
-        d = u_new - eta  # fem.v_norm(mesh, d) on the Gram matrix looked up once
-        inc = float(np.sqrt(max(d @ (discrete.gram @ d), 0.0)))
-        if increments and increments[-1] > 0.0:
-            ratios.append(inc / increments[-1])
+        c = weights * _bound(g, points, np.abs(t))
+        u_new, inner_iterations = iterate(w, c, t, lam, inner_tol, max_inner)
+        t, lam = u_new[friction], solver._lam
+        d = u_new - eta  # fem.v_norm(mesh, d) on the Gram product made once
+        inc = math.sqrt(max(d @ gram(d), 0.0))
         increments.append(inc)
         inner_log.append(inner_iterations)
         eta = u_new
         if inc < cfg.outer_tol:
             break
+        if not inc < math.inf:  # also NaN: the iterate's V-norm overflows
+            raise SolverError(f"outer fixed point increment {inc} is not finite at step {m}")
     else:
         raise SolverError(
             f"outer fixed point missed tolerance {cfg.outer_tol} within "
@@ -347,7 +387,7 @@ def fixed_point(
         converged=True,
         outer_iterations=m,
         increments=increments,
-        ratios=ratios,
+        ratios=[b / a for a, b in zip(increments, increments[1:]) if a > 0.0],
         inner_sweeps=inner_log,
         c0=c0,
         c3=c3,
@@ -361,7 +401,8 @@ def fixed_point(
 class DiscreteProblem:
     """Stiffness K, load F, Tresca solver, mu_star, the constants (c0, c3),
     the friction nodes' coordinates ``points`` and weights ``weights``
-    and the Gram matrix ``gram`` of the V-norm, each resolved once.
+    and the product ``gram_product`` with the Gram matrix of the V-norm,
+    each resolved once.
 
     For a scalar mu, K is the mesh's cached, read-only matrix, which the
     certificates of the same data reuse, and the solver runs on the
@@ -369,9 +410,11 @@ class DiscreteProblem:
     which c0 shares.  Any other mu factors its own K_ff on the mesh's
     band layout (``fem.free_factor``), after it has released the unit
     band, so that one band is held at a time; a later scalar mu on the
-    mesh factors the unit block again.  All but F depend on the mesh and
-    mu only, so one instance solves the problem for any load and friction
-    bound, bitwise as a fresh ``solve_qvi`` of the same data would.
+    mesh takes the unit band back while a problem still holds it, and
+    factors the unit block again otherwise.  All but F depend on the mesh
+    and mu only, so one instance solves the problem for any load and
+    friction bound, bitwise as a fresh ``solve_qvi`` of the same data
+    would.
     """
 
     def __init__(self, problem: ProblemData):
@@ -394,7 +437,7 @@ class DiscreteProblem:
         self.mu_star = problem.resolved_mu_star()
         self.points = mesh.nodes[self.tresca.friction]
         self.weights = mesh.gamma3_weights[self.tresca.friction]
-        self.gram = fem.gram_matrix(mesh)
+        self.gram_product = _product(fem.gram_matrix(mesh))
 
     def solve(
         self,
@@ -419,9 +462,11 @@ def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
 # ---------------------------------------------------------------------------
 # membership certificate
 
-# seeded random test fields are drawn and tested this many at a time, so the
-# certificate's memory does not grow with n_random
-_RANDOM_BLOCK = 16
+# seeded random test fields are drawn and tested in blocks of about this many
+# entries, and at least _RANDOM_ROWS rows, so the certificate's memory does
+# not grow with n_random
+_RANDOM_BLOCK = 2**14
+_RANDOM_ROWS = 16
 
 
 def membership_violation(
@@ -498,8 +543,9 @@ def membership_violation(
     rng = np.random.default_rng(seed)
     scale = 1.0 + norm_u
     g1 = mesh.node_sets[fem.GAMMA1]
-    for start in range(0, n_random, _RANDOM_BLOCK):
-        V = rng.standard_normal((min(_RANDOM_BLOCK, n_random - start), mesh.n_nodes))
+    rows = max(_RANDOM_ROWS, _RANDOM_BLOCK // mesh.n_nodes)
+    for start in range(0, n_random, rows):
+        V = rng.standard_normal((min(rows, n_random - start), mesh.n_nodes))
         V[:, g1] = 0.0
         nv = v_norms(V)
         V *= np.divide(scale, nv, out=np.ones_like(nv), where=nv > 0.0)[:, None]

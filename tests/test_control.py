@@ -525,8 +525,8 @@ class TestSecantWarmStart:
         steps = []
         fixed_point = qvi.fixed_point
 
-        def counting(*args):
-            u, report = fixed_point(*args)
+        def counting(*args, **kwargs):
+            u, report = fixed_point(*args, **kwargs)
             steps.append(report.outer_iterations)
             return u, report
 

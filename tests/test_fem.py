@@ -819,6 +819,28 @@ class TestBandLayout:
         # a later scalar modulus on the mesh factors the unit block again
         assert np.array_equal(certified_solve(mesh, 1.0), certified_solve(square_mesh(8, 8), 1.0))
 
+    @pytest.mark.parametrize("keep_first", [True, False], ids=["kept", "dropped"])
+    def test_released_unit_band_is_taken_back_while_held(self, keep_first, monkeypatch):
+        alive = live_bands(monkeypatch)
+        mesh = square_mesh(8, 8)
+        g = fem.FrictionBound.affine(0.9, 0.2)
+        mu = np.linspace(0.8, 1.2, len(mesh.elements))
+        first = qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 1.0, 0.5, g))
+        assert len(alive) == 2  # the Gram band of c3, then the unit band
+        if not keep_first:
+            del first
+        element = qvi.DiscreteProblem(qvi.ProblemData(mesh, mu, 1.0, 0.5, g))
+        assert alive == [0, 0, 1 if keep_first else 0]
+        last = qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 1.0, 0.5, g))
+        # the first problem's unit band while it lives, a new one otherwise
+        assert len(alive) == (3 if keep_first else 4)
+        if keep_first:
+            assert last.tresca._solve is first.tresca._solve
+        c = np.full(len(mesh.node_sets["gamma3"]), 0.05)
+        fresh = qvi.DiscreteProblem(qvi.ProblemData(square_mesh(8, 8), 1.0, 1.0, 0.5, g))
+        assert np.array_equal(last.tresca.solve(last.F, c)[0], fresh.tresca.solve(fresh.F, c)[0])
+        assert element.tresca._solve is not last.tresca._solve
+
 
 # ---------------------------------------------------------------------------
 # friction functional and norms

@@ -289,6 +289,22 @@ class TestTrescaProperties:
         assert np.max(np.abs(u - cd_oracle(K, F, mesh.free_nodes, g3, c))) <= 1e-10
 
 
+class TestProduct:
+    """``qvi._product`` is bitwise the sparse product it stands for."""
+
+    @pytest.mark.parametrize("n", [4, 24])
+    def test_bitwise_equal_to_the_sparse_product(self, n, monkeypatch):
+        mesh = square_mesh(n)
+        x = np.random.default_rng(RNG_SEED).standard_normal(mesh.n_nodes)
+        for A in (fem.gram_matrix(mesh), fem.mass_matrix(mesh)):
+            assert np.array_equal(qvi._product(A)(x), A @ x)
+        # another format or a scipy without the kernel: the product is ``@`` itself
+        A = fem.mass_matrix(mesh)
+        assert np.array_equal(qvi._product(A.tocsc())(x), A @ x)
+        monkeypatch.setattr(qvi, "_csr_matvec", None)
+        assert np.array_equal(qvi._product(A)(x), A @ x)
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -698,10 +714,100 @@ class TestReducedFixedPoint:
             _, u = state.evaluate(x, weights, cfg, eta0=u)
         assert close_in_v_norm(mesh, u, eta)
         assert stick_sets == [whole_gamma3(solver)] + ref_sets
-        assert counts["load"] == 2 and counts["lift"] == outer
+        assert counts["load"] == 0 and counts["lift"] == outer
         assert counts["columns"] == 0
         assert len(stick_sets) > set_changes(stick_sets) >= 2
         assert counts["stick"] <= set_changes(stick_sets)
+
+    @staticmethod
+    def two_patch_state(n=6, f0=0.2, extent=1.0, g=None):
+        sides = {"left": "gamma1", "right": "gamma2", "bottom": "gamma3", "top": "gamma3"}
+        mesh = fem.build_mesh(fem.MeshSpec(2, (extent, extent), (n, n), sides))
+        g = g or fem.FrictionBound.affine(0.05, 0.2)
+        problem = qvi.ProblemData(mesh, 1.0, f0, None, g)
+        return control.StateSolver(problem, control.ControlPatches(mesh, 2))
+
+    def test_load_and_patch_columns_reduced_at_construction(self):
+        state = self.two_patch_state()
+        solver = state.discrete.tresca
+        # one band solve of d + 1 columns, each bitwise its own solve
+        assert np.array_equal(state._R0, solver._reduce_load(state.F0))
+        for p in range(2):
+            assert np.array_equal(state._RB[:, p], solver._reduce_load(state.B[:, p]))
+
+    def test_control_run_solves_no_load(self, monkeypatch):
+        # a single-start optimization on the control benchmark's 4x4 square:
+        # after the construction's d + 1 columns, every state solve, warm or
+        # cold, lifts once per outer step and reduces no load
+        steps, counts = [], []
+        fixed_point, init = qvi.fixed_point, control.StateSolver.__init__
+
+        def counting(*args, **kwargs):
+            u, report = fixed_point(*args, **kwargs)
+            steps.append(report.outer_iterations)
+            return u, report
+
+        def counted_init(state, *args):
+            init(state, *args)
+            counts.append(self.count_work(monkeypatch, state.discrete.tresca))
+
+        monkeypatch.setattr(qvi, "fixed_point", counting)
+        monkeypatch.setattr(control.StateSolver, "__init__", counted_init)
+        g = fem.FrictionBound.affine(0.159, 0.1)
+        problem = qvi.ProblemData(square_mesh(4), 1.0, 0.9635, None, g)
+        patches = control.ControlPatches(problem.mesh, 1)
+        weights = control.CostWeights(1.0, 1e-3, lambda x: np.sin(2.0 * x[:, 0]))
+        control.minimize_cost(problem, patches, weights, n_starts=1, seed=0)
+        (count,) = counts
+        assert len(steps) > 50
+        assert count["load"] == 0 and count["columns"] == 0
+        assert count["lift"] == sum(steps)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_state_matches_the_solve_of_the_whole_load(self, warm):
+        # the reference solves F0 + B c on a DiscreteProblem of its own, so
+        # that a warm start carries each solver's own multiplier
+        state, other = self.two_patch_state(8), self.two_patch_state(8)
+        discrete = other.discrete
+        rng = np.random.default_rng(RNG_SEED)
+        u = ref = None
+        for _ in range(6):
+            x = rng.normal(scale=0.5, size=2)
+            u, report = state.solve(x, eta0=u if warm else None)
+            ref, ref_report = discrete.solve(
+                state.F0 + state.B @ x, discrete.problem.g, eta0=ref if warm else None
+            )
+            assert close_in_v_norm(discrete.problem.mesh, u, ref, rtol=1e-13)
+            assert report.inner_sweeps == ref_report.inner_sweeps
+
+    def test_non_finite_reduced_load_raises_as_the_whole_load(self):
+        x = np.array([0.3, -0.2])
+        # a finite base load whose reduction overflows on gamma3
+        state = self.two_patch_state(4, 1e307, 10.0, fem.FrictionBound.constant(0.1))
+        assert np.isfinite(state.F0 + state.B @ x).all()
+        weights = control.CostWeights(1.0, 0.0, 0.0)
+        message = "load is non-finite on the gamma3 block"
+        for run in (
+            lambda: state.discrete.solve(state.F0 + state.B @ x, state.discrete.problem.g),
+            lambda: state.solve(x),
+            lambda: state.evaluate(x, weights),
+        ):
+            with pytest.raises(qvi.SolverError, match=message):
+                run()
+        # a control whose state overflows in the V-norm: no bogus convergence
+        state = self.two_patch_state()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(qvi.SolverError, match="increment .* is not finite"):
+                state.evaluate(np.array([1.7e308, 1.7e308]), weights)
+        # a control whose reduced columns overflow (numpy's overflow warning aside)
+        state = self.two_patch_state(4, 0.2, 10.0, fem.FrictionBound.constant(0.1))
+        x = np.array([5e307, 0.0])
+        with np.errstate(over="ignore"):
+            assert np.isfinite(state.F0 + state.B @ x).all()
+            with pytest.raises(qvi.SolverError, match=message):
+                state.discrete.solve(state.F0 + state.B @ x, state.discrete.problem.g)
+            with pytest.raises(qvi.SolverError, match=message):
+                state.evaluate(x, weights)
 
     def test_cold_start_sticks_no_more_than_the_answer_needs(self):
         # mixed-0 of the benchmark catalogue: 24x24, 36 of 48 gamma3 nodes
