@@ -450,6 +450,9 @@ def build_weights(cfg, mesh: fem.Mesh) -> control.CostWeights:
 def build_constants(cfg):
     with _section(cfg, "constants") as values:
         constants.check_margin_data(values["lipschitz"], values["mu_star"])
+        constants.check_iteration_settings(
+            values["tol"], values["max_iterations"], "max_iterations"
+        )
         return values
 
 

@@ -7,9 +7,9 @@ the full H1 norm).  Both are the largest eigenvalues of small generalized
 eigenvalue problems for the discrete space, so the contraction prediction
 k = L_g * c0^2 * c3^2 / mu_star is sharp for the implemented solver.  c0
 comes from a power iteration on the mesh's cached factor of the free unit
-stiffness block, which the Tresca solver of a scalar modulus shares; c3
-is exact, from one dense eigensolve on the gamma3 block of the inverse
-H1 Gram block, both from ``fem.free_block``.
+stiffness block (``fem.free_block``), shared by the Tresca solver of a
+scalar modulus; c3 is exact, from one dense eigensolve on the gamma3 block
+of the inverse H1 Gram block, whose band factor is not kept.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ def _power_iteration(solve, B, A, v0, tol, maxiter):
     )
 
 
+def check_iteration_settings(tol: float, maxiter: int, maxiter_name: str = "maxiter") -> None:
+    """ValueError unless ``tol`` is positive (NaN refused) and ``maxiter``,
+    called ``maxiter_name``, an integer of at least 1."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    fem.require_count(maxiter_name, maxiter)
+
+
 def poincare_constant(mesh: fem.Mesh, *, tol: float = 1e-10, maxiter: int = 10000, seed: int = 0):
     """Best constant c0 with ||v||_V <= c0 ||grad v|| on the discrete space.
 
@@ -63,9 +71,12 @@ def poincare_constant(mesh: fem.Mesh, *, tol: float = 1e-10, maxiter: int = 1000
     against S.  Iterating S^-1 M instead of S^-1 (M + S) shrinks the ratio
     of the two leading eigenvalues from about 0.77 to about 0.2 on the
     unit square, so the iteration needs about ten solves.  Raises
-    fem.MeshError when every node is clamped.
+    fem.MeshError when every node is clamped, and ValueError, before any
+    factorization, for the settings that ``check_iteration_settings``
+    refuses.
     """
-    S, solve, _ = fem.free_block(mesh, "stiffness")
+    check_iteration_settings(tol, maxiter)
+    S, solve, _ = fem.free_block(mesh)
     free = mesh.free_nodes
     M = fem.submatrix(fem.mass_matrix(mesh), free, free)
     v0 = np.random.default_rng(seed).standard_normal(len(free))
@@ -78,14 +89,14 @@ def trace_constant(mesh: fem.Mesh) -> float:
     The boundary norm is the lumped gamma3 quadrature used by the friction
     functional, B = diag(w) on the gamma3 nodes T.  c3^2 is the largest
     eigenvalue of B v = lambda (M + S) v, which B confines to T: that of
-    W^1/2 Z W^1/2 with Z = ((M + S)_ff^-1)_TT from the Gram block's factor
-    (``fem.free_block``), found by one dense symmetric eigensolve.
-    Returns 0 when gamma3 carries no node.
+    W^1/2 Z W^1/2 with Z = ((M + S)_ff^-1)_TT from the Gram block's band
+    factor (``fem.free_factor``, not kept), found by one dense symmetric
+    eigensolve.  Returns 0 when gamma3 carries no node.
     """
     idx = mesh.node_sets[fem.GAMMA3]
     if len(idx) == 0:
         return 0.0
-    Z = fem.free_block(mesh, "gram")[1]
+    Z = fem.free_factor(mesh, fem.gram_matrix(mesh))[2]
     root = np.sqrt(mesh.gamma3_weights[idx])
     eigenvalues, _, info = dsyevd(root[:, None] * Z * root, compute_v=0)
     if info:
@@ -122,8 +133,11 @@ def space_constants(
     """(c0, c3) for one mesh, kept in the mesh's cache because they depend
     on the mesh only.
 
-    Raises fem.MeshError when every node is clamped.
+    Raises fem.MeshError when every node is clamped, and ValueError,
+    before any factorization, for the settings that
+    ``check_iteration_settings`` refuses.
     """
+    check_iteration_settings(tol, maxiter)
 
     def build():
         c3 = trace_constant(mesh)  # before c0, so the Gram band is gone when S_ff's is made

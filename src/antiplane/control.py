@@ -116,6 +116,7 @@ class ControlPatches:
             raise ValueError(
                 f"n_patches must be in [1, {n_facets}], got {n_patches}"
             )
+        fem.require_count("n_patches", n_patches)
         self.mesh = mesh
         self.n_patches = n_patches
         self.groups = np.array_split(np.arange(n_facets), n_patches)
@@ -198,10 +199,10 @@ class StateSolver:
     One ``qvi.DiscreteProblem`` of the base problem (stiffness, Tresca
     solver, base load ``F0``) and one load column per patch (``B``) are
     built once, and the base load and the columns reduced once, R =
-    K_ff^-1 [F0_f | B_f] in one band solve; solving for a coefficient
-    vector c is then a fixed-point run on the reduced load R_0 + R_B c,
-    with no band solve for the load.  ``evaluate`` reads the mass matrix
-    looked up at construction and interpolates (and checks) the target
+    K_ff^-1 [F0_f | B_f] in one ``TrescaSolver.reduce``; solving for a
+    coefficient vector c is then a fixed-point run on the reduced load
+    R_0 + R_B c, with no band solve for the load.  ``evaluate`` reads the
+    mass matrix looked up at construction and interpolates (and checks) the target
     once per ``CostWeights`` object, on its first evaluation with that
     object.  The base problem must leave ``f2`` unset: the control
     supplies all gamma2 tractions.
@@ -221,8 +222,7 @@ class StateSolver:
             unit[p] = 1.0
             cols.append(fem.assemble_load(problem.mesh, 0.0, patches.traction(unit)))
         self.B = np.column_stack(cols)
-        tresca = self.discrete.tresca
-        R = np.asfortranarray(tresca._solve(np.column_stack([self.F0, self.B])[tresca.free]))
+        R = np.asfortranarray(self.discrete.tresca.reduce(np.column_stack([self.F0, self.B])))
         self._R0, self._RB = R[:, 0], R[:, 1:]
         self._mass = qvi._product(fem.mass_matrix(problem.mesh))
         self._target = (None, None)  # the last weights object and its nodal target
@@ -231,7 +231,7 @@ class StateSolver:
         """(u, SolveReport) of ``qvi.fixed_point`` on the reduced load of
         the checked coefficients c."""
         w = self._R0 + self._RB @ c
-        return qvi.fixed_point(self.discrete, None, self.discrete.problem.g, config, eta0, w=w)
+        return qvi.fixed_point(self.discrete, w, self.discrete.problem.g, config, eta0)
 
     def solve(self, coeffs, config: qvi.SolverConfig | None = None, eta0=None):
         """State u for the control ``coeffs``; returns (u, SolveReport).

@@ -20,11 +20,10 @@ scatter pattern of the assembly, the mass and H1 Gram matrices, the
 stiffness matrix of a scalar modulus keyed on its value (one entry for
 mu = 1, which is also the unit stiffness, and one for the last other
 scalar modulus), the band layout that the factors of all free blocks
-share (``free_factor``), the free block of each H1 form with the gamma3
-block of its inverse (unit stiffness, which keeps its band factor too,
-weakly after ``release_free_block``, and Gram, ``free_block``), and the
-constants (c0, c3) of ``constants.space_constants`` keyed on their
-solver settings.
+share (``free_factor``), one band factor, that of the free block of the
+unit stiffness with the gamma3 block of its inverse (``free_block``,
+until ``release_free_block``), and the constants (c0, c3) of
+``constants.space_constants`` keyed on their solver settings.
 Cached arrays are read-only.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
 its cached form, which checks the modulus and its floor on every call.
@@ -95,6 +94,8 @@ class MeshSpec:
             raise MeshError(f"extents must be finite, got {self.extents}")
         if any(int(r) < 1 for r in self.resolution):
             raise MeshError("resolution must be at least one element per direction")
+        if not all(isinstance(r, (int, np.integer)) for r in self.resolution):
+            raise MeshError(f"resolution must be integers, got {self.resolution}")
         unknown = [s for s in self.partition if s not in sides]
         if unknown:
             raise MeshError(f"partition names unknown sides: {unknown}")
@@ -298,6 +299,15 @@ def require_finite(name: str, values: np.ndarray, nodes=None, what: str = "node"
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         node = i if nodes is None else nodes[i]
         raise ValueError(f"{name} must be finite, got {values[i]} at {what} {node}")
+
+
+def require_count(name: str, value, low: int = 1) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer (numpy
+    integers included) of at least ``low``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def facet_measures(mesh: Mesh, tag: str) -> np.ndarray:
@@ -731,45 +741,24 @@ def free_factor(mesh: Mesh, A):
     return (block, *spd_factor(block, layout=layout))
 
 
-def free_block(mesh: Mesh, form: str):
-    """The block A_ff on the free nodes of the H1 form ``form`` and the
-    gamma3 part Z = (A_ff^-1)_TT of its inverse, built together once per
-    mesh by ``free_factor``: (S_ff, solve, Z) for "stiffness" (the unit
-    stiffness), (G_ff, Z) for "gram", whose band factor is dropped.  The
-    arrays are read-only.  Raises MeshError when every node is clamped."""
-    if form not in ("stiffness", "gram"):
-        raise ValueError(f"unknown H1 form {form!r}")
+def free_block(mesh: Mesh):
+    """(S_ff, solve, Z): the block on the free nodes of the unit stiffness,
+    its band factor's ``solve`` and the gamma3 part Z = (S_ff^-1)_TT of its
+    inverse, made by ``free_factor`` once per mesh and kept in the mesh's
+    cache until ``release_free_block``.  The arrays are read-only.  Raises
+    MeshError when every node is clamped."""
     if len(mesh.free_nodes) == 0:
         raise MeshError("no free node: every node lies on gamma1")
 
     def build():
-        released = _FORM_CACHE[mesh].pop(("released", form), None)
-        solve = released and released[1]()
-        if solve is not None:  # a problem still holds the released factor
-            return released[0], solve, released[2]
-        whole = stiffness_matrix(mesh, 1.0) if form == "stiffness" else gram_matrix(mesh)
-        block, solve, Z = free_factor(mesh, whole)
-        block, Z = _read_only(block), _read_only(Z)
-        return (block, solve, Z) if form == "stiffness" else (block, Z)
+        block, solve, Z = free_factor(mesh, stiffness_matrix(mesh, 1.0))
+        return _read_only(block), solve, _read_only(Z)
 
-    return cached(mesh, ("free", form), build)
+    return cached(mesh, "free block", build)
 
 
-def release_free_block(mesh: Mesh, form: str) -> None:
-    """Drop the mesh's cached ``free_block(mesh, form)`` and with it its
-    band factor, unless something else holds the factor's ``solve``: the
-    cache keeps a weak reference to it (and the block and Z, until it
-    goes), and the next ``free_block`` call takes the entry back while the
-    factor is alive, or cuts and factors the block again."""
-    cache = _FORM_CACHE.get(mesh, {})
-    entry = cache.pop(("free", form), None)
-    if entry is None or form == "gram":  # the Gram entry holds no factor
-        return
-    key = ("released", form)
-
-    def drop(ref):  # the factor is gone: so are the block and Z kept with it
-        if cache.get(key, (None, None))[1] is ref:
-            del cache[key]
-
-    block, solve, Z = entry
-    cache[key] = (block, weakref.ref(solve, drop), Z)
+def release_free_block(mesh: Mesh) -> None:
+    """Drop the mesh's cached ``free_block``: its band factor goes once no
+    solver holds its ``solve``, and the next ``free_block`` call cuts and
+    factors the block again."""
+    _FORM_CACHE.get(mesh, {}).pop("free block", None)

@@ -93,7 +93,8 @@ class SolverConfig:
     ``max_outer`` caps its iterations.  ``inner_tol`` is the relative
     tolerance of the inner friction-law (KKT) test and ``max_inner`` caps
     the active-set iterations of one frozen-bound solve.  Both caps must
-    be at least 1 and both tolerances positive (ValueError otherwise).
+    be integers of at least 1 and both tolerances positive (ValueError
+    otherwise).
     """
 
     outer_tol: float = 1e-10
@@ -104,9 +105,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("max_outer", "max_inner"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            fem.require_count(name, getattr(self, name))
         for name in ("outer_tol", "inner_tol"):
             value = getattr(self, name)
             if not value > 0.0:  # also refuses NaN
@@ -169,14 +168,16 @@ class TrescaSolver:
         self._stick = (None, None)  # stick set I (as bytes), LU factors of Z_II
         self._lam = None  # multiplier of the last solve
 
-    def _reduce_load(self, F, w=None):
-        """w = K_ff^-1 F_f, or the given w with F not read; a w that is not
-        finite on gamma3 raises SolverError."""
-        if w is None:
-            F = np.asarray(F, dtype=float)
-            if F.shape != (self.n_nodes,):
-                raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
-            w = self._solve(F[self.free])
+    def reduce(self, F):
+        """w = K_ff^-1 F_f for a load F of n_nodes entries, or the columns of
+        an (n_nodes, k) block F, in one band solve; ValueError for another shape."""
+        F = np.asarray(F, dtype=float)
+        if F.ndim not in (1, 2) or len(F) != self.n_nodes:
+            raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
+        return self._solve(F[self.free])
+
+    def _finite(self, w):
+        """w; SolverError when the reduced load w is not finite on gamma3."""
         if not np.isfinite(w[self._pos]).all():
             raise SolverError("load is non-finite on the gamma3 block")
         return w
@@ -280,7 +281,7 @@ class TrescaSolver:
         if not np.all(c >= 0.0):
             raise SolverError("negative or NaN friction bound coefficient")
         lam = None if t0 is None else self._lam
-        return self._iterate(self._reduce_load(F), c, t, lam, inner_tol, max_inner)
+        return self._iterate(self._finite(self.reduce(F)), c, t, lam, inner_tol, max_inner)
 
 
 def _bound(g: fem.FrictionBound, points: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -318,26 +319,22 @@ _DEFAULT_CONFIG = SolverConfig()
 
 def fixed_point(
     discrete: "DiscreteProblem",
-    F: np.ndarray | None,
+    w: np.ndarray,
     g: fem.FrictionBound,
     config: SolverConfig | None = None,
     eta0: np.ndarray | None = None,
-    *,
-    w: np.ndarray | None = None,
 ):
     """Run the bound-update iteration on the Tresca solver of ``discrete``.
 
-    The load is reduced once per run, to w = K_ff^-1 F_f, unless the
-    reduced load ``w`` is given, and F is then not read; each outer step
-    evaluates the bound and runs the active-set iteration from the
-    previous gamma3 values and multiplier (on the first step as
-    ``TrescaSolver.solve`` with t0 = ``eta0`` on gamma3).  Returns (u,
-    SolveReport).  Raises SolverError when the smallness condition fails
-    without the override flag, when the bound or the reduced load is
-    non-finite on gamma3, when an increment is not finite, or when an
-    iteration cap is exceeded; ValueError
-    when ``eta0`` or ``F`` has the wrong length or ``eta0`` a non-finite
-    entry.
+    ``w`` is the reduced load K_ff^-1 F_f (``TrescaSolver.reduce``), so a
+    run makes no band solve for its load.  Each outer step evaluates the
+    bound and runs the active-set iteration from the previous gamma3
+    values and multiplier (on the first step as ``TrescaSolver.solve``
+    with t0 = ``eta0`` on gamma3).  Returns (u, SolveReport).  Raises
+    SolverError when the smallness condition fails without the override
+    flag, when the bound or ``w`` is non-finite on gamma3, when an
+    increment is not finite, or when an iteration cap is exceeded;
+    ValueError when ``eta0`` has the wrong length or a non-finite entry.
     """
     cfg = config or _DEFAULT_CONFIG
     solver, c0, c3 = discrete.tresca, discrete.c0, discrete.c3
@@ -356,7 +353,7 @@ def fixed_point(
     if eta.shape != (n,):
         raise ValueError(f"eta0 must have {n} entries, got shape {eta.shape}")
     fem.require_finite("eta0", eta)
-    w = solver._reduce_load(F, w)
+    w = solver._finite(w)
     friction, iterate, gram = solver.friction, solver._iterate, discrete.gram_product
     weights, points = discrete.weights, discrete.points
     inner_tol, max_inner = cfg.inner_tol, cfg.max_inner
@@ -407,14 +404,13 @@ class DiscreteProblem:
     For a scalar mu, K is the mesh's cached, read-only matrix, which the
     certificates of the same data reuse, and the solver runs on the
     mesh's factor of the free unit stiffness block (``fem.free_block``),
-    which c0 shares.  Any other mu factors its own K_ff on the mesh's
-    band layout (``fem.free_factor``), after it has released the unit
-    band, so that one band is held at a time; a later scalar mu on the
-    mesh takes the unit band back while a problem still holds it, and
-    factors the unit block again otherwise.  All but F depend on the mesh
-    and mu only, so one instance solves the problem for any load and
-    friction bound, bitwise as a fresh ``solve_qvi`` of the same data
-    would.
+    which c0 shares.  Any other mu drops that factor from the mesh's
+    cache (``fem.release_free_block``) and factors its own K_ff on the
+    mesh's band layout (``fem.free_factor``), so that one band is held at
+    a time; a later scalar mu on the mesh factors the unit block again.
+    All but F depend on the mesh and mu only, so one instance solves the
+    problem for any load and friction bound, bitwise as a fresh
+    ``solve_qvi`` of the same data would.
     """
 
     def __init__(self, problem: ProblemData):
@@ -425,10 +421,10 @@ class DiscreteProblem:
         # the constants first: c3 drops the Gram band before the stiffness band is built
         self.c0, self.c3 = constants.space_constants(mesh)
         if not (callable(mu) or np.ndim(mu)):  # mu S_ff: the unit block's factor over mu
-            _, unit, Z = fem.free_block(mesh, "stiffness")
+            _, unit, Z = fem.free_block(mesh)
             factor = (unit, Z) if mu == 1.0 else (lambda b: unit(b) / mu, Z / mu)
         else:  # c0 is cached: the unit band goes before K_ff's is made
-            fem.release_free_block(mesh, "stiffness")
+            fem.release_free_block(mesh)
             try:
                 factor = fem.free_factor(mesh, self.K)[1:]
             except fem.FactorizationError as exc:
@@ -446,8 +442,8 @@ class DiscreteProblem:
         config: SolverConfig | None = None,
         eta0: np.ndarray | None = None,
     ):
-        """(u, SolveReport) for load ``F`` and bound ``g``; see ``fixed_point``."""
-        return fixed_point(self, F, g, config, eta0)
+        """(u, SolveReport): ``fixed_point`` on ``tresca.reduce(F)`` and bound ``g``."""
+        return fixed_point(self, self.tresca.reduce(F), g, config, eta0)
 
 
 def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
@@ -495,8 +491,10 @@ def membership_violation(
     stiffness matrix of ``mu`` comes from ``fem.stiffness_matrix`` (cached
     per mesh for a scalar mu) unless the caller passes it as ``stiffness``.
     Returns a Python float; a value <= 1e-8 certifies membership against
-    the set.  A bound not finite or negative at u raises SolverError.
+    the set.  A bound not finite or negative at u raises SolverError, an
+    ``n_random`` that is not an integer of at least 0 ValueError.
     """
+    fem.require_count("n_random", n_random, 0)
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
     F = fem.assemble_load(mesh, theta.f0, theta.f2)
     res = F - K @ u

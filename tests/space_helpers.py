@@ -29,8 +29,9 @@ def dual_norm(mesh: fem.Mesh, F: np.ndarray) -> float:
     matrix, factored here (the mesh's cache keeps no Gram factor); this is
     the Riesz norm of v -> F.v over fields vanishing on gamma1.
     """
-    Ff = F[mesh.free_nodes]
-    z = fem.spd_factor(fem.free_block(mesh, "gram")[0])[0](Ff)
+    free = mesh.free_nodes
+    Ff = F[free]
+    z = fem.spd_factor(fem.submatrix(fem.gram_matrix(mesh), free, free))[0](Ff)
     return float(np.sqrt(max(Ff @ z, 0.0)))
 
 

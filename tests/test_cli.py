@@ -628,6 +628,21 @@ class TestDataErrors:
                 "constants: lipschitz must be nonnegative, got nan",
             ),
             (
+                "constants",
+                ("seed = 5", "seed = 5\n    constants:\n      max_iterations = 0"),
+                "constants: max_iterations must be at least 1, got 0",
+            ),
+            (
+                "constants",
+                ("seed = 5", "seed = 5\n    constants:\n      tol = -1"),
+                "constants: tol must be positive, got -1.0",
+            ),
+            (
+                "constants",
+                ("seed = 5", "seed = 5\n    constants:\n      tol = nan"),
+                "constants: tol must be positive, got nan",
+            ),
+            (
                 "control",
                 ("a2 = 1.0", "a2 = 1.0\n      max_evals = -1"),
                 "max_evals must be at least 1",
@@ -682,6 +697,16 @@ class TestDataErrors:
                 "constants",
                 ("seed = 5", "seed = 5\n    constants:\n      lipschitz = nan"),
                 ":20: constants: lipschitz must be nonnegative",
+            ),
+            (
+                "constants",
+                ("seed = 5", "seed = 5\n    constants:\n      max_iterations = 0"),
+                ":20: constants: max_iterations must be at least 1",
+            ),
+            (
+                "constants",
+                ("seed = 5", "seed = 5\n    constants:\n      tol = -1"),
+                ":20: constants: tol must be positive",
             ),
         ],
     )

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from antiplane import constants, fem, qvi
 from space_helpers import gamma3_norm, grad_seminorm, zero_on_gamma1
@@ -117,7 +120,7 @@ class TestPowerIteration:
     def test_one_product_per_iteration(self):
         mesh = square_mesh(6)
         free = mesh.free_nodes
-        S = fem.free_block(mesh, "stiffness")[0]
+        S = fem.free_block(mesh)[0]
         M = CountingOperator(fem.submatrix(fem.mass_matrix(mesh), free, free))
         factor, solves = fem.spd_factor(S)[0], []
         v0 = np.random.default_rng(RNG_SEED).standard_normal(len(free))
@@ -167,12 +170,27 @@ class TestTrace:
         c3_ref = np.sqrt(scipy.linalg.eigh(B, G, eigvals_only=True)[-1])
         assert abs(constants.trace_constant(mesh) - c3_ref) <= 1e-13 * c3_ref
 
-    def test_keeps_no_gram_factor(self):
+    def test_keeps_no_gram_factor(self, monkeypatch):
+        made, dpbtrf = [], fem.dpbtrf
+
+        def recording(ab, **kw):
+            chol, info = dpbtrf(ab, **kw)
+            made.append(weakref.ref(chol))
+            return chol, info
+
+        monkeypatch.setattr(fem, "dpbtrf", recording)
         mesh = square_mesh(6)
-        constants.trace_constant(mesh)
-        block, Z = fem.free_block(mesh, "gram")
-        g3 = mesh.node_sets["gamma3"]
-        assert block.shape == (len(mesh.free_nodes),) * 2 and Z.shape == (len(g3),) * 2
+        constants.space_constants(mesh)
+        # the Gram band of c3 is gone; the unit stiffness band of c0 is cached
+        assert len(made) == 2 and made[0]() is None and made[1]() is not None
+        n = len(mesh.free_nodes)
+        blocks = [
+            entry[0]
+            for entry in fem._FORM_CACHE[mesh].values()
+            if isinstance(entry, tuple) and sp.issparse(entry[0]) and entry[0].shape == (n, n)
+        ]
+        assert len(blocks) == 1 and blocks[0] is fem.free_block(mesh)[0]
+        assert len(made) == 2
 
 
 class TestSmallness:
@@ -239,6 +257,38 @@ class TestSmallness:
         rep = constants.constants_report(mesh, 0.5, 1.0, tol=1e-9, seed=3)
         assert (rep.c0, rep.c3) == (c0, c3)
         assert rep.k == constants.smallness_margin(0.5, c0, c3, 1.0)[0]
+
+
+class TestIterationSettings:
+    """Settings the power iteration cannot run with are refused by name
+    before any factorization."""
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"maxiter": 0}, "maxiter must be at least 1, got 0"),
+            ({"maxiter": -2}, "maxiter must be at least 1, got -2"),
+            ({"maxiter": 2.5}, "maxiter must be an integer, got 2.5"),
+            ({"tol": -1.0}, "tol must be positive, got -1.0"),
+            ({"tol": 0.0}, "tol must be positive, got 0.0"),
+            ({"tol": float("nan")}, "tol must be positive, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("function", ["poincare_constant", "space_constants"])
+    def test_refused_before_any_factorization(self, function, settings, message, monkeypatch):
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factored before the settings were checked")
+
+        monkeypatch.setattr(fem, "dpbtrf", no_factor)
+        with pytest.raises(ValueError, match=message):
+            getattr(constants, function)(square_mesh(4), **settings)
+
+    def test_numpy_integer_cap_and_one_iteration_accepted(self):
+        mesh = square_mesh(4)
+        c0 = constants.poincare_constant(mesh, maxiter=np.int64(10000))
+        assert c0 == constants.poincare_constant(mesh)
+        with pytest.raises(constants.ConvergenceError, match="within 1 iterations"):
+            constants.poincare_constant(mesh, maxiter=1)
 
 
 class TestNoFreeNode:

@@ -188,6 +188,13 @@ class TestControlPatches:
             with pytest.raises(ValueError, match="n_patches"):
                 control.ControlPatches(mesh, bad)
 
+    def test_fractional_patch_count_refused(self):
+        mesh = control_mesh_2d(4)
+        for bad in (1.5, 2.0):
+            with pytest.raises(ValueError, match=f"n_patches must be an integer, got {bad}"):
+                control.ControlPatches(mesh, bad)
+        assert control.ControlPatches(mesh, np.int64(2)).n_patches == 2
+
     def test_point_measure_1d(self, setup_1d):
         _, _, patches = setup_1d
         assert np.array_equal(patches.measures, [1.0])

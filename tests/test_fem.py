@@ -54,6 +54,15 @@ class TestMeshSpec:
         with pytest.raises(fem.MeshError, match="resolution"):
             fem.MeshSpec(1, (1.0,), (0,), {"left": "gamma1", "right": "gamma3"})
 
+    @pytest.mark.parametrize("resolution", [(2.5,), (4.0,)])
+    def test_rejects_fractional_resolution(self, resolution):
+        with pytest.raises(fem.MeshError, match="resolution must be integers"):
+            fem.MeshSpec(1, (1.0,), resolution, {"left": "gamma1", "right": "gamma3"})
+
+    def test_accepts_numpy_integer_resolution(self):
+        spec = fem.MeshSpec(1, (1.0,), (np.int64(4),), {"left": "gamma1", "right": "gamma3"})
+        assert fem.build_mesh(spec).n_nodes == 5
+
     def test_rejects_bad_tag(self):
         with pytest.raises(fem.MeshError, match="unknown tags"):
             fem.MeshSpec(1, (1.0,), (4,), {"left": "gamma1", "right": "dirichlet"})
@@ -302,7 +311,7 @@ class TestStiffnessCache:
         assert fem.stiffness_matrix(mesh, np.float64(1.0)) is K
         # the Gram matrix and the free unit stiffness block read the same entry
         fem.gram_matrix(mesh)
-        fem.free_block(mesh, "stiffness")
+        fem.free_block(mesh)
         assert calls == [1.0]
         # built for the Gram matrix first, the entry is served without assembly
         other = square_mesh(4, 4)
@@ -403,21 +412,19 @@ class TestSubmatrix:
             for a, b in zip(_csr_arrays(block), _csr_arrays(ref)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("form", ["stiffness", "gram"])
-    def test_free_block_is_cut_once(self, form, monkeypatch):
+    def test_free_block_is_cut_once(self, monkeypatch):
         from antiplane import constants
 
         cuts = []
         submatrix = fem.submatrix
         monkeypatch.setattr(fem, "submatrix", lambda A, r, c: cuts.append(A) or submatrix(A, r, c))
         mesh = square_mesh(4, 4)
-        whole = fem.stiffness_matrix(mesh, 1.0) if form == "stiffness" else fem.gram_matrix(mesh)
+        whole = fem.stiffness_matrix(mesh, 1.0)
         constants.space_constants(mesh, seed=0)
-        entry = fem.free_block(mesh, form)
-        block, Z = entry[0], entry[-1]
-        assert len(entry) == (3 if form == "stiffness" else 2)
+        entry = fem.free_block(mesh)
+        block, solve, Z = entry
         assert sum(A is whole for A in cuts) == 1
-        assert fem.free_block(mesh, form) == entry
+        assert fem.free_block(mesh) == entry
         assert_read_only(block)
         assert not Z.flags.writeable
         free = mesh.free_nodes
@@ -425,13 +432,8 @@ class TestSubmatrix:
         pos = np.searchsorted(free, mesh.node_sets["gamma3"])
         Z_ref = np.linalg.inv(block.toarray())[np.ix_(pos, pos)]
         assert np.allclose(Z, Z_ref, rtol=0, atol=1e-12)
-        if form == "stiffness":
-            b = np.ones(len(free))
-            assert np.allclose(block @ entry[1](b), b, rtol=0, atol=1e-12)
-
-    def test_free_block_names_its_form(self):
-        with pytest.raises(ValueError, match="unknown H1 form 'mass'"):
-            fem.free_block(square_mesh(2, 2), "mass")
+        b = np.ones(len(free))
+        assert np.allclose(block @ solve(b), b, rtol=0, atol=1e-12)
 
 
 class TestMass:
@@ -819,27 +821,36 @@ class TestBandLayout:
         # a later scalar modulus on the mesh factors the unit block again
         assert np.array_equal(certified_solve(mesh, 1.0), certified_solve(square_mesh(8, 8), 1.0))
 
-    @pytest.mark.parametrize("keep_first", [True, False], ids=["kept", "dropped"])
-    def test_released_unit_band_is_taken_back_while_held(self, keep_first, monkeypatch):
+    def test_dropped_scalar_problem_leaves_no_band(self, monkeypatch):
         alive = live_bands(monkeypatch)
         mesh = square_mesh(8, 8)
         g = fem.FrictionBound.affine(0.9, 0.2)
         mu = np.linspace(0.8, 1.2, len(mesh.elements))
         first = qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 1.0, 0.5, g))
-        assert len(alive) == 2  # the Gram band of c3, then the unit band
-        if not keep_first:
-            del first
+        assert alive == [0, 0]  # the Gram band of c3, then the unit band
+        del first
+        qvi.DiscreteProblem(qvi.ProblemData(mesh, mu, 1.0, 0.5, g))
+        # the release dropped the cache's unit band, and nothing else held it
+        assert alive == [0, 0, 0]
+
+    def test_held_scalar_problem_keeps_its_band_only(self, monkeypatch):
+        alive = live_bands(monkeypatch)
+        mesh = square_mesh(8, 8)
+        g = fem.FrictionBound.affine(0.9, 0.2)
+        mu = np.linspace(0.8, 1.2, len(mesh.elements))
+        first = qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 1.0, 0.5, g))
         element = qvi.DiscreteProblem(qvi.ProblemData(mesh, mu, 1.0, 0.5, g))
-        assert alive == [0, 0, 1 if keep_first else 0]
         last = qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 1.0, 0.5, g))
-        # the first problem's unit band while it lives, a new one otherwise
-        assert len(alive) == (3 if keep_first else 4)
-        if keep_first:
-            assert last.tresca._solve is first.tresca._solve
+        # the released unit band lives on in the first problem only: the
+        # last one factors the unit block again
+        assert alive == [0, 0, 1, 2]
+        assert last.tresca._solve is not first.tresca._solve
+        assert element.tresca._solve is not last.tresca._solve
         c = np.full(len(mesh.node_sets["gamma3"]), 0.05)
         fresh = qvi.DiscreteProblem(qvi.ProblemData(square_mesh(8, 8), 1.0, 1.0, 0.5, g))
-        assert np.array_equal(last.tresca.solve(last.F, c)[0], fresh.tresca.solve(fresh.F, c)[0])
-        assert element.tresca._solve is not last.tresca._solve
+        for problem in (first, last):
+            u = problem.tresca.solve(problem.F, c)[0]
+            assert np.array_equal(u, fresh.tresca.solve(fresh.F, c)[0])
 
 
 # ---------------------------------------------------------------------------

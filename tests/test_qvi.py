@@ -316,6 +316,9 @@ class TestSolverConfig:
             ("outer_tol", -1e-10),
             ("inner_tol", 0.0),
             ("inner_tol", float("nan")),
+            ("max_outer", 2.5),
+            ("max_inner", 2.5),
+            ("max_inner", 3.0),
         ],
     )
     def test_rejects_bad_value_naming_the_field(self, field, value):
@@ -325,6 +328,11 @@ class TestSolverConfig:
     def test_smallest_caps_accepted(self):
         cfg = qvi.SolverConfig(max_outer=1, max_inner=1, outer_tol=1e-300)
         assert cfg.max_outer == 1 and cfg.max_inner == 1
+
+    def test_numpy_integer_caps_accepted(self):
+        prob = benchmark_problem(1.0, 3.0, 1.0, 16)
+        cfg = qvi.SolverConfig(max_outer=np.int64(200), max_inner=np.int32(50))
+        assert qvi.solve_qvi(prob, cfg)[1].converged
 
 
 class TestFixedPoint:
@@ -598,7 +606,7 @@ class TestReducedFixedPoint:
         discrete = qvi.DiscreteProblem(problem)
         cfg = qvi.SolverConfig()
         stick_sets = recording_stick_sets(discrete.tresca)
-        u, rep = qvi.fixed_point(discrete, discrete.F, problem.g, cfg, eta0)
+        u, rep = discrete.solve(discrete.F, problem.g, cfg, eta0)
         # a second DiscreteProblem: a Tresca solver with no kept LU or multiplier
         oracle = qvi.DiscreteProblem(problem)
         ref_sets = []
@@ -613,7 +621,8 @@ class TestReducedFixedPoint:
         problem, eta0 = instance
         discrete = qvi.DiscreteProblem(problem)
         cfg = qvi.SolverConfig()
-        u, rep = qvi.fixed_point(discrete, discrete.F, problem.g, cfg, eta0)
+        w = discrete.tresca.reduce(discrete.F)
+        u, rep = qvi.fixed_point(discrete, w, problem.g, cfg, eta0)
         # TrescaSolver.solve reduces the load afresh and warm-starts from t0
         # and its last multiplier; the first call of a fresh solver is cold
         mesh, solver = problem.mesh, qvi.DiscreteProblem(problem).tresca
@@ -666,7 +675,7 @@ class TestReducedFixedPoint:
         ref = per_step_fixed_point(oracle, F, g, cfg, stick_sets=ref_sets)
         counts = self.count_work(monkeypatch, solver)
         stick_sets = recording_stick_sets(solver)
-        u, rep = qvi.fixed_point(discrete, F, g, cfg)
+        u, rep = discrete.solve(F, g, cfg)
         assert close_in_v_norm(discrete.problem.mesh, u, ref[0])
         assert rep.inner_sweeps == ref[3]
         assert stick_sets == [whole_gamma3(solver)] + ref_sets
@@ -683,7 +692,7 @@ class TestReducedFixedPoint:
         solver = discrete.tresca
         counts = self.count_work(monkeypatch, solver)
         stick_sets = recording_stick_sets(solver)
-        u, rep = qvi.fixed_point(discrete, load(0.6), fem.FrictionBound.affine(0.05, 0.2))
+        u, rep = discrete.solve(load(0.6), fem.FrictionBound.affine(0.05, 0.2))
         assert np.all(u[solver.friction] != 0.0)
         # the one stick solve is the cold start's, on Z itself
         assert stick_sets == [whole_gamma3(solver)]
@@ -731,9 +740,9 @@ class TestReducedFixedPoint:
         state = self.two_patch_state()
         solver = state.discrete.tresca
         # one band solve of d + 1 columns, each bitwise its own solve
-        assert np.array_equal(state._R0, solver._reduce_load(state.F0))
+        assert np.array_equal(state._R0, solver.reduce(state.F0))
         for p in range(2):
-            assert np.array_equal(state._RB[:, p], solver._reduce_load(state.B[:, p]))
+            assert np.array_equal(state._RB[:, p], solver.reduce(state.B[:, p]))
 
     def test_control_run_solves_no_load(self, monkeypatch):
         # a single-start optimization on the control benchmark's 4x4 square:
@@ -865,7 +874,9 @@ class TestBadData:
         F[node[where]] = np.nan
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(qvi.SolverError, match="load .*non-finite"):
-            qvi.fixed_point(discrete, F, g, qvi.SolverConfig(max_inner=5))
+            discrete.solve(F, g, qvi.SolverConfig(max_inner=5))
+        with pytest.raises(qvi.SolverError, match="load .*non-finite"):
+            qvi.fixed_point(discrete, solver.reduce(F), g, qvi.SolverConfig(max_inner=5))
         with pytest.raises(qvi.SolverError, match="load .*non-finite"):
             solver.solve(F, c, max_inner=5)
 
@@ -879,7 +890,7 @@ class TestBadData:
         mesh, discrete, _, load = control_square()
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(ValueError, match=f"eta0 must have {mesh.n_nodes} entries"):
-            qvi.fixed_point(discrete, load(0.6), g, eta0=np.zeros(mesh.n_nodes - 1))
+            discrete.solve(load(0.6), g, eta0=np.zeros(mesh.n_nodes - 1))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["smooth", "gamma3", "gamma1"])
@@ -898,7 +909,7 @@ class TestBadData:
         eta0[node] = value
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(ValueError, match=f"eta0 must be finite, got .* at node {node}"):
-            qvi.fixed_point(discrete, load(0.6), g, eta0=eta0)
+            discrete.solve(load(0.6), g, eta0=eta0)
         problem = qvi.ProblemData(mesh, 1.0, 0.2, None, g)
         state = control.StateSolver(problem, control.ControlPatches(mesh, 1))
         with pytest.raises(ValueError, match=f"eta0 must be finite, got .* at node {node}"):
@@ -915,11 +926,28 @@ class TestBadData:
         with pytest.raises(ValueError, match=f"t0 must be finite, got .* at node {node}"):
             solver.solve(load(0.6), c, t0=t0)
 
-    def test_wrong_length_load_in_fixed_point(self):
+    def test_reduce_of_a_block_is_its_columns(self):
+        mesh, discrete, _, load = control_square()
+        solver = discrete.tresca
+        F = np.column_stack([load(t) for t in (0.6, -0.2, 0.0)])
+        W = solver.reduce(F)
+        assert W.shape == (len(mesh.free_nodes), 3)
+        for k in range(3):
+            assert np.array_equal(W[:, k], solver.reduce(F[:, k]))
+
+    @pytest.mark.parametrize(
+        "shape", [lambda n: (n - 1,), lambda n: (n - 1, 2), lambda n: (n, 2, 1), lambda n: ()]
+    )
+    def test_reduce_refuses_other_shapes(self, shape):
+        mesh, discrete, _, _ = control_square()
+        with pytest.raises(ValueError, match=f"F must have {mesh.n_nodes} entries"):
+            discrete.tresca.reduce(np.zeros(shape(mesh.n_nodes)))
+
+    def test_wrong_length_load_in_discrete_solve(self):
         mesh, discrete, _, load = control_square()
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(ValueError, match=f"F must have {mesh.n_nodes} entries"):
-            qvi.fixed_point(discrete, load(0.6)[:-1], g)
+            discrete.solve(load(0.6)[:-1], g)
 
     @pytest.mark.parametrize(
         "name, shorten",
@@ -1090,6 +1118,14 @@ class TestMembershipOracle:
 
 
 class TestMembership:
+    @pytest.mark.parametrize("n_random, message", [(-3, "at least 0"), (2.5, "an integer")])
+    def test_bad_random_count_refused(self, n_random, message):
+        prob = benchmark_problem(1.0, 3.0, 1.0, 16)
+        u = np.zeros(prob.mesh.n_nodes)
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+        with pytest.raises(ValueError, match=f"n_random must be {message}"):
+            qvi.membership_violation(prob.mesh, prob.mu, u, theta, n_random=n_random)
+
     def test_solution_certifies(self):
         prob = benchmark_problem(1.0, 3.0, 1.0, 64)
         u, _ = qvi.solve_qvi(prob)
@@ -1228,7 +1264,7 @@ class TestSharedFreeFactor:
         g = fem.FrictionBound.affine(0.9992, 0.1007)
         discrete = qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 0.9605, 0.5169, g))
         solver = discrete.tresca
-        u, _ = qvi.fixed_point(discrete, discrete.F, g)
+        u, _ = discrete.solve(discrete.F, g)
         stuck = int(np.sum(u[solver.friction] == 0.0))
         assert stuck > len(solver.friction) // 2
         limit = (len(mesh.free_nodes) - len(solver.friction)) * len(solver.friction)
