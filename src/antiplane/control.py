@@ -338,18 +338,17 @@ def minimize_cost(
     solve starts from ``_predict`` on the (control, state) pairs its
     start has solved; the selected optimum's state is solved again from
     a cold start.
-    Raises ValueError, before any state solve, for ``n_starts`` or
-    ``max_evals`` below 1, a negative or non-finite ``start_scale``,
-    ``xatol`` or ``fatol``, or an extra start of the wrong shape or with
-    a non-finite entry.
+    Raises ValueError, before any state solve, for an ``n_starts`` or
+    ``max_evals`` that is not an integer of at least 1, a negative or
+    non-finite ``start_scale``, ``xatol`` or ``fatol``, or an extra start
+    of the wrong shape or with a non-finite entry.
     """
     # deferred: only the optimizer needs scipy.optimize, so a solve does not load it
     from scipy.optimize import minimize
 
-    if n_starts < 1:
-        raise ValueError("need at least one start")
-    if max_evals is not None and max_evals < 1:
-        raise ValueError(f"max_evals must be at least 1, got {max_evals}")
+    fem.require_count("n_starts", n_starts)
+    if max_evals is not None:
+        fem.require_count("max_evals", max_evals)
     for name, value in (("start_scale", start_scale), ("xatol", xatol), ("fatol", fatol)):
         if not 0.0 <= value < np.inf:  # also refuses NaN
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -496,12 +495,11 @@ def run_oc_sequence(
     are measured in L2(gamma2), both against the selected base optimum
     and against the nearest member of the base cluster catalog.  Raises
     ValueError, before the base optimization, for a kind outside
-    ``OC_SCHEDULE_KINDS``, ``seq_starts`` below 1 or a negative or NaN
-    ``ctrl_tol`` or ``noise_floor``.
+    ``OC_SCHEDULE_KINDS``, a ``seq_starts`` that is not an integer of at
+    least 1, or a negative or NaN ``ctrl_tol`` or ``noise_floor``.
     """
     check_schedule(problem, schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
-    if seq_starts < 1:
-        raise ValueError(f"seq_starts must be at least 1, got {seq_starts}")
+    fem.require_count("seq_starts", seq_starts)
     for name, value in (("ctrl_tol", ctrl_tol), ("noise_floor", noise_floor)):
         if not value >= 0.0:  # also refuses NaN
             raise ValueError(f"{name} must be nonnegative, got {value}")

@@ -1,4 +1,4 @@
-"""Closed-form 1D reference solutions and frictionless direct solves.
+"""Closed-form 1D reference solutions and the benchmark problem they solve.
 
 On the unit interval with the left end clamped and friction acting at the
 right end, constant data (mu, f0, g) admit a piecewise-quadratic solution
@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import fem
 from .qvi import ProblemData
@@ -52,22 +51,6 @@ def analytic_1d(mu: float, f0: float, g: float, x):
     """Closed-form solution values at ``x`` for constant data on (0, 1)."""
     x = np.asarray(x, dtype=float)
     return -(f0 / (2.0 * mu)) * x**2 + _slope_at_zero(mu, f0, g) * x
-
-
-def analytic_1d_slope(mu: float, f0: float, g: float, x):
-    """Exact derivative of the closed-form solution."""
-    x = np.asarray(x, dtype=float)
-    return -(f0 / mu) * x + _slope_at_zero(mu, f0, g)
-
-
-def linear_solve(mesh: fem.Mesh, mu, f0, f2=None) -> np.ndarray:
-    """Direct frictionless solve: K u = F with gamma1 rows eliminated."""
-    K = fem.assemble_stiffness(mesh, mu)
-    F = fem.assemble_load(mesh, f0, f2)
-    free = mesh.free_nodes
-    u = np.zeros(mesh.n_nodes)
-    u[free] = spla.spsolve(K[free][:, free].tocsc(), F[free])
-    return u
 
 
 def benchmark_mesh(n_elements: int) -> fem.Mesh:

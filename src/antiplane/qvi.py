@@ -20,7 +20,10 @@ Kunisch 2002, Stadler 2004) of dense |T|-sized steps, with stick nodes
 held at zero by a small dense solve, and one band solve to lift u.
 ``DiscreteProblem`` builds that solver and resolves c0, c3 and the other
 invariants of a solve once per problem, for any number of loads and
-friction bounds; ``DiscreteProblem.solve`` runs ``fixed_point``.
+friction bounds; ``DiscreteProblem.solve`` runs ``fixed_point``.  The
+membership certificate solves a box QP of the same kind on the inverse
+Gram block: the dual-norm distance of the residual to the friction
+subdifferential.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -129,6 +131,70 @@ class SolveReport:
     error_bound: float | None = None
 
 
+def _box_qp(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner, what):
+    """Minimize 0.5 lam'Z lam - b'lam over the box |lam_i| <= c_i, for a
+    symmetric positive definite Z, by a primal-dual active-set iteration
+    from the guess t of the slack t = b - Z lam and the multiplier lam
+    (None: lam = Z^-1 (b - t), the multiplier of that slack).
+
+    The box's KKT conditions are those of the friction law: a slip node
+    (sign s_i != 0) has lam_i = s_i c_i and s_i t_i >= 0, a stick node
+    (s_i = 0) has t_i = 0 and |lam_i| <= c_i.  Each iteration is dense
+    algebra on Z: t = b - Z lam with the slip multipliers, then
+    ``stick_solve(I, rhs)`` = Z_II^-1 rhs holds the stick set I at zero.
+    The next signs come from t_i + sigma_i lam_i against +-sigma_i c_i.
+    t and lam depend on the sign vector s alone, so from the first
+    repeated s on, each iteration flips only the violator of least index
+    (Murty's rule; Judice-Pires, Comput. Oper. Res. 21, 1994), which ends
+    for positive definite Z.  Stops once both conditions hold within
+    tol = inner_tol (1 + max c); returns (lam, I, iterations).  Raises
+    SolverError, naming ``what``, after ``max_inner`` iterations.
+    """
+    if lam is None:
+        lam = stick_solve(np.arange(len(b)), b - t)
+    tol = inner_tol * (1.0 + c.max())
+    # a node off zero slips its way, a node at zero slips where its
+    # multiplier exceeds the bound (not on a stale one below a grown bound)
+    s = np.sign(t)
+    at_zero = (t == 0.0).nonzero()[0]
+    if len(at_zero):
+        s[at_zero] = np.sign(lam[at_zero]) * (np.abs(lam[at_zero]) > c[at_zero])
+    seen = None  # the sign vectors of the failed iterations, made on the first
+    least_index = False
+    for iteration in range(1, max_inner + 1):
+        lam = s * c
+        t = b - Z @ lam
+        I = (s == 0.0).nonzero()[0]
+        if len(I):
+            lam[I] = stick_solve(I, t[I])
+            t -= Z[:, I] @ lam[I]
+            t[I] = 0.0
+        # no slip value against its sign, no stick multiplier above its bound
+        if (s * t).min() >= -tol and (not len(I) or (np.abs(lam[I]) <= c[I] + tol).all()):
+            break
+        if seen is None:
+            seen = set()
+            sigma_c = sigma * c
+        if not least_index:
+            z = t + sigma * lam
+            s_next = np.sign(z) * (np.abs(z) > sigma_c)
+            seen.add(s.tobytes())
+            least_index = s_next.tobytes() in seen
+        if least_index:
+            # the friction law node by node; flip the first node that breaks it
+            holds = np.where(s == 0.0, np.abs(lam) <= c + tol, s * t >= -tol)
+            i = int(np.argmin(holds))
+            s_next = s.copy()
+            s_next[i] = np.sign(lam[i]) if s[i] == 0.0 else 0.0
+        s = s_next
+    else:
+        raise SolverError(
+            f"{what} missed the friction law within {max_inner} "
+            f"active-set iterations (tolerance {tol:.3e})"
+        )
+    return lam, I, iteration
+
+
 class TrescaSolver:
     """Exact minimizer of 0.5 v'Kv - F'v + sum_i c_i |v_i| over V_h.
 
@@ -138,7 +204,7 @@ class TrescaSolver:
     ``DiscreteProblem`` passes the mesh's cached one), or one made here
     (SolverError when K_ff does not factor), with Z = (K_ff^-1)_TT read
     off the factor's trailing block.  The active-set iteration of
-    ``_iterate`` is dense algebra on Z: it splits T into slip nodes, whose
+    ``_box_qp`` is dense algebra on Z: it splits T into slip nodes, whose
     multipliers +-c_i enter the load, and stick nodes I, held at zero by
     the multipliers of Z_II lambda_I = t_I (Proskurowski-Widlund 1976).
     The LU factors of Z_II are kept while I is unchanged, and the last
@@ -190,66 +256,20 @@ class TrescaSolver:
         return dgetrs(*self._stick[1], rhs)[0]
 
     def _iterate(self, w, c, t, lam, inner_tol, max_inner):
-        """Active-set iteration from the gamma3 guess t and multiplier lam,
-        by default the exact reaction S_TT (w_T - t) = Z^-1 (w_T - t) of
-        the gamma3 values t; returns (u, iterations) and keeps the final
-        multiplier.
-
-        Each iteration is dense algebra on Z: t = w_T - Z lambda with the
-        slip multipliers, then the stick solve.  t and lambda depend on the
-        sign vector s alone, so from the first repeated s on, each
-        iteration flips only the violator of least index (Murty's rule;
-        Judice-Pires, Comput. Oper. Res. 21, 1994), which ends for positive
-        definite K_ff.  One band solve lifts the final multiplier to u.
+        """``_box_qp`` on Z and w_T from the gamma3 guess t and multiplier
+        lam, by default the exact reaction S_TT (w_T - t) = Z^-1 (w_T - t)
+        of the gamma3 values t; returns (u, iterations) and keeps the final
+        multiplier.  One band solve lifts that multiplier to u.
         """
-        pos, Z = self._pos, self._Z
+        pos = self._pos
         if len(pos) == 0:
             u = np.zeros(self.n_nodes)
             u[self.free] = w
             return u, 0
-        w_T = w[pos]
-        if lam is None:
-            lam = self._stick_solve(np.arange(len(pos)), w_T - t)
-        tol = inner_tol * (1.0 + c.max())
-        # a node off zero slips its way, a node at zero slips where its
-        # multiplier exceeds the bound (not on a stale one below a grown bound)
-        s = np.sign(t)
-        at_zero = (t == 0.0).nonzero()[0]
-        if len(at_zero):
-            s[at_zero] = np.sign(lam[at_zero]) * (np.abs(lam[at_zero]) > c[at_zero])
-        seen = None  # the sign vectors of the failed iterations, made on the first
-        least_index = False
-        for iteration in range(1, max_inner + 1):
-            lam = s * c
-            t = w_T - Z @ lam
-            I = (s == 0.0).nonzero()[0]
-            if len(I):
-                lam[I] = self._stick_solve(I, t[I])
-                t -= Z[:, I] @ lam[I]
-                t[I] = 0.0
-            # no slip value against its sign, no stick multiplier above its bound
-            if (s * t).min() >= -tol and (not len(I) or (np.abs(lam[I]) <= c[I] + tol).all()):
-                break
-            if seen is None:
-                seen, sigma = set(), self._sigma
-                sigma_c = sigma * c
-            if not least_index:
-                z = t + sigma * lam
-                s_next = np.sign(z) * (np.abs(z) > sigma_c)
-                seen.add(s.tobytes())
-                least_index = s_next.tobytes() in seen
-            if least_index:
-                # the friction law node by node; flip the first node that breaks it
-                holds = np.where(s == 0.0, np.abs(lam) <= c + tol, s * t >= -tol)
-                i = int(np.argmin(holds))
-                s_next = s.copy()
-                s_next[i] = np.sign(lam[i]) if s[i] == 0.0 else 0.0
-            s = s_next
-        else:
-            raise SolverError(
-                f"inner solver missed the friction law within {max_inner} "
-                f"active-set iterations (tolerance {tol:.3e})"
-            )
+        lam, I, iteration = _box_qp(
+            self._Z, w[pos], c, t, lam, self._stick_solve, self._sigma, inner_tol, max_inner,
+            "inner solver",
+        )
         self._lam = lam
         rhs = np.zeros(len(self.free))
         rhs[pos] = lam
@@ -458,97 +478,68 @@ def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
 # ---------------------------------------------------------------------------
 # membership certificate
 
-# seeded random test fields are drawn and tested in blocks of about this many
-# entries, and at least _RANDOM_ROWS rows, so the certificate's memory does
-# not grow with n_random
-_RANDOM_BLOCK = 2**14
-_RANDOM_ROWS = 16
-
-
 def membership_violation(
     mesh: fem.Mesh,
     mu,
     u: np.ndarray,
     theta: TykhonovIndex,
     *,
-    directions: Sequence[np.ndarray] | None = None,
-    n_random: int = 100,
     seed: int = 0,
-    basis_scale: float = 1.0,
     stiffness=None,
 ) -> float:
-    """Largest positive residual of the relaxed inequality over a test set.
+    """How far ``u`` lies outside the approximating set of ``theta``.
 
-    The candidate ``u`` belongs to the approximating set of ``theta`` when
+    The candidate ``u`` belongs to the set when
 
         a(u, v - u) + j(u, v) - j(u, u) + eps ||u|| ||v - u|| >= F.(v - u)
 
-    holds for every direction v.  The default test set takes both signs of
-    every scaled nodal basis field around u, ``n_random`` seeded random
-    fields, v = 0 and v = 2u; ``directions`` replaces it by the given
-    fields.  All basis fields are tested at once, and the random fields in
-    blocks of rows that share one Gram-matrix product per norm.  The
+    holds for every v in V_h.  As v -> j(u, v) is convex and positively
+    homogeneous, that holds exactly when the residual r = F - Ku lies
+    within eps ||u||_V of the subdifferential of j(u, .) at u, in the dual
+    norm of V_h (the subdifferential sum rule; Rockafellar, Convex
+    Analysis, Thm. 23.8).  The value is max(0, dist - eps ||u||_V), a
+    residual per unit ||v - u||_V: no v violates the inequality by more
+    than ||v - u||_V times it.
+
+    The subdifferential is xi_i = w_i g_i sign u_i on the gamma3 nodes
+    that slip, the box |xi_i| <= w_i g_i on those that stick (u_i == 0),
+    I, and zero off gamma3, with g_i = g(x_i, |u_i|).  With z = r_f - xi
+    and G the Gram matrix of the V-norm, dist^2 is the least z'G_ff^-1 z
+    over the box: ``_box_qp`` on the block Z_II of Z = (G_ff^-1)_TT, with
+    G_ff factored on each call on the mesh's band layout.  Its minimizer
+    is clipped into the box and dist taken from the explicit z with a
+    second band solve; any xi in the box bounds dist from above.  The
     stiffness matrix of ``mu`` comes from ``fem.stiffness_matrix`` (cached
-    per mesh for a scalar mu) unless the caller passes it as ``stiffness``.
-    Returns a Python float; a value <= 1e-8 certifies membership against
-    the set.  A bound not finite or negative at u raises SolverError, an
-    ``n_random`` that is not an integer of at least 0 ValueError.
+    per mesh for a scalar mu) unless the caller passes it as
+    ``stiffness``; ``seed`` is accepted and not used.  Returns a Python
+    float; a value <= 1e-8 certifies membership.  A bound not finite or
+    negative at u raises SolverError, and so does a QP that misses the
+    friction law within the default ``SolverConfig().max_inner`` iterations.
     """
-    fem.require_count("n_random", n_random, 0)
+    free, g3 = mesh.free_nodes, mesh.node_sets[fem.GAMMA3]
+    if len(free) == 0:  # V_h = {0}: no direction to test
+        return 0.0
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
     F = fem.assemble_load(mesh, theta.f0, theta.f2)
-    res = F - K @ u
-    norm_u = fem.v_norm(mesh, u)
-    eps = theta.eps
+    z = (F - K @ u)[free]
+    T = np.searchsorted(free, g3)  # gamma3 rows of the free block, in the order of Z
+    c = mesh.gamma3_weights[g3] * _bound(theta.g, mesh.nodes[g3], np.abs(u[g3]))
     gram = fem.gram_matrix(mesh)
-
-    # lumped friction weights w_i g(x_i, |u_i|), zero off gamma3, and j(u, u)
-    g3 = mesh.node_sets[fem.GAMMA3]
-    wG = np.zeros(mesh.n_nodes)
-    if len(g3):
-        wG[g3] = mesh.gamma3_weights[g3] * _bound(theta.g, mesh.nodes[g3], np.abs(u[g3]))
-    ju_u = float(np.sum(wG[g3] * np.abs(u[g3])))
-
-    def v_norms(V):
-        return np.sqrt(np.maximum(np.einsum("ij,ji->i", V, gram @ V.T), 0.0))
-
-    def worst_residual(V):
-        """Largest residual over the rows of V, at least zero."""
-        D = V - u
-        # wG vanishes off gamma3; with eps = 0 the norm term is exactly zero
-        rows = D @ res - np.abs(V[:, g3]) @ wG[g3] + ju_u
-        if eps > 0.0:
-            rows -= eps * norm_u * v_norms(D)
-        return float(np.max(rows, initial=0.0))
-
-    if directions is not None:
-        V = np.asarray(directions, dtype=float).reshape(-1, mesh.n_nodes)
-        return worst_residual(V)
-
-    # v = u +- s phi_i for every free node i
-    s = basis_scale
-    free = mesh.free_nodes
-    base = s * np.sqrt(np.maximum(gram.diagonal()[free], 0.0)) * eps * norm_u
-    sign = np.array([[1.0], [-1.0]])
-    uf = u[free]
-    nodal = sign * s * res[free] - base - wG[free] * (np.abs(uf + sign * s) - np.abs(uf))
-    worst = float(np.max(nodal, initial=0.0))
-
-    # the ray through the origin: v = 0 and v = 2u
-    worst = max(worst, float(-res @ u) + ju_u - eps * norm_u**2)
-    worst = max(worst, float(res @ u) - ju_u - eps * norm_u**2)
-
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + norm_u
-    g1 = mesh.node_sets[fem.GAMMA1]
-    rows = max(_RANDOM_ROWS, _RANDOM_BLOCK // mesh.n_nodes)
-    for start in range(0, n_random, rows):
-        V = rng.standard_normal((min(rows, n_random - start), mesh.n_nodes))
-        V[:, g1] = 0.0
-        nv = v_norms(V)
-        V *= np.divide(scale, nv, out=np.ones_like(nv), where=nv > 0.0)[:, None]
-        worst = max(worst, worst_residual(V))
-    return worst
+    _, solve, Z = fem.free_factor(mesh, gram)
+    z[T] -= np.sign(u[g3]) * c  # xi on the slip nodes; zero on the stick nodes
+    I = (u[g3] == 0.0).nonzero()[0]
+    if len(I):
+        Z_II = Z[np.ix_(I, I)]
+        sigma = 1e3 / gram.diagonal()[g3[I]]  # as TrescaSolver's, on the form of Z's inverse
+        cfg = _DEFAULT_CONFIG
+        xi, _, _ = _box_qp(
+            Z_II, solve(z)[T[I]], c[I], np.zeros(len(I)), None,
+            lambda J, rhs: dgetrs(*dgetrf(Z_II[np.ix_(J, J)])[:2], rhs)[0],
+            sigma, cfg.inner_tol, cfg.max_inner, "membership certificate",
+        )
+        z[T[I]] -= np.clip(xi, -c[I], c[I])
+    dist = math.sqrt(max(z @ solve(z), 0.0))
+    return max(dist - theta.eps * fem.v_norm(mesh, u), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,8 @@ class Schedule:
             raise ValueError(f"unknown decay law {self.decay!r}")
         if self.mu_law not in MU_LAWS:
             raise ValueError(f"unknown mu law {self.mu_law!r}")
+        if not isinstance(self.length, (int, np.integer)):
+            raise ValueError(f"length must be an integer, got {self.length}")
         if self.length < 4:
             raise ValueError("schedule needs at least four entries")
         if not (0.0 < self.ratio < 1.0) and self.decay == "geometric":

@@ -12,14 +12,17 @@ point x = 1, weight one, constant source f0, modulus mu):
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from antiplane import constants, control, fem, qvi
-from antiplane.oracle import analytic_1d, benchmark_problem, linear_solve
+from antiplane import constants, control, fem, qvi, tykhonov
+from antiplane.oracle import analytic_1d, benchmark_problem
+from oracle_helpers import linear_solve
 from space_helpers import dual_norm, in_space, zero_on_gamma1
 
 RNG_SEED = 424242
@@ -1006,53 +1009,49 @@ class TestFourPointEstimate:
 
 def membership_oracle(mesh, mu, u, theta, *, directions=None, n_random=100, seed=0,
                       basis_scale=1.0):
-    """The membership certificate one test field at a time: a loop over
-    the free nodes and both signs, then over the seeded random fields."""
+    """The sampled membership test, one test field v at a time: both signs
+    of every scaled nodal basis field around u, v = 0, v = 2u and
+    ``n_random`` seeded random fields, or the given ``directions``.
+    Returns the rows (residual of the relaxed inequality at v, ||v - u||_V)."""
     K = fem.assemble_stiffness(mesh, mu)
     F = fem.assemble_load(mesh, theta.f0, theta.f2)
     res = F - K @ u
     ju_u = fem.eval_j(mesh, theta.g, u, u)
     norm_u = fem.v_norm(mesh, u)
-    eps = theta.eps
-    gram_diag = fem.gram_matrix(mesh).diagonal()
-    g3 = mesh.node_sets[fem.GAMMA3]
-    g3_pos = {int(i): p for p, i in enumerate(g3)}
-    w_g3 = mesh.gamma3_weights[g3]
-    G_u = theta.g(mesh.nodes[g3], np.abs(u[g3])) if len(g3) else np.zeros(0)
 
-    def residual(v):
+    def row(v):
         d = v - u
         jv = fem.eval_j(mesh, theta.g, u, v)
-        return float(res @ d) - jv + ju_u - eps * norm_u * fem.v_norm(mesh, d)
+        dist = fem.v_norm(mesh, d)
+        return float(res @ d) - jv + ju_u - theta.eps * norm_u * dist, dist
 
-    worst = 0.0
     if directions is not None:
-        for v in directions:
-            worst = max(worst, residual(np.asarray(v, dtype=float)))
-        return worst
-    s = basis_scale
+        return [row(np.asarray(v, dtype=float)) for v in directions]
+    rows = []
     for i in mesh.free_nodes:
-        base = s * np.sqrt(max(gram_diag[i], 0.0)) * eps * norm_u
         for sign in (1.0, -1.0):
-            val = sign * s * res[i] - base
-            p = g3_pos.get(int(i))
-            if p is not None:
-                val -= w_g3[p] * G_u[p] * (abs(u[i] + sign * s) - abs(u[i]))
-            worst = max(worst, val)
-    worst = max(worst, float(-res @ u) + ju_u - eps * norm_u**2)
-    worst = max(worst, float(res @ u) - ju_u - eps * norm_u**2)
+            v = u.copy()
+            v[i] += sign * basis_scale
+            rows.append(row(v))
+    rows += [row(np.zeros(mesh.n_nodes)), row(2.0 * u)]
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         v = zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
         nv = fem.v_norm(mesh, v)
         if nv > 0.0:
             v *= (1.0 + norm_u) / nv
-        worst = max(worst, residual(v))
-    return worst
+        rows.append(row(v))
+    return rows
+
+
+def bounded_by(rows, value):
+    """True when every sampled row is at most ||v - u||_V times ``value``,
+    the certificate's residual per unit distance, plus rounding."""
+    return all(r <= dist * value + 1e-12 * (1.0 + dist) for r, dist in rows)
 
 
 def certificate_case(name):
-    """(mesh, mu, u, theta, keyword arguments) of a named certificate case."""
+    """(mesh, mu, u, theta, oracle keyword arguments) of a named certificate case."""
     if name.startswith("1d"):
         prob = benchmark_problem(1.0, 3.0, 1.0, 64)
         u, _ = qvi.solve_qvi(prob)
@@ -1073,8 +1072,7 @@ def certificate_case(name):
     theta = qvi.TykhonovIndex(1e-4, 1.0, 0.5, prob.g)
     if name == "2d-solution":
         return mesh, mu, u, theta, {}
-    # an oscillating error; the small basis scale leaves the largest
-    # residual to the random fields (see test_each_random_block_counts)
+    # an oscillating error, sampled by small nodal steps and random fields
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     u = u + zero_on_gamma1(mesh, 0.05 * np.sin(9.0 * x) * np.cos(7.0 * y))
     return mesh, mu, u, theta, {"basis_scale": 1e-3, "seed": 253}
@@ -1084,47 +1082,96 @@ CERTIFICATE_CASES = ("1d-solution", "1d-eps-scaled", "1d-perturbed", "2d-solutio
                      "2d-perturbed", "2d-no-gamma3")
 
 
+def mixed_certificate_case():
+    """(mesh, u, theta): the 4x4 mixed solution, six of its eight gamma3
+    nodes at zero, against a load that pushes their multipliers out of
+    the box; the certificate's QP takes two active-set iterations."""
+    mesh = square_mesh(4)
+    g = fem.FrictionBound.affine(0.9992, 0.1007)
+    u, _ = qvi.solve_qvi(qvi.ProblemData(mesh, 1.0, 0.9605, 0.5169, g))
+    return mesh, u, qvi.TykhonovIndex(1e-3, 0.0, 2.0, g)
+
+
 class TestMembershipOracle:
+    """The exact certificate against the sampled test of ``membership_oracle``."""
+
     @pytest.mark.parametrize("n_random", [0, 1, 17, 100])
     @pytest.mark.parametrize("name", CERTIFICATE_CASES)
     def test_agrees_with_loop_oracle(self, name, n_random):
         mesh, mu, u, theta, kwargs = certificate_case(name)
-        got = qvi.membership_violation(mesh, mu, u, theta, n_random=n_random, **kwargs)
-        expected = membership_oracle(mesh, mu, u, theta, n_random=n_random, **kwargs)
+        got = qvi.membership_violation(mesh, mu, u, theta)
         assert type(got) is float
-        assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
+        assert bounded_by(membership_oracle(mesh, mu, u, theta, n_random=n_random, **kwargs), got)
         if name.endswith("perturbed"):
             assert got > 1e-3
-
-    def test_each_random_block_counts(self):
-        # the worst test field of this case is the first random field, then
-        # the seventeenth (the first of the second block), then a later one
-        mesh, mu, u, theta, kwargs = certificate_case("2d-perturbed")
-        values = [
-            qvi.membership_violation(mesh, mu, u, theta, n_random=n, **kwargs)
-            for n in (0, 1, 16, 17, 100)
-        ]
-        assert values[0] < values[1] and values[2] < values[3] < values[4]
 
     @pytest.mark.parametrize("name", CERTIFICATE_CASES)
     def test_directions_agree_with_loop_oracle(self, name):
         mesh, mu, u, theta, _ = certificate_case(name)
-        rng = np.random.default_rng(RNG_SEED)
-        dirs = [np.zeros(mesh.n_nodes), 2 * u, 0.5 * u, u + rng.standard_normal(mesh.n_nodes)]
-        got = qvi.membership_violation(mesh, mu, u, theta, directions=dirs)
-        expected = membership_oracle(mesh, mu, u, theta, directions=dirs)
-        assert type(got) is float
-        assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
+        noise = zero_on_gamma1(mesh, np.random.default_rng(RNG_SEED).standard_normal(mesh.n_nodes))
+        dirs = [np.zeros(mesh.n_nodes), 2 * u, 0.5 * u, u + noise, u + 1e-6 * noise]
+        got = qvi.membership_violation(mesh, mu, u, theta)
+        assert bounded_by(membership_oracle(mesh, mu, u, theta, directions=dirs), got)
+
+    def test_equals_brute_force_distance(self):
+        # every split of the stick nodes into -c, +c and free; the free
+        # values minimize z'G^-1 z with the others fixed, and the least
+        # value of a split inside the box is the distance
+        mesh, u, theta = mixed_certificate_case()
+        got = qvi.membership_violation(mesh, 1.0, u, theta)
+        free, g3 = mesh.free_nodes, mesh.node_sets["gamma3"]
+        G_inv = np.linalg.inv(fem.gram_matrix(mesh).toarray()[np.ix_(free, free)])
+        F = fem.assemble_load(mesh, theta.f0, theta.f2)
+        r = (F - fem.assemble_stiffness(mesh, 1.0) @ u)[free]
+        T = np.searchsorted(free, g3)
+        c = mesh.gamma3_weights[g3] * theta.g(mesh.nodes[g3], np.abs(u[g3]))
+        r[T] -= np.sign(u[g3]) * c
+        stick = T[u[g3] == 0.0]
+        c_stick = c[u[g3] == 0.0]
+        best, best_z = np.inf, None
+        for split in itertools.product((-1.0, 0.0, 1.0), repeat=len(stick)):
+            xi = c_stick * np.array(split)
+            J = np.flatnonzero(np.array(split) == 0.0)
+            z = r.copy()
+            z[stick] -= xi
+            if len(J):
+                xi[J] = np.linalg.solve(G_inv[np.ix_(stick[J], stick[J])], (G_inv @ z)[stick[J]])
+                z[stick[J]] -= xi[J]
+            if np.all(np.abs(xi) <= c_stick) and z @ G_inv @ z < best:
+                best, best_z = z @ G_inv @ z, z
+        norm_u = fem.v_norm(mesh, u)
+        expected = np.sqrt(best) - theta.eps * norm_u
+        assert len(stick) == 6 and expected > 0.1
+        assert abs(got - expected) <= 1e-12 * (1.0 + expected)
+        # and a test field attains it: a small step along the Riesz
+        # representer of the closest z
+        d = np.zeros(mesh.n_nodes)
+        d[free] = 1e-6 * (G_inv @ best_z)
+        [(residual, dist)] = membership_oracle(mesh, 1.0, u, theta, directions=[u + d])
+        assert abs(residual / dist - got) <= 1e-6 * got
+
+    def test_load_perturb_sequence_has_no_rounding_floor(self):
+        # a benchmark load_perturb sweep: expanded as r'y - 2 xi'b + xi'Z xi,
+        # the squared distance cancels to a floor of sqrt(ulp) and one of
+        # these 32 certificates read 1.05e-8 (over the 1e-8 gate)
+        prob = benchmark_problem(1.0797, 1.0208, 0.9523, 1024)
+        sched = tykhonov.Schedule(kind="load_perturb", length=32)
+        report = tykhonov.run_convergence(prob, sched, seed=1)
+        assert 0.0 <= report.max_violation <= 1e-10
+
+    def test_qp_iteration_cap_raises(self, monkeypatch):
+        mesh, u, theta = mixed_certificate_case()
+        monkeypatch.setattr(qvi, "_DEFAULT_CONFIG", qvi.SolverConfig(max_inner=1))
+        with pytest.raises(qvi.SolverError, match="membership certificate missed .* within 1 "):
+            qvi.membership_violation(mesh, 1.0, u, theta)
 
 
 class TestMembership:
-    @pytest.mark.parametrize("n_random, message", [(-3, "at least 0"), (2.5, "an integer")])
-    def test_bad_random_count_refused(self, n_random, message):
-        prob = benchmark_problem(1.0, 3.0, 1.0, 16)
-        u = np.zeros(prob.mesh.n_nodes)
-        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
-        with pytest.raises(ValueError, match=f"n_random must be {message}"):
-            qvi.membership_violation(prob.mesh, prob.mu, u, theta, n_random=n_random)
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_seed_is_not_used(self, seed):
+        mesh, mu, u, theta, _ = certificate_case("2d-perturbed")
+        value = qvi.membership_violation(mesh, mu, u, theta, seed=seed)
+        assert value == qvi.membership_violation(mesh, mu, u, theta)
 
     def test_solution_certifies(self):
         prob = benchmark_problem(1.0, 3.0, 1.0, 64)
@@ -1155,12 +1202,19 @@ class TestMembership:
         relaxed = qvi.TykhonovIndex(gap * 1.0001, prob.f0 + delta, prob.f2, prob.g)
         assert qvi.membership_violation(prob.mesh, prob.mu, u, relaxed, seed=0) <= 1e-8
 
-    def test_explicit_directions(self):
+    def test_stick_solution_certifies_to_rounding(self):
+        # the end node sticks, so its multiplier is a one-node box QP
         prob = benchmark_problem(1.0, 1.0, 1.0, 16)
         u, _ = qvi.solve_qvi(prob)
+        assert u[-1] == 0.0
         theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
-        dirs = [np.zeros(prob.mesh.n_nodes), 2 * u, 0.5 * u]
-        assert qvi.membership_violation(prob.mesh, prob.mu, u, theta, directions=dirs) <= 1e-12
+        assert qvi.membership_violation(prob.mesh, prob.mu, u, theta) <= 1e-12
+
+    def test_no_free_node_certifies(self):
+        spec = fem.MeshSpec(1, (1.0,), (1,), {"left": "gamma1", "right": "gamma1"})
+        mesh = fem.build_mesh(spec)
+        theta = qvi.TykhonovIndex(0.0, 1.0, 0.0, fem.FrictionBound.constant(1.0))
+        assert qvi.membership_violation(mesh, 1.0, np.zeros(2), theta) == 0.0
 
     @pytest.mark.parametrize("eps", [-1e-3, float("nan")])
     def test_index_rejects_bad_eps(self, eps):
@@ -1231,7 +1285,7 @@ class TestSharedFreeFactor:
         return factored, sizes
 
     @pytest.mark.parametrize("mu", [1.0, 0.8])
-    def test_certified_solve_factors_twice(self, mu, monkeypatch):
+    def test_certified_solve_factors_three_times(self, mu, monkeypatch):
         factored, _ = self.recording_factor(monkeypatch)
         mesh = square_mesh(8)
         prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2))
@@ -1239,9 +1293,13 @@ class TestSharedFreeFactor:
         qvi.complementarity_report(prob, u)
         theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
         assert qvi.membership_violation(mesh, mu, u, theta, seed=3) <= 1e-8
-        # the Gram block of c3, then S_ff, shared by c0 and the Tresca solver
+        # the Gram block of c3, then S_ff, shared by c0 and the Tresca
+        # solver, then the Gram block again for the certificate
         n_free = len(mesh.free_nodes)
-        assert factored == [(n_free, n_free)] * 2
+        assert factored == [(n_free, n_free)] * 3
+        # which keeps no factor: the mesh's cache holds S_ff's alone
+        cache = fem._FORM_CACHE[mesh]
+        assert sum(isinstance(entry, tuple) and len(entry) == 3 for entry in cache.values()) == 1
 
     @pytest.mark.parametrize("mu", [1.0, 0.8])
     def test_certified_solve_cuts_the_stiffness_block_once(self, mu, monkeypatch):

@@ -55,6 +55,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match="four"):
             tykhonov.Schedule(kind="load_perturb", length=3)
 
+    @pytest.mark.parametrize("length", [4.5, 8.0, "8"])
+    def test_rejects_non_integer_length(self, length):
+        with pytest.raises(ValueError, match=f"length must be an integer, got {length}"):
+            tykhonov.Schedule(kind="load_perturb", length=length)
+
     def test_rejects_bad_geometric_ratio(self):
         for ratio in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(ValueError, match="ratio"):
