@@ -32,7 +32,8 @@ from . import config as cfgmod
 from . import constants as constmod
 from . import control, fem, oracle, output, qvi, tykhonov
 
-NEEDS_SEED = {"constants", "tykhonov", "control", "oc-sequence"}
+# the subcommands that draw random numbers: power-iteration and optimizer starts
+NEEDS_SEED = {"constants", "control", "oc-sequence"}
 
 
 class VerdictFailure(Exception):
@@ -48,10 +49,7 @@ def _resolve_out(args, cfg) -> str:
 
 def _resolve_seed(args, cfg, subcommand) -> int | None:
     seed = args.seed if args.seed is not None else cfg["run"].get("seed")
-    needed = subcommand in NEEDS_SEED or (
-        subcommand == "solve" and cfg["run"]["certify"]
-    )
-    if needed and seed is None:
+    if subcommand in NEEDS_SEED and seed is None:
         raise cfgmod.ConfigError(
             f"subcommand {subcommand!r} draws random numbers; "
             "set seed in the run section or pass --seed"
@@ -163,9 +161,7 @@ def _run_solve(cfg, out, seed):
     code = 0
     if cfg["run"]["certify"]:
         theta = qvi.TykhonovIndex(eps=0.0, f0=problem.f0, f2=problem.f2, g=problem.g)
-        violation = float(
-            qvi.membership_violation(mesh, problem.mu, u, theta, seed=seed)
-        )
+        violation = float(qvi.membership_violation(mesh, problem.mu, u, theta))
         pairs.append(("membership_violation", violation))
         print(f"membership violation = {violation!r}")
         if violation > 1e-8:
@@ -214,7 +210,6 @@ def _run_tykhonov(cfg, out, seed):
         problem,
         schedule,
         solver_cfg,
-        seed=seed,
         noise_floor=cfg["schedule"]["noise_floor"],
     )
 

@@ -259,10 +259,14 @@ def admissibility_violation(
     *,
     eps: float = 0.0,
     seed: int = 0,
+    factor=None,
 ) -> float:
-    """Membership residual of the pair for its own traction data."""
+    """Membership residual of the pair for its own traction data; ``factor``
+    is the Gram factor of ``qvi.membership_violation``."""
     theta = qvi.TykhonovIndex(eps, problem.f0, patches.traction(pair.coeffs), problem.g)
-    return qvi.membership_violation(problem.mesh, problem.mu, pair.u, theta, seed=seed)
+    return qvi.membership_violation(
+        problem.mesh, problem.mu, pair.u, theta, seed=seed, factor=factor
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,10 +497,12 @@ def run_oc_sequence(
     Each perturbed run warm-starts from the base optimum (and its
     predecessor) plus ``seq_starts`` fresh starts.  Control deviations
     are measured in L2(gamma2), both against the selected base optimum
-    and against the nearest member of the base cluster catalog.  Raises
-    ValueError, before the base optimization, for a kind outside
-    ``OC_SCHEDULE_KINDS``, a ``seq_starts`` that is not an integer of at
-    least 1, or a negative or NaN ``ctrl_tol`` or ``noise_floor``.
+    and against the nearest member of the base cluster catalog.  The
+    instances are certified after the last optimization, all on one
+    factor of the free Gram block.  Raises ValueError, before the base
+    optimization, for a kind outside ``OC_SCHEDULE_KINDS``, a
+    ``seq_starts`` that is not an integer of at least 1, or a negative or
+    NaN ``ctrl_tol`` or ``noise_floor``.
     """
     check_schedule(problem, schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
     fem.require_count("seq_starts", seq_starts)
@@ -522,7 +528,7 @@ def run_oc_sequence(
 
     ns = list(range(1, schedule.length + 1))
     eps_list, costs, cost_dev, ctrl_dev, ctrl_dev_set = [], [], [], [], []
-    state_dev, violations = [], []
+    state_dev, certified = [], []
     prev = base.pair.coeffs
     for n, s in zip(ns, schedule.scales()):
         theta, _ = _index_for(problem, schedule, n, float(s))
@@ -553,12 +559,16 @@ def run_oc_sequence(
             )
         )
         state_dev.append(float(fem.v_norm(mesh, res_n.pair.u - base.pair.u)))
-        violations.append(
-            admissibility_violation(
-                prob_n, patches, res_n.pair, eps=theta.eps, seed=seed + n
-            )
-        )
+        certified.append((prob_n, res_n.pair))
         prev = res_n.pair.coeffs
+
+    gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh)) if len(mesh.free_nodes) else None
+    violations = [
+        admissibility_violation(
+            prob_n, patches, pair, eps=eps, seed=seed + n, factor=gram_factor
+        )
+        for n, (prob_n, pair), eps in zip(ns, certified, eps_list)
+    ]
 
     verdict = judge_decay(ns, cost_dev, noise_floor)
     if ctrl_dev_set[-1] > ctrl_tol:

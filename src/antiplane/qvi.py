@@ -486,6 +486,7 @@ def membership_violation(
     *,
     seed: int = 0,
     stiffness=None,
+    factor=None,
 ) -> float:
     """How far ``u`` lies outside the approximating set of ``theta``.
 
@@ -505,18 +506,32 @@ def membership_violation(
     that slip, the box |xi_i| <= w_i g_i on those that stick (u_i == 0),
     I, and zero off gamma3, with g_i = g(x_i, |u_i|).  With z = r_f - xi
     and G the Gram matrix of the V-norm, dist^2 is the least z'G_ff^-1 z
-    over the box: ``_box_qp`` on the block Z_II of Z = (G_ff^-1)_TT, with
-    G_ff factored on each call on the mesh's band layout.  Its minimizer
-    is clipped into the box and dist taken from the explicit z with a
-    second band solve; any xi in the box bounds dist from above.  The
-    stiffness matrix of ``mu`` comes from ``fem.stiffness_matrix`` (cached
-    per mesh for a scalar mu) unless the caller passes it as
-    ``stiffness``; ``seed`` is accepted and not used.  Returns a Python
-    float; a value <= 1e-8 certifies membership.  A bound not finite or
-    negative at u raises SolverError, and so does a QP that misses the
-    friction law within the default ``SolverConfig().max_inner`` iterations.
+    over the box: ``_box_qp`` on the block Z_II of Z = (G_ff^-1)_TT.  Its
+    minimizer is clipped into the box and dist taken from the explicit z
+    with a second band solve; any xi in the box bounds dist from above.
+    G_ff depends on the mesh alone: a caller that certifies several
+    candidates on one mesh passes its factor once made as ``factor``, the
+    (block, solve, Z) triple of ``fem.free_factor(mesh,
+    fem.gram_matrix(mesh))``; without it G_ff is cut and factored on the
+    mesh's band layout on each call.  The stiffness matrix of ``mu`` comes
+    from ``fem.stiffness_matrix`` (cached per mesh for a scalar mu) unless
+    the caller passes it as ``stiffness``; ``seed`` is accepted and not
+    used.  Returns a Python float; a value <= 1e-8 certifies membership.
+    A ``factor`` whose block or Z does not have the shape of this mesh's
+    free and gamma3 nodes raises ValueError before any solve.  A bound not
+    finite or negative at u raises SolverError, and so does a QP that
+    misses the friction law within the default ``SolverConfig().max_inner``
+    iterations.
     """
     free, g3 = mesh.free_nodes, mesh.node_sets[fem.GAMMA3]
+    if factor is not None:
+        shapes = (factor[0].shape, factor[2].shape)
+        expected = ((len(free), len(free)), (len(g3), len(g3)))
+        if shapes != expected:
+            raise ValueError(
+                f"factor has block and Z shapes {shapes}, but this mesh's free and "
+                f"gamma3 nodes give {expected}"
+            )
     if len(free) == 0:  # V_h = {0}: no direction to test
         return 0.0
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
@@ -525,7 +540,7 @@ def membership_violation(
     T = np.searchsorted(free, g3)  # gamma3 rows of the free block, in the order of Z
     c = mesh.gamma3_weights[g3] * _bound(theta.g, mesh.nodes[g3], np.abs(u[g3]))
     gram = fem.gram_matrix(mesh)
-    _, solve, Z = fem.free_factor(mesh, gram)
+    _, solve, Z = fem.free_factor(mesh, gram) if factor is None else factor
     z[T] -= np.sign(u[g3]) * c  # xi on the slip nodes; zero on the stick nodes
     I = (u[g3] == 0.0).nonzero()[0]
     if len(I):

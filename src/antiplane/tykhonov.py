@@ -16,8 +16,10 @@ its own; every other instance, together with the unperturbed solution
 and the limit of an adversarial sequence, is solved on one
 ``qvi.DiscreteProblem`` of the base problem and assembles only its own
 load.  The membership certificate always tests against the base
-modulus, so it reuses that stiffness matrix, and an ``eps_decay``
-sequence, whose instances all solve the base problem, reuses one solve.
+modulus, so it reuses that stiffness matrix; the free block of the Gram
+matrix depends on the mesh alone, so all certificates of a sequence run
+on one factor of it.  An ``eps_decay`` sequence, whose instances all
+solve the base problem, reuses one solve.
 The same ``Schedule``, index and ``SequenceReport`` serve
 ``control.run_oc_sequence``, which alone takes the kind
 ``target_perturb``.
@@ -272,7 +274,11 @@ def run_convergence(
     """Generate a schedule, measure errors against the unperturbed
     solution, certify membership, fit the tail slope and judge decay.
 
-    Raises ValueError as ``check_schedule`` or for a negative or NaN
+    The certificates run after every solve, on the base stiffness matrix
+    and on one factor of the free Gram block made for all of them; each
+    assembles its load from theta_n itself.  ``seed`` is passed on to
+    ``qvi.membership_violation``, which does not use it.  Raises
+    ValueError as ``check_schedule`` or for a negative or NaN
     ``noise_floor`` before any solve."""
     check_schedule(problem, schedule, SCHEDULE_KINDS, "run_convergence")
     if noise_floor is not None and not noise_floor >= 0.0:  # also refuses NaN
@@ -287,12 +293,6 @@ def run_convergence(
 
     ns = list(range(1, schedule.length + 1))
     errors = [float(fem.v_norm(mesh, u_n - u_ref)) for _, u_n in seq]
-    violations = [
-        qvi.membership_violation(
-            mesh, problem.mu, u_n, theta, seed=seed + n, stiffness=shared.K
-        )
-        for n, (theta, u_n) in zip(ns, seq)
-    ]
 
     limit_gap = None
     errors_to_limit = None
@@ -301,6 +301,15 @@ def run_convergence(
         u_bar, _ = shared.solve(F_bar, problem.g, config)
         limit_gap = float(fem.v_norm(mesh, u_bar - u_ref))
         errors_to_limit = [float(fem.v_norm(mesh, u_n - u_bar)) for _, u_n in seq]
+
+    gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh)) if len(mesh.free_nodes) else None
+    violations = [
+        qvi.membership_violation(
+            mesh, problem.mu, u_n, theta, seed=seed + n, stiffness=shared.K,
+            factor=gram_factor,
+        )
+        for n, (theta, u_n) in zip(ns, seq)
+    ]
 
     return ConvergenceReport(
         kind=schedule.kind,

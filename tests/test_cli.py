@@ -149,15 +149,34 @@ class TestUsageErrors:
         assert "resolutoin" in err
 
     def test_randomized_run_needs_seed(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, TYK_CFG.replace("  seed = 11\n", ""))
-        assert cli.main(["tykhonov", "--config", cfg, "--out", str(tmp_path)]) == 2
+        # control draws its optimizer starts at random
+        cfg = write_cfg(tmp_path, CONTROL_CFG.replace("  seed = 5\n", ""))
+        assert cli.main(["control", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_seed_flag_satisfies_requirement(self, tmp_path, capsys):
+    def test_seed_flag_satisfies_requirement(self, tmp_path, control_run_dir):
+        cfg = write_cfg(tmp_path, CONTROL_CFG.replace("  seed = 5\n", ""))
+        out = tmp_path / "out"
+        assert cli.main(["control", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        for name in ("control.csv", "trace.csv", "summary.csv"):
+            assert (out / name).read_bytes() == (control_run_dir / name).read_bytes()
+
+    def test_certified_solve_runs_without_a_seed(self, tmp_path, solve_run_dir):
+        cfg = write_cfg(tmp_path, SOLVE_CFG + "run:\n  certify = true\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("solution.csv", "multipliers.csv", "summary.csv"):
+            assert (out / name).read_bytes() == (solve_run_dir / name).read_bytes()
+
+    def test_tykhonov_runs_without_a_seed(self, tmp_path):
+        # the certificate draws no random numbers, so no seed is needed
+        # and a given one changes no byte
         cfg = write_cfg(tmp_path, TYK_CFG.replace("  seed = 11\n", ""))
-        out = str(tmp_path / "out")
-        code = cli.main(["tykhonov", "--config", cfg, "--out", out, "--seed", "11"])
-        assert code == 0
+        bare, seeded = tmp_path / "bare", tmp_path / "seeded"
+        assert cli.main(["tykhonov", "--config", cfg, "--out", str(bare)]) == 0
+        assert cli.main(["tykhonov", "--config", cfg, "--out", str(seeded), "--seed", "11"]) == 0
+        for name in ("sequence.csv", "summary.csv", "errors.svg"):
+            assert (bare / name).read_bytes() == (seeded / name).read_bytes()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TYK_CFG)

@@ -826,7 +826,8 @@ class TestOCSequence:
     def test_one_stiffness_factorization_per_run(self, monkeypatch):
         # every optimization of a scalar-mu run builds its own Tresca
         # solver, and all of them share the mesh's one factor of S_ff; the
-        # others are the Gram block, of c3 and of each certificate
+        # others are the Gram block, of c3, of the base optimum's
+        # certificate and one for the certificates of the sequence
         factored = []
         factor = fem.spd_factor
 
@@ -846,7 +847,7 @@ class TestOCSequence:
         free = mesh.free_nodes
         gram = fem.submatrix(fem.gram_matrix(mesh), free, free)
         is_gram = [(A != gram).nnz == 0 for A in factored]
-        assert is_gram.count(False) == 1 and len(is_gram) > 2
+        assert is_gram.count(False) == 1 and is_gram.count(True) == 3
 
     @DETERMINISM_CASES
     def test_deterministic(self, case):

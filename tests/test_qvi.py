@@ -1082,11 +1082,12 @@ CERTIFICATE_CASES = ("1d-solution", "1d-eps-scaled", "1d-perturbed", "2d-solutio
                      "2d-perturbed", "2d-no-gamma3")
 
 
-def mixed_certificate_case():
-    """(mesh, u, theta): the 4x4 mixed solution, six of its eight gamma3
-    nodes at zero, against a load that pushes their multipliers out of
-    the box; the certificate's QP takes two active-set iterations."""
-    mesh = square_mesh(4)
+def mixed_certificate_case(n=4):
+    """(mesh, u, theta): the n x n mixed solution against a load that pushes
+    the multipliers of its stick nodes out of the box.  At n = 4 six of
+    the eight gamma3 nodes are at zero and the certificate's QP takes two
+    active-set iterations."""
+    mesh = square_mesh(n)
     g = fem.FrictionBound.affine(0.9992, 0.1007)
     u, _ = qvi.solve_qvi(qvi.ProblemData(mesh, 1.0, 0.9605, 0.5169, g))
     return mesh, u, qvi.TykhonovIndex(1e-3, 0.0, 2.0, g)
@@ -1172,6 +1173,33 @@ class TestMembership:
         mesh, mu, u, theta, _ = certificate_case("2d-perturbed")
         value = qvi.membership_violation(mesh, mu, u, theta, seed=seed)
         assert value == qvi.membership_violation(mesh, mu, u, theta)
+
+    def test_passed_factor_gives_the_same_value(self):
+        mesh, u, theta = mixed_certificate_case(8)
+        assert (u[mesh.node_sets["gamma3"]] == 0.0).sum() > 1
+        factor = fem.free_factor(mesh, fem.gram_matrix(mesh))
+        value = qvi.membership_violation(mesh, 1.0, u, theta, factor=factor)
+        assert value > 1e-3 and value == qvi.membership_violation(mesh, 1.0, u, theta)
+
+    @pytest.mark.parametrize(
+        "partition, n, shown",
+        [
+            ({"left": "gamma1", "right": "gamma3"}, 32, r"\(\(32, 32\), \(1, 1\)\)"),
+            ({"left": "gamma1", "right": "gamma2"}, 64, r"\(\(64, 64\), \(0, 0\)\)"),
+        ],
+        ids=["block", "Z"],
+    )
+    def test_factor_of_another_mesh_refused(self, partition, n, shown, monkeypatch):
+        mesh, mu, u, theta, _ = certificate_case("1d-solution")
+        other = fem.build_mesh(fem.MeshSpec(1, (1.0,), (n,), partition))
+        block, solve, Z = fem.free_factor(other, fem.gram_matrix(other))
+        solves = []
+        factor = (block, lambda b: solves.append(1) or solve(b), Z)
+        monkeypatch.setattr(fem, "free_factor", lambda *a: pytest.fail("factored the block"))
+        here = r", but this mesh's .* \(\(64, 64\), \(1, 1\)\)"
+        with pytest.raises(ValueError, match=shown + here):
+            qvi.membership_violation(mesh, mu, u, theta, factor=factor)
+        assert solves == []
 
     def test_solution_certifies(self):
         prob = benchmark_problem(1.0, 3.0, 1.0, 64)

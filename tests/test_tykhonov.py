@@ -568,10 +568,12 @@ class TestSharedFactorization:
 
     def test_certificate_reuses_the_stiffness(self, kind, dim, monkeypatch):
         certified = []  # (mu, u, theta, seed) of every certificate call
+        factors = []  # the Gram factor passed to each
         original = qvi.membership_violation
 
         def recording(mesh, mu, u, theta, **kw):
             certified.append((mu, u.copy(), theta, kw["seed"]))
+            factors.append(kw["factor"])
             return original(mesh, mu, u, theta, **kw)
 
         assembled = []  # every gradient-form assembly, the unit stiffness included
@@ -590,10 +592,64 @@ class TestSharedFactorization:
         # instance assembles its own
         expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
         assert len(assembled) == expected + (problem.mu != 1.0)
-        # the same values as certificates that assemble their own K
+        # one Gram factor for all; the same values as certificates that
+        # assemble their own K and factor their own Gram block
+        assert factors[0] is not None and all(f is factors[0] for f in factors)
         fresh = [
             original(problem.mesh, mu, u, theta, seed=seed)
             for mu, u, theta, seed in certified
         ]
         assert len(fresh) == SHARED_LENGTH
         assert report.violations == fresh
+
+
+def _count_factors(monkeypatch):
+    """List that gains each matrix that ``fem.spd_factor`` factors."""
+    factored = []
+    factor = fem.spd_factor
+
+    def counting(matrix, last=(), layout=None):
+        factored.append(matrix)
+        return factor(matrix, last, layout)
+
+    monkeypatch.setattr(fem, "spd_factor", counting)
+    return factored
+
+
+def _is_gram_factor(mesh, matrix):
+    free = mesh.free_nodes
+    return (matrix != fem.submatrix(fem.gram_matrix(mesh), free, free)).nnz == 0
+
+
+@pytest.mark.parametrize("length", [4, 9])
+@pytest.mark.parametrize("kind", tykhonov.SCHEDULE_KINDS)
+def test_one_gram_factor_per_sequence(kind, length, monkeypatch):
+    factored = _count_factors(monkeypatch)
+    problem = _shared_problem("1d", kind)
+    extra = {"f0_target": 4.0} if kind == "adversarial_load" else {}
+    schedule = tykhonov.Schedule(kind=kind, length=length, amplitude=0.5, **extra)
+    tykhonov.run_convergence(problem, schedule)
+    # c3's Gram block (none on the traction mesh, which has no gamma3
+    # node), S_ff, whose factor a scalar modulus instance scales, and one
+    # Gram factor for every certificate
+    mesh = problem.mesh
+    c3_factors = len(mesh.node_sets[fem.GAMMA3]) > 0
+    assert len(factored) == 2 + c3_factors
+    assert sum(_is_gram_factor(mesh, A) for A in factored) == 1 + c3_factors
+    # the sequence's factor is not kept in the mesh's cache
+    cached = fem._FORM_CACHE[mesh].values()
+    blocks = [v[0] for v in cached if isinstance(v, tuple) and len(v) == 3]
+    assert not any(_is_gram_factor(mesh, block) for block in blocks)
+
+
+@pytest.mark.parametrize("length", [4, 9])
+def test_one_gram_factor_per_modulus_sequence(length, monkeypatch):
+    factored = _count_factors(monkeypatch)
+    problem = oracle.benchmark_problem(mu=1.0, f0=3.0, g=0.5, n_elements=24)
+    problem = problem.with_data(mu=lambda x: 1.0 + 0.5 * x, mu_star=1.0)
+    schedule = tykhonov.Schedule(kind="lame_perturb", length=length, amplitude=0.5)
+    tykhonov.run_convergence(problem, schedule)
+    # c3's Gram block, S_ff of c0, the base K_ff, one K_ff per instance and
+    # one Gram factor for every certificate
+    assert len(factored) == 4 + length
+    assert sum(_is_gram_factor(problem.mesh, A) for A in factored) == 2
