@@ -258,15 +258,12 @@ def admissibility_violation(
     pair: AdmissiblePair,
     *,
     eps: float = 0.0,
-    seed: int = 0,
     factor=None,
 ) -> float:
     """Membership residual of the pair for its own traction data; ``factor``
     is the Gram factor of ``qvi.membership_violation``."""
     theta = qvi.TykhonovIndex(eps, problem.f0, patches.traction(pair.coeffs), problem.g)
-    return qvi.membership_violation(
-        problem.mesh, problem.mu, pair.u, theta, seed=seed, factor=factor
-    )
+    return qvi.membership_violation(problem.mesh, problem.mu, pair.u, theta, factor=factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,7 +441,7 @@ def minimize_cost(
     pair = AdmissiblePair(u=u_sel, coeffs=selected.coeffs)
     violation = None
     if check_admissibility:
-        violation = admissibility_violation(problem, patches, pair, seed=seed)
+        violation = admissibility_violation(problem, patches, pair)
         if violation > 1e-8:
             warnings.warn(
                 f"returned pair misses the admissibility certificate "
@@ -562,12 +559,10 @@ def run_oc_sequence(
         certified.append((prob_n, res_n.pair))
         prev = res_n.pair.coeffs
 
-    gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh)) if len(mesh.free_nodes) else None
+    gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh))
     violations = [
-        admissibility_violation(
-            prob_n, patches, pair, eps=eps, seed=seed + n, factor=gram_factor
-        )
-        for n, (prob_n, pair), eps in zip(ns, certified, eps_list)
+        admissibility_violation(prob_n, patches, pair, eps=eps, factor=gram_factor)
+        for (prob_n, pair), eps in zip(certified, eps_list)
     ]
 
     verdict = judge_decay(ns, cost_dev, noise_floor)

@@ -556,14 +556,14 @@ def submatrix(A, rows, cols) -> sp.csr_matrix:
 def _band_order(A, last: np.ndarray) -> np.ndarray:
     """Band ordering of the symmetric sparse A (CSR) with the rows ``last`` last.
 
-    Without ``last`` it is the reverse Cuthill-McKee order.  Otherwise the
-    breadth-first levels from a virtual node joined to ``last`` (an extra
-    CSR row) are reversed, so ``last`` fills the tail; rows the search does
-    not reach come first.
+    Without ``last`` it is the reverse Cuthill-McKee order (none for an
+    empty A).  Otherwise the breadth-first levels from a virtual node
+    joined to ``last`` (an extra CSR row) are reversed, so ``last`` fills
+    the tail; rows the search does not reach come first.
     """
     n = A.shape[0]
     if len(last) == 0:
-        return reverse_cuthill_mckee(A, symmetric_mode=True)
+        return reverse_cuthill_mckee(A, symmetric_mode=True) if n else np.arange(0)
     indptr = np.append(A.indptr, A.nnz + len(last))
     graph = sp.csr_matrix(
         (np.ones(indptr[-1]), np.concatenate((A.indices, last)), indptr), shape=(n + 1, n + 1)
@@ -634,17 +634,16 @@ def band_layout(A, last=()) -> BandLayout:
     )
 
 
-def spd_factor(A, last=(), layout: BandLayout | None = None):
+def spd_factor(A, layout: BandLayout):
     """Banded Cholesky factorization of a sparse symmetric positive definite A.
 
-    The rows are ordered into a narrow band by ``_band_order``, with the
-    rows ``last`` last; ``layout``, a ``band_layout`` of A's pattern made
-    once for several matrices, replaces ``last`` and that ordering
-    (ValueError when A's CSR pattern is not the layout's).  The entries
-    of A on or above the diagonal of the reordered matrix are packed in
-    LAPACK upper band storage, and ``dpbtrf`` factors the band U'U; A
-    itself is left unchanged.  Returns (solve, Z): ``solve(b)`` for a
-    vector or an (n, k) array b permutes b, calls ``dpbtrs`` and undoes
+    ``layout``, a ``band_layout`` of A's pattern that several matrices
+    may share, orders the rows into a narrow band with its rows ``last``
+    last (ValueError when A's CSR pattern is not the layout's).  The
+    entries of A on or above the diagonal of the reordered matrix are
+    packed in LAPACK upper band storage, and ``dpbtrf`` factors the band
+    U'U; A itself is left unchanged.  Returns (solve, Z): ``solve(b)`` for
+    a vector or an (n, k) array b permutes b, calls ``dpbtrs`` and undoes
     the permutation; Z = (A^-1)[last, last] in the order of ``last``.
     The trailing block U_TT of the factor satisfies
     U_TT'U_TT = A_TT - A_TS A_SS^-1 A_ST (the Schur complement, George-Liu
@@ -655,9 +654,7 @@ def spd_factor(A, last=(), layout: BandLayout | None = None):
     n = A.shape[0]
     if n == 0:
         return (lambda b: np.array(b, dtype=float)), np.zeros((0, 0))
-    if layout is None:
-        layout = band_layout(A, last)
-    elif not (
+    if not (
         np.array_equal(A.indptr, layout.indptr) and np.array_equal(A.indices, layout.indices)
     ):
         raise ValueError("the matrix's sparsity pattern is not the one of the band layout")
@@ -738,7 +735,7 @@ def free_factor(mesh: Mesh, A):
     block = submatrix(A, free, free)
     last = np.searchsorted(free, mesh.node_sets[GAMMA3])
     layout = cached(mesh, "band layout", lambda: band_layout(block, last))
-    return (block, *spd_factor(block, layout=layout))
+    return (block, *spd_factor(block, layout))
 
 
 def free_block(mesh: Mesh):

@@ -34,13 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from . import constants, fem
-
-try:  # the kernel of scipy's CSR matrix-vector product
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # moved in this scipy: products go through ``@``
-    _csr_matvec = None
 
 
 class SolverError(RuntimeError):
@@ -200,18 +196,18 @@ class TrescaSolver:
 
     The free-T (capacitance) form on one banded Cholesky factorization of
     the free block K_ff with the gamma3 nodes T last: ``factor``, the
-    (solve, Z) pair of ``fem.spd_factor`` made elsewhere (for a scalar mu,
-    ``DiscreteProblem`` passes the mesh's cached one), or one made here
-    (SolverError when K_ff does not factor), with Z = (K_ff^-1)_TT read
-    off the factor's trailing block.  The active-set iteration of
-    ``_box_qp`` is dense algebra on Z: it splits T into slip nodes, whose
-    multipliers +-c_i enter the load, and stick nodes I, held at zero by
-    the multipliers of Z_II lambda_I = t_I (Proskurowski-Widlund 1976).
+    (solve, Z) pair of ``fem.spd_factor`` that ``DiscreteProblem`` makes
+    or, for a scalar mu, takes from the mesh's cache, with Z =
+    (K_ff^-1)_TT read off the factor's trailing block; ``fixed_point``
+    runs the solver.  The active-set iteration of ``_box_qp`` is dense
+    algebra on Z: it splits T into slip nodes, whose multipliers +-c_i
+    enter the load, and stick nodes I, held at zero by the multipliers
+    of Z_II lambda_I = t_I (Proskurowski-Widlund 1976).
     The LU factors of Z_II are kept while I is unchanged, and the last
     multiplier for the next warm start.
     """
 
-    def __init__(self, K, free_nodes, gamma3_nodes, factor=None):
+    def __init__(self, K, free_nodes, gamma3_nodes, factor):
         self.n_nodes = K.shape[0]
         self.free = np.sort(np.asarray(free_nodes, dtype=np.int64))
         on_gamma3 = np.zeros(self.n_nodes, dtype=bool)
@@ -221,11 +217,6 @@ class TrescaSolver:
         diag = K.diagonal()
         if np.any(diag[self.free] <= 0.0):
             raise SolverError("stiffness matrix has a nonpositive diagonal entry")
-        if factor is None:
-            try:
-                factor = fem.spd_factor(fem.submatrix(K, self.free, self.free), self._pos)
-            except fem.FactorizationError as exc:
-                raise SolverError(f"stiffness block factorization failed: {exc}") from exc
         self._solve, self._Z = factor
         # With sigma = 1/K_ii the primal guess sways the set choice and the
         # iteration can cycle between sets; a sigma three orders larger
@@ -241,12 +232,6 @@ class TrescaSolver:
         if F.ndim not in (1, 2) or len(F) != self.n_nodes:
             raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
         return self._solve(F[self.free])
-
-    def _finite(self, w):
-        """w; SolverError when the reduced load w is not finite on gamma3."""
-        if not np.isfinite(w[self._pos]).all():
-            raise SolverError("load is non-finite on the gamma3 block")
-        return w
 
     def _stick_solve(self, I, rhs):
         """Z_II^-1 rhs on the LU factors of Z_II, kept while I is unchanged."""
@@ -279,30 +264,6 @@ class TrescaSolver:
             u[self.friction[I]] = 0.0
         return u, iteration
 
-    def solve(self, F, c, t0=None, *, inner_tol=1e-12, max_inner=50000):
-        """Minimize for load ``F`` and nonsmooth coefficients ``c`` (= w_i G_i).
-
-        ``t0`` warm-starts from a guess of the gamma3 values and the
-        multiplier of the last solve; without it the start is t = 0 and
-        the default multiplier of ``_iterate``.  Each iteration picks the sign s_i of every
-        node from t_i + sigma_i lambda_i against +-sigma_i c_i (sigma_i =
-        1e3 / K_ii) and stops once |lambda_i| <= c_i + tol on the stick set
-        and s_i t_i >= -tol on the slip set, tol = inner_tol (1 + max c).
-        Stick values are exactly zero.  Returns (u, iterations); a
-        non-finite ``t0`` raises ValueError.
-        """
-        n = len(self.friction)
-        c = np.asarray(c, dtype=float)
-        t = np.zeros(n) if t0 is None else np.array(t0, dtype=float)
-        for name, value in (("c", c), ("t0", t)):
-            if value.shape != (n,):
-                raise ValueError(f"{name} must have {n} entries, got shape {value.shape}")
-        fem.require_finite("t0", t, self.friction)
-        if not np.all(c >= 0.0):
-            raise SolverError("negative or NaN friction bound coefficient")
-        lam = None if t0 is None else self._lam
-        return self._iterate(self._finite(self.reduce(F)), c, t, lam, inner_tol, max_inner)
-
 
 def _bound(g: fem.FrictionBound, points: np.ndarray, r: np.ndarray) -> np.ndarray:
     """g(points, r) clipped at zero; SolverError when a value is not finite
@@ -317,12 +278,10 @@ def _bound(g: fem.FrictionBound, points: np.ndarray, r: np.ndarray) -> np.ndarra
 
 
 def _product(A):
-    """x -> A @ x for a float CSR matrix A and a float vector x, bitwise
+    """x -> A @ x for a float64 CSR matrix A and a float vector x, bitwise
     ``A @ x``: it calls the kernel that ``@`` calls after its operator
     dispatch, which takes about 3 us a product (4.7 against 1.4 us for
     the Gram matrix of a 4x4 mesh, timeit, 2-vCPU host)."""
-    if _csr_matvec is None or A.format != "csr" or A.dtype != np.float64:
-        return A.__matmul__
     n, m = A.shape
     indptr, indices, data = A.indptr, A.indices, A.data
 
@@ -349,12 +308,14 @@ def fixed_point(
     ``w`` is the reduced load K_ff^-1 F_f (``TrescaSolver.reduce``), so a
     run makes no band solve for its load.  Each outer step evaluates the
     bound and runs the active-set iteration from the previous gamma3
-    values and multiplier (on the first step as ``TrescaSolver.solve``
-    with t0 = ``eta0`` on gamma3).  Returns (u, SolveReport).  Raises
-    SolverError when the smallness condition fails without the override
-    flag, when the bound or ``w`` is non-finite on gamma3, when an
-    increment is not finite, or when an iteration cap is exceeded;
-    ValueError when ``eta0`` has the wrong length or a non-finite entry.
+    values and multiplier; the first step starts from ``eta0`` on gamma3
+    and the solver's last multiplier, or without ``eta0`` from zero and
+    the default multiplier of ``TrescaSolver._iterate``.  Returns (u,
+    SolveReport).  Raises SolverError when the smallness condition fails
+    without the override flag, when the bound or ``w`` is non-finite on
+    gamma3, when an increment is not finite, or when an iteration cap is
+    exceeded; ValueError when ``eta0`` has the wrong length or a
+    non-finite entry.
     """
     cfg = config or _DEFAULT_CONFIG
     solver, c0, c3 = discrete.tresca, discrete.c0, discrete.c3
@@ -373,7 +334,8 @@ def fixed_point(
     if eta.shape != (n,):
         raise ValueError(f"eta0 must have {n} entries, got shape {eta.shape}")
     fem.require_finite("eta0", eta)
-    w = solver._finite(w)
+    if not np.isfinite(w[solver._pos]).all():
+        raise SolverError("load is non-finite on the gamma3 block")
     friction, iterate, gram = solver.friction, solver._iterate, discrete.gram_product
     weights, points = discrete.weights, discrete.points
     inner_tol, max_inner = cfg.inner_tol, cfg.max_inner

@@ -119,16 +119,22 @@ class Schedule:
 
 
 def combine_coefficients(base, scale: float, shape):
-    """base + scale * shape for scalar or callable coefficients."""
+    """base + scale * shape for coefficients that are scalars, arrays of
+    one value per element (or facet) or callables of the sample points.
+    Two scalars give a Python float, a pair with a callable gives a
+    callable, and any other pair an array."""
     if scale == 0.0:
         return base
     if callable(base) or callable(shape):
-        base_f = base if callable(base) else (lambda x, b=base: np.full(len(x), float(b)))
-        shape_f = shape if callable(shape) else (lambda x, s=shape: np.full(len(x), float(s)))
-        return lambda x: np.asarray(base_f(x), dtype=float) + scale * np.asarray(
-            shape_f(x), dtype=float
-        )
-    return float(base) + scale * float(shape)
+        def values(c, x):  # an array holds one value per sample point
+            if callable(c):
+                return np.asarray(c(x), dtype=float)
+            return np.broadcast_to(np.asarray(c, dtype=float), (len(x),))
+
+        return lambda x: values(base, x) + scale * values(shape, x)
+    if np.ndim(base) == 0 and np.ndim(shape) == 0:
+        return float(base) + scale * float(shape)
+    return np.asarray(base, dtype=float) + scale * np.asarray(shape, dtype=float)
 
 
 def check_schedule(problem: qvi.ProblemData, schedule: Schedule, kinds, harness: str) -> None:
@@ -276,8 +282,8 @@ def run_convergence(
 
     The certificates run after every solve, on the base stiffness matrix
     and on one factor of the free Gram block made for all of them; each
-    assembles its load from theta_n itself.  ``seed`` is passed on to
-    ``qvi.membership_violation``, which does not use it.  Raises
+    assembles its load from theta_n itself.  ``seed`` is accepted and
+    not used: the certificate draws no random numbers.  Raises
     ValueError as ``check_schedule`` or for a negative or NaN
     ``noise_floor`` before any solve."""
     check_schedule(problem, schedule, SCHEDULE_KINDS, "run_convergence")
@@ -302,13 +308,12 @@ def run_convergence(
         limit_gap = float(fem.v_norm(mesh, u_bar - u_ref))
         errors_to_limit = [float(fem.v_norm(mesh, u_n - u_bar)) for _, u_n in seq]
 
-    gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh)) if len(mesh.free_nodes) else None
+    gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh))
     violations = [
         qvi.membership_violation(
-            mesh, problem.mu, u_n, theta, seed=seed + n, stiffness=shared.K,
-            factor=gram_factor,
+            mesh, problem.mu, u_n, theta, stiffness=shared.K, factor=gram_factor
         )
-        for n, (theta, u_n) in zip(ns, seq)
+        for theta, u_n in seq
     ]
 
     return ConvergenceReport(

@@ -31,7 +31,8 @@ def dual_norm(mesh: fem.Mesh, F: np.ndarray) -> float:
     """
     free = mesh.free_nodes
     Ff = F[free]
-    z = fem.spd_factor(fem.submatrix(fem.gram_matrix(mesh), free, free))[0](Ff)
+    G = fem.submatrix(fem.gram_matrix(mesh), free, free)
+    z = fem.spd_factor(G, fem.band_layout(G))[0](Ff)
     return float(np.sqrt(max(Ff @ z, 0.0)))
 
 

@@ -831,9 +831,9 @@ class TestOCSequence:
         factored = []
         factor = fem.spd_factor
 
-        def counting(matrix, last=(), layout=None):
+        def counting(matrix, layout):
             factored.append(matrix)
-            return factor(matrix, last, layout)
+            return factor(matrix, layout)
 
         monkeypatch.setattr(fem, "spd_factor", counting)
         mesh = control_mesh_2d(4)

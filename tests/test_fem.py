@@ -11,8 +11,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiplane import fem, qvi
+from antiplane import constants, fem, qvi
 from space_helpers import dual_norm, in_space, zero_on_gamma1
+from tresca_helpers import tresca_solve, tresca_solver
 
 RNG_SEED = 20260814
 
@@ -581,6 +582,11 @@ def free_block(mesh, mu):
     return fem.assemble_stiffness(mesh, mu)[free][:, free]
 
 
+def band_factor(A, last=()):
+    """``fem.spd_factor`` of A on a band layout made for A alone."""
+    return fem.spd_factor(A, fem.band_layout(A, last))
+
+
 def _index_arrays(A):
     return (A.row, A.col) if A.format == "coo" else (A.indices, A.indptr)
 
@@ -606,7 +612,7 @@ class TestSpdFactor:
         K = free_block(mesh, mu)
         shape = (K.shape[0],) if n_columns == 0 else (K.shape[0], n_columns)
         b = np.random.default_rng(seed).standard_normal(shape)
-        x = fem.spd_factor(K)[0](b)
+        x = band_factor(K)[0](b)
         x_ref = spla.spsolve(K.tocsc(), b).reshape(shape)  # spsolve drops a unit axis
         assert x.shape == shape
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
@@ -615,14 +621,14 @@ class TestSpdFactor:
         K = free_block(square_mesh(4, 3), 1.0)
         b = np.arange(2.0 * K.shape[0]).reshape(-1, 2)
         before = b.copy()
-        fem.spd_factor(K)[0](b)
+        band_factor(K)[0](b)
         assert np.array_equal(b, before)
 
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
     def test_leaves_the_matrix_alone(self, fmt):
         K = free_block(square_mesh(4, 3), 1.3).asformat(fmt)
         before = [arr.copy() for arr in (K.data, *_index_arrays(K))]
-        fem.spd_factor(K)
+        band_factor(K)
         after = [K.data, *_index_arrays(K)]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -630,11 +636,11 @@ class TestSpdFactor:
         mesh = square_mesh(4, 3)
         K = fem.stiffness_matrix(mesh, 1.0)
         free = mesh.free_nodes
-        solve = fem.spd_factor(K[free][:, free])[0]
+        solve = band_factor(K[free][:, free])[0]
         b = np.ones(len(free))
         assert np.allclose(K[free][:, free] @ solve(b), b, rtol=0, atol=1e-12)
         # a read-only matrix that is factored as it is
-        whole = fem.spd_factor(fem.gram_matrix(mesh))[0]
+        whole = band_factor(fem.gram_matrix(mesh))[0]
         assert np.allclose(fem.gram_matrix(mesh) @ whole(np.ones(mesh.n_nodes)), 1.0)
 
     def test_duplicate_entries_are_summed(self):
@@ -649,7 +655,7 @@ class TestSpdFactor:
         )
         assert not A.has_canonical_format
         b = np.array([1.0, 2.0])
-        assert np.allclose(fem.spd_factor(A)[0](b), np.linalg.solve(A.toarray(), b), rtol=1e-14)
+        assert np.allclose(band_factor(A)[0](b), np.linalg.solve(A.toarray(), b), rtol=1e-14)
 
     def test_reverse_cuthill_mckee_narrows_a_strip(self, monkeypatch):
         spec = fem.MeshSpec(
@@ -659,7 +665,7 @@ class TestSpdFactor:
         K = free_block(fem.build_mesh(spec), 1.0).tocoo()
         assert np.max(K.col - K.row) >= 400  # natural (row by row) order
         bands = recording_dpbtrf(monkeypatch)
-        fem.spd_factor(K)
+        band_factor(K)
         [band] = bands
         assert band.shape[0] - 1 <= 6  # superdiagonals kept
 
@@ -679,7 +685,7 @@ class TestSpdFactor:
         free = mesh.free_nodes
         K = free_block(mesh, mu)
         last = np.searchsorted(free, mesh.node_sets["gamma3"])
-        solve, Z = fem.spd_factor(K, last)
+        solve, Z = band_factor(K, last)
         E = np.zeros((len(free), len(last)))
         E[last, np.arange(len(last))] = 1.0
         columns = solve(E)[last]
@@ -694,7 +700,7 @@ class TestSpdFactor:
         K = free_block(interval_mesh(6), 1.0)
         A = sp.block_diag([K, 2.0 * K]).tocsr()
         last = np.array([5, 2])
-        solve, Z = fem.spd_factor(A, last)
+        solve, Z = band_factor(A, last)
         dense = np.linalg.inv(A.toarray())
         assert np.allclose(Z, dense[np.ix_(last, last)], rtol=0, atol=1e-13)
         b = np.arange(12.0)
@@ -707,22 +713,31 @@ class TestSpdFactor:
         K = free_block(mesh, 1.0)
         last = np.searchsorted(mesh.free_nodes, mesh.node_sets["gamma3"])
         bands = recording_dpbtrf(monkeypatch)
-        fem.spd_factor(K, last)
+        band_factor(K, last)
         [band] = bands
         tail = band[:, -len(last):]
         assert sorted(tail[-1]) == sorted(K.diagonal()[last])
         assert band.shape[0] - 1 <= 2 * 13 + 1
 
-    def test_indefinite_matrix_raises(self):
+    def test_indefinite_matrix_raises(self, monkeypatch):
         # positive diagonal, off-diagonal couplings three times too strong
-        K = fem.assemble_stiffness(interval_mesh(8), 1.0)
+        mesh = interval_mesh(8)
+        K = fem.assemble_stiffness(mesh, 1.0)
         D = sp.diags(K.diagonal())
         K_bad = (D + 3.0 * (K - D)).tocsr()
         free = np.arange(1, 9)
         with pytest.raises(fem.FactorizationError, match="not positive definite"):
-            fem.spd_factor(K_bad[free][:, free])
-        with pytest.raises(qvi.SolverError, match="stiffness block factorization failed"):
-            qvi.TrescaSolver(K_bad, free, [8])
+            band_factor(K_bad[free][:, free])
+        # a per-element modulus factors its own K_ff (fem.free_factor), after
+        # c0 and c3 have factored theirs; one that does not factor is refused
+        # when the DiscreteProblem is built
+        constants.space_constants(mesh)
+        free_factor = fem.free_factor
+        monkeypatch.setattr(fem, "free_factor", lambda mesh, A: free_factor(mesh, K_bad))
+        prob = qvi.ProblemData(mesh, np.ones(8), 1.0, 0.0, fem.FrictionBound.constant(1.0))
+        message = "stiffness block factorization failed: matrix is not positive definite"
+        with pytest.raises(qvi.SolverError, match=message):
+            qvi.DiscreteProblem(prob)
 
 
 def counting_band_orders(monkeypatch):
@@ -791,8 +806,8 @@ class TestBandLayout:
         for A in forms:
             block = fem.submatrix(A, free, free)
             layout = layout or fem.band_layout(block, last)
-            solve, Z = fem.spd_factor(block, layout=layout)
-            solve_ref, Z_ref = fem.spd_factor(block, last)
+            solve, Z = fem.spd_factor(block, layout)
+            solve_ref, Z_ref = band_factor(block, last)
             assert np.array_equal(solve(b), solve_ref(b))
             assert np.array_equal(Z, Z_ref) and Z.shape == (len(last), len(last))
 
@@ -800,11 +815,11 @@ class TestBandLayout:
         K = free_block(square_mesh(4, 4), 1.0)
         layout = fem.band_layout(K, [0, 1])
         with pytest.raises(ValueError, match="sparsity pattern"):
-            fem.spd_factor(free_block(square_mesh(4, 3), 1.0), layout=layout)
+            fem.spd_factor(free_block(square_mesh(4, 3), 1.0), layout)
         diagonal = sp.diags(K.diagonal()).tocsr()  # the same size, fewer entries
         with pytest.raises(ValueError, match="sparsity pattern"):
-            fem.spd_factor(diagonal, layout=layout)
-        fem.spd_factor(2.0 * K, layout=layout)  # the same pattern, other values
+            fem.spd_factor(diagonal, layout)
+        fem.spd_factor(2.0 * K, layout)  # the same pattern, other values
 
     def test_per_element_modulus_holds_one_band_at_a_time(self, monkeypatch):
         alive = live_bands(monkeypatch)
@@ -815,9 +830,10 @@ class TestBandLayout:
         # the Gram band of c3, the unit band of c0 (released), then K_ff's
         assert alive == [0, 0, 0]
         free, gamma3 = mesh.free_nodes, mesh.node_sets["gamma3"]
-        own = qvi.TrescaSolver(discrete.K, free, gamma3)  # K_ff ordered and factored afresh
+        own = tresca_solver(discrete.K, free, gamma3)  # K_ff ordered and factored afresh
         c = np.full(len(gamma3), 0.05)
-        assert np.array_equal(discrete.tresca.solve(discrete.F, c)[0], own.solve(discrete.F, c)[0])
+        u = tresca_solve(discrete.tresca, discrete.F, c)[0]
+        assert np.array_equal(u, tresca_solve(own, discrete.F, c)[0])
         # a later scalar modulus on the mesh factors the unit block again
         assert np.array_equal(certified_solve(mesh, 1.0), certified_solve(square_mesh(8, 8), 1.0))
 
@@ -849,8 +865,8 @@ class TestBandLayout:
         c = np.full(len(mesh.node_sets["gamma3"]), 0.05)
         fresh = qvi.DiscreteProblem(qvi.ProblemData(square_mesh(8, 8), 1.0, 1.0, 0.5, g))
         for problem in (first, last):
-            u = problem.tresca.solve(problem.F, c)[0]
-            assert np.array_equal(u, fresh.tresca.solve(fresh.F, c)[0])
+            u = tresca_solve(problem.tresca, problem.F, c)[0]
+            assert np.array_equal(u, tresca_solve(fresh.tresca, fresh.F, c)[0])
 
 
 # ---------------------------------------------------------------------------

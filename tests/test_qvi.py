@@ -24,6 +24,7 @@ from antiplane import constants, control, fem, qvi, tykhonov
 from antiplane.oracle import analytic_1d, benchmark_problem
 from oracle_helpers import linear_solve
 from space_helpers import dual_norm, in_space, zero_on_gamma1
+from tresca_helpers import tresca_solve, tresca_solver
 
 RNG_SEED = 424242
 
@@ -118,8 +119,8 @@ class TestTresca:
         mesh = interval_mesh(32)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 2.0)
-        solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
-        u, _ = solver.solve(F, np.zeros(1))
+        solver = tresca_solver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
+        u, _ = tresca_solve(solver, F, np.zeros(1))
         ref = linear_solve(mesh, 1.0, 2.0)
         assert np.max(np.abs(u - ref)) < 1e-10
 
@@ -128,8 +129,8 @@ class TestTresca:
         mesh = interval_mesh(64)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 3.0)
-        solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
-        u, _ = solver.solve(F, np.array([1.0]))
+        solver = tresca_solver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
+        u, _ = tresca_solve(solver, F, np.array([1.0]))
         x = mesh.nodes
         assert np.max(np.abs(u - (-1.5 * x**2 + 2.0 * x))) < 1e-10
         prob = qvi.ProblemData(mesh, 1.0, 3.0, 0.0, fem.FrictionBound.constant(1.0))
@@ -140,8 +141,8 @@ class TestTresca:
         mesh = interval_mesh(32)
         K = fem.assemble_stiffness(mesh, 1.0)
         F = fem.assemble_load(mesh, 1.0)
-        solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
-        u, _ = solver.solve(F, np.array([10.0]))
+        solver = tresca_solver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
+        u, _ = tresca_solve(solver, F, np.array([10.0]))
         assert u[-1] == 0.0
 
     def test_minimizer_beats_perturbations(self):
@@ -151,7 +152,7 @@ class TestTresca:
         g3 = mesh.node_sets["gamma3"]
         w = mesh.gamma3_weights[g3]
         bound = 0.4 * w
-        u, _ = qvi.TrescaSolver(K, mesh.free_nodes, g3).solve(F, bound)
+        u, _ = tresca_solve(tresca_solver(K, mesh.free_nodes, g3), F, bound)
         g = fem.FrictionBound.constant(0.4)
         e_star = friction_energy(mesh, K, F, g, u)
         rng = np.random.default_rng(RNG_SEED)
@@ -170,7 +171,7 @@ class TestTresca:
         F = fem.assemble_load(mesh, 2.0, f2)
         g3 = mesh.node_sets["gamma3"]
         c = G * mesh.gamma3_weights[g3]
-        u, iterations = qvi.TrescaSolver(K, mesh.free_nodes, g3).solve(F, c)
+        u, iterations = tresca_solve(tresca_solver(K, mesh.free_nodes, g3), F, c)
         assert type(iterations) is int and iterations >= 1
         assert np.any(u[g3] == 0.0) == stick
         assert kkt_residual(K, F, mesh.free_nodes, g3, c, u) <= 1e-10
@@ -183,9 +184,9 @@ class TestTresca:
         # that warm start cannot settle the sets
         _, discrete, c, load = control_square()
         solver = discrete.tresca
-        t0 = solver.solve(load(0.6), c)[0][solver.friction]
+        t0 = tresca_solve(solver, load(0.6), c)[0][solver.friction]
         with pytest.raises(qvi.SolverError, match="active-set"):
-            solver.solve(load(-0.6), c, t0=t0, max_inner=1)
+            tresca_solve(solver, load(-0.6), c, t0=t0, max_inner=1)
 
     @pytest.mark.parametrize(
         "warm,target",
@@ -200,10 +201,10 @@ class TestTresca:
     def test_wrong_sign_warm_start_converges(self, warm, target):
         mesh, discrete, c, load = control_square()
         K, solver = discrete.K, discrete.tresca
-        t0 = solver.solve(load(warm), c)[0][solver.friction]
+        t0 = tresca_solve(solver, load(warm), c)[0][solver.friction]
         F = load(target)
-        u, _ = solver.solve(F, c, t0=t0)
-        cold, _ = solver.solve(F, c)
+        u, _ = tresca_solve(solver, F, c, t0=t0)
+        cold, _ = tresca_solve(solver, F, c)
         assert np.max(np.abs(u - cold)) <= 1e-12
         g3 = mesh.node_sets["gamma3"]
         assert kkt_residual(K, F, mesh.free_nodes, g3, c, u) <= 1e-10
@@ -214,30 +215,48 @@ class TestTresca:
         # vector it has seen and would cycle until max_inner; the least-index
         # rule reaches the cold-start answer in a few iterations
         K = sp.csr_matrix([[4.0, -2.0, 0.0], [-2.0, 2.0, -2.0], [0.0, -2.0, 5.0]])
-        solver = qvi.TrescaSolver(K, np.arange(3), np.arange(3))
+        solver = tresca_solver(K, np.arange(3), np.arange(3))
         F, c = np.array([4.0, 0.0, -4.0]), np.ones(3)
-        cold, cold_iterations = solver.solve(F, c)
+        cold, cold_iterations = tresca_solve(solver, F, c)
         assert cold_iterations == 1
         assert np.max(np.abs(cold - [0.75, 0.0, -0.6])) <= 1e-14
-        u, iterations = solver.solve(F, c, t0=[-3.0, -3.0, 1.0])
+        u, iterations = tresca_solve(solver, F, c, t0=[-3.0, -3.0, 1.0])
         assert iterations <= 20
         assert np.max(np.abs(u - cold)) <= 1e-14
         assert kkt_residual(K, F, np.arange(3), np.arange(3), c, u) <= 1e-12
 
     def test_rejects_nonpositive_diagonal(self):
+        # the diagonal is checked before the factor is read; a zero block has no factor
         mesh = interval_mesh(4)
         K = sp.csr_matrix((5, 5))
-        F = np.zeros(5)
+        factor = (None, None)
         with pytest.raises(qvi.SolverError, match="diagonal"):
-            qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"]).solve(F, np.zeros(1))
+            qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"], factor)
 
-    def test_rejects_negative_bound(self):
-        mesh = interval_mesh(4)
-        K = fem.assemble_stiffness(mesh, 1.0)
-        F = fem.assemble_load(mesh, 1.0)
-        solver = qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"])
+    def test_rejects_negative_bound(self, monkeypatch):
+        # fixed_point computes each step's coefficients c; one negative beyond
+        # rounding at a single gamma3 node is refused before any inner solve,
+        # and one within rounding is clipped to the zero it stands for
+        _, discrete, _, load = control_square()
+        solver = discrete.tresca
+        w = solver.reduce(load(0.6))
+
+        def bound(value):
+            return fem.FrictionBound(
+                lambda x, r: np.where(np.arange(len(r)) == 2, value, 0.05), 0.0
+            )
+
+        u, rep = qvi.fixed_point(discrete, w, bound(0.0))
+        assert rep.converged
+        v, _ = qvi.fixed_point(discrete, w, bound(-1e-15))
+        assert np.array_equal(u, v)
+
+        def fail(*args):
+            raise AssertionError("inner solve ran on a negative bound")
+
+        monkeypatch.setattr(solver, "_iterate", fail)
         with pytest.raises(qvi.SolverError, match="negative"):
-            solver.solve(F, np.array([-1.0]))
+            qvi.fixed_point(discrete, w, bound(-1e-3))
 
 
 def _values(n, lo, hi):
@@ -287,7 +306,7 @@ class TestTrescaProperties:
     def test_kkt_and_agreement_with_coordinate_descent(self, instance):
         mesh, K, F, c, t0 = instance
         g3 = mesh.node_sets[fem.GAMMA3]
-        u, _ = qvi.TrescaSolver(K, mesh.free_nodes, g3).solve(F, c, t0=t0)
+        u, _ = tresca_solve(tresca_solver(K, mesh.free_nodes, g3), F, c, t0=t0)
         assert kkt_residual(K, F, mesh.free_nodes, g3, c, u) <= 1e-10
         assert np.max(np.abs(u - cd_oracle(K, F, mesh.free_nodes, g3, c))) <= 1e-10
 
@@ -296,16 +315,11 @@ class TestProduct:
     """``qvi._product`` is bitwise the sparse product it stands for."""
 
     @pytest.mark.parametrize("n", [4, 24])
-    def test_bitwise_equal_to_the_sparse_product(self, n, monkeypatch):
+    def test_bitwise_equal_to_the_sparse_product(self, n):
         mesh = square_mesh(n)
         x = np.random.default_rng(RNG_SEED).standard_normal(mesh.n_nodes)
         for A in (fem.gram_matrix(mesh), fem.mass_matrix(mesh)):
             assert np.array_equal(qvi._product(A)(x), A @ x)
-        # another format or a scipy without the kernel: the product is ``@`` itself
-        A = fem.mass_matrix(mesh)
-        assert np.array_equal(qvi._product(A.tocsc())(x), A @ x)
-        monkeypatch.setattr(qvi, "_csr_matvec", None)
-        assert np.array_equal(qvi._product(A)(x), A @ x)
 
 
 class TestSolverConfig:
@@ -626,15 +640,15 @@ class TestReducedFixedPoint:
         cfg = qvi.SolverConfig()
         w = discrete.tresca.reduce(discrete.F)
         u, rep = qvi.fixed_point(discrete, w, problem.g, cfg, eta0)
-        # TrescaSolver.solve reduces the load afresh and warm-starts from t0
-        # and its last multiplier; the first call of a fresh solver is cold
+        # one Tresca solve a step: it reduces the load afresh and warm-starts
+        # from t0 and its last multiplier; the first call of a fresh solver is cold
         mesh, solver = problem.mesh, qvi.DiscreteProblem(problem).tresca
         T = solver.friction
         eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
         sweeps = []
         for _ in range(rep.outer_iterations):
             c = mesh.gamma3_weights[T] * np.maximum(problem.g(mesh.nodes[T], np.abs(eta[T])), 0.0)
-            eta, its = solver.solve(discrete.F, c, eta[T], inner_tol=cfg.inner_tol)
+            eta, its = tresca_solve(solver, discrete.F, c, eta[T], inner_tol=cfg.inner_tol)
             sweeps.append(its)
         assert np.array_equal(u, eta)
         assert rep.inner_sweeps == sweeps
@@ -830,7 +844,7 @@ class TestReducedFixedPoint:
         solver = discrete.tresca
         stick_sets = recording_stick_sets(solver)
         c = discrete.weights * g(discrete.points, np.zeros(len(solver.friction)))
-        _, iterations = solver.solve(discrete.F, c)
+        _, iterations = tresca_solve(solver, discrete.F, c)
         assert iterations <= 3
         assert stick_sets[0] == whole_gamma3(solver)
         assert max(len(np.frombuffer(I, dtype=np.int64)) for I in stick_sets[1:]) < 48
@@ -880,14 +894,20 @@ class TestBadData:
             discrete.solve(F, g, qvi.SolverConfig(max_inner=5))
         with pytest.raises(qvi.SolverError, match="load .*non-finite"):
             qvi.fixed_point(discrete, solver.reduce(F), g, qvi.SolverConfig(max_inner=5))
-        with pytest.raises(qvi.SolverError, match="load .*non-finite"):
-            solver.solve(F, c, max_inner=5)
 
-    def test_nan_coefficient_rejected(self):
-        _, discrete, c, load = control_square()
-        c[2] = np.nan
-        with pytest.raises(qvi.SolverError, match="NaN friction bound"):
-            discrete.tresca.solve(load(0.6), c, max_inner=5)
+    def test_nan_coefficient_rejected(self, monkeypatch):
+        # a bound NaN at one gamma3 node: fixed_point refuses its coefficients
+        # before any inner solve, where a NaN sign would cycle unseen
+        _, discrete, _, load = control_square()
+        solver = discrete.tresca
+        bad = fem.FrictionBound(lambda x, r: np.where(np.arange(len(r)) == 2, np.nan, 0.05), 0.0)
+
+        def fail(*args):
+            raise AssertionError("inner solve ran on a NaN bound")
+
+        monkeypatch.setattr(solver, "_iterate", fail)
+        with pytest.raises(qvi.SolverError, match="friction bound .*non-finite"):
+            qvi.fixed_point(discrete, solver.reduce(load(0.6)), bad, qvi.SolverConfig(max_inner=5))
 
     def test_wrong_length_eta0(self):
         mesh, discrete, _, load = control_square()
@@ -918,17 +938,6 @@ class TestBadData:
         with pytest.raises(ValueError, match=f"eta0 must be finite, got .* at node {node}"):
             state.solve(np.array([0.6]), eta0=eta0)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_t0_rejected(self, value):
-        # unchecked, a NaN sign repeats as a cycle with no violator to change
-        _, discrete, c, load = control_square()
-        solver = discrete.tresca
-        t0 = np.zeros(len(c))
-        t0[3] = value
-        node = solver.friction[3]
-        with pytest.raises(ValueError, match=f"t0 must be finite, got .* at node {node}"):
-            solver.solve(load(0.6), c, t0=t0)
-
     def test_reduce_of_a_block_is_its_columns(self):
         mesh, discrete, _, load = control_square()
         solver = discrete.tresca
@@ -952,24 +961,20 @@ class TestBadData:
         with pytest.raises(ValueError, match=f"F must have {mesh.n_nodes} entries"):
             discrete.solve(load(0.6)[:-1], g)
 
-    @pytest.mark.parametrize(
-        "name, shorten",
-        [("F", lambda F, c, t: (F[:-1], c, t)),
-         ("c", lambda F, c, t: (F, c[1:], t)),
-         ("t0", lambda F, c, t: (F, c, t[:3]))],
-    )
-    def test_wrong_length_solve_arguments(self, name, shorten):
-        _, discrete, c, load = control_square()
-        F, c, t0 = shorten(load(0.6), c, np.zeros(len(c)))
-        with pytest.raises(ValueError, match=f"{name} must have"):
-            discrete.tresca.solve(F, c, t0=t0)
+    def test_stiffness_block_that_does_not_factor_is_named(self, monkeypatch):
+        # a per-element modulus factors its own K_ff by fem.free_factor; a
+        # block that does not factor is refused when the problem is built
+        mesh = square_mesh(4)
+        constants.space_constants(mesh)  # c0 and c3 factor their own blocks
 
-    def test_singular_slip_block_named(self):
-        # positive diagonal, singular: a free block of friction nodes only,
-        # refused when the solver is built, before any solve
-        K = sp.csr_matrix(np.ones((2, 2)))
-        with pytest.raises(qvi.SolverError, match="stiffness block factorization failed"):
-            qvi.TrescaSolver(K, [0, 1], [0, 1])
+        def fail(mesh, A):
+            raise fem.FactorizationError("matrix is not positive definite (pivot 3 of 20)")
+
+        monkeypatch.setattr(fem, "free_factor", fail)
+        mu = np.ones(len(mesh.elements))
+        prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.constant(0.05))
+        with pytest.raises(qvi.SolverError, match="stiffness block factorization failed: matrix"):
+            qvi.DiscreteProblem(prob)
 
 
 class TestAPrioriBound:
@@ -1168,7 +1173,8 @@ class TestMembershipOracle:
 
 
 class TestMembership:
-    @pytest.mark.parametrize("seed", [1, 9])
+    # perfbench/workloads.py passes a seed per op; none changes the value
+    @pytest.mark.parametrize("seed", [1, 3, 9])
     def test_seed_is_not_used(self, seed):
         mesh, mu, u, theta, _ = certificate_case("2d-perturbed")
         value = qvi.membership_violation(mesh, mu, u, theta, seed=seed)
@@ -1298,9 +1304,9 @@ class TestSharedFreeFactor:
         factored, sizes = [], []
         factor = fem.spd_factor
 
-        def recording(matrix, last=(), layout=None):
+        def recording(matrix, layout):
             factored.append(matrix.shape)
-            solve, Z = factor(matrix, last, layout)
+            solve, Z = factor(matrix, layout)
 
             def recorded(b):
                 x = solve(b)

@@ -567,12 +567,12 @@ class TestSharedFactorization:
         assert len(built) == expected
 
     def test_certificate_reuses_the_stiffness(self, kind, dim, monkeypatch):
-        certified = []  # (mu, u, theta, seed) of every certificate call
+        certified = []  # (mu, u, theta) of every certificate call
         factors = []  # the Gram factor passed to each
         original = qvi.membership_violation
 
         def recording(mesh, mu, u, theta, **kw):
-            certified.append((mu, u.copy(), theta, kw["seed"]))
+            certified.append((mu, u.copy(), theta))
             factors.append(kw["factor"])
             return original(mesh, mu, u, theta, **kw)
 
@@ -595,10 +595,7 @@ class TestSharedFactorization:
         # one Gram factor for all; the same values as certificates that
         # assemble their own K and factor their own Gram block
         assert factors[0] is not None and all(f is factors[0] for f in factors)
-        fresh = [
-            original(problem.mesh, mu, u, theta, seed=seed)
-            for mu, u, theta, seed in certified
-        ]
+        fresh = [original(problem.mesh, mu, u, theta) for mu, u, theta in certified]
         assert len(fresh) == SHARED_LENGTH
         assert report.violations == fresh
 
@@ -608,9 +605,9 @@ def _count_factors(monkeypatch):
     factored = []
     factor = fem.spd_factor
 
-    def counting(matrix, last=(), layout=None):
+    def counting(matrix, layout):
         factored.append(matrix)
-        return factor(matrix, last, layout)
+        return factor(matrix, layout)
 
     monkeypatch.setattr(fem, "spd_factor", counting)
     return factored
@@ -653,3 +650,53 @@ def test_one_gram_factor_per_modulus_sequence(length, monkeypatch):
     # one Gram factor for every certificate
     assert len(factored) == 4 + length
     assert sum(_is_gram_factor(problem.mesh, A) for A in factored) == 2
+
+
+class TestPerElementCoefficients:
+    """Coefficients given per element perturb as arrays: on constant values
+    a sequence gives the report of the same scalar data."""
+
+    def test_combine_coefficients_keeps_the_kind(self):
+        combine = tykhonov.combine_coefficients
+        assert type(combine(1, 0.5, 2.0)) is float and combine(1, 0.5, 2.0) == 2.0
+        base = np.array([1.0, 2.0])
+        assert np.array_equal(combine(base, 0.5, 2.0), [2.0, 3.0])
+        assert np.array_equal(combine(2.0, 0.5, base), [2.5, 3.0])
+        assert np.array_equal(combine(base, 0.5, np.array([2.0, 4.0])), [2.0, 4.0])
+        # a callable samples at the points, where the array gives a value each
+        points = np.array([[0.25], [0.75]])
+        assert np.array_equal(combine(base, 0.5, lambda x: 4.0 * x[:, 0])(points), [1.5, 3.5])
+        assert combine(base, 0.0, 2.0) is base
+
+    def test_per_element_load_gives_the_scalar_report(self):
+        problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=24)
+        schedule = tykhonov.Schedule(kind="load_perturb", length=4)
+        f0 = np.full(len(problem.mesh.elements), 1.0)
+        scalar = tykhonov.run_convergence(problem, schedule)
+        element = tykhonov.run_convergence(problem.with_data(f0=f0), schedule)
+        assert element == scalar
+
+    @pytest.mark.parametrize("mu_law", tykhonov.MU_LAWS)
+    def test_per_element_modulus_gives_the_scalar_verdict(self, mu_law):
+        # an array modulus factors its own K_ff, so the errors agree to rounding
+        problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=24)
+        schedule = tykhonov.Schedule(kind="lame_perturb", length=4, amplitude=0.3, mu_law=mu_law)
+        mu = np.full(len(problem.mesh.elements), 1.0)
+        scalar = tykhonov.run_convergence(problem, schedule)
+        element = tykhonov.run_convergence(problem.with_data(mu=mu), schedule)
+        assert element.verdict == scalar.verdict
+        assert element.eps == scalar.eps
+        np.testing.assert_allclose(element.errors, scalar.errors, rtol=1e-12, atol=0.0)
+        assert element.max_violation <= 1e-8
+
+
+class TestBenchmarkSignatures:
+    """The benchmark passes ``seed`` to ``run_convergence`` (and to
+    ``qvi.membership_violation``, see ``TestMembership`` there); the
+    certificate draws no random numbers, so the seed changes nothing."""
+
+    def test_run_convergence_seed(self):
+        problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=24)
+        schedule = tykhonov.Schedule(kind="load_perturb", length=4)
+        report = tykhonov.run_convergence(problem, schedule, seed=0)
+        assert tykhonov.run_convergence(problem, schedule, seed=7) == report
