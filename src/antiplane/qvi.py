@@ -116,7 +116,8 @@ class SolveReport:
     outer_iterations: int
     increments: list[float]
     ratios: list[float]
-    # active-set iterations of the inner solve, one entry per outer step
+    # active-set iterations of the inner solve, one entry per outer step;
+    # 0 for a last step whose bound had not moved, which runs no inner solve
     inner_sweeps: list[int]
     c0: float
     c3: float
@@ -227,11 +228,17 @@ class TrescaSolver:
 
     def reduce(self, F):
         """w = K_ff^-1 F_f for a load F of n_nodes entries, or the columns of
-        an (n_nodes, k) block F, in one band solve; ValueError for another shape."""
+        an (n_nodes, k) block F, in one band solve; ValueError for another shape,
+        SolverError naming the first free node where F is not finite."""
         F = np.asarray(F, dtype=float)
         if F.ndim not in (1, 2) or len(F) != self.n_nodes:
             raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
-        return self._solve(F[self.free])
+        F_f = F[self.free]
+        finite = np.isfinite(F_f)
+        if not finite.all():
+            row = np.argmin(finite.reshape(len(F_f), -1).all(axis=1))
+            raise SolverError(f"load is non-finite at node {self.free[row]}")
+        return self._solve(F_f)
 
     def _stick_solve(self, I, rhs):
         """Z_II^-1 rhs on the LU factors of Z_II, kept while I is unchanged."""
@@ -310,7 +317,12 @@ def fixed_point(
     bound and runs the active-set iteration from the previous gamma3
     values and multiplier; the first step starts from ``eta0`` on gamma3
     and the solver's last multiplier, or without ``eta0`` from zero and
-    the default multiplier of ``TrescaSolver._iterate``.  Returns (u,
+    the default multiplier of ``TrescaSolver._iterate``.  A step whose
+    coefficients equal the previous step's bitwise (a bound that does not
+    depend on the slip, or a slip that did not move) has its Tresca problem
+    solved by the previous iterate: the run records increment 0.0 and no
+    inner iteration for it and stops, with no iteration or lift.  The test
+    reads the bound's values, not its declared ``lipschitz``.  Returns (u,
     SolveReport).  Raises SolverError when the smallness condition fails
     without the override flag, when the bound or ``w`` is non-finite on
     gamma3, when an increment is not finite, or when an iteration cap is
@@ -343,8 +355,15 @@ def fixed_point(
     lam = None if eta0 is None else solver._lam
     increments: list[float] = []
     inner_log: list[int] = []
+    last_c = None  # the bytes of the previous step's coefficients
     for m in range(1, cfg.max_outer + 1):
         c = weights * _bound(g, points, np.abs(t))
+        key = c.tobytes()
+        if key == last_c:  # the bound has not moved: eta solves this step's problem
+            increments.append(0.0)
+            inner_log.append(0)
+            break
+        last_c = key
         u_new, inner_iterations = iterate(w, c, t, lam, inner_tol, max_inner)
         t, lam = u_new[friction], solver._lam
         d = u_new - eta  # fem.v_norm(mesh, d) on the Gram product made once
@@ -449,6 +468,7 @@ def membership_violation(
     seed: int = 0,
     stiffness=None,
     factor=None,
+    load=None,
 ) -> float:
     """How far ``u`` lies outside the approximating set of ``theta``.
 
@@ -477,15 +497,24 @@ def membership_violation(
     fem.gram_matrix(mesh))``; without it G_ff is cut and factored on the
     mesh's band layout on each call.  The stiffness matrix of ``mu`` comes
     from ``fem.stiffness_matrix`` (cached per mesh for a scalar mu) unless
-    the caller passes it as ``stiffness``; ``seed`` is accepted and not
-    used.  Returns a Python float; a value <= 1e-8 certifies membership.
-    A ``factor`` whose block or Z does not have the shape of this mesh's
-    free and gamma3 nodes raises ValueError before any solve.  A bound not
-    finite or negative at u raises SolverError, and so does a QP that
-    misses the friction law within the default ``SolverConfig().max_inner``
-    iterations.
+    the caller passes it as ``stiffness``, and the load F of ``theta`` from
+    ``fem.assemble_load`` unless the caller, which solved for it, passes
+    it as ``load``; ``seed`` is accepted and not used.  ||u||_V is computed
+    only for eps > 0.  Returns a Python float; a value <= 1e-8 certifies
+    membership.  A ``u`` or ``load`` that is not of shape (n_nodes,), a
+    non-finite ``u``, and a ``factor`` whose block or Z does not have the
+    shape of this mesh's free and gamma3 nodes raise ValueError before any
+    solve.  A bound not finite or negative at u raises SolverError, and so
+    does a QP that misses the friction law within the default
+    ``SolverConfig().max_inner`` iterations.
     """
     free, g3 = mesh.free_nodes, mesh.node_sets[fem.GAMMA3]
+    n = mesh.n_nodes
+    u = np.asarray(u, dtype=float)
+    for name, values in (("u", u), ("load", load)):
+        if values is not None and values.shape != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {values.shape}")
+    fem.require_finite("u", u)
     if factor is not None:
         shapes = (factor[0].shape, factor[2].shape)
         expected = ((len(free), len(free)), (len(g3), len(g3)))
@@ -497,7 +526,7 @@ def membership_violation(
     if len(free) == 0:  # V_h = {0}: no direction to test
         return 0.0
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
-    F = fem.assemble_load(mesh, theta.f0, theta.f2)
+    F = fem.assemble_load(mesh, theta.f0, theta.f2) if load is None else load
     z = (F - K @ u)[free]
     T = np.searchsorted(free, g3)  # gamma3 rows of the free block, in the order of Z
     c = mesh.gamma3_weights[g3] * _bound(theta.g, mesh.nodes[g3], np.abs(u[g3]))
@@ -516,7 +545,7 @@ def membership_violation(
         )
         z[T[I]] -= np.clip(xi, -c[I], c[I])
     dist = math.sqrt(max(z @ solve(z), 0.0))
-    return max(dist - theta.eps * fem.v_norm(mesh, u), 0.0)
+    return max(dist - theta.eps * fem.v_norm(mesh, u), 0.0) if theta.eps else dist
 
 
 # ---------------------------------------------------------------------------

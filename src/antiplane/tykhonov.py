@@ -16,9 +16,11 @@ its own; every other instance, together with the unperturbed solution
 and the limit of an adversarial sequence, is solved on one
 ``qvi.DiscreteProblem`` of the base problem and assembles only its own
 load.  The membership certificate always tests against the base
-modulus, so it reuses that stiffness matrix; the free block of the Gram
-matrix depends on the mesh alone, so all certificates of a sequence run
-on one factor of it.  An ``eps_decay`` sequence, whose instances all
+modulus, so it reuses that stiffness matrix, and it takes the load its
+instance was solved for (the base problem's for ``eps_decay`` and
+``lame_perturb``), so no load is assembled twice; the free block of the
+Gram matrix depends on the mesh alone, so all certificates of a sequence
+run on one factor of it.  An ``eps_decay`` sequence, whose instances all
 solve the base problem, reuses one solve.
 The same ``Schedule``, index and ``SequenceReport`` serve
 ``control.run_oc_sequence``, which alone takes the kind
@@ -178,15 +180,19 @@ def _solve_sequence(
     shared: qvi.DiscreteProblem | None = None,
     u_base=None,
 ):
-    """[(theta_n, u_n)] of the schedule.  An instance that keeps mu is solved
+    """[(theta_n, u_n, F_n)] of the schedule, F_n the load of theta_n, or
+    None where it is the base problem's load (``eps_decay`` and
+    ``lame_perturb`` keep f0 and f2).  An instance that keeps mu is solved
     on ``shared``, the base problem's discretization (built on first use if
     not given), a ``lame_perturb`` instance on its own.  Instances that keep
     the base data (``eps_decay``) share one solve, or ``u_base`` if given."""
+    base_load = schedule.kind in ("eps_decay", "lame_perturb")
     out = []
     for n, s in enumerate(schedule.scales(), start=1):
         theta, mu_n = _index_for(problem, schedule, n, float(s))
+        F = None if base_load else fem.assemble_load(problem.mesh, theta.f0, theta.f2)
         if schedule.kind == "eps_decay" and u_base is not None:
-            out.append((theta, u_base))
+            out.append((theta, u_base, F))
             continue
         try:
             if schedule.kind == "lame_perturb":
@@ -194,13 +200,12 @@ def _solve_sequence(
             else:
                 if shared is None:
                     shared = qvi.DiscreteProblem(problem)
-                F = fem.assemble_load(problem.mesh, theta.f0, theta.f2)
-                u_n, _ = shared.solve(F, theta.g, config)
+                u_n, _ = shared.solve(shared.F if F is None else F, theta.g, config)
         except qvi.SolverError as exc:
             raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
         if schedule.kind == "eps_decay":
             u_base = u_n
-        out.append((theta, u_n))
+        out.append((theta, u_n, F))
     return out
 
 
@@ -216,7 +221,7 @@ def generate_sequence(
     fails to converge.
     """
     check_schedule(problem, schedule, SCHEDULE_KINDS, "generate_sequence")
-    return _solve_sequence(problem, schedule, config)
+    return [(theta, u_n) for theta, u_n, _ in _solve_sequence(problem, schedule, config)]
 
 
 @dataclass(eq=False)
@@ -282,8 +287,9 @@ def run_convergence(
 
     The certificates run after every solve, on the base stiffness matrix
     and on one factor of the free Gram block made for all of them; each
-    assembles its load from theta_n itself.  ``seed`` is accepted and
-    not used: the certificate draws no random numbers.  Raises
+    takes the load that its instance was solved for, so each instance
+    only assembles its own load, once.  ``seed`` is accepted and not
+    used: the certificate draws no random numbers.  Raises
     ValueError as ``check_schedule`` or for a negative or NaN
     ``noise_floor`` before any solve."""
     check_schedule(problem, schedule, SCHEDULE_KINDS, "run_convergence")
@@ -298,7 +304,7 @@ def run_convergence(
     mesh = problem.mesh
 
     ns = list(range(1, schedule.length + 1))
-    errors = [float(fem.v_norm(mesh, u_n - u_ref)) for _, u_n in seq]
+    errors = [float(fem.v_norm(mesh, u_n - u_ref)) for _, u_n, _ in seq]
 
     limit_gap = None
     errors_to_limit = None
@@ -306,21 +312,22 @@ def run_convergence(
         F_bar = fem.assemble_load(mesh, schedule.f0_target, problem.f2)
         u_bar, _ = shared.solve(F_bar, problem.g, config)
         limit_gap = float(fem.v_norm(mesh, u_bar - u_ref))
-        errors_to_limit = [float(fem.v_norm(mesh, u_n - u_bar)) for _, u_n in seq]
+        errors_to_limit = [float(fem.v_norm(mesh, u_n - u_bar)) for _, u_n, _ in seq]
 
     gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh))
     violations = [
         qvi.membership_violation(
-            mesh, problem.mu, u_n, theta, stiffness=shared.K, factor=gram_factor
+            mesh, problem.mu, u_n, theta, stiffness=shared.K, factor=gram_factor,
+            load=shared.F if F_n is None else F_n,
         )
-        for theta, u_n in seq
+        for theta, u_n, F_n in seq
     ]
 
     return ConvergenceReport(
         kind=schedule.kind,
         ns=ns,
         scales=[float(s) for s in schedule.scales()],
-        eps=[theta.eps for theta, _ in seq],
+        eps=[theta.eps for theta, _, _ in seq],
         errors=errors,
         violations=violations,
         slope=fit_tail_slope(ns, errors),

@@ -530,18 +530,25 @@ def per_step_fixed_point(discrete, F, g, cfg, eta0=None, lam0=None, stick_sets=N
     """The bound-update loop on the Tresca solver of ``discrete`` with one
     full frozen-bound solve per outer step, carrying the multiplier from
     step to step; the bound's nodes, weights and norms are looked up
-    afresh.  Returns (u, increments, ratios, inner_sweeps, lam)."""
+    afresh.  A step whose coefficients equal the last step's is solved
+    by the last iterate: it gives increment 0.0 and 0 inner iterations.
+    Returns (u, increments, ratios, inner_sweeps, lam)."""
     mesh, solver = discrete.problem.mesh, discrete.tresca
     T = solver.friction
     w = mesh.gamma3_weights[T]
     eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
     lam = lam0
     increments, ratios, sweeps = [], [], []
+    c_last = None
     for _ in range(cfg.max_outer):
         c = w * np.maximum(g(mesh.nodes[T], np.abs(eta[T])), 0.0)
-        u, lam, its = per_step_tresca(
-            solver, F, c, eta[T], lam, cfg.inner_tol, cfg.max_inner, stick_sets
-        )
+        if c_last is not None and np.array_equal(c, c_last):
+            u, its = eta, 0
+        else:
+            u, lam, its = per_step_tresca(
+                solver, F, c, eta[T], lam, cfg.inner_tol, cfg.max_inner, stick_sets
+            )
+        c_last = c
         inc = fem.v_norm(mesh, u - eta)
         if increments and increments[-1] > 0.0:
             ratios.append(inc / increments[-1])
@@ -698,11 +705,50 @@ class TestReducedFixedPoint:
         assert stick_sets == [whole_gamma3(solver)] + ref_sets
         assert rep.outer_iterations >= min_outer
         assert counts["load"] == 1
-        assert counts["lift"] == rep.outer_iterations
+        # one lift per step that ran an inner solve: b = 0 stops at step 2,
+        # whose bound has not moved, with none
+        assert counts["lift"] == rep.outer_iterations - rep.inner_sweeps.count(0)
+        assert rep.inner_sweeps.count(0) == (b == 0.0)
         assert counts["columns"] == 0
-        # the stick set repeats, so a factorization per iteration would show
-        assert len(stick_sets) > set_changes(stick_sets) >= 2
+        # the stick set repeats, so a factorization per iteration would show;
+        # b = 0 repeated it only in its step 2, which no longer runs
+        assert len(stick_sets) > set_changes(stick_sets) - (b == 0.0)
+        assert set_changes(stick_sets) >= 2
         assert counts["stick"] <= set_changes(stick_sets)
+
+    def test_unmoved_bound_stops_without_a_second_solve(self, monkeypatch):
+        # a constant bound: step 2's coefficients are step 1's, whose iterate
+        # solves its Tresca problem, so step 2 runs no iteration and no lift
+        _, discrete, c, load = control_square()
+        solver = discrete.tresca
+        F, g = load(0.6), fem.FrictionBound.constant(0.05)
+        # the two solves of a loop that re-solves step 2: cold, then warm
+        other = qvi.DiscreteProblem(discrete.problem).tresca
+        u1, _ = tresca_solve(other, F, c)
+        u2, _ = tresca_solve(other, F, c, u1[other.friction])
+        counts = self.count_work(monkeypatch, solver)
+        u, rep = discrete.solve(F, g)
+        assert np.all(u[solver.friction] != 0.0)
+        assert counts == {"load": 1, "lift": 1, "columns": 0, "stick": 1}
+        assert rep.outer_iterations == 2 and rep.inner_sweeps[-1] == 0
+        assert rep.increments[-1] == 0.0 and rep.ratios == [0.0]
+        assert np.array_equal(u, u2) and np.array_equal(u2, u1)
+
+    def test_bound_that_understates_its_rate_still_iterates(self):
+        # lipschitz = 0 declared for a bound that moves with the slip: the
+        # stop reads the bound's values, so the run reaches the fixed point
+        _, discrete, _, load = control_square()
+        g = fem.FrictionBound(lambda x, r: 0.05 + 0.2 * r, lipschitz=0.0)
+        F, cfg = load(0.6), qvi.SolverConfig()
+        u, rep = discrete.solve(F, g, cfg)
+        ref = per_step_fixed_point(qvi.DiscreteProblem(discrete.problem), F, g, cfg)
+        assert rep.k == 0.0 and rep.outer_iterations > 4
+        assert 0 not in rep.inner_sweeps and rep.inner_sweeps == ref[3]
+        assert close_in_v_norm(discrete.problem.mesh, u, ref[0])
+        # the same values with their rate declared give the same run
+        honest = qvi.DiscreteProblem(discrete.problem)
+        u_honest, rep_honest = honest.solve(F, fem.FrictionBound.affine(0.05, 0.2), cfg)
+        assert np.array_equal(u, u_honest) and rep.increments == rep_honest.increments
 
     def test_all_slip_solves_for_no_column(self, monkeypatch):
         _, discrete, _, load = control_square()
@@ -894,6 +940,19 @@ class TestBadData:
             discrete.solve(F, g, qvi.SolverConfig(max_inner=5))
         with pytest.raises(qvi.SolverError, match="load .*non-finite"):
             qvi.fixed_point(discrete, solver.reduce(F), g, qvi.SolverConfig(max_inner=5))
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("where", ["interior", "gamma3"])
+    def test_reduce_names_the_node_of_a_non_finite_load(self, where, columns):
+        # a NaN at an interior node read "non-finite on the gamma3 block"
+        mesh, discrete, _, load = control_square()
+        solver = discrete.tresca
+        node = {"interior": 24, "gamma3": solver.friction[3]}[where]
+        F = np.column_stack([load(0.6)] * columns)
+        F[node, -1] = np.inf
+        F[mesh.node_sets["gamma1"][0]] = np.nan  # a clamped node is not read
+        with pytest.raises(qvi.SolverError, match=f"load is non-finite at node {node}$"):
+            solver.reduce(F[:, 0] if columns == 1 else F)
 
     def test_nan_coefficient_rejected(self, monkeypatch):
         # a bound NaN at one gamma3 node: fixed_point refuses its coefficients
@@ -1206,6 +1265,46 @@ class TestMembership:
         with pytest.raises(ValueError, match=shown + here):
             qvi.membership_violation(mesh, mu, u, theta, factor=factor)
         assert solves == []
+
+    @pytest.mark.parametrize("node, value", [(3, np.nan), (16, np.inf), (16, -np.inf)])
+    def test_non_finite_u_refused_before_any_solve(self, node, value, monkeypatch):
+        # a stick interval: unchecked, a NaN at node 3 ran every box-QP
+        # iteration and an inf at the gamma3 node 16 gave NaN
+        prob = benchmark_problem(1.0, 1.0, 1.0, 16)
+        u, _ = qvi.solve_qvi(prob)
+        assert u[16] == 0.0
+        u[node] = value
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+        monkeypatch.setattr(qvi, "_box_qp", lambda *a: pytest.fail("ran the box QP"))
+        monkeypatch.setattr(fem, "free_factor", lambda *a: pytest.fail("factored the block"))
+        with pytest.raises(ValueError, match=f"u must be finite, got {value} at node {node}$"):
+            qvi.membership_violation(prob.mesh, prob.mu, u, theta)
+
+    @pytest.mark.parametrize("name, shape", [("u", (16,)), ("u", (17, 1)), ("load", (18,))])
+    def test_wrong_shape_refused(self, name, shape):
+        prob = benchmark_problem(1.0, 3.0, 1.0, 16)
+        u, _ = qvi.solve_qvi(prob)
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+        args = {"u": u, "load": None, name: np.zeros(shape)}
+        with pytest.raises(ValueError, match=rf"{name} must have shape \(17,\), got"):
+            qvi.membership_violation(prob.mesh, prob.mu, args["u"], theta, load=args["load"])
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_passed_load_gives_the_same_value(self, eps, monkeypatch):
+        mesh, mu, u, theta, _ = certificate_case("2d-perturbed")
+        theta = qvi.TykhonovIndex(eps, theta.f0, theta.f2, theta.g)
+        value = qvi.membership_violation(mesh, mu, u, theta)
+        F = fem.assemble_load(mesh, theta.f0, theta.f2)
+        monkeypatch.setattr(fem, "assemble_load", lambda *a: pytest.fail("assembled a load"))
+        assert value > 1e-3
+        assert qvi.membership_violation(mesh, mu, u, theta, load=F) == value
+
+    def test_zero_eps_takes_no_norm_of_u(self, monkeypatch):
+        mesh, mu, u, theta, _ = certificate_case("2d-perturbed")
+        theta = qvi.TykhonovIndex(0.0, theta.f0, theta.f2, theta.g)
+        value = qvi.membership_violation(mesh, mu, u, theta)
+        monkeypatch.setattr(fem, "v_norm", lambda *a: pytest.fail("took ||u||_V"))
+        assert qvi.membership_violation(mesh, mu, u, theta) == value
 
     def test_solution_certifies(self):
         prob = benchmark_problem(1.0, 3.0, 1.0, 64)

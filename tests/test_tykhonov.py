@@ -600,6 +600,42 @@ class TestSharedFactorization:
         assert report.violations == fresh
 
 
+    def test_certificates_take_the_solved_load(self, kind, dim, monkeypatch):
+        certified = []  # (mu, u, theta, keywords) of every certificate call
+        original = qvi.membership_violation
+
+        def recording(mesh, mu, u, theta, **kw):
+            certified.append((mu, u.copy(), theta, kw))
+            return original(mesh, mu, u, theta, **kw)
+
+        assembled = []  # every load assembly
+        assemble_load = fem.assemble_load
+
+        def counting(*args, **kwargs):
+            assembled.append(1)
+            return assemble_load(*args, **kwargs)
+
+        monkeypatch.setattr(qvi, "membership_violation", recording)
+        monkeypatch.setattr(fem, "assemble_load", counting)
+        problem = _shared_problem(dim, kind)
+        report = tykhonov.run_convergence(problem, _shared_schedule(kind), seed=4)
+        # the base load, one per instance (a modulus instance's own solve
+        # assembles the base load again) and the adversarial limit's; none
+        # for a certificate
+        own = 0 if kind == "eps_decay" else SHARED_LENGTH
+        assert len(assembled) == 1 + own + (kind == "adversarial_load")
+        monkeypatch.undo()
+        mesh = problem.mesh
+        assert len(certified) == SHARED_LENGTH
+        for mu, u, theta, kw in certified:
+            assert np.array_equal(kw["load"], fem.assemble_load(mesh, theta.f0, theta.f2))
+        # bitwise the certificates that assemble their own load
+        assert report.violations == [
+            original(mesh, mu, u, theta, stiffness=kw["stiffness"], factor=kw["factor"])
+            for mu, u, theta, kw in certified
+        ]
+
+
 def _count_factors(monkeypatch):
     """List that gains each matrix that ``fem.spd_factor`` factors."""
     factored = []
