@@ -267,8 +267,6 @@ SECTION_SCHEMAS = {
     "constants": {
         "lipschitz": Key(_parse_float, default=0.0),
         "mu_star": Key(_parse_float, default=1.0),
-        "tol": Key(_parse_float, default=1e-10),
-        "max_iterations": Key(_parse_int, default=10000),
         "require_contraction": Key(_parse_bool, default=False),
     },
     "schedule": {
@@ -450,9 +448,6 @@ def build_weights(cfg, mesh: fem.Mesh) -> control.CostWeights:
 def build_constants(cfg):
     with _section(cfg, "constants") as values:
         constants.check_margin_data(values["lipschitz"], values["mu_star"])
-        constants.check_iteration_settings(
-            values["tol"], values["max_iterations"], "max_iterations"
-        )
         return values
 
 

@@ -22,6 +22,12 @@ from scipy.linalg.lapack import dsyevd
 from . import fem
 
 
+# the power iteration of c0: relative tolerance, iteration cap, seed of the start vector
+_POWER_TOL = 1e-10
+_POWER_MAXITER = 10000
+_POWER_SEED = 0
+
+
 class ConvergenceError(RuntimeError):
     """Raised when an iterative routine misses its tolerance within the cap."""
 
@@ -54,15 +60,7 @@ def _power_iteration(solve, B, A, v0, tol, maxiter):
     )
 
 
-def check_iteration_settings(tol: float, maxiter: int, maxiter_name: str = "maxiter") -> None:
-    """ValueError unless ``tol`` is positive (NaN refused) and ``maxiter``,
-    called ``maxiter_name``, an integer of at least 1."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    fem.require_count(maxiter_name, maxiter)
-
-
-def poincare_constant(mesh: fem.Mesh, *, tol: float = 1e-10, maxiter: int = 10000, seed: int = 0):
+def poincare_constant(mesh: fem.Mesh) -> float:
     """Best constant c0 with ||v||_V <= c0 ||grad v|| on the discrete space.
 
     c0^2 = 1 + lambda with lambda the largest eigenvalue of M v = lambda S v
@@ -70,17 +68,16 @@ def poincare_constant(mesh: fem.Mesh, *, tol: float = 1e-10, maxiter: int = 1000
     (M + S) v = c0^2 S v), computed by power iteration with inner solves
     against S.  Iterating S^-1 M instead of S^-1 (M + S) shrinks the ratio
     of the two leading eigenvalues from about 0.77 to about 0.2 on the
-    unit square, so the iteration needs about ten solves.  Raises
-    fem.MeshError when every node is clamped, and ValueError, before any
-    factorization, for the settings that ``check_iteration_settings``
-    refuses.
+    unit square, so the iteration needs about ten solves.  It runs at
+    fixed settings (``_POWER_TOL``, ``_POWER_MAXITER`` and a start vector
+    drawn from ``default_rng(_POWER_SEED)``), so c0 depends on the mesh
+    alone.  Raises fem.MeshError when every node is clamped.
     """
-    check_iteration_settings(tol, maxiter)
     S, solve, _ = fem.free_block(mesh)
     free = mesh.free_nodes
     M = fem.submatrix(fem.mass_matrix(mesh), free, free)
-    v0 = np.random.default_rng(seed).standard_normal(len(free))
-    return float(np.sqrt(1.0 + _power_iteration(solve, M, S, v0, tol, maxiter)))
+    v0 = np.random.default_rng(_POWER_SEED).standard_normal(len(free))
+    return float(np.sqrt(1.0 + _power_iteration(solve, M, S, v0, _POWER_TOL, _POWER_MAXITER)))
 
 
 def trace_constant(mesh: fem.Mesh) -> float:
@@ -127,38 +124,22 @@ class ConstantsReport:
     ok: bool
 
 
-def space_constants(
-    mesh: fem.Mesh, *, tol: float = 1e-10, maxiter: int = 10000, seed: int = 0
-) -> tuple[float, float]:
+def space_constants(mesh: fem.Mesh) -> tuple[float, float]:
     """(c0, c3) for one mesh, kept in the mesh's cache because they depend
-    on the mesh only.
-
-    Raises fem.MeshError when every node is clamped, and ValueError,
-    before any factorization, for the settings that
-    ``check_iteration_settings`` refuses.
-    """
-    check_iteration_settings(tol, maxiter)
+    on the mesh only; fem.MeshError when every node is clamped."""
 
     def build():
         c3 = trace_constant(mesh)  # before c0, so the Gram band is gone when S_ff's is made
-        return poincare_constant(mesh, tol=tol, maxiter=maxiter, seed=seed), c3
+        return poincare_constant(mesh), c3
 
-    return fem.cached(mesh, ("constants", tol, maxiter, seed), build)
+    return fem.cached(mesh, "constants", build)
 
 
-def constants_report(
-    mesh: fem.Mesh,
-    lipschitz: float,
-    mu_star: float,
-    *,
-    tol: float = 1e-10,
-    maxiter: int = 10000,
-    seed: int = 0,
-) -> ConstantsReport:
+def constants_report(mesh: fem.Mesh, lipschitz: float, mu_star: float) -> ConstantsReport:
     """Both constants (cached per mesh) and the contraction margin for one
     mesh; a bad ``lipschitz`` or ``mu_star`` is refused before the constants
     are computed."""
     check_margin_data(lipschitz, mu_star)
-    c0, c3 = space_constants(mesh, tol=tol, maxiter=maxiter, seed=seed)
+    c0, c3 = space_constants(mesh)
     k, ok = smallness_margin(lipschitz, c0, c3, mu_star)
     return ConstantsReport(c0=c0, c3=c3, k=k, ok=ok)

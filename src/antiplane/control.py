@@ -197,7 +197,7 @@ class StateSolver:
     """Repeated state solves under varying controls.
 
     One ``qvi.DiscreteProblem`` of the base problem (stiffness, Tresca
-    solver, base load ``F0``) and one load column per patch (``B``) are
+    solver), the base load ``F0`` and one load column per patch (``B``) are
     built once, and the base load and the columns reduced once, R =
     K_ff^-1 [F0_f | B_f] in one ``TrescaSolver.reduce``; solving for a
     coefficient vector c is then a fixed-point run on the reduced load
@@ -215,7 +215,7 @@ class StateSolver:
             raise ValueError("patches were built for a different mesh")
         self.discrete = qvi.DiscreteProblem(problem)
         self.patches = patches
-        self.F0 = self.discrete.F
+        self.F0 = fem.assemble_load(problem.mesh, problem.f0)  # f2 is unset
         cols = []
         for p in range(patches.n_patches):
             unit = np.zeros(patches.n_patches)

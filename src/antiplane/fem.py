@@ -23,7 +23,7 @@ scalar modulus), the band layout that the factors of all free blocks
 share (``free_factor``), one band factor, that of the free block of the
 unit stiffness with the gamma3 block of its inverse (``free_block``,
 until ``release_free_block``), and the constants (c0, c3) of
-``constants.space_constants`` keyed on their solver settings.
+``constants.space_constants``, which depend on the mesh alone.
 Cached arrays are read-only.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
 its cached form, which checks the modulus and its floor on every call.

@@ -397,10 +397,10 @@ def fixed_point(
 
 
 class DiscreteProblem:
-    """Stiffness K, load F, Tresca solver, mu_star, the constants (c0, c3),
-    the friction nodes' coordinates ``points`` and weights ``weights``
-    and the product ``gram_product`` with the Gram matrix of the V-norm,
-    each resolved once.
+    """Stiffness K, Tresca solver, mu_star, the constants (c0, c3), the
+    friction nodes' coordinates ``points`` and weights ``weights`` and the
+    product ``gram_product`` with the Gram matrix of the V-norm, each
+    resolved once.  It holds no load; ``solve`` takes an assembled one.
 
     For a scalar mu, K is the mesh's cached, read-only matrix, which the
     certificates of the same data reuse, and the solver runs on the
@@ -409,8 +409,8 @@ class DiscreteProblem:
     cache (``fem.release_free_block``) and factors its own K_ff on the
     mesh's band layout (``fem.free_factor``), so that one band is held at
     a time; a later scalar mu on the mesh factors the unit block again.
-    All but F depend on the mesh and mu only, so one instance solves the
-    problem for any load and friction bound, bitwise as a fresh
+    All of these depend on the mesh and mu only, so one instance solves
+    the problem for any load and friction bound, bitwise as a fresh
     ``solve_qvi`` of the same data would.
     """
 
@@ -418,7 +418,6 @@ class DiscreteProblem:
         self.problem = problem
         mesh, mu = problem.mesh, problem.mu
         self.K = fem.stiffness_matrix(mesh, mu, problem.mu_star)
-        self.F = fem.assemble_load(mesh, problem.f0, problem.f2)
         # the constants first: c3 drops the Gram band before the stiffness band is built
         self.c0, self.c3 = constants.space_constants(mesh)
         if not (callable(mu) or np.ndim(mu)):  # mu S_ff: the unit block's factor over mu
@@ -452,8 +451,8 @@ def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
 
     Returns (u, SolveReport); see ``fixed_point`` for failure modes.
     """
-    discrete = DiscreteProblem(problem)
-    return discrete.solve(discrete.F, problem.g, config)
+    F = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
+    return DiscreteProblem(problem).solve(F, problem.g, config)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,16 @@ a positive gap.
 One loop solves the instances of every kind from their index theta_n
 and modulus mu_n (``_index_for``).  Only the modulus perturbation
 changes the form a(., .), so a ``lame_perturb`` instance is solved on
-its own; every other instance, together with the unperturbed solution
-and the limit of an adversarial sequence, is solved on one
-``qvi.DiscreteProblem`` of the base problem and assembles only its own
-load.  The membership certificate always tests against the base
-modulus, so it reuses that stiffness matrix, and it takes the load its
-instance was solved for (the base problem's for ``eps_decay`` and
-``lame_perturb``), so no load is assembled twice; the free block of the
-Gram matrix depends on the mesh alone, so all certificates of a sequence
-run on one factor of it.  An ``eps_decay`` sequence, whose instances all
-solve the base problem, reuses one solve.
+its own ``qvi.DiscreteProblem``; every other instance, the unperturbed
+solution and the limit of an adversarial sequence are solved on one of
+the base problem.  The base load is assembled once, for the instances
+that keep f0 and f2 (``eps_decay`` and ``lame_perturb``), and every
+other instance assembles only its own; the membership certificate takes
+the load its instance was solved for and, as it always tests against
+the base modulus, the base stiffness matrix.  The free block of the
+Gram matrix depends on the mesh alone, so all certificates of a
+sequence run on one factor of it.  An ``eps_decay`` sequence, whose
+instances all solve the base problem, reuses one solve.
 The same ``Schedule``, index and ``SequenceReport`` serve
 ``control.run_oc_sequence``, which alone takes the kind
 ``target_perturb``.
@@ -176,33 +176,32 @@ def _index_for(problem: qvi.ProblemData, schedule: Schedule, n: int, s: float):
 def _solve_sequence(
     problem: qvi.ProblemData,
     schedule: Schedule,
-    config: qvi.SolverConfig | None = None,
-    shared: qvi.DiscreteProblem | None = None,
+    config: qvi.SolverConfig | None,
+    shared: qvi.DiscreteProblem | None,
+    F_base: np.ndarray,
     u_base=None,
 ):
-    """[(theta_n, u_n, F_n)] of the schedule, F_n the load of theta_n, or
-    None where it is the base problem's load (``eps_decay`` and
-    ``lame_perturb`` keep f0 and f2).  An instance that keeps mu is solved
-    on ``shared``, the base problem's discretization (built on first use if
-    not given), a ``lame_perturb`` instance on its own.  Instances that keep
-    the base data (``eps_decay``) share one solve, or ``u_base`` if given."""
+    """[(theta_n, u_n, F_n)] of the schedule, F_n the load of theta_n:
+    ``F_base``, the base problem's, where theta_n keeps f0 and f2
+    (``eps_decay`` and ``lame_perturb``).  A ``lame_perturb`` instance is
+    solved on its own discretization, any other on ``shared``, the base
+    problem's.  Instances that keep the base data (``eps_decay``) share
+    one solve, or ``u_base``; a failed instance's error names it."""
     base_load = schedule.kind in ("eps_decay", "lame_perturb")
     out = []
     for n, s in enumerate(schedule.scales(), start=1):
         theta, mu_n = _index_for(problem, schedule, n, float(s))
-        F = None if base_load else fem.assemble_load(problem.mesh, theta.f0, theta.f2)
+        F = F_base if base_load else fem.assemble_load(problem.mesh, theta.f0, theta.f2)
         if schedule.kind == "eps_decay" and u_base is not None:
             out.append((theta, u_base, F))
             continue
         try:
+            discrete = shared
             if schedule.kind == "lame_perturb":
-                u_n, _ = qvi.solve_qvi(problem.with_data(mu=mu_n, mu_star=None), config)
-            else:
-                if shared is None:
-                    shared = qvi.DiscreteProblem(problem)
-                u_n, _ = shared.solve(shared.F if F is None else F, theta.g, config)
-        except qvi.SolverError as exc:
-            raise qvi.SolverError(f"perturbed instance n={n} failed: {exc}") from exc
+                discrete = qvi.DiscreteProblem(problem.with_data(mu=mu_n, mu_star=None))
+            u_n, _ = discrete.solve(F, theta.g, config)
+        except (ValueError, qvi.SolverError) as exc:
+            raise type(exc)(f"perturbed instance n={n} failed: {exc}") from exc
         if schedule.kind == "eps_decay":
             u_base = u_n
         out.append((theta, u_n, F))
@@ -216,12 +215,15 @@ def generate_sequence(
 ):
     """Solve every perturbed instance; returns [(theta_n, u_n)].
 
-    Raises ValueError as ``check_schedule`` and SolverError naming the
-    position when a perturbed instance breaks the smallness condition or
-    fails to converge.
+    Raises ValueError as ``check_schedule``, and ValueError or SolverError
+    naming the position when a perturbed instance has unusable data,
+    breaks the smallness condition or fails to converge.
     """
     check_schedule(problem, schedule, SCHEDULE_KINDS, "generate_sequence")
-    return [(theta, u_n) for theta, u_n, _ in _solve_sequence(problem, schedule, config)]
+    shared = None if schedule.kind == "lame_perturb" else qvi.DiscreteProblem(problem)
+    F_base = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
+    seq = _solve_sequence(problem, schedule, config, shared, F_base)
+    return [(theta, u_n) for theta, u_n, _ in seq]
 
 
 @dataclass(eq=False)
@@ -298,10 +300,11 @@ def run_convergence(
     cfg = config or qvi.SolverConfig()
     floor = noise_floor if noise_floor is not None else max(1e-6, 10.0 * cfg.outer_tol)
 
-    shared = qvi.DiscreteProblem(problem)
-    u_ref, _ = shared.solve(shared.F, problem.g, config)
-    seq = _solve_sequence(problem, schedule, config, shared, u_base=u_ref)
     mesh = problem.mesh
+    shared = qvi.DiscreteProblem(problem)
+    F_base = fem.assemble_load(mesh, problem.f0, problem.f2)
+    u_ref, _ = shared.solve(F_base, problem.g, config)
+    seq = _solve_sequence(problem, schedule, config, shared, F_base, u_base=u_ref)
 
     ns = list(range(1, schedule.length + 1))
     errors = [float(fem.v_norm(mesh, u_n - u_ref)) for _, u_n, _ in seq]
@@ -317,8 +320,7 @@ def run_convergence(
     gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh))
     violations = [
         qvi.membership_violation(
-            mesh, problem.mu, u_n, theta, stiffness=shared.K, factor=gram_factor,
-            load=shared.F if F_n is None else F_n,
+            mesh, problem.mu, u_n, theta, stiffness=shared.K, factor=gram_factor, load=F_n
         )
         for theta, u_n, F_n in seq
     ]

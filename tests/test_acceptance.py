@@ -61,7 +61,7 @@ def test_criterion_01_interval_closed_forms():
 def test_criterion_02_embedding_constants():
     start = time.perf_counter()
     mesh = oracle.benchmark_mesh(512)
-    report = constants.constants_report(mesh, 0.0, 1.0, seed=0)
+    report = constants.constants_report(mesh, 0.0, 1.0)
     elapsed = time.perf_counter() - start
     c0_ref = np.sqrt(1.0 + 4.0 / np.pi**2)
     c3_ref = np.sqrt(np.tanh(1.0))

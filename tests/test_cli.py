@@ -301,6 +301,50 @@ class TestConstants:
         assert values["contraction"] == "true"
         assert "contraction" in capsys.readouterr().out
 
+    SQUARE_CFG = """\
+        mesh:
+          dimension = 2
+          extents = 1.0, 1.0
+          resolution = 12, 12
+          partition = left:gamma1, right:gamma2, bottom:gamma3, top:gamma3
+
+        problem:
+          mu = 1.0
+          f0 = 0.9605
+          f2 = 0.5169
+          g = affine(0.9992, 0.25)
+
+        constants:
+          lipschitz = 0.25
+          mu_star = 1.0
+        """
+
+    def test_constants_are_those_of_the_solve(self, tmp_path):
+        # a seed does not move the constants: the solve's c0, c3 and k, bitwise
+        cfg = write_cfg(tmp_path, self.SQUARE_CFG + "run:\n  seed = 5\n")
+        for subcommand in ("constants", "solve"):
+            out = str(tmp_path / subcommand)
+            assert cli.main([subcommand, "--config", cfg, "--out", out]) == 0
+        constants = dict(read_csv(tmp_path / "constants" / "constants.csv")[1])
+        summary = summary_dict(tmp_path / "solve" / "summary.csv")
+        for key in ("c0", "c3", "k"):
+            assert constants[key] == summary[key], key
+
+    def test_runs_without_a_seed(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.SQUARE_CFG)
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        assert cli.main(["constants", "--config", cfg, "--out", str(plain)]) == 0
+        code = cli.main(["constants", "--config", cfg, "--out", str(seeded), "--seed", "7"])
+        assert code == 0
+        name = "constants.csv"
+        assert (plain / name).read_bytes() == (seeded / name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["tol = 1e-3", "max_iterations = 10"])
+    def test_no_iteration_settings(self, tmp_path, capsys, key):
+        cfg = write_cfg(tmp_path, self.SQUARE_CFG + f"  {key}\n")
+        assert cli.main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_require_contraction_gate(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -647,21 +691,6 @@ class TestDataErrors:
                 "constants: lipschitz must be nonnegative, got nan",
             ),
             (
-                "constants",
-                ("seed = 5", "seed = 5\n    constants:\n      max_iterations = 0"),
-                "constants: max_iterations must be at least 1, got 0",
-            ),
-            (
-                "constants",
-                ("seed = 5", "seed = 5\n    constants:\n      tol = -1"),
-                "constants: tol must be positive, got -1.0",
-            ),
-            (
-                "constants",
-                ("seed = 5", "seed = 5\n    constants:\n      tol = nan"),
-                "constants: tol must be positive, got nan",
-            ),
-            (
                 "control",
                 ("a2 = 1.0", "a2 = 1.0\n      max_evals = -1"),
                 "max_evals must be at least 1",
@@ -691,6 +720,14 @@ class TestDataErrors:
             ("oc-sequence", ("length = 4", "length = 4\n      noise_floor = nan"), "noise_floor"),
             ("tykhonov", ("length = 12", "length = 12\n      noise_floor = nan"), "noise_floor"),
             ("tykhonov", ("kind = load_perturb", "kind = traction_perturb"), "problem sets no f2"),
+            (
+                "tykhonov",
+                (
+                    "kind = load_perturb",
+                    "kind = lame_perturb\n      mu_law = oscillation\n      amplitude = 1.0",
+                ),
+                "perturbed instance n=1 failed: shear modulus must be positive",
+            ),
         ],
     )
     def test_refused_data_exits_two(self, tmp_path, capsys, subcommand, edit, message):
@@ -717,16 +754,6 @@ class TestDataErrors:
                 ("seed = 5", "seed = 5\n    constants:\n      lipschitz = nan"),
                 ":20: constants: lipschitz must be nonnegative",
             ),
-            (
-                "constants",
-                ("seed = 5", "seed = 5\n    constants:\n      max_iterations = 0"),
-                ":20: constants: max_iterations must be at least 1",
-            ),
-            (
-                "constants",
-                ("seed = 5", "seed = 5\n    constants:\n      tol = -1"),
-                ":20: constants: tol must be positive",
-            ),
         ],
     )
     def test_builder_error_names_file_and_section_line(
@@ -738,11 +765,16 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}{where}") and err.count("\n") == 1
 
-    def test_unconverged_constants_exit_one(self, tmp_path, capsys):
-        cfg = write_cfg(
-            tmp_path,
-            SOLVE_CFG + "    constants:\n      max_iterations = 1\n    run:\n      seed = 1\n",
-        )
+    def test_unconverged_constants_exit_one(self, tmp_path, capsys, monkeypatch):
+        from antiplane import constants
+
+        def unconverged(solve, B, A, v0, tol, maxiter):
+            raise constants.ConvergenceError(
+                f"power iteration missed tolerance {tol} within {maxiter} iterations"
+            )
+
+        monkeypatch.setattr(constants, "_power_iteration", unconverged)
+        cfg = write_cfg(tmp_path, SOLVE_CFG)
         assert cli.main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: power iteration missed tolerance")

@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from antiplane import config, constants, control, fem, qvi, tykhonov
+from antiplane import config, control, fem, qvi, tykhonov
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -94,6 +94,15 @@ class TestTypedParsing:
         )
         with pytest.raises(config.ConfigError, match=r":4: unknown key 'resolutoin'"):
             config.parse_config(path, "constants")
+
+    @pytest.mark.parametrize("key", ["tol = 1e-3", "max_iterations = 10"])
+    def test_constants_take_no_iteration_settings(self, tmp_path, key):
+        # c0 is fixed by the mesh: the power iteration's settings are not data
+        path = write_cfg(tmp_path, MESH_1D + f"constants:\n  lipschitz = 0.5\n  {key}\n")
+        name = key.split(" =")[0]
+        with pytest.raises(config.ConfigError, match=rf":8: unknown key '{name}'"):
+            config.parse_config(path, "constants")
+        assert name not in config.SECTION_SCHEMAS["constants"]
 
     def test_type_mismatch_cites_line(self, tmp_path):
         path = write_cfg(tmp_path, "problem:\n  mu = banana\n")
@@ -454,12 +463,6 @@ _DEFAULT_PAIRS = [
     ("control", "control.CostWeights", _field_defaults(control.CostWeights), {}),
     ("oc", "control.run_oc_sequence", _signature_defaults(control.run_oc_sequence), {}),
     ("schedule", "tykhonov.run_convergence", _signature_defaults(tykhonov.run_convergence), {}),
-    (
-        "constants",
-        "constants.constants_report",
-        _signature_defaults(constants.constants_report),
-        {"max_iterations": "maxiter"},
-    ),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import weakref
 
 import numpy as np
@@ -37,22 +38,22 @@ def square_mesh(n):
 class TestPoincare:
     def test_interval_matches_continuum(self):
         mesh = interval_mesh(512)
-        c0 = constants.poincare_constant(mesh, seed=0)
+        c0 = constants.poincare_constant(mesh)
         assert abs(c0 - C0_INTERVAL) / C0_INTERVAL < 1e-5
 
     def test_at_least_one(self):
         for mesh in (interval_mesh(16), square_mesh(5)):
-            assert constants.poincare_constant(mesh, seed=0) >= 1.0
+            assert constants.poincare_constant(mesh) >= 1.0
 
     def test_monotone_under_refinement(self):
         # nested spaces: the discrete best constant grows toward the limit
-        values = [constants.poincare_constant(interval_mesh(n), seed=0) for n in (8, 16, 32, 64)]
+        values = [constants.poincare_constant(interval_mesh(n)) for n in (8, 16, 32, 64)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] <= C0_INTERVAL + 1e-12
 
     def test_inequality_on_random_fields(self):
         mesh = square_mesh(6)
-        c0 = constants.poincare_constant(mesh, seed=0)
+        c0 = constants.poincare_constant(mesh)
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(100):
             v = zero_on_gamma1(mesh, rng.standard_normal(mesh.n_nodes))
@@ -60,13 +61,41 @@ class TestPoincare:
 
     def test_deterministic(self):
         mesh = interval_mesh(32)
-        a = constants.poincare_constant(mesh, seed=3)
-        b = constants.poincare_constant(mesh, seed=3)
+        a = constants.poincare_constant(mesh)
+        b = constants.poincare_constant(mesh)
         assert a == b
 
+    @staticmethod
+    def iteration_inputs(mesh):
+        """(solve, M, S, v0) of c0's power iteration, v0 drawn from default_rng(0)."""
+        S, solve, _ = fem.free_block(mesh)
+        free = mesh.free_nodes
+        M = fem.submatrix(fem.mass_matrix(mesh), free, free)
+        return solve, M, S, np.random.default_rng(0).standard_normal(len(free))
+
+    @pytest.mark.parametrize("dim, n", [(2, 6), (2, 12), (1, 16), (1, 64)])
+    def test_fixed_settings(self, dim, n):
+        # the mesh alone fixes c0: tolerance 1e-10, cap 10000, a seed-0 start
+        mesh = square_mesh(n) if dim == 2 else interval_mesh(n)
+        lam = constants._power_iteration(*self.iteration_inputs(mesh), 1e-10, 10000)
+        assert constants.poincare_constant(mesh) == float(np.sqrt(1.0 + lam))
+
+    @pytest.mark.parametrize("dim, n", [(2, 6), (1, 32)])
+    def test_same_on_a_rebuilt_mesh(self, dim, n):
+        # a second mesh of the same spec has its own cache and factor, and
+        # draws from the global random state in between do not move c0 or c3
+        build = square_mesh if dim == 2 else interval_mesh
+        first = constants.space_constants(build(n))
+        np.random.seed(n)
+        np.random.standard_normal(n)
+        assert constants.space_constants(build(n)) == first
+
     def test_iteration_cap(self):
-        with pytest.raises(constants.ConvergenceError, match="missed tolerance"):
-            constants.poincare_constant(interval_mesh(64), maxiter=1, seed=0)
+        inputs = self.iteration_inputs(interval_mesh(64))
+        with pytest.raises(
+            constants.ConvergenceError, match="missed tolerance 1e-10 within 1 iterations"
+        ):
+            constants._power_iteration(*inputs, 1e-10, maxiter=1)
 
     @pytest.mark.parametrize("dim, n", [(2, 4), (2, 8), (2, 16), (1, 16), (1, 64)])
     def test_matches_dense_eigensolver(self, dim, n, monkeypatch):
@@ -84,7 +113,7 @@ class TestPoincare:
             return (lambda b: solves.append(1) or solve(b)), Z
 
         monkeypatch.setattr(fem, "spd_factor", counting)
-        c0 = constants.poincare_constant(mesh, seed=0)
+        c0 = constants.poincare_constant(mesh)
         assert abs(c0 - c0_ref) <= 1e-12 * c0_ref
         # the mass-against-gradient iteration, not the slower H1-against-gradient one
         assert len(solves) <= 12
@@ -134,11 +163,44 @@ class TestPowerIteration:
     @pytest.mark.parametrize("dim, n", [(2, 4), (2, 12), (1, 16)])
     def test_constants_bitwise_equal_to_two_product_loop(self, dim, n, monkeypatch):
         mesh = square_mesh(n) if dim == 2 else interval_mesh(n)
-        c0 = constants.poincare_constant(mesh, seed=0)
+        c0 = constants.poincare_constant(mesh)
         c3 = constants.trace_constant(mesh)
         monkeypatch.setattr(constants, "_power_iteration", two_product_power_iteration)
-        assert constants.poincare_constant(mesh, seed=0) == c0
+        assert constants.poincare_constant(mesh) == c0
         assert constants.trace_constant(mesh) == c3
+
+
+class TestMeshAlone:
+    """c0 and c3 take no solver settings: one value per mesh."""
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("poincare_constant", ["mesh"]),
+            ("space_constants", ["mesh"]),
+            ("constants_report", ["mesh", "lipschitz", "mu_star"]),
+        ],
+    )
+    def test_no_iteration_settings(self, name, params):
+        function = getattr(constants, name)
+        assert list(inspect.signature(function).parameters) == params
+        with pytest.raises(TypeError, match="tol"):
+            function(interval_mesh(8), *[1.0] * (len(params) - 1), tol=1e-3)
+
+    def test_one_power_iteration_per_mesh(self, monkeypatch):
+        calls, power_iteration = [], constants._power_iteration
+
+        def counting(*args):
+            calls.append(args[-2:])
+            return power_iteration(*args)
+
+        monkeypatch.setattr(constants, "_power_iteration", counting)
+        mesh = square_mesh(5)
+        c0, c3 = constants.space_constants(mesh)
+        rep = constants.constants_report(mesh, 0.5, 2.0)
+        assert constants.space_constants(mesh) == (rep.c0, rep.c3) == (c0, c3)
+        assert calls == [(1e-10, 10000)]
+        assert fem._FORM_CACHE[mesh]["constants"] == (c0, c3)
 
 
 class TestTrace:
@@ -200,7 +262,7 @@ class TestSmallness:
 
     def test_interval_margin_values(self):
         mesh = interval_mesh(512)
-        c0 = constants.poincare_constant(mesh, seed=0)
+        c0 = constants.poincare_constant(mesh)
         c3 = constants.trace_constant(mesh)
         k9, ok9 = constants.smallness_margin(0.9, c0, c3, 1.0)
         # continuum product c0^2 c3^2 = (1 + 4/pi^2) tanh(1) ~ 1.07026
@@ -239,56 +301,24 @@ class TestSmallness:
 
     def test_report(self):
         mesh = interval_mesh(64)
-        rep = constants.constants_report(mesh, 0.5, 1.0, seed=0)
+        rep = constants.constants_report(mesh, 0.5, 1.0)
         assert rep.ok and 0.0 < rep.k < 1.0
         assert rep.c0 >= 1.0 and 0.0 < rep.c3 < 1.0
 
     def test_report_reads_the_cached_constants(self, monkeypatch):
         mesh = interval_mesh(48)
-        c0 = constants.poincare_constant(mesh, tol=1e-9, seed=3)
+        c0 = constants.poincare_constant(mesh)
         c3 = constants.trace_constant(mesh)
-        assert constants.space_constants(mesh, tol=1e-9, seed=3) == (c0, c3)
+        assert constants.space_constants(mesh) == (c0, c3)
 
         def no_power_iteration(*args, **kwargs):
             raise AssertionError("constants recomputed")
 
         monkeypatch.setattr(constants, "poincare_constant", no_power_iteration)
         monkeypatch.setattr(constants, "trace_constant", no_power_iteration)
-        rep = constants.constants_report(mesh, 0.5, 1.0, tol=1e-9, seed=3)
+        rep = constants.constants_report(mesh, 0.5, 1.0)
         assert (rep.c0, rep.c3) == (c0, c3)
         assert rep.k == constants.smallness_margin(0.5, c0, c3, 1.0)[0]
-
-
-class TestIterationSettings:
-    """Settings the power iteration cannot run with are refused by name
-    before any factorization."""
-
-    @pytest.mark.parametrize(
-        "settings, message",
-        [
-            ({"maxiter": 0}, "maxiter must be at least 1, got 0"),
-            ({"maxiter": -2}, "maxiter must be at least 1, got -2"),
-            ({"maxiter": 2.5}, "maxiter must be an integer, got 2.5"),
-            ({"tol": -1.0}, "tol must be positive, got -1.0"),
-            ({"tol": 0.0}, "tol must be positive, got 0.0"),
-            ({"tol": float("nan")}, "tol must be positive, got nan"),
-        ],
-    )
-    @pytest.mark.parametrize("function", ["poincare_constant", "space_constants"])
-    def test_refused_before_any_factorization(self, function, settings, message, monkeypatch):
-        def no_factor(*args, **kwargs):
-            raise AssertionError("factored before the settings were checked")
-
-        monkeypatch.setattr(fem, "dpbtrf", no_factor)
-        with pytest.raises(ValueError, match=message):
-            getattr(constants, function)(square_mesh(4), **settings)
-
-    def test_numpy_integer_cap_and_one_iteration_accepted(self):
-        mesh = square_mesh(4)
-        c0 = constants.poincare_constant(mesh, maxiter=np.int64(10000))
-        assert c0 == constants.poincare_constant(mesh)
-        with pytest.raises(constants.ConvergenceError, match="within 1 iterations"):
-            constants.poincare_constant(mesh, maxiter=1)
 
 
 class TestNoFreeNode:

@@ -98,6 +98,19 @@ def setup_2d():
     return mesh, problem, patches, solver, weights
 
 
+def test_state_solver_assembles_its_base_load(monkeypatch):
+    # the DiscreteProblem assembles nothing: one base load f0 and one column per patch
+    calls, assemble_load = [], fem.assemble_load
+    monkeypatch.setattr(
+        fem, "assemble_load", lambda *a, **kw: calls.append(a[1:]) or assemble_load(*a, **kw)
+    )
+    mesh = control_mesh_2d()
+    problem = qvi.ProblemData(mesh, 1.0, 0.2, None, fem.FrictionBound.constant(0.1))
+    solver = control.StateSolver(problem, control.ControlPatches(mesh, 2))
+    assert calls[0] == (0.2,) and len(calls) == 3
+    assert np.array_equal(solver.F0, assemble_load(mesh, 0.2))
+
+
 def quadratic_oracle(mesh, patches, solver, weights):
     """Normal-equation minimizer of the cost for an affine state map."""
     d = patches.n_patches

@@ -630,11 +630,12 @@ class TestReducedFixedPoint:
         discrete = qvi.DiscreteProblem(problem)
         cfg = qvi.SolverConfig()
         stick_sets = recording_stick_sets(discrete.tresca)
-        u, rep = discrete.solve(discrete.F, problem.g, cfg, eta0)
+        F = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
+        u, rep = discrete.solve(F, problem.g, cfg, eta0)
         # a second DiscreteProblem: a Tresca solver with no kept LU or multiplier
         oracle = qvi.DiscreteProblem(problem)
         ref_sets = []
-        ref = per_step_fixed_point(oracle, discrete.F, problem.g, cfg, eta0, None, ref_sets)
+        ref = per_step_fixed_point(oracle, F, problem.g, cfg, eta0, None, ref_sets)
         assert close_in_v_norm(problem.mesh, u, ref[0])
         assert rep.inner_sweeps == ref[3]
         assert stick_sets == [whole_gamma3(discrete.tresca)] + ref_sets
@@ -645,17 +646,23 @@ class TestReducedFixedPoint:
         problem, eta0 = instance
         discrete = qvi.DiscreteProblem(problem)
         cfg = qvi.SolverConfig()
-        w = discrete.tresca.reduce(discrete.F)
+        F = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
+        w = discrete.tresca.reduce(F)
         u, rep = qvi.fixed_point(discrete, w, problem.g, cfg, eta0)
         # one Tresca solve a step: it reduces the load afresh and warm-starts
-        # from t0 and its last multiplier; the first call of a fresh solver is cold
+        # from t0 and its last multiplier; the first call of a fresh solver is cold;
+        # a step whose coefficients equal the last step's bitwise solves nothing
         mesh, solver = problem.mesh, qvi.DiscreteProblem(problem).tresca
         T = solver.friction
         eta = np.zeros(mesh.n_nodes) if eta0 is None else np.array(eta0, dtype=float)
-        sweeps = []
+        sweeps, last = [], None
         for _ in range(rep.outer_iterations):
             c = mesh.gamma3_weights[T] * np.maximum(problem.g(mesh.nodes[T], np.abs(eta[T])), 0.0)
-            eta, its = tresca_solve(solver, discrete.F, c, eta[T], inner_tol=cfg.inner_tol)
+            if c.tobytes() == last:
+                sweeps.append(0)
+                break
+            last = c.tobytes()
+            eta, its = tresca_solve(solver, F, c, eta[T], inner_tol=cfg.inner_tol)
             sweeps.append(its)
         assert np.array_equal(u, eta)
         assert rep.inner_sweeps == sweeps
@@ -890,7 +897,7 @@ class TestReducedFixedPoint:
         solver = discrete.tresca
         stick_sets = recording_stick_sets(solver)
         c = discrete.weights * g(discrete.points, np.zeros(len(solver.friction)))
-        _, iterations = tresca_solve(solver, discrete.F, c)
+        _, iterations = tresca_solve(solver, fem.assemble_load(mesh, 0.9605, 0.5169), c)
         assert iterations <= 3
         assert stick_sets[0] == whole_gamma3(solver)
         assert max(len(np.frombuffer(I, dtype=np.int64)) for I in stick_sets[1:]) < 48
@@ -1455,7 +1462,7 @@ class TestSharedFreeFactor:
         g = fem.FrictionBound.affine(0.9992, 0.1007)
         discrete = qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 0.9605, 0.5169, g))
         solver = discrete.tresca
-        u, _ = discrete.solve(discrete.F, g)
+        u, _ = discrete.solve(fem.assemble_load(mesh, 0.9605, 0.5169), g)
         stuck = int(np.sum(u[solver.friction] == 0.0))
         assert stuck > len(solver.friction) // 2
         limit = (len(mesh.free_nodes) - len(solver.friction)) * len(solver.friction)
@@ -1498,3 +1505,21 @@ class TestCertifiedSolveAssembly:
         fresh = qvi.membership_violation(mesh, mu, u, theta, seed=3, stiffness=K)
         assert violation == fresh <= 1e-8
         assert np.max(kkt[3]) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "mesh, f2", [(square_mesh, 0.5), (interval_mesh, None)], ids=["2d", "1d"]
+    )
+    def test_discrete_problem_holds_no_load(self, mesh, f2, monkeypatch):
+        assembled = []
+        assemble_load = fem.assemble_load
+        monkeypatch.setattr(
+            fem, "assemble_load", lambda *a, **kw: assembled.append(1) or assemble_load(*a, **kw)
+        )
+        prob = qvi.ProblemData(mesh(6), 1.0, 1.0, f2, fem.FrictionBound.affine(0.2, 0.2))
+        discrete = qvi.DiscreteProblem(prob)
+        assert assembled == [] and not hasattr(discrete, "F")
+        # a certified solve's own load: one assembly, bitwise the caller's
+        u, _ = qvi.solve_qvi(prob)
+        assert assembled == [1]
+        F = assemble_load(prob.mesh, prob.f0, prob.f2)
+        assert np.array_equal(u, discrete.solve(F, prob.g)[0])

@@ -348,6 +348,19 @@ class TestSequenceGeneration:
         with pytest.raises(qvi.SolverError, match=r"n=1.*contraction"):
             tykhonov.generate_sequence(problem, schedule)
 
+    @pytest.mark.parametrize("harness", ["run_convergence", "generate_sequence"])
+    def test_refused_modulus_names_the_instance(self, harness):
+        # the oscillation of amplitude 1 takes mu_1 = 1 - 1 to zero, which
+        # the instance's set-up refuses as data: a ValueError, so exit 2
+        problem = oracle.benchmark_problem(1.0, 1.0, 1.0, 16)
+        schedule = tykhonov.Schedule(
+            kind="lame_perturb", length=4, mu_law="oscillation", amplitude=1.0
+        )
+        with pytest.raises(ValueError) as info:
+            getattr(tykhonov, harness)(problem, schedule)
+        assert str(info.value).startswith("perturbed instance n=1 failed: shear modulus")
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_sequence_layout(self):
         problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=16)
         schedule = tykhonov.Schedule(kind="load_perturb", length=4)
@@ -619,10 +632,9 @@ class TestSharedFactorization:
         monkeypatch.setattr(fem, "assemble_load", counting)
         problem = _shared_problem(dim, kind)
         report = tykhonov.run_convergence(problem, _shared_schedule(kind), seed=4)
-        # the base load, one per instance (a modulus instance's own solve
-        # assembles the base load again) and the adversarial limit's; none
-        # for a certificate
-        own = 0 if kind == "eps_decay" else SHARED_LENGTH
+        # the base load, one per instance that does not keep f0 and f2 and
+        # the adversarial limit's; none for a certificate
+        own = 0 if kind in ("eps_decay", "lame_perturb") else SHARED_LENGTH
         assert len(assembled) == 1 + own + (kind == "adversarial_load")
         monkeypatch.undo()
         mesh = problem.mesh
@@ -634,6 +646,40 @@ class TestSharedFactorization:
             original(mesh, mu, u, theta, stiffness=kw["stiffness"], factor=kw["factor"])
             for mu, u, theta, kw in certified
         ]
+
+
+@pytest.mark.parametrize("mu_law", tykhonov.MU_LAWS)
+def test_modulus_sequence_assembles_one_load(monkeypatch, mu_law):
+    # u_ref and the eight modulus instances share the base load, each
+    # certificate takes it too; the report is bitwise that of fresh solves
+    # and of certificates that assemble their own load and stiffness
+    assembled = []
+    assemble_load = fem.assemble_load
+
+    def counting(*args, **kwargs):
+        assembled.append(1)
+        return assemble_load(*args, **kwargs)
+
+    problem = oracle.benchmark_problem(mu=1.0, f0=3.0, g=0.5, n_elements=64)
+    schedule = tykhonov.Schedule(kind="lame_perturb", length=8, mu_law=mu_law, amplitude=0.5)
+    monkeypatch.setattr(fem, "assemble_load", counting)
+    report = tykhonov.run_convergence(problem, schedule)
+    assert len(assembled) == 1
+    monkeypatch.undo()
+    mesh = problem.mesh
+    u_ref = qvi.solve_qvi(problem)[0]
+    errors, violations = [], []
+    for n, s in enumerate(schedule.scales(), start=1):
+        theta, mu_n = tykhonov._index_for(problem, schedule, n, float(s))
+        u_n = qvi.solve_qvi(problem.with_data(mu=mu_n, mu_star=None))[0]
+        errors.append(float(fem.v_norm(mesh, u_n - u_ref)))
+        violations.append(qvi.membership_violation(mesh, problem.mu, u_n, theta))
+    assert report.errors == errors
+    assert report.violations == violations
+    assert report.eps == [
+        tykhonov._index_for(problem, schedule, n, float(s))[0].eps
+        for n, s in enumerate(schedule.scales(), start=1)
+    ]
 
 
 def _count_factors(monkeypatch):
