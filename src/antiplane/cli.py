@@ -157,7 +157,7 @@ def _run_solve(cfg, out, seed):
         violation = float(qvi.membership_violation(mesh, problem.mu, u, theta))
         pairs.append(("membership_violation", violation))
         print(f"membership violation = {violation!r}")
-        if violation > 1e-8:
+        if violation > qvi.CERT_TOL:
             code = 1
     _write_summary(out, pairs)
     print(
@@ -296,7 +296,7 @@ def _run_control(cfg, out, seed):
     values = ", ".join(repr(float(c)) for c in result.pair.coeffs)
     print(f"optimal control: [{values}]")
     print(f"cost {result.cost!r}, {len(result.clusters)} cluster(s)")
-    if result.violation is not None and result.violation > 1e-8:
+    if result.violation is not None and result.violation > qvi.CERT_TOL:
         raise VerdictFailure(
             f"selected control violates admissibility by {result.violation!r}"
         )

@@ -258,12 +258,11 @@ def admissibility_violation(
     pair: AdmissiblePair,
     *,
     eps: float = 0.0,
-    factor=None,
 ) -> float:
-    """Membership residual of the pair for its own traction data; ``factor``
-    is the Gram factor of ``qvi.membership_violation``."""
+    """Membership residual of the pair for its own traction data
+    (``qvi.membership_violation``)."""
     theta = qvi.TykhonovIndex(eps, problem.f0, patches.traction(pair.coeffs), problem.g)
-    return qvi.membership_violation(problem.mesh, problem.mu, pair.u, theta, factor=factor)
+    return qvi.membership_violation(problem.mesh, problem.mu, pair.u, theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,7 +441,7 @@ def minimize_cost(
     violation = None
     if check_admissibility:
         violation = admissibility_violation(problem, patches, pair)
-        if violation > 1e-8:
+        if violation > qvi.CERT_TOL:
             warnings.warn(
                 f"returned pair misses the admissibility certificate "
                 f"(violation {violation:.3e})"
@@ -495,11 +494,11 @@ def run_oc_sequence(
     predecessor) plus ``seq_starts`` fresh starts.  Control deviations
     are measured in L2(gamma2), both against the selected base optimum
     and against the nearest member of the base cluster catalog.  The
-    instances are certified after the last optimization, all on one
-    factor of the free Gram block.  Raises ValueError, before the base
-    optimization, for a kind outside ``OC_SCHEDULE_KINDS``, a
-    ``seq_starts`` that is not an integer of at least 1, or a negative or
-    NaN ``ctrl_tol`` or ``noise_floor``.
+    instances are certified after the last optimization, all on the
+    mesh's one factor of S_ff (``qvi.membership_violation``).  Raises
+    ValueError, before the base optimization, for a kind outside
+    ``OC_SCHEDULE_KINDS``, a ``seq_starts`` that is not an integer of at
+    least 1, or a negative or NaN ``ctrl_tol`` or ``noise_floor``.
     """
     check_schedule(problem, schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
     fem.require_count("seq_starts", seq_starts)
@@ -559,9 +558,8 @@ def run_oc_sequence(
         certified.append((prob_n, res_n.pair))
         prev = res_n.pair.coeffs
 
-    gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh))
     violations = [
-        admissibility_violation(prob_n, patches, pair, eps=eps, factor=gram_factor)
+        admissibility_violation(prob_n, patches, pair, eps=eps)
         for (prob_n, pair), eps in zip(certified, eps_list)
     ]
 

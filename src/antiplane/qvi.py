@@ -21,9 +21,9 @@ held at zero by a small dense solve, and one band solve to lift u.
 ``DiscreteProblem`` builds that solver and resolves c0, c3 and the other
 invariants of a solve once per problem, for any number of loads and
 friction bounds; ``DiscreteProblem.solve`` runs ``fixed_point``.  The
-membership certificate solves a box QP of the same kind on the inverse
-Gram block: the dual-norm distance of the residual to the friction
-subdifferential.
+membership certificate solves a box QP of the same kind for the dual-norm
+distance of the residual to the friction subdifferential, on the unit
+stiffness factor and, where that bound does not certify, the Gram block.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from . import constants, fem
+
+
+CERT_TOL = 1e-8  # a membership or admissibility violation at most this certifies
 
 
 class SolverError(RuntimeError):
@@ -408,10 +411,10 @@ class DiscreteProblem:
     which c0 shares.  Any other mu drops that factor from the mesh's
     cache (``fem.release_free_block``) and factors its own K_ff on the
     mesh's band layout (``fem.free_factor``), so that one band is held at
-    a time; a later scalar mu on the mesh factors the unit block again.
-    All of these depend on the mesh and mu only, so one instance solves
-    the problem for any load and friction bound, bitwise as a fresh
-    ``solve_qvi`` of the same data would.
+    a time; a later scalar mu or certificate on the mesh factors the unit
+    block again.  All of these depend on the mesh and mu only, so one
+    instance solves the problem for any load and friction bound, bitwise
+    as a fresh ``solve_qvi`` of the same data would.
     """
 
     def __init__(self, problem: ProblemData):
@@ -458,6 +461,24 @@ def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
 # ---------------------------------------------------------------------------
 # membership certificate
 
+def _dual_distance(z, T, I, c, factor):
+    """The least sqrt(z'A_ff^-1 z) over xi_I in |xi_I| <= c_I taken off z at
+    T[I], on ``factor`` = (A_ff, solve, Z) of ``fem.free_factor``: ``_box_qp``
+    on Z_II, its minimizer clipped into the box, the distance from that z."""
+    block, solve, Z = factor
+    if len(I):
+        z = z.copy()
+        Z_II = Z[np.ix_(I, I)]
+        sigma = 1e3 / block.diagonal()[T[I]]  # as TrescaSolver's, on the form of Z's inverse
+        xi, _, _ = _box_qp(
+            Z_II, solve(z)[T[I]], c[I], np.zeros(len(I)), None,
+            lambda J, rhs: dgetrs(*dgetrf(Z_II[np.ix_(J, J)])[:2], rhs)[0], sigma,
+            _DEFAULT_CONFIG.inner_tol, _DEFAULT_CONFIG.max_inner, "membership certificate",
+        )
+        z[T[I]] -= np.clip(xi, -c[I], c[I])
+    return math.sqrt(max(z @ solve(z), 0.0))
+
+
 def membership_violation(
     mesh: fem.Mesh,
     mu,
@@ -466,7 +487,6 @@ def membership_violation(
     *,
     seed: int = 0,
     stiffness=None,
-    factor=None,
     load=None,
 ) -> float:
     """How far ``u`` lies outside the approximating set of ``theta``.
@@ -479,32 +499,31 @@ def membership_violation(
     homogeneous, that holds exactly when the residual r = F - Ku lies
     within eps ||u||_V of the subdifferential of j(u, .) at u, in the dual
     norm of V_h (the subdifferential sum rule; Rockafellar, Convex
-    Analysis, Thm. 23.8).  The value is max(0, dist - eps ||u||_V), a
+    Analysis, Thm. 23.8).  The exact value is max(0, dist - eps ||u||_V), a
     residual per unit ||v - u||_V: no v violates the inequality by more
     than ||v - u||_V times it.
 
     The subdifferential is xi_i = w_i g_i sign u_i on the gamma3 nodes
     that slip, the box |xi_i| <= w_i g_i on those that stick (u_i == 0),
     I, and zero off gamma3, with g_i = g(x_i, |u_i|).  With z = r_f - xi
-    and G the Gram matrix of the V-norm, dist^2 is the least z'G_ff^-1 z
-    over the box: ``_box_qp`` on the block Z_II of Z = (G_ff^-1)_TT.  Its
-    minimizer is clipped into the box and dist taken from the explicit z
-    with a second band solve; any xi in the box bounds dist from above.
-    G_ff depends on the mesh alone: a caller that certifies several
-    candidates on one mesh passes its factor once made as ``factor``, the
-    (block, solve, Z) triple of ``fem.free_factor(mesh,
-    fem.gram_matrix(mesh))``; without it G_ff is cut and factored on the
-    mesh's band layout on each call.  The stiffness matrix of ``mu`` comes
-    from ``fem.stiffness_matrix`` (cached per mesh for a scalar mu) unless
-    the caller passes it as ``stiffness``, and the load F of ``theta`` from
-    ``fem.assemble_load`` unless the caller, which solved for it, passes
-    it as ``load``; ``seed`` is accepted and not used.  ||u||_V is computed
-    only for eps > 0.  Returns a Python float; a value <= 1e-8 certifies
-    membership.  A ``u`` or ``load`` that is not of shape (n_nodes,), a
-    non-finite ``u``, and a ``factor`` whose block or Z does not have the
-    shape of this mesh's free and gamma3 nodes raise ValueError before any
-    solve.  A bound not finite or negative at u raises SolverError, and so
-    does a QP that misses the friction law within the default
+    and G = S + M the Gram matrix of the V-norm, dist^2 is the least
+    z'G_ff^-1 z over the box (``_dual_distance``).  As |v|_S <= ||v||_V <=
+    c0 |v|_S, dist_S, the least sqrt(z'S_ff^-1 z), lies in [dist, c0 dist];
+    it is found first, on the mesh's cached factor of S_ff
+    (``fem.free_block``).  Where max(0, dist_S - eps ||u||_V) exceeds
+    ``CERT_TOL``, the exact value is returned, on a factor of G_ff made for
+    the call: a value <= ``CERT_TOL`` bounds the exact one and certifies
+    exactly when it does, and a larger value is the exact one.
+
+    The stiffness matrix of ``mu`` comes from ``fem.stiffness_matrix``
+    (cached per mesh for a scalar mu) unless the caller passes it as
+    ``stiffness``, and the load F of ``theta`` from ``fem.assemble_load``
+    unless the caller, which solved for it, passes it as ``load``;
+    ``seed`` is accepted and not used.  ||u||_V is computed only for
+    eps > 0.  Returns a Python float.  A ``u`` or ``load`` that is not of
+    shape (n_nodes,) and a non-finite ``u`` raise ValueError before any
+    solve.  A bound not finite or negative at u raises SolverError, and
+    so does a QP that misses the friction law within the default
     ``SolverConfig().max_inner`` iterations.
     """
     free, g3 = mesh.free_nodes, mesh.node_sets[fem.GAMMA3]
@@ -514,14 +533,6 @@ def membership_violation(
         if values is not None and values.shape != (n,):
             raise ValueError(f"{name} must have shape ({n},), got {values.shape}")
     fem.require_finite("u", u)
-    if factor is not None:
-        shapes = (factor[0].shape, factor[2].shape)
-        expected = ((len(free), len(free)), (len(g3), len(g3)))
-        if shapes != expected:
-            raise ValueError(
-                f"factor has block and Z shapes {shapes}, but this mesh's free and "
-                f"gamma3 nodes give {expected}"
-            )
     if len(free) == 0:  # V_h = {0}: no direction to test
         return 0.0
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
@@ -529,22 +540,14 @@ def membership_violation(
     z = (F - K @ u)[free]
     T = np.searchsorted(free, g3)  # gamma3 rows of the free block, in the order of Z
     c = mesh.gamma3_weights[g3] * _bound(theta.g, mesh.nodes[g3], np.abs(u[g3]))
-    gram = fem.gram_matrix(mesh)
-    _, solve, Z = fem.free_factor(mesh, gram) if factor is None else factor
     z[T] -= np.sign(u[g3]) * c  # xi on the slip nodes; zero on the stick nodes
     I = (u[g3] == 0.0).nonzero()[0]
-    if len(I):
-        Z_II = Z[np.ix_(I, I)]
-        sigma = 1e3 / gram.diagonal()[g3[I]]  # as TrescaSolver's, on the form of Z's inverse
-        cfg = _DEFAULT_CONFIG
-        xi, _, _ = _box_qp(
-            Z_II, solve(z)[T[I]], c[I], np.zeros(len(I)), None,
-            lambda J, rhs: dgetrs(*dgetrf(Z_II[np.ix_(J, J)])[:2], rhs)[0],
-            sigma, cfg.inner_tol, cfg.max_inner, "membership certificate",
-        )
-        z[T[I]] -= np.clip(xi, -c[I], c[I])
-    dist = math.sqrt(max(z @ solve(z), 0.0))
-    return max(dist - theta.eps * fem.v_norm(mesh, u), 0.0) if theta.eps else dist
+    relaxation = theta.eps * fem.v_norm(mesh, u) if theta.eps else 0.0
+    value = max(_dual_distance(z, T, I, c, fem.free_block(mesh)) - relaxation, 0.0)
+    if value > CERT_TOL:  # the bound does not certify: the exact value
+        gram = fem.free_factor(mesh, fem.gram_matrix(mesh))
+        value = max(_dual_distance(z, T, I, c, gram) - relaxation, 0.0)
+    return value
 
 
 # ---------------------------------------------------------------------------

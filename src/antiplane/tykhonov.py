@@ -18,9 +18,9 @@ the base problem.  The base load is assembled once, for the instances
 that keep f0 and f2 (``eps_decay`` and ``lame_perturb``), and every
 other instance assembles only its own; the membership certificate takes
 the load its instance was solved for and, as it always tests against
-the base modulus, the base stiffness matrix.  The free block of the
-Gram matrix depends on the mesh alone, so all certificates of a
-sequence run on one factor of it.  An ``eps_decay`` sequence, whose
+the base modulus, the base stiffness matrix; all certificates run on
+the mesh's one factor of the free unit stiffness block
+(``fem.free_block``).  An ``eps_decay`` sequence, whose
 instances all solve the base problem, reuses one solve.
 The same ``Schedule``, index and ``SequenceReport`` serve
 ``control.run_oc_sequence``, which alone takes the kind
@@ -178,16 +178,18 @@ def _solve_sequence(
     schedule: Schedule,
     config: qvi.SolverConfig | None,
     shared: qvi.DiscreteProblem | None,
-    F_base: np.ndarray,
+    F_base: np.ndarray | None,
     u_base=None,
 ):
     """[(theta_n, u_n, F_n)] of the schedule, F_n the load of theta_n:
-    ``F_base``, the base problem's, where theta_n keeps f0 and f2
-    (``eps_decay`` and ``lame_perturb``).  A ``lame_perturb`` instance is
-    solved on its own discretization, any other on ``shared``, the base
-    problem's.  Instances that keep the base data (``eps_decay``) share
-    one solve, or ``u_base``; a failed instance's error names it."""
+    ``F_base`` (None: assembled here), the base problem's, where theta_n
+    keeps f0 and f2 (``eps_decay`` and ``lame_perturb``).  A ``lame_perturb``
+    instance is solved on its own discretization, any other on ``shared``,
+    the base problem's.  Instances that keep the base data (``eps_decay``)
+    share one solve, or ``u_base``; a failed instance's error names it."""
     base_load = schedule.kind in ("eps_decay", "lame_perturb")
+    if base_load and F_base is None:
+        F_base = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
     out = []
     for n, s in enumerate(schedule.scales(), start=1):
         theta, mu_n = _index_for(problem, schedule, n, float(s))
@@ -221,8 +223,7 @@ def generate_sequence(
     """
     check_schedule(problem, schedule, SCHEDULE_KINDS, "generate_sequence")
     shared = None if schedule.kind == "lame_perturb" else qvi.DiscreteProblem(problem)
-    F_base = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
-    seq = _solve_sequence(problem, schedule, config, shared, F_base)
+    seq = _solve_sequence(problem, schedule, config, shared, None)
     return [(theta, u_n) for theta, u_n, _ in seq]
 
 
@@ -288,10 +289,11 @@ def run_convergence(
     solution, certify membership, fit the tail slope and judge decay.
 
     The certificates run after every solve, on the base stiffness matrix
-    and on one factor of the free Gram block made for all of them; each
-    takes the load that its instance was solved for, so each instance
-    only assembles its own load, once.  ``seed`` is accepted and not
-    used: the certificate draws no random numbers.  Raises
+    and on the mesh's cached factor of the free unit stiffness block
+    (``qvi.membership_violation``); each takes the load that its instance
+    was solved for, so each instance only assembles its own load, once.
+    ``seed`` is accepted and not used: the certificate draws no random
+    numbers.  Raises
     ValueError as ``check_schedule`` or for a negative or NaN
     ``noise_floor`` before any solve."""
     check_schedule(problem, schedule, SCHEDULE_KINDS, "run_convergence")
@@ -317,11 +319,8 @@ def run_convergence(
         limit_gap = float(fem.v_norm(mesh, u_bar - u_ref))
         errors_to_limit = [float(fem.v_norm(mesh, u_n - u_bar)) for _, u_n, _ in seq]
 
-    gram_factor = fem.free_factor(mesh, fem.gram_matrix(mesh))
     violations = [
-        qvi.membership_violation(
-            mesh, problem.mu, u_n, theta, stiffness=shared.K, factor=gram_factor, load=F_n
-        )
+        qvi.membership_violation(mesh, problem.mu, u_n, theta, stiffness=shared.K, load=F_n)
         for theta, u_n, F_n in seq
     ]
 

@@ -579,14 +579,24 @@ class TestSharedFactorization:
         expected = SHARED_LENGTH if kind == "lame_perturb" else 1
         assert len(built) == expected
 
+    def test_generate_sequence_assembles_each_load_once(self, kind, dim, monkeypatch):
+        assembled = []
+        assemble_load = fem.assemble_load
+        monkeypatch.setattr(
+            fem, "assemble_load", lambda *a: assembled.append(1) or assemble_load(*a)
+        )
+        tykhonov.generate_sequence(_shared_problem(dim, kind), _shared_schedule(kind))
+        # the base load, which the instances that keep f0 and f2 share, or
+        # each instance's own and no base load
+        own = kind not in ("eps_decay", "lame_perturb")
+        assert len(assembled) == (SHARED_LENGTH if own else 1)
+
     def test_certificate_reuses_the_stiffness(self, kind, dim, monkeypatch):
         certified = []  # (mu, u, theta) of every certificate call
-        factors = []  # the Gram factor passed to each
         original = qvi.membership_violation
 
         def recording(mesh, mu, u, theta, **kw):
             certified.append((mu, u.copy(), theta))
-            factors.append(kw["factor"])
             return original(mesh, mu, u, theta, **kw)
 
         assembled = []  # every gradient-form assembly, the unit stiffness included
@@ -605,9 +615,7 @@ class TestSharedFactorization:
         # instance assembles its own
         expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
         assert len(assembled) == expected + (problem.mu != 1.0)
-        # one Gram factor for all; the same values as certificates that
-        # assemble their own K and factor their own Gram block
-        assert factors[0] is not None and all(f is factors[0] for f in factors)
+        # the same values as certificates that assemble their own K
         fresh = [original(problem.mesh, mu, u, theta) for mu, u, theta in certified]
         assert len(fresh) == SHARED_LENGTH
         assert report.violations == fresh
@@ -643,7 +651,7 @@ class TestSharedFactorization:
             assert np.array_equal(kw["load"], fem.assemble_load(mesh, theta.f0, theta.f2))
         # bitwise the certificates that assemble their own load
         assert report.violations == [
-            original(mesh, mu, u, theta, stiffness=kw["stiffness"], factor=kw["factor"])
+            original(mesh, mu, u, theta, stiffness=kw["stiffness"])
             for mu, u, theta, kw in certified
         ]
 
@@ -707,15 +715,16 @@ def test_one_gram_factor_per_sequence(kind, length, monkeypatch):
     problem = _shared_problem("1d", kind)
     extra = {"f0_target": 4.0} if kind == "adversarial_load" else {}
     schedule = tykhonov.Schedule(kind=kind, length=length, amplitude=0.5, **extra)
-    tykhonov.run_convergence(problem, schedule)
+    report = tykhonov.run_convergence(problem, schedule)
     # c3's Gram block (none on the traction mesh, which has no gamma3
-    # node), S_ff, whose factor a scalar modulus instance scales, and one
-    # Gram factor for every certificate
+    # node) and S_ff, whose factor a scalar modulus instance scales and
+    # every certificate of a member runs on
+    assert report.max_violation <= qvi.CERT_TOL
     mesh = problem.mesh
     c3_factors = len(mesh.node_sets[fem.GAMMA3]) > 0
-    assert len(factored) == 2 + c3_factors
-    assert sum(_is_gram_factor(mesh, A) for A in factored) == 1 + c3_factors
-    # the sequence's factor is not kept in the mesh's cache
+    assert len(factored) == 1 + c3_factors
+    assert sum(_is_gram_factor(mesh, A) for A in factored) == c3_factors
+    # c3's factor is not kept in the mesh's cache
     cached = fem._FORM_CACHE[mesh].values()
     blocks = [v[0] for v in cached if isinstance(v, tuple) and len(v) == 3]
     assert not any(_is_gram_factor(mesh, block) for block in blocks)
@@ -727,11 +736,15 @@ def test_one_gram_factor_per_modulus_sequence(length, monkeypatch):
     problem = oracle.benchmark_problem(mu=1.0, f0=3.0, g=0.5, n_elements=24)
     problem = problem.with_data(mu=lambda x: 1.0 + 0.5 * x, mu_star=1.0)
     schedule = tykhonov.Schedule(kind="lame_perturb", length=length, amplitude=0.5)
-    tykhonov.run_convergence(problem, schedule)
-    # c3's Gram block, S_ff of c0, the base K_ff, one K_ff per instance and
-    # one Gram factor for every certificate
+    report = tykhonov.run_convergence(problem, schedule)
+    # c3's Gram block, S_ff of c0, the base K_ff (which releases S_ff's
+    # band), one K_ff per instance and S_ff again for every certificate
+    assert report.max_violation <= qvi.CERT_TOL
     assert len(factored) == 4 + length
-    assert sum(_is_gram_factor(problem.mesh, A) for A in factored) == 2
+    mesh = problem.mesh
+    assert sum(_is_gram_factor(mesh, A) for A in factored) == 1
+    unit = fem.submatrix(fem.stiffness_matrix(mesh, 1.0), mesh.free_nodes, mesh.free_nodes)
+    assert sum((A != unit).nnz == 0 for A in factored) == 2
 
 
 class TestPerElementCoefficients:
