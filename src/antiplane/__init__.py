@@ -42,7 +42,6 @@ from .tykhonov import (
     NON_CONVERGENT,
     ConvergenceReport,
     Schedule,
-    generate_sequence,
     run_convergence,
     verify_c4,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "NON_CONVERGENT",
     "ConvergenceReport",
     "Schedule",
-    "generate_sequence",
     "run_convergence",
     "verify_c4",
     "AdmissiblePair",

@@ -9,20 +9,11 @@ responds: conforming schedules decay (typically like the perturbation
 scale), while a sequence driven toward different limit data plateaus at
 a positive gap.
 
-One loop solves the instances of every kind from their index theta_n
-and modulus mu_n (``_index_for``).  Only the modulus perturbation
-changes the form a(., .), so a ``lame_perturb`` instance is solved on
-its own ``qvi.DiscreteProblem``; every other instance, the unperturbed
-solution and the limit of an adversarial sequence are solved on one of
-the base problem.  The base load is assembled once, for the instances
-that keep f0 and f2 (``eps_decay`` and ``lame_perturb``), and every
-other instance assembles only its own; the membership certificate takes
-the load its instance was solved for and, as it always tests against
-the base modulus, the base stiffness matrix; all certificates run on
-the mesh's one factor of the free unit stiffness block
-(``fem.free_block``).  An ``eps_decay`` sequence, whose
-instances all solve the base problem, reuses one solve.
-The same ``Schedule``, index and ``SequenceReport`` serve
+``run_convergence`` solves the instances of every kind in one loop, from
+their index theta_n and modulus mu_n (``_index_for``); what the index
+keeps as the base's own object decides what an instance shares with
+the unperturbed problem: its load, its ``qvi.DiscreteProblem`` or its
+solution.  The same ``Schedule``, index and ``SequenceReport`` serve
 ``control.run_oc_sequence``, which alone takes the kind
 ``target_perturb``.
 """
@@ -35,7 +26,7 @@ import numpy as np
 
 from . import fem, qvi
 
-# kinds of run_convergence and generate_sequence
+# kinds of run_convergence; _index_for alone knows which datum each perturbs
 SCHEDULE_KINDS = (
     "eps_decay",
     "load_perturb",
@@ -146,12 +137,19 @@ def check_schedule(problem: qvi.ProblemData, schedule: Schedule, kinds, harness:
         raise ValueError(f"{harness} does not take schedule kind {schedule.kind!r}")
     if schedule.kind == "traction_perturb" and problem.f2 is None:
         raise ValueError("traction_perturb perturbs f2, but the problem sets no f2")
+    if schedule.kind == "traction_perturb" and len(problem.mesh.facets[fem.GAMMA2]) == 0:
+        raise ValueError("traction_perturb perturbs f2, but the mesh has no gamma2 facets")
 
 
 def _index_for(problem: qvi.ProblemData, schedule: Schedule, n: int, s: float):
     """(theta_n, mu_n) of instance n with scale s.  ``lame_perturb`` moves
     only mu_n, with eps_n = max |mu_n - mu| sampled at element midpoints;
-    ``target_perturb`` moves only the control target."""
+    ``target_perturb`` moves only the control target.
+
+    Each datum (f0, f2, g, mu) that the kind does not perturb is the base
+    problem's own object, and so is an f0, f2 or mu shifted by a zero
+    scale (``combine_coefficients``): identity tells a caller what an
+    instance shares with the unperturbed problem."""
     kind = schedule.kind
     f0, f2, g, mu = problem.f0, problem.f2, problem.g, problem.mu
     eps = s if kind == "eps_decay" else 0.0
@@ -171,60 +169,6 @@ def _index_for(problem: qvi.ProblemData, schedule: Schedule, n: int, s: float):
         mu_n_e = fem.element_values(problem.mesh, mu)
         eps = float(np.max(np.abs(mu_n_e - fem.element_values(problem.mesh, problem.mu))))
     return qvi.TykhonovIndex(eps, f0, f2, g), mu
-
-
-def _solve_sequence(
-    problem: qvi.ProblemData,
-    schedule: Schedule,
-    config: qvi.SolverConfig | None,
-    shared: qvi.DiscreteProblem | None,
-    F_base: np.ndarray | None,
-    u_base=None,
-):
-    """[(theta_n, u_n, F_n)] of the schedule, F_n the load of theta_n:
-    ``F_base`` (None: assembled here), the base problem's, where theta_n
-    keeps f0 and f2 (``eps_decay`` and ``lame_perturb``).  A ``lame_perturb``
-    instance is solved on its own discretization, any other on ``shared``,
-    the base problem's.  Instances that keep the base data (``eps_decay``)
-    share one solve, or ``u_base``; a failed instance's error names it."""
-    base_load = schedule.kind in ("eps_decay", "lame_perturb")
-    if base_load and F_base is None:
-        F_base = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
-    out = []
-    for n, s in enumerate(schedule.scales(), start=1):
-        theta, mu_n = _index_for(problem, schedule, n, float(s))
-        F = F_base if base_load else fem.assemble_load(problem.mesh, theta.f0, theta.f2)
-        if schedule.kind == "eps_decay" and u_base is not None:
-            out.append((theta, u_base, F))
-            continue
-        try:
-            discrete = shared
-            if schedule.kind == "lame_perturb":
-                discrete = qvi.DiscreteProblem(problem.with_data(mu=mu_n, mu_star=None))
-            u_n, _ = discrete.solve(F, theta.g, config)
-        except (ValueError, qvi.SolverError) as exc:
-            raise type(exc)(f"perturbed instance n={n} failed: {exc}") from exc
-        if schedule.kind == "eps_decay":
-            u_base = u_n
-        out.append((theta, u_n, F))
-    return out
-
-
-def generate_sequence(
-    problem: qvi.ProblemData,
-    schedule: Schedule,
-    config: qvi.SolverConfig | None = None,
-):
-    """Solve every perturbed instance; returns [(theta_n, u_n)].
-
-    Raises ValueError as ``check_schedule``, and ValueError or SolverError
-    naming the position when a perturbed instance has unusable data,
-    breaks the smallness condition or fails to converge.
-    """
-    check_schedule(problem, schedule, SCHEDULE_KINDS, "generate_sequence")
-    shared = None if schedule.kind == "lame_perturb" else qvi.DiscreteProblem(problem)
-    seq = _solve_sequence(problem, schedule, config, shared, None)
-    return [(theta, u_n) for theta, u_n, _ in seq]
 
 
 @dataclass(eq=False)
@@ -285,17 +229,22 @@ def run_convergence(
     *,
     noise_floor: float | None = None,
 ) -> ConvergenceReport:
-    """Generate a schedule, measure errors against the unperturbed
-    solution, certify membership, fit the tail slope and judge decay.
+    """Solve the unperturbed problem and each instance, measure errors,
+    certify membership, fit the tail slope and judge decay.
 
-    The certificates run after every solve, on the base stiffness matrix
-    and on the mesh's cached factor of the free unit stiffness block
-    (``qvi.membership_violation``); each takes the load that its instance
-    was solved for, so each instance only assembles its own load, once.
-    ``seed`` is accepted and not used: the certificate draws no random
-    numbers.  Raises
-    ValueError as ``check_schedule`` or for a negative or NaN
-    ``noise_floor`` before any solve."""
+    An instance takes the base load where its index keeps f0 and f2, the
+    base ``qvi.DiscreteProblem`` where it keeps mu, and the unperturbed
+    solution where it keeps the load, g and mu.  The certificates test
+    against the base modulus, on the base stiffness matrix and the mesh's
+    cached factor of the free unit stiffness block, each with the load its
+    instance was solved for; they follow the last solve, as an instance
+    with its own mu releases that factor.  ``seed`` is accepted and not
+    used: the certificate draws no random numbers.
+
+    Raises ValueError as ``check_schedule`` or for a negative or NaN
+    ``noise_floor`` before any solve, and ValueError or SolverError
+    naming the instance when one has unusable data, breaks the smallness
+    condition or fails to converge."""
     check_schedule(problem, schedule, SCHEDULE_KINDS, "run_convergence")
     if noise_floor is not None and not noise_floor >= 0.0:  # also refuses NaN
         raise ValueError(f"noise_floor must be nonnegative, got {noise_floor}")
@@ -306,16 +255,34 @@ def run_convergence(
     shared = qvi.DiscreteProblem(problem)
     F_base = fem.assemble_load(mesh, problem.f0, problem.f2)
     u_ref, _ = shared.solve(F_base, problem.g, config)
-    seq = _solve_sequence(problem, schedule, config, shared, F_base, u_base=u_ref)
+    u_bar = None
+    if schedule.kind == "adversarial_load":
+        F_bar = fem.assemble_load(mesh, schedule.f0_target, problem.f2)
+        u_bar, _ = shared.solve(F_bar, problem.g, config)
+
+    seq = []  # (theta_n, u_n, F_n) of every instance, F_n the load it was solved for
+    for n, s in enumerate(schedule.scales(), start=1):
+        theta, mu_n = _index_for(problem, schedule, n, float(s))
+        base_load = theta.f0 is problem.f0 and theta.f2 is problem.f2
+        F = F_base if base_load else fem.assemble_load(mesh, theta.f0, theta.f2)
+        try:
+            if mu_n is not problem.mu:
+                discrete = qvi.DiscreteProblem(problem.with_data(mu=mu_n, mu_star=None))
+                u_n, _ = discrete.solve(F, theta.g, config)
+            elif base_load and theta.g is problem.g:
+                u_n = u_ref
+            else:
+                u_n, _ = shared.solve(F, theta.g, config)
+        except (ValueError, qvi.SolverError) as exc:
+            raise type(exc)(f"perturbed instance n={n} failed: {exc}") from exc
+        seq.append((theta, u_n, F))
 
     ns = list(range(1, schedule.length + 1))
     errors = [float(fem.v_norm(mesh, u_n - u_ref)) for _, u_n, _ in seq]
 
     limit_gap = None
     errors_to_limit = None
-    if schedule.kind == "adversarial_load":
-        F_bar = fem.assemble_load(mesh, schedule.f0_target, problem.f2)
-        u_bar, _ = shared.solve(F_bar, problem.g, config)
+    if u_bar is not None:
         limit_gap = float(fem.v_norm(mesh, u_bar - u_ref))
         errors_to_limit = [float(fem.v_norm(mesh, u_n - u_bar)) for _, u_n, _ in seq]
 

@@ -723,6 +723,14 @@ class TestDataErrors:
             (
                 "tykhonov",
                 (
+                    "g = 1.0\n\n    schedule:\n      kind = load_perturb",
+                    "g = 1.0\n      f2 = 0.0\n\n    schedule:\n      kind = traction_perturb",
+                ),
+                "traction_perturb perturbs f2, but the mesh has no gamma2 facets",
+            ),
+            (
+                "tykhonov",
+                (
                     "kind = load_perturb",
                     "kind = lame_perturb\n      mu_law = oscillation\n      amplitude = 1.0",
                 ),

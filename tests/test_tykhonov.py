@@ -224,8 +224,7 @@ class TestTractionPerturb:
         assert report.verdict == tykhonov.CONVERGENT
         assert report.max_violation <= 1e-8
 
-    @pytest.mark.parametrize("harness", [tykhonov.run_convergence, tykhonov.generate_sequence])
-    def test_problem_without_f2_refused_before_any_solve(self, harness, monkeypatch):
+    def test_problem_without_f2_refused_before_any_solve(self, monkeypatch):
         problem = oracle.benchmark_problem(1.0, 3.0, 1.0, 16).with_data(f2=None)
 
         def refuse(*args, **kwargs):
@@ -235,7 +234,21 @@ class TestTractionPerturb:
         monkeypatch.setattr(qvi, "solve_qvi", refuse)
         schedule = tykhonov.Schedule(kind="traction_perturb", length=4)
         with pytest.raises(ValueError, match="traction_perturb perturbs f2.*no f2"):
-            harness(problem, schedule)
+            tykhonov.run_convergence(problem, schedule)
+
+    def test_mesh_without_gamma2_refused_before_any_solve(self, monkeypatch):
+        # the benchmark interval ends in gamma1 and gamma3: a traction would
+        # be dropped from every load, and the sequence judged on zero errors
+        problem = oracle.benchmark_problem(1.0, 3.0, 0.5, 16)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(qvi, "DiscreteProblem", refuse)
+        monkeypatch.setattr(fem, "assemble_load", refuse)
+        schedule = tykhonov.Schedule(kind="traction_perturb", length=4)
+        with pytest.raises(ValueError, match="the mesh has no gamma2 facets"):
+            tykhonov.run_convergence(problem, schedule)
 
 
 class TestLamePerturb:
@@ -346,10 +359,9 @@ class TestSequenceGeneration:
             kind="friction_perturb", length=8, friction_da=0.0, friction_db=5.0
         )
         with pytest.raises(qvi.SolverError, match=r"n=1.*contraction"):
-            tykhonov.generate_sequence(problem, schedule)
+            tykhonov.run_convergence(problem, schedule)
 
-    @pytest.mark.parametrize("harness", ["run_convergence", "generate_sequence"])
-    def test_refused_modulus_names_the_instance(self, harness):
+    def test_refused_modulus_names_the_instance(self):
         # the oscillation of amplitude 1 takes mu_1 = 1 - 1 to zero, which
         # the instance's set-up refuses as data: a ValueError, so exit 2
         problem = oracle.benchmark_problem(1.0, 1.0, 1.0, 16)
@@ -357,18 +369,9 @@ class TestSequenceGeneration:
             kind="lame_perturb", length=4, mu_law="oscillation", amplitude=1.0
         )
         with pytest.raises(ValueError) as info:
-            getattr(tykhonov, harness)(problem, schedule)
+            tykhonov.run_convergence(problem, schedule)
         assert str(info.value).startswith("perturbed instance n=1 failed: shear modulus")
         assert isinstance(info.value.__cause__, ValueError)
-
-    def test_sequence_layout(self):
-        problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=16)
-        schedule = tykhonov.Schedule(kind="load_perturb", length=4)
-        seq = tykhonov.generate_sequence(problem, schedule)
-        assert len(seq) == 4
-        for theta, u in seq:
-            assert isinstance(theta, qvi.TykhonovIndex)
-            assert u.shape == (problem.mesh.n_nodes,)
 
     def test_deterministic(self):
         problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=32)
@@ -379,8 +382,7 @@ class TestSequenceGeneration:
         assert a.violations == b.violations
         assert a.slope == b.slope
 
-    @pytest.mark.parametrize("harness", ["run_convergence", "generate_sequence"])
-    def test_target_perturb_refused_before_any_solve(self, harness, monkeypatch):
+    def test_target_perturb_refused_before_any_solve(self, monkeypatch):
         # the data of a target schedule never change, so the harness would
         # solve the base problem length times and report zero errors
         def no_assembly(*args, **kwargs):
@@ -390,7 +392,7 @@ class TestSequenceGeneration:
         problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=16)
         schedule = tykhonov.Schedule(kind="target_perturb", length=6)
         with pytest.raises(ValueError, match="target_perturb"):
-            getattr(tykhonov, harness)(problem, schedule)
+            tykhonov.run_convergence(problem, schedule)
 
     @pytest.mark.parametrize("floor, shown", [(np.nan, "nan"), (-1e-6, "-1e-06")])
     def test_bad_noise_floor_refused_before_any_solve(self, floor, shown, monkeypatch):
@@ -521,15 +523,6 @@ def _fresh_solutions(problem, schedule, seq):
 class TestSharedFactorization:
     """One factorization per sequence gives bitwise the per-instance solves."""
 
-    def test_generate_sequence_equals_fresh_solves(self, kind, dim):
-        problem = _shared_problem(dim, kind)
-        schedule = _shared_schedule(kind)
-        seq = tykhonov.generate_sequence(problem, schedule)
-        fresh = _fresh_solutions(problem, schedule, seq)
-        assert len(seq) == SHARED_LENGTH
-        for (_, u_n), u_fresh in zip(seq, fresh):
-            assert np.array_equal(u_n, u_fresh)
-
     def test_run_convergence_equals_fresh_solves(self, kind, dim, monkeypatch):
         problem = _shared_problem(dim, kind)
         schedule = _shared_schedule(kind)
@@ -569,27 +562,6 @@ class TestSharedFactorization:
         # modulus instance needs its own
         expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
         assert len(built) == expected
-
-    def test_generate_sequence_tresca_setups(self, kind, dim, monkeypatch):
-        built = _count_tresca_setups(monkeypatch)
-        problem = _shared_problem(dim, kind)
-        tykhonov.generate_sequence(problem, _shared_schedule(kind))
-        # the instances that keep mu share one set-up; no base set-up is
-        # built for a modulus sequence, whose instances each need their own
-        expected = SHARED_LENGTH if kind == "lame_perturb" else 1
-        assert len(built) == expected
-
-    def test_generate_sequence_assembles_each_load_once(self, kind, dim, monkeypatch):
-        assembled = []
-        assemble_load = fem.assemble_load
-        monkeypatch.setattr(
-            fem, "assemble_load", lambda *a: assembled.append(1) or assemble_load(*a)
-        )
-        tykhonov.generate_sequence(_shared_problem(dim, kind), _shared_schedule(kind))
-        # the base load, which the instances that keep f0 and f2 share, or
-        # each instance's own and no base load
-        own = kind not in ("eps_decay", "lame_perturb")
-        assert len(assembled) == (SHARED_LENGTH if own else 1)
 
     def test_certificate_reuses_the_stiffness(self, kind, dim, monkeypatch):
         certified = []  # (mu, u, theta) of every certificate call
@@ -642,7 +614,7 @@ class TestSharedFactorization:
         report = tykhonov.run_convergence(problem, _shared_schedule(kind), seed=4)
         # the base load, one per instance that does not keep f0 and f2 and
         # the adversarial limit's; none for a certificate
-        own = 0 if kind in ("eps_decay", "lame_perturb") else SHARED_LENGTH
+        own = 0 if kind in ("eps_decay", "friction_perturb", "lame_perturb") else SHARED_LENGTH
         assert len(assembled) == 1 + own + (kind == "adversarial_load")
         monkeypatch.undo()
         mesh = problem.mesh
@@ -654,6 +626,91 @@ class TestSharedFactorization:
             original(mesh, mu, u, theta, stiffness=kw["stiffness"])
             for mu, u, theta, kw in certified
         ]
+
+
+# the data (f0, f2, g, mu) that each kind perturbs
+PERTURBED = {
+    "eps_decay": (),
+    "load_perturb": ("f0",),
+    "traction_perturb": ("f2",),
+    "friction_perturb": ("g",),
+    "lame_perturb": ("mu",),
+    "adversarial_load": ("f0",),
+    "target_perturb": (),
+}
+
+
+def _coefficient_problem(form):
+    """The square with (mu, f0, f2) given as scalars, as arrays of one
+    value per element and per gamma2 facet, or as callables."""
+    problem = _square_problem()
+    mesh = problem.mesh
+    if form == "per-element":
+        return problem.with_data(
+            mu=np.linspace(1.0, 2.0, len(mesh.elements)),
+            f0=np.linspace(2.0, 3.0, len(mesh.elements)),
+            f2=np.linspace(0.5, 1.0, len(mesh.facets[fem.GAMMA2])),
+        )
+    if form == "callable":
+        return problem.with_data(
+            mu=lambda x: 1.0 + x[:, 0], f0=lambda x: 2.0 + x[:, 1], f2=lambda x: 0.5 + x[:, 1]
+        )
+    return problem
+
+
+@pytest.mark.parametrize("mu_law", tykhonov.MU_LAWS)
+@pytest.mark.parametrize("kind", sorted(PERTURBED))
+@pytest.mark.parametrize("form", ["scalar", "per-element", "callable"])
+def test_index_keeps_the_base_objects(form, kind, mu_law):
+    # run_convergence tells by identity what an instance shares with the
+    # unperturbed problem, so every datum that the kind does not perturb
+    # must come back as the base's own object, and every perturbed one not,
+    # whichever branch of combine_coefficients shifted it
+    assert set(PERTURBED) == set(tykhonov.SCHEDULE_KINDS + tykhonov.OC_SCHEDULE_KINDS)
+    problem = _coefficient_problem(form)
+    extra = {"f0_target": 4.0} if kind == "adversarial_load" else {}
+    schedule = tykhonov.Schedule(kind=kind, length=4, mu_law=mu_law, **extra)
+    for n, s in enumerate(schedule.scales(), start=1):
+        theta, mu_n = tykhonov._index_for(problem, schedule, n, float(s))
+        data = {"f0": theta.f0, "f2": theta.f2, "g": theta.g, "mu": mu_n}
+        for name, value in data.items():
+            assert (value is getattr(problem, name)) is (name not in PERTURBED[kind]), name
+
+
+def _count_calls(monkeypatch, owner, name):
+    """List that gains one entry per call of ``owner.name``."""
+    calls = []
+    function = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+@pytest.mark.parametrize(
+    "kind",
+    ["eps_decay", "load_perturb", "traction_perturb", "friction_perturb", "lame_perturb"],
+)
+def test_zero_decay_shares_the_base_load(kind, dim, monkeypatch):
+    # a zero scale leaves f0, f2 and mu the base's own objects, so every
+    # instance takes the base load, and one that keeps g as well is the
+    # unperturbed solution, solved once; a shifted bound is a new object
+    # even at zero scale, so a friction instance is solved again
+    problem = _shared_problem(dim, kind)
+    schedule = tykhonov.Schedule(kind=kind, length=SHARED_LENGTH, decay="zero")
+    loads = _count_calls(monkeypatch, fem, "assemble_load")
+    iterations = _count_calls(monkeypatch, qvi.TrescaSolver, "_iterate")
+    report = tykhonov.run_convergence(problem, schedule)
+    assert len(loads) == 1
+    assert report.errors == [0.0] * SHARED_LENGTH
+    if kind != "friction_perturb":
+        run = len(iterations)
+        qvi.solve_qvi(problem)
+        assert run == len(iterations) - run  # u_ref's own
 
 
 @pytest.mark.parametrize("mu_law", tykhonov.MU_LAWS)
