@@ -22,8 +22,9 @@ mu = 1, which is also the unit stiffness, and one for the last other
 scalar modulus), the band layout that the factors of all free blocks
 share (``free_factor``), one band factor, that of the free block of the
 unit stiffness with the gamma3 block of its inverse (``free_block``,
-until ``release_free_block``), and the constants (c0, c3) of
-``constants.space_constants``, which depend on the mesh alone.
+until ``release_free_block``), the constants (c0, c3) of
+``constants.space_constants`` and the solver's index of
+``qvi.mesh_index``, which depend on the mesh alone.
 Cached arrays are read-only.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
 its cached form, which checks the modulus and its floor on every call.
@@ -208,12 +209,15 @@ def _finish_mesh(spec, nodes, elements, side_faces) -> Mesh:
         for tag, chunks in facets.items()
     }
 
-    taken = np.zeros(0, dtype=np.int64)
+    taken = np.zeros(len(nodes), dtype=bool)
     node_sets = {}
     for tag in (GAMMA1, GAMMA3, GAMMA2):  # priority order
-        raw = np.unique(facets[tag].ravel())
-        node_sets[tag] = np.setdiff1d(raw, taken)
-        taken = np.union1d(taken, raw)
+        on = np.zeros(len(nodes), dtype=bool)
+        on[facets[tag].ravel()] = True
+        node_sets[tag] = np.flatnonzero(on & ~taken)
+        taken |= on
+        if tag == GAMMA1:
+            free = np.flatnonzero(~on)
 
     weights = np.zeros(len(nodes))
     g3 = facets[GAMMA3]
@@ -223,7 +227,6 @@ def _finish_mesh(spec, nodes, elements, side_faces) -> Mesh:
         half = 0.5 * np.linalg.norm(nodes[g3[:, 1]] - nodes[g3[:, 0]], axis=1)
         np.add.at(weights, g3, half[:, None])
 
-    free = np.setdiff1d(np.arange(len(nodes)), node_sets[GAMMA1])
     return Mesh(spec, nodes, elements, facets, node_sets, weights, free)
 
 
@@ -504,9 +507,11 @@ class FrictionBound:
         return cls(lambda x, r: a + b * np.abs(r), float(b), label=f"{a}+{b}|r|")
 
     def shifted(self, da: float, db: float) -> "FrictionBound":
-        """Perturbed bound g(x, r) + da + db*|r| (da, db >= 0)."""
+        """Perturbed bound g(x, r) + da + db*|r| (da, db >= 0); self for 0, 0."""
         if not (da >= 0.0 and db >= 0.0):
             raise ValueError("perturbation coefficients must be nonnegative")
+        if da == 0.0 and db == 0.0:
+            return self
         return FrictionBound(
             lambda x, r: self(x, r) + da + db * np.abs(r),
             self.lipschitz + db,
@@ -569,7 +574,9 @@ def _band_order(A, last: np.ndarray) -> np.ndarray:
         (np.ones(indptr[-1]), np.concatenate((A.indices, last)), indptr), shape=(n + 1, n + 1)
     )
     order = breadth_first_order(graph, n, return_predecessors=False)[:0:-1]
-    return np.concatenate((np.setdiff1d(np.arange(n), order), order))
+    reached = np.zeros(n, dtype=bool)
+    reached[order] = True
+    return np.concatenate((np.flatnonzero(~reached), order))
 
 
 @dataclass(frozen=True, eq=False)

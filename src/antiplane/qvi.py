@@ -28,9 +28,11 @@ stiffness factor and, where that bound does not certify, the Gram block.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -147,10 +149,14 @@ def _box_qp(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner, what):
     repeated s on, each iteration flips only the violator of least index
     (Murty's rule; Judice-Pires, Comput. Oper. Res. 21, 1994), which ends
     for positive definite Z.  Stops once both conditions hold within
-    tol = inner_tol (1 + max c); returns (lam, I, iterations).  Raises
+    tol = inner_tol (1 + max c); returns (lam, I, iterations).  A default
+    start at which every node sticks (t = 0 and |lam| <= c) is returned
+    as the one iteration it would take, with I the whole box: that
+    iteration would solve Z lam = b again and get this lam bitwise.  Raises
     SolverError, naming ``what``, after ``max_inner`` iterations.
     """
-    if lam is None:
+    start = lam is None
+    if start:
         lam = stick_solve(np.arange(len(b)), b - t)
     tol = inner_tol * (1.0 + c.max())
     # a node off zero slips its way, a node at zero slips where its
@@ -159,6 +165,8 @@ def _box_qp(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner, what):
     at_zero = (t == 0.0).nonzero()[0]
     if len(at_zero):
         s[at_zero] = np.sign(lam[at_zero]) * (np.abs(lam[at_zero]) > c[at_zero])
+    if start and not s.any():  # all stick: the first iteration gives this lam and stops
+        return lam, np.arange(len(b)), 1
     seen = None  # the sign vectors of the failed iterations, made on the first
     least_index = False
     for iteration in range(1, max_inner + 1):
@@ -195,6 +203,39 @@ def _box_qp(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner, what):
     return lam, I, iteration
 
 
+@dataclass(frozen=True, eq=False)
+class MeshIndex:
+    """What a solve and a certificate read of the mesh alone: ``n_nodes``,
+    the sorted free nodes ``free``, the gamma3 rows ``pos`` of the free
+    block and their nodes ``friction`` (T), the unit stiffness diagonal
+    ``diagonal`` on T, the coordinates ``points`` and lumped weights
+    ``weights`` of T, and the product ``gram_product`` with the Gram
+    matrix of the V-norm.  ``mesh_index`` makes it once per mesh."""
+
+    n_nodes: int
+    free: np.ndarray
+    pos: np.ndarray
+    friction: np.ndarray
+    diagonal: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    gram_product: Callable[[np.ndarray], np.ndarray]
+
+
+def mesh_index(mesh: fem.Mesh) -> MeshIndex:
+    """The ``MeshIndex`` of the mesh, kept in its cache; read-only arrays."""
+
+    def build():
+        free, T = mesh.free_nodes, mesh.node_sets[fem.GAMMA3].copy()  # gamma3 nodes are free
+        arrays = (np.searchsorted(free, T), T, fem.stiffness_matrix(mesh, 1.0).diagonal()[T],
+                  mesh.nodes[T], mesh.gamma3_weights[T])
+        for array in arrays:
+            array.flags.writeable = False
+        return MeshIndex(mesh.n_nodes, free, *arrays, _product(fem.gram_matrix(mesh)))
+
+    return fem.cached(mesh, "mesh index", build)
+
+
 class TrescaSolver:
     """Exact minimizer of 0.5 v'Kv - F'v + sum_i c_i |v_i| over V_h.
 
@@ -203,29 +244,25 @@ class TrescaSolver:
     (solve, Z) pair of ``fem.spd_factor`` that ``DiscreteProblem`` makes
     or, for a scalar mu, takes from the mesh's cache, with Z =
     (K_ff^-1)_TT read off the factor's trailing block; ``fixed_point``
-    runs the solver.  The active-set iteration of ``_box_qp`` is dense
-    algebra on Z: it splits T into slip nodes, whose multipliers +-c_i
-    enter the load, and stick nodes I, held at zero by the multipliers
-    of Z_II lambda_I = t_I (Proskurowski-Widlund 1976).
-    The LU factors of Z_II are kept while I is unchanged, and the last
-    multiplier for the next warm start.
+    runs the solver on the nodes of ``index``, a ``MeshIndex``.  The
+    active-set iteration of ``_box_qp`` is dense algebra on Z: it splits T
+    into slip nodes, whose multipliers +-c_i enter the load, and stick
+    nodes I, held at zero by the multipliers of Z_II lambda_I = t_I
+    (Proskurowski-Widlund 1976).  Its sign test weighs the multiplier by
+    ``sigma`` = 1e3 / diag(K)_T, three orders above 1/K_ii, at which the
+    primal guess sways the set choice and the iteration can cycle (a
+    sigma not positive and finite raises SolverError).  The LU factors of
+    Z_II are kept while I is unchanged, and the last multiplier for the
+    next warm start.
     """
 
-    def __init__(self, K, free_nodes, gamma3_nodes, factor):
-        self.n_nodes = K.shape[0]
-        self.free = np.sort(np.asarray(free_nodes, dtype=np.int64))
-        on_gamma3 = np.zeros(self.n_nodes, dtype=bool)
-        on_gamma3[np.asarray(gamma3_nodes, dtype=np.int64)] = True
-        self._pos = np.flatnonzero(on_gamma3[self.free])  # gamma3 rows of the free block
-        self.friction = T = self.free[self._pos]
-        diag = K.diagonal()
-        if np.any(diag[self.free] <= 0.0):
+    def __init__(self, index, factor, sigma):
+        if not ((sigma > 0.0) & (sigma < np.inf)).all():  # also NaN
             raise SolverError("stiffness matrix has a nonpositive diagonal entry")
+        self.n_nodes, self.free, self.friction = index.n_nodes, index.free, index.friction
+        self._pos = index.pos  # gamma3 rows of the free block
         self._solve, self._Z = factor
-        # With sigma = 1/K_ii the primal guess sways the set choice and the
-        # iteration can cycle between sets; a sigma three orders larger
-        # leaves the choice to the multiplier.
-        self._sigma = 1e3 / diag[T]
+        self._sigma = sigma
         self._stick = (None, None)  # stick set I (as bytes), LU factors of Z_II
         self._lam = None  # multiplier of the last solve
 
@@ -400,43 +437,55 @@ def fixed_point(
 
 
 class DiscreteProblem:
-    """Stiffness K, Tresca solver, mu_star, the constants (c0, c3), the
-    friction nodes' coordinates ``points`` and weights ``weights`` and the
-    product ``gram_product`` with the Gram matrix of the V-norm, each
-    resolved once.  It holds no load; ``solve`` takes an assembled one.
+    """Tresca solver, mu_star, the constants (c0, c3), the friction nodes'
+    coordinates ``points`` and weights ``weights``, the product
+    ``gram_product`` with the Gram matrix of the V-norm and the stiffness
+    matrix K, each resolved once.  It holds no load; ``solve`` takes an
+    assembled one.  The nodes, points, weights and Gram product are the
+    mesh's ``MeshIndex`` (``mesh_index``).  K is made on first read.
 
-    For a scalar mu, K is the mesh's cached, read-only matrix, which the
-    certificates of the same data reuse, and the solver runs on the
-    mesh's factor of the free unit stiffness block (``fem.free_block``),
-    which c0 shares.  Any other mu drops that factor from the mesh's
-    cache (``fem.release_free_block``) and factors its own K_ff on the
-    mesh's band layout (``fem.free_factor``), so that one band is held at
-    a time; a later scalar mu or certificate on the mesh factors the unit
-    block again.  All of these depend on the mesh and mu only, so one
-    instance solves the problem for any load and friction bound, bitwise
-    as a fresh ``solve_qvi`` of the same data would.
+    mu is checked (``fem.modulus_values``) before anything is made.  For a
+    scalar mu the problem assembles nothing: the solver runs on the mesh's
+    factor of the free unit stiffness block (``fem.free_block``), which c0
+    shares, divided by mu, with sigma = 1e3 / (mu diag(S)_T), and K is the
+    mesh's cached, read-only matrix of mu, which the certificates of a
+    sequence read.  Any other mu assembles K, drops the unit factor from
+    the mesh's cache (``fem.release_free_block``) and factors its own K_ff
+    on the mesh's band layout (``fem.free_factor``), so that one band is
+    held at a time; a later scalar mu or certificate on the mesh factors
+    the unit block again.  All of these depend on the mesh and mu only,
+    so one instance solves the problem for any load and friction bound,
+    bitwise as a fresh ``solve_qvi`` of the same data would.
     """
 
     def __init__(self, problem: ProblemData):
         self.problem = problem
         mesh, mu = problem.mesh, problem.mu
-        self.K = fem.stiffness_matrix(mesh, mu, problem.mu_star)
+        fem.modulus_values(mesh, mu, problem.mu_star)
         # the constants first: c3 drops the Gram band before the stiffness band is built
         self.c0, self.c3 = constants.space_constants(mesh)
+        index = mesh_index(mesh)
         if not (callable(mu) or np.ndim(mu)):  # mu S_ff: the unit block's factor over mu
             _, unit, Z = fem.free_block(mesh)
             factor = (unit, Z) if mu == 1.0 else (lambda b: unit(b) / mu, Z / mu)
+            sigma = 1e3 / (mu * index.diagonal)
         else:  # c0 is cached: the unit band goes before K_ff's is made
             fem.release_free_block(mesh)
             try:
                 factor = fem.free_factor(mesh, self.K)[1:]
             except fem.FactorizationError as exc:
                 raise SolverError(f"stiffness block factorization failed: {exc}") from exc
-        self.tresca = TrescaSolver(self.K, mesh.free_nodes, mesh.node_sets[fem.GAMMA3], factor)
+            sigma = 1e3 / self.K.diagonal()[index.friction]
+        self.tresca = TrescaSolver(index, factor, sigma)
         self.mu_star = problem.resolved_mu_star()
-        self.points = mesh.nodes[self.tresca.friction]
-        self.weights = mesh.gamma3_weights[self.tresca.friction]
-        self.gram_product = _product(fem.gram_matrix(mesh))
+        self.points, self.weights = index.points, index.weights
+        self.gram_product = index.gram_product
+
+    @functools.cached_property
+    def K(self):
+        """The stiffness matrix of mu (``fem.stiffness_matrix``)."""
+        problem = self.problem
+        return fem.stiffness_matrix(problem.mesh, problem.mu, problem.mu_star)
 
     def solve(
         self,
@@ -461,18 +510,17 @@ def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
 # ---------------------------------------------------------------------------
 # membership certificate
 
-def _dual_distance(z, T, I, c, factor):
+def _dual_distance(z, T, I, c, sigma, solve, Z):
     """The least sqrt(z'A_ff^-1 z) over xi_I in |xi_I| <= c_I taken off z at
-    T[I], on ``factor`` = (A_ff, solve, Z) of ``fem.free_factor``: ``_box_qp``
-    on Z_II, its minimizer clipped into the box, the distance from that z."""
-    block, solve, Z = factor
+    T[I], on ``solve`` and Z of a ``fem.free_factor`` of A and sigma =
+    1e3 / diag(A_ff)_T as TrescaSolver's: ``_box_qp`` on Z_II, its minimizer
+    clipped into the box, the distance from that z."""
     if len(I):
         z = z.copy()
         Z_II = Z[np.ix_(I, I)]
-        sigma = 1e3 / block.diagonal()[T[I]]  # as TrescaSolver's, on the form of Z's inverse
         xi, _, _ = _box_qp(
             Z_II, solve(z)[T[I]], c[I], np.zeros(len(I)), None,
-            lambda J, rhs: dgetrs(*dgetrf(Z_II[np.ix_(J, J)])[:2], rhs)[0], sigma,
+            lambda J, rhs: dgetrs(*dgetrf(Z_II[np.ix_(J, J)])[:2], rhs)[0], sigma[I],
             _DEFAULT_CONFIG.inner_tol, _DEFAULT_CONFIG.max_inner, "membership certificate",
         )
         z[T[I]] -= np.clip(xi, -c[I], c[I])
@@ -518,7 +566,8 @@ def membership_violation(
     The stiffness matrix of ``mu`` comes from ``fem.stiffness_matrix``
     (cached per mesh for a scalar mu) unless the caller passes it as
     ``stiffness``, and the load F of ``theta`` from ``fem.assemble_load``
-    unless the caller, which solved for it, passes it as ``load``;
+    unless the caller, which solved for it, passes it as ``load``.  T, the
+    weights, the points and the unit sigma are the mesh's ``MeshIndex``;
     ``seed`` is accepted and not used.  ||u||_V is computed only for
     eps > 0.  Returns a Python float.  A ``u`` or ``load`` that is not of
     shape (n_nodes,) and a non-finite ``u`` raise ValueError before any
@@ -526,27 +575,29 @@ def membership_violation(
     so does a QP that misses the friction law within the default
     ``SolverConfig().max_inner`` iterations.
     """
-    free, g3 = mesh.free_nodes, mesh.node_sets[fem.GAMMA3]
     n = mesh.n_nodes
     u = np.asarray(u, dtype=float)
     for name, values in (("u", u), ("load", load)):
         if values is not None and values.shape != (n,):
             raise ValueError(f"{name} must have shape ({n},), got {values.shape}")
     fem.require_finite("u", u)
-    if len(free) == 0:  # V_h = {0}: no direction to test
+    if len(mesh.free_nodes) == 0:  # V_h = {0}: no direction to test
         return 0.0
+    index = mesh_index(mesh)
+    T, g3 = index.pos, index.friction  # gamma3 rows of the free block, in the order of Z
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
     F = fem.assemble_load(mesh, theta.f0, theta.f2) if load is None else load
-    z = (F - K @ u)[free]
-    T = np.searchsorted(free, g3)  # gamma3 rows of the free block, in the order of Z
-    c = mesh.gamma3_weights[g3] * _bound(theta.g, mesh.nodes[g3], np.abs(u[g3]))
+    z = (F - K @ u)[index.free]
+    c = index.weights * _bound(theta.g, index.points, np.abs(u[g3]))
     z[T] -= np.sign(u[g3]) * c  # xi on the slip nodes; zero on the stick nodes
     I = (u[g3] == 0.0).nonzero()[0]
     relaxation = theta.eps * fem.v_norm(mesh, u) if theta.eps else 0.0
-    value = max(_dual_distance(z, T, I, c, fem.free_block(mesh)) - relaxation, 0.0)
+    _, solve, Z = fem.free_block(mesh)
+    value = max(_dual_distance(z, T, I, c, 1e3 / index.diagonal, solve, Z) - relaxation, 0.0)
     if value > CERT_TOL:  # the bound does not certify: the exact value
-        gram = fem.free_factor(mesh, fem.gram_matrix(mesh))
-        value = max(_dual_distance(z, T, I, c, gram) - relaxation, 0.0)
+        block, solve, Z = fem.free_factor(mesh, fem.gram_matrix(mesh))
+        sigma = 1e3 / block.diagonal()[T]
+        value = max(_dual_distance(z, T, I, c, sigma, solve, Z) - relaxation, 0.0)
     return value
 
 

@@ -148,7 +148,8 @@ def _index_for(problem: qvi.ProblemData, schedule: Schedule, n: int, s: float):
 
     Each datum (f0, f2, g, mu) that the kind does not perturb is the base
     problem's own object, and so is an f0, f2 or mu shifted by a zero
-    scale (``combine_coefficients``): identity tells a caller what an
+    scale (``combine_coefficients``) and a g shifted by zero
+    (``fem.FrictionBound.shifted``): identity tells a caller what an
     instance shares with the unperturbed problem."""
     kind = schedule.kind
     f0, f2, g, mu = problem.f0, problem.f2, problem.g, problem.mu

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,67 @@ class TestBuildMesh:
         assert np.isclose(mesh.gamma3_weights.sum(), 2.0)
         bottom = np.flatnonzero(mesh.nodes[:, 1] == 0.0)
         assert np.allclose(np.sort(mesh.gamma3_weights[bottom]), [0.25, 0.25, 0.5])
+
+
+def path_laplacian(n):
+    return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+
+
+def set_operation_node_sets(mesh):
+    """(node_sets, free_nodes) by sorted-set operations on the facets."""
+    taken = np.zeros(0, dtype=np.int64)
+    node_sets = {}
+    for tag in ("gamma1", "gamma3", "gamma2"):
+        raw = np.unique(mesh.facets[tag].ravel())
+        node_sets[tag] = np.setdiff1d(raw, taken)
+        taken = np.union1d(taken, raw)
+    return node_sets, np.setdiff1d(np.arange(mesh.n_nodes), node_sets["gamma1"])
+
+
+class TestNodeSetMasks:
+    """The node sets and free nodes made with boolean masks are bitwise,
+    dtype included, those of the sorted-set operations."""
+
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            None,
+            dict(left="gamma1", right="gamma1", bottom="gamma2", top="gamma3"),
+            dict(left="gamma3", right="gamma2", bottom="gamma1", top="gamma1"),
+            dict(left="gamma1", right="gamma1", bottom="gamma1", top="gamma1"),
+        ],
+    )
+    def test_rectangle(self, partition):
+        mesh = square_mesh(5, 3, partition)
+        node_sets, free = set_operation_node_sets(mesh)
+        for tag in fem.TAGS:
+            assert mesh.node_sets[tag].dtype == node_sets[tag].dtype
+            assert mesh.node_sets[tag].tobytes() == node_sets[tag].tobytes()
+        assert mesh.free_nodes.dtype == free.dtype and mesh.free_nodes.tobytes() == free.tobytes()
+
+    @pytest.mark.parametrize("right", ["gamma1", "gamma2", "gamma3"])
+    def test_interval(self, right):
+        mesh = interval_mesh(6, right=right)
+        node_sets, free = set_operation_node_sets(mesh)
+        for tag in fem.TAGS:
+            assert mesh.node_sets[tag].dtype == node_sets[tag].dtype
+            assert mesh.node_sets[tag].tobytes() == node_sets[tag].tobytes()
+        assert mesh.free_nodes.dtype == free.dtype and mesh.free_nodes.tobytes() == free.tobytes()
+
+    def test_band_order_with_unreached_rows(self):
+        # two paths; the search from ``last`` reaches only the second
+        A = sp.csr_matrix(sp.block_diag([path_laplacian(9), path_laplacian(4)]))
+        last = np.array([10, 12], dtype=np.int64)
+        n = A.shape[0]
+        indptr = np.append(A.indptr, A.nnz + len(last))
+        graph = sp.csr_matrix(
+            (np.ones(indptr[-1]), np.concatenate((A.indices, last)), indptr), shape=(n + 1, n + 1)
+        )
+        order = breadth_first_order(graph, n, return_predecessors=False)[:0:-1]
+        ref = np.concatenate((np.setdiff1d(np.arange(n), order), order))
+        got = fem._band_order(A, last)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert set(got[:9]) == set(range(9))
 
 
 def rectangle_oracle(spec):

@@ -227,12 +227,14 @@ class TestTresca:
         assert kkt_residual(K, F, np.arange(3), np.arange(3), c, u) <= 1e-12
 
     def test_rejects_nonpositive_diagonal(self):
-        # the diagonal is checked before the factor is read; a zero block has no factor
-        mesh = interval_mesh(4)
-        K = sp.csr_matrix((5, 5))
+        # sigma = 1e3 / diag(K)_T is checked before the factor is read; a zero
+        # block has no factor
+        index = qvi.mesh_index(interval_mesh(4))
         factor = (None, None)
+        with np.errstate(divide="ignore"):
+            sigma = 1e3 / np.zeros(1)
         with pytest.raises(qvi.SolverError, match="diagonal"):
-            qvi.TrescaSolver(K, mesh.free_nodes, mesh.node_sets["gamma3"], factor)
+            qvi.TrescaSolver(index, factor, sigma)
 
     def test_rejects_negative_bound(self, monkeypatch):
         # fixed_point computes each step's coefficients c; one negative beyond
@@ -321,6 +323,88 @@ class TestProduct:
         x = np.random.default_rng(RNG_SEED).standard_normal(mesh.n_nodes)
         for A in (fem.gram_matrix(mesh), fem.mass_matrix(mesh)):
             assert np.array_equal(qvi._product(A)(x), A @ x)
+
+
+def box_qp_loop(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner):
+    """``qvi._box_qp`` as its loop ran every start: an all-stick start too
+    runs the iteration that solves Z lam = b again and stops."""
+    if lam is None:
+        lam = stick_solve(np.arange(len(b)), b - t)
+    tol = inner_tol * (1.0 + c.max())
+    s = np.sign(t)
+    at_zero = (t == 0.0).nonzero()[0]
+    if len(at_zero):
+        s[at_zero] = np.sign(lam[at_zero]) * (np.abs(lam[at_zero]) > c[at_zero])
+    seen, least_index = None, False
+    for iteration in range(1, max_inner + 1):
+        lam = s * c
+        t = b - Z @ lam
+        I = (s == 0.0).nonzero()[0]
+        if len(I):
+            lam[I] = stick_solve(I, t[I])
+            t -= Z[:, I] @ lam[I]
+            t[I] = 0.0
+        if (s * t).min() >= -tol and (not len(I) or (np.abs(lam[I]) <= c[I] + tol).all()):
+            return lam, I, iteration
+        if seen is None:
+            seen, sigma_c = set(), sigma * c
+        if not least_index:
+            z = t + sigma * lam
+            s_next = np.sign(z) * (np.abs(z) > sigma_c)
+            seen.add(s.tobytes())
+            least_index = s_next.tobytes() in seen
+        if least_index:
+            holds = np.where(s == 0.0, np.abs(lam) <= c + tol, s * t >= -tol)
+            i = int(np.argmin(holds))
+            s_next = s.copy()
+            s_next[i] = np.sign(lam[i]) if s[i] == 0.0 else 0.0
+        s = s_next
+    raise AssertionError("the loop missed the friction law")
+
+
+@st.composite
+def box_qp_instances(draw):
+    """A random SPD Z of order 1 to 6, its b, sigma and a start: the
+    default multiplier from t = 0 with a box wide enough for every node to
+    stick, or a random box with t = 0 or a random t, and the default or a
+    random multiplier."""
+    m = draw(st.integers(1, 6))
+    A = draw(_values(m * m, -1.0, 1.0)).reshape(m, m)
+    Z = A @ A.T + 0.1 * np.eye(m)
+    b = draw(_values(m, -3.0, 3.0))
+    sigma = draw(_values(m, 0.1, 1e3))
+    if draw(st.booleans()):  # all stick
+        lam_b = np.linalg.solve(Z, b)
+        c = np.abs(lam_b) * draw(st.floats(1.0, 3.0)) + draw(st.floats(0.0, 1.0))
+        return Z, b, c, np.zeros(m), None, sigma
+    c = draw(_values(m, 0.0, 3.0))
+    t = np.zeros(m) if draw(st.booleans()) else draw(_values(m, -2.0, 2.0))
+    lam = draw(st.one_of(st.none(), _values(m, -3.0, 3.0)))
+    return Z, b, c, t, lam, sigma
+
+
+class TestBoxQP:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(box_qp_instances())
+    def test_bitwise_equal_to_the_loop(self, instance):
+        Z, b, c, t, lam, sigma = instance
+        solves = {"box": 0, "loop": 0}
+
+        def stick_solve(name):
+            def solve(J, rhs):
+                solves[name] += 1
+                return qvi.dgetrs(*qvi.dgetrf(Z[np.ix_(J, J)])[:2], rhs)[0]
+            return solve
+
+        cfg = qvi.SolverConfig()
+        args = (cfg.inner_tol, cfg.max_inner)
+        got = qvi._box_qp(Z, b, c, t, lam, stick_solve("box"), sigma, *args, "box QP")
+        ref = box_qp_loop(Z, b, c, t, lam, stick_solve("loop"), sigma, *args)
+        assert [x.tobytes() for x in got[:2]] == [x.tobytes() for x in ref[:2]]
+        assert got[2] == ref[2]
+        # an all-stick default start makes one stick solve, the loop two
+        all_stick = lam is None and got[2] == 1 and len(got[1]) == len(b)
+        assert solves["box"] == solves["loop"] - all_stick
 
 
 class TestSolverConfig:
@@ -487,8 +571,11 @@ def per_step_tresca(solver, F, c, t0, lam0, inner_tol, max_inner, stick_sets=Non
     ``np.linalg.solve`` afresh.  ``lam0`` is the multiplier of a warm
     start; None starts from the exact reaction Z^-1 (w_T - t0), with Z made
     of band-solved columns.  Returns (u, lam, iterations) and appends each
-    nonempty stick set to ``stick_sets``."""
+    nonempty stick set to ``stick_sets``, but for the first iteration of
+    such a start at which every node sticks: ``qvi._box_qp`` returns that
+    start's own stick solve as it."""
     free, pos = solver.free, solver._pos
+    cold = lam0 is None
     w = solver._solve(F[free])
     u = np.zeros(solver.n_nodes)
     if len(pos) == 0:
@@ -509,7 +596,8 @@ def per_step_tresca(solver, F, c, t0, lam0, inner_tol, max_inner, stick_sets=Non
         u_free = w - solver._solve(rhs)
         t = u_free[pos]
         if len(I):
-            if stick_sets is not None:
+            all_stick_start = cold and iteration == 1 and len(I) == len(pos)
+            if stick_sets is not None and not all_stick_start:
                 stick_sets.append(I.tobytes())
             Z_I = gamma3_columns(solver, I)
             lam[I] = np.linalg.solve(Z_I[I], t[I])
@@ -1178,17 +1266,23 @@ def certificate_parts(mesh, mu, u, theta):
     return z, T, (u[g3] == 0.0).nonzero()[0], c
 
 
+def block_distance(mesh, mu, u, theta, factor):
+    """The certificate's box QP and distance on ``factor`` = (A_ff, solve,
+    Z) of ``fem.free_factor``, with sigma = 1e3 / diag(A_ff)_T."""
+    z, T, I, c = certificate_parts(mesh, mu, u, theta)
+    block, solve, Z = factor
+    return qvi._dual_distance(z, T, I, c, 1e3 / block.diagonal()[T], solve, Z)
+
+
 def gram_distance(mesh, mu, u, theta):
     """dist: the exact V*-distance of the residual to the friction
     subdifferential, on a factor of the free Gram block made here."""
-    return qvi._dual_distance(
-        *certificate_parts(mesh, mu, u, theta), fem.free_factor(mesh, fem.gram_matrix(mesh))
-    )
+    return block_distance(mesh, mu, u, theta, fem.free_factor(mesh, fem.gram_matrix(mesh)))
 
 
 def stiffness_distance(mesh, mu, u, theta):
     """dist_S: the same box QP and distance on the unit stiffness block."""
-    return qvi._dual_distance(*certificate_parts(mesh, mu, u, theta), fem.free_block(mesh))
+    return block_distance(mesh, mu, u, theta, fem.free_block(mesh))
 
 
 def exact_membership_violation(mesh, mu, u, theta):
@@ -1389,6 +1483,18 @@ class TestMembership:
         monkeypatch.setattr(fem, "free_factor", lambda *a: pytest.fail("factored the block"))
         with pytest.raises(ValueError, match=f"u must be finite, got {value} at node {node}$"):
             qvi.membership_violation(prob.mesh, prob.mu, u, theta)
+
+    def test_stick_certificate_factors_the_stick_block_once(self, monkeypatch):
+        # the stick node's multiplier lies in its box: the QP's start is its answer
+        prob = benchmark_problem(1.0, 1.0, 1.0, 16)
+        u, _ = qvi.solve_qvi(prob)
+        assert u[16] == 0.0
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+        factored = []
+        dgetrf = qvi.dgetrf
+        monkeypatch.setattr(qvi, "dgetrf", lambda a: factored.append(a.shape) or dgetrf(a))
+        assert qvi.membership_violation(prob.mesh, prob.mu, u, theta) <= qvi.CERT_TOL
+        assert factored == [(1, 1)]
 
     @pytest.mark.parametrize("name, shape", [("u", (16,)), ("u", (17, 1)), ("load", (18,))])
     def test_wrong_shape_refused(self, name, shape):
@@ -1601,13 +1707,41 @@ class TestCertifiedSolveAssembly:
         kkt = qvi.complementarity_report(prob, u)
         theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
         violation = qvi.membership_violation(mesh, mu, u, theta, seed=3)
-        # K, and the unit stiffness of c0 and the V-norm when mu is not 1
-        assert assembled == ([mu] if mu == 1.0 else [mu, 1.0])
+        # the unit stiffness of c0, the V-norm and the solver, and K when mu
+        # is not 1, which the solve does not read
+        assert assembled == ([mu] if mu == 1.0 else [1.0, mu])
         # the same values as a certificate handed a freshly assembled K
         K = fem.assemble_stiffness(mesh, mu)
         fresh = qvi.membership_violation(mesh, mu, u, theta, seed=3, stiffness=K)
         assert violation == fresh <= 1e-8
         assert np.max(kkt[3]) <= 1e-8
+
+    def test_scalar_modulus_assembles_on_first_read(self, monkeypatch):
+        mesh = square_mesh(6)
+        prob = qvi.ProblemData(mesh, 1.0, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2))
+        qvi.DiscreteProblem(prob)  # the mesh's unit stiffness, constants and index
+        assembled = counting_gradient_forms(monkeypatch)
+        discrete = qvi.DiscreteProblem(prob.with_data(mu=1.37, mu_star=None))
+        u, _ = discrete.solve(fem.assemble_load(mesh, 1.0, 0.5), prob.g)
+        assert assembled == []
+        K = discrete.K
+        assert assembled == [1.37] and discrete.K is K is fem.stiffness_matrix(mesh, 1.37)
+        assert np.array_equal(u, qvi.solve_qvi(prob.with_data(mu=1.37, mu_star=None))[0])
+
+    @pytest.mark.parametrize(
+        "mu, mu_star, match",
+        [
+            (np.nan, None, "must be finite, sampled value nan"),
+            (-1.0, None, "must be positive, min sampled value -1.0"),
+            (0.5, 0.6, "drops to 0.5, below the floor 0.6"),
+        ],
+    )
+    def test_scalar_modulus_refused_at_construction(self, mu, mu_star, match, monkeypatch):
+        mesh = square_mesh(4)
+        prob = qvi.ProblemData(mesh, mu, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2), mu_star)
+        monkeypatch.setattr(constants, "space_constants", lambda m: pytest.fail("constants"))
+        with pytest.raises(ValueError, match=match):
+            qvi.DiscreteProblem(prob)
 
     @pytest.mark.parametrize(
         "mesh, f2", [(square_mesh, 0.5), (interval_mesh, None)], ids=["2d", "1d"]

@@ -277,6 +277,16 @@ class TestLamePerturb:
         assert report.verdict == tykhonov.CONVERGENT
         assert report.max_violation <= 1e-8
 
+    def test_modulus_sequence_assembles_two_stiffness_matrices(self, monkeypatch):
+        # the unit stiffness of the norms, constants and solvers, and the
+        # certificates' K of the base modulus; an instance assembles none
+        assembled = _count_calls(monkeypatch, fem, "assemble_stiffness")
+        problem = oracle.benchmark_problem(mu=1.0135, f0=3.0, g=0.5, n_elements=1024)
+        schedule = tykhonov.Schedule(kind="lame_perturb", length=8)
+        report = tykhonov.run_convergence(problem, schedule)
+        assert len(assembled) == 2
+        assert report.max_violation <= 1e-8
+
     def test_oscillation_is_non_convergent(self):
         problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=32)
         schedule = tykhonov.Schedule(
@@ -582,11 +592,10 @@ class TestSharedFactorization:
         monkeypatch.setattr(fem, "_assemble_gradient_form", counting)
         problem = _shared_problem(dim, kind)
         report = tykhonov.run_convergence(problem, _shared_schedule(kind), seed=4)
-        # one K for u_ref, the sequence and every certificate, and the unit
-        # stiffness of the norms and constants unless mu = 1; each modulus
-        # instance assembles its own
-        expected = SHARED_LENGTH + 1 if kind == "lame_perturb" else 1
-        assert len(assembled) == expected + (problem.mu != 1.0)
+        # one K for every certificate, and the unit stiffness of the norms,
+        # the constants and the solvers unless mu = 1; a modulus instance
+        # assembles none
+        assert len(assembled) == 1 + (problem.mu != 1.0)
         # the same values as certificates that assemble their own K
         fresh = [original(problem.mesh, mu, u, theta) for mu, u, theta in certified]
         assert len(fresh) == SHARED_LENGTH
@@ -696,10 +705,8 @@ def _count_calls(monkeypatch, owner, name):
     ["eps_decay", "load_perturb", "traction_perturb", "friction_perturb", "lame_perturb"],
 )
 def test_zero_decay_shares_the_base_load(kind, dim, monkeypatch):
-    # a zero scale leaves f0, f2 and mu the base's own objects, so every
-    # instance takes the base load, and one that keeps g as well is the
-    # unperturbed solution, solved once; a shifted bound is a new object
-    # even at zero scale, so a friction instance is solved again
+    # a zero scale leaves f0, f2, g and mu the base's own objects, so every
+    # instance takes the base load and is the unperturbed solution, solved once
     problem = _shared_problem(dim, kind)
     schedule = tykhonov.Schedule(kind=kind, length=SHARED_LENGTH, decay="zero")
     loads = _count_calls(monkeypatch, fem, "assemble_load")
@@ -707,10 +714,9 @@ def test_zero_decay_shares_the_base_load(kind, dim, monkeypatch):
     report = tykhonov.run_convergence(problem, schedule)
     assert len(loads) == 1
     assert report.errors == [0.0] * SHARED_LENGTH
-    if kind != "friction_perturb":
-        run = len(iterations)
-        qvi.solve_qvi(problem)
-        assert run == len(iterations) - run  # u_ref's own
+    run = len(iterations)
+    qvi.solve_qvi(problem)
+    assert run == len(iterations) - run  # u_ref's own
 
 
 @pytest.mark.parametrize("mu_law", tykhonov.MU_LAWS)

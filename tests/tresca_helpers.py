@@ -5,6 +5,8 @@ active-set iteration on the reduced load, as one outer step of
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from antiplane import fem, qvi
@@ -12,11 +14,13 @@ from antiplane import fem, qvi
 
 def tresca_solver(K, free, gamma3) -> qvi.TrescaSolver:
     """``qvi.TrescaSolver`` of K on the ``fem.spd_factor`` of its free
-    block, ordered with the gamma3 rows last."""
+    block, ordered with the gamma3 rows last, with sigma = 1e3 / diag(K)_T."""
     free = np.sort(np.asarray(free, dtype=np.int64))
+    pos = np.flatnonzero(np.isin(free, gamma3))
     block = fem.submatrix(K, free, free)
-    layout = fem.band_layout(block, np.flatnonzero(np.isin(free, gamma3)))
-    return qvi.TrescaSolver(K, free, gamma3, fem.spd_factor(block, layout))
+    factor = fem.spd_factor(block, fem.band_layout(block, pos))
+    index = SimpleNamespace(n_nodes=K.shape[0], free=free, pos=pos, friction=free[pos])
+    return qvi.TrescaSolver(index, factor, 1e3 / K.diagonal()[free[pos]])
 
 
 def tresca_solve(solver, F, c, t0=None, *, inner_tol=1e-12, max_inner=50000):
