@@ -43,7 +43,6 @@ from .tykhonov import (
     ConvergenceReport,
     Schedule,
     run_convergence,
-    verify_c4,
 )
 from .control import (
     AdmissiblePair,
@@ -89,7 +88,6 @@ __all__ = [
     "ConvergenceReport",
     "Schedule",
     "run_convergence",
-    "verify_c4",
     "AdmissiblePair",
     "ControlError",
     "ControlPatches",

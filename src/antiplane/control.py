@@ -6,17 +6,21 @@ penalty on the control:
 
     cost(u, c) = a0 ||u - target||^2_{L2(D)} + a2 ||c||^2_{L2(gamma2)}.
 
-``minimize_cost`` runs seeded multistart Nelder-Mead over the patch
-coefficients, with each evaluation solving the frictional equilibrium
-problem for that traction.  The state assembly is load-independent, so
-one :class:`StateSolver` holds one ``qvi.DiscreteProblem`` for all
-optimizer evaluations, each started from the secant through its start's
-last d + 1 evaluated (control, state) pairs (``_predict``), which is
-exact wherever the control-to-state map is affine; a control that the
-start has solved before is answered from its record.  Multistart optima
-are clustered by cost (radius ``CLUSTER_RADIUS``) to approximate a
-possibly non-unique solution set; ties between equal-cost minimizers
-(within ``TIE_TOL``) resolve to the smaller control norm.
+``minimize_cost`` runs seeded multistart Nelder-Mead (Nelder & Mead,
+Comput. J. 7, 1965) over the patch coefficients, with each evaluation
+solving the frictional equilibrium problem for that traction.  The
+simplex iteration is this module's ``_nelder_mead``, bitwise that of
+scipy 1.17's ``minimize(method="Nelder-Mead")`` for the options used
+here, so a control run loads no optimization package.  The state
+assembly is load-independent, so one :class:`StateSolver` holds one
+``qvi.DiscreteProblem`` for all optimizer evaluations, each started from
+the secant through its start's last d + 1 evaluated (control, state)
+pairs (``_predict``), which is exact wherever the control-to-state map
+is affine; a control that the start has solved before is answered from
+its record.  Multistart optima are clustered by cost (radius
+``CLUSTER_RADIUS``) to approximate a possibly non-unique solution set;
+ties between equal-cost minimizers (within ``TIE_TOL``) resolve to the
+smaller control norm.
 
 ``run_oc_sequence`` perturbs the data along a vanishing
 ``tykhonov.Schedule`` (the perturbed index of the direct harness, plus
@@ -309,6 +313,95 @@ def _predict(history: deque, x: np.ndarray) -> np.ndarray | None:
     return history[-1][1] if history else None
 
 
+class _BudgetSpent(Exception):
+    """A call of ``_nelder_mead``'s objective past its budget."""
+
+
+def _nelder_mead(fun, x0, box, xatol, fatol, budget):
+    """Nelder-Mead minimization of ``fun`` from ``x0``: (x, fun(x), the
+    number of calls, whether the stop test held within ``budget`` calls).
+
+    Bitwise the iteration of scipy 1.17's ``minimize(fun, x0,
+    method="Nelder-Mead", bounds=box, options={"xatol": xatol, "fatol":
+    fatol, "maxiter": budget, "maxfev": budget})``, with ``box`` None or a
+    pair (lower, upper) of arrays: reflection, expansion, contraction and
+    shrink coefficients 1, 2, 0.5 and 0.5; a start simplex that scales
+    the k-th entry of x0 by 1.05, or sets it to 0.00025 when it is zero;
+    in a box, every point clipped into it and a start vertex past the
+    upper bound reflected back; ``fun`` called on a copy of each point;
+    the stop at a simplex within ``xatol`` of its best vertex in x and
+    ``fatol`` in cost, or at the budget.  An iteration makes at least one
+    call, so the iteration cap never binds before the call cap and is not
+    kept.
+    """
+    clip = (lambda x: x) if box is None else (lambda x: np.clip(x, *box))
+    n = len(x0)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return fun(np.copy(x))
+
+    x0 = clip(np.array(x0, dtype=float))
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    if box is not None:  # a vertex past the upper bound is reflected into the box
+        sim = np.clip(np.where(sim > box[1], 2 * box[1] - sim, sim), *box)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):  # sorted twice, as scipy does: an unstable sort may reorder ties
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    while calls < budget:
+        try:
+            if (
+                np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = clip(2 * xbar - sim[-1])
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = clip(3 * xbar - 2 * sim[-1])
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = clip(1.5 * xbar - 0.5 * sim[-1])
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = clip(0.5 * xbar + 0.5 * sim[-1])
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = clip(sim[0] + 0.5 * (sim[j] - sim[0]))
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], np.min(fsim), calls, calls < budget
+
+
 def minimize_cost(
     problem: qvi.ProblemData,
     patches: ControlPatches,
@@ -343,9 +436,6 @@ def minimize_cost(
     non-finite ``start_scale``, ``xatol`` or ``fatol``, or an extra start
     of the wrong shape or with a non-finite entry.
     """
-    # deferred: only the optimizer needs scipy.optimize, so a solve does not load it
-    from scipy.optimize import minimize
-
     fem.require_count("n_starts", n_starts)
     if max_evals is not None:
         fem.require_count("max_evals", max_evals)
@@ -361,9 +451,8 @@ def minimize_cost(
         x0s.append(start_scale * rng.standard_normal(d))
     box = patches.bounds()
     if box is not None:
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
-        x0s = [np.clip(x, lo, hi) for x in x0s]
+        box = (np.array([b[0] for b in box]), np.array([b[1] for b in box]))
+        x0s = [np.clip(x, *box) for x in x0s]
 
     budget = max_evals if max_evals is not None else 2000 * d
     starts: list[StartRecord] = []
@@ -383,28 +472,8 @@ def minimize_cost(
             trace.append(float(J))
             return J
 
-        res = minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            bounds=box,
-            options={
-                "xatol": xatol,
-                "fatol": fatol,
-                "maxiter": budget,
-                "maxfev": budget,
-            },
-        )
-        starts.append(
-            StartRecord(
-                index=i,
-                x0=x0,
-                coeffs=np.asarray(res.x, dtype=float),
-                cost=float(res.fun),
-                n_evals=int(res.nfev),
-                success=bool(res.success),
-            )
-        )
+        x, J, n_evals, success = _nelder_mead(fun, x0, box, xatol, fatol, budget)
+        starts.append(StartRecord(i, x0, x, float(J), n_evals, success))
         traces.append(trace)
 
     ok = [s for s in starts if s.success]

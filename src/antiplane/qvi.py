@@ -65,11 +65,6 @@ class ProblemData:
     g: fem.FrictionBound
     mu_star: float | None = None
 
-    def resolved_mu_star(self) -> float:
-        if self.mu_star is not None:
-            return float(self.mu_star)
-        return float(fem.element_values(self.mesh, self.mu).min())
-
     def with_data(self, **changes) -> "ProblemData":
         return replace(self, **changes)
 
@@ -442,18 +437,20 @@ class DiscreteProblem:
     ``gram_product`` with the Gram matrix of the V-norm and the stiffness
     matrix K, each resolved once.  It holds no load; ``solve`` takes an
     assembled one.  The nodes, points, weights and Gram product are the
-    mesh's ``MeshIndex`` (``mesh_index``).  K is made on first read.
+    mesh's ``MeshIndex`` (``mesh_index``).
 
-    mu is checked (``fem.modulus_values``) before anything is made.  For a
+    mu is sampled and checked once (``fem.modulus_values``) before anything
+    is made, and mu_star defaults to the least sampled value.  For a
     scalar mu the problem assembles nothing: the solver runs on the mesh's
     factor of the free unit stiffness block (``fem.free_block``), which c0
-    shares, divided by mu, with sigma = 1e3 / (mu diag(S)_T), and K is the
-    mesh's cached, read-only matrix of mu, which the certificates of a
-    sequence read.  Any other mu assembles K, drops the unit factor from
-    the mesh's cache (``fem.release_free_block``) and factors its own K_ff
-    on the mesh's band layout (``fem.free_factor``), so that one band is
-    held at a time; a later scalar mu or certificate on the mesh factors
-    the unit block again.  All of these depend on the mesh and mu only,
+    shares, divided by mu, with sigma = 1e3 / (mu diag(S)_T), and K, made
+    on first read, is the mesh's cached, read-only matrix of mu, which the
+    certificates of a sequence read.  Any other mu assembles K from its
+    sampled values, drops the unit factor from the mesh's cache
+    (``fem.release_free_block``) and factors its own K_ff on the mesh's
+    band layout (``fem.free_factor``), so that one band is held at a time;
+    a later scalar mu or certificate on the mesh factors the unit block
+    again.  All of these depend on the mesh and mu only,
     so one instance solves the problem for any load and friction bound,
     bitwise as a fresh ``solve_qvi`` of the same data would.
     """
@@ -461,7 +458,7 @@ class DiscreteProblem:
     def __init__(self, problem: ProblemData):
         self.problem = problem
         mesh, mu = problem.mesh, problem.mu
-        fem.modulus_values(mesh, mu, problem.mu_star)
+        mu_e = fem.modulus_values(mesh, mu, problem.mu_star)
         # the constants first: c3 drops the Gram band before the stiffness band is built
         self.c0, self.c3 = constants.space_constants(mesh)
         index = mesh_index(mesh)
@@ -471,13 +468,14 @@ class DiscreteProblem:
             sigma = 1e3 / (mu * index.diagonal)
         else:  # c0 is cached: the unit band goes before K_ff's is made
             fem.release_free_block(mesh)
+            self.K = fem.assemble_stiffness(mesh, mu_e)
             try:
                 factor = fem.free_factor(mesh, self.K)[1:]
             except fem.FactorizationError as exc:
                 raise SolverError(f"stiffness block factorization failed: {exc}") from exc
             sigma = 1e3 / self.K.diagonal()[index.friction]
         self.tresca = TrescaSolver(index, factor, sigma)
-        self.mu_star = problem.resolved_mu_star()
+        self.mu_star = float(mu_e.min() if problem.mu_star is None else problem.mu_star)
         self.points, self.weights = index.points, index.weights
         self.gram_product = index.gram_product
 

@@ -306,42 +306,3 @@ def run_convergence(
         errors_to_limit=errors_to_limit,
     )
 
-
-def verify_c4(
-    g_n: fem.FrictionBound,
-    g: fem.FrictionBound,
-    points: np.ndarray,
-    r_samples: np.ndarray,
-) -> tuple[float, float]:
-    """Smallest affine envelope |g_n(x, r) - g(x, r)| <= alpha + beta |r|.
-
-    Minimizes the mean of the envelope over the sampled |r| subject to
-    domination at every sample, a two-variable linear program; returns
-    (alpha, beta) with both nonnegative.
-    """
-    # deferred: only this fit needs scipy.optimize, so a solve does not load it
-    from scipy.optimize import linprog
-
-    points = np.atleast_1d(points)
-    r_samples = np.asarray(r_samples, dtype=float)
-    rows_r = []
-    rows_d = []
-    for p in points:
-        p_arr = np.broadcast_to(np.asarray(p), (len(r_samples),) + np.shape(p))
-        d = np.abs(g_n(p_arr, r_samples) - g(p_arr, r_samples))
-        rows_r.append(np.abs(r_samples))
-        rows_d.append(d)
-    rr = np.concatenate(rows_r)
-    dd = np.concatenate(rows_d)
-    # minimize alpha + beta * mean|r|  s.t.  alpha + beta*|r_i| >= d_i
-    res = linprog(
-        c=[1.0, float(rr.mean())],
-        A_ub=np.column_stack([-np.ones_like(rr), -rr]),
-        b_ub=-dd,
-        bounds=[(0.0, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"envelope fit failed: {res.message}")
-    alpha, beta = (float(v) for v in res.x)
-    return alpha, beta

@@ -307,7 +307,7 @@ class TestBuilders:
         mesh = config.build_mesh(cfg)
         problem = config.build_problem(cfg, mesh)
         assert problem.f2 is None
-        assert problem.resolved_mu_star() == 1.5
+        assert problem.mu_star == 1.5
         solver_cfg = config.build_solver_config(cfg)
         assert solver_cfg.outer_tol == 1e-8
         assert solver_cfg.max_outer == 50

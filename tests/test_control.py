@@ -645,6 +645,76 @@ class TestRevisitMemo:
             assert start.cost == ref.fun and np.array_equal(start.coeffs, ref.x)
 
 
+def quadratic(d):
+    """A convex quadratic on R^d with its minimizer off the axes."""
+    A = np.eye(d) + 0.3 * np.ones((d, d))
+    c = np.linspace(0.5, -0.7, d)
+    return lambda x: float((x - c) @ A @ (x - c))
+
+
+# (objective, x0, box as (lower, upper) or None, budget, (xatol, fatol));
+# all but "budget-spent" converge within their budget
+TOLS = (1e-9, 1e-12)
+NELDER_MEAD_CASES = {
+    **{f"quadratic-d{d}": (quadratic(d), np.linspace(0.3, 1.1, d), None, 2000 * d, TOLS)
+       for d in (1, 2, 3, 4)},
+    "kinked": (
+        lambda x: float(np.abs(x - [0.2, -0.4]).sum()), np.array([1.0, 1.0]), None, 4000, TOLS
+    ),
+    "tied": (
+        lambda x: float(np.floor(4.0 * x @ x)), np.array([0.6, -0.3, 0.2]), None, 6000, TOLS
+    ),
+    # the expansion point ties with the reflection point on the plateau
+    "plateau": (lambda x: max(float(x[0]), -0.6), np.array([0.0]), None, 4000, TOLS),
+    "zero-entries": (quadratic(3), np.array([0.0, 0.8, 0.0]), None, 6000, TOLS),
+    "on-upper-bound": (
+        quadratic(2),
+        np.array([0.5, 0.0]),
+        (np.array([-1.0, -np.inf]), np.array([0.5, 0.6])),
+        4000,
+        TOLS,
+    ),
+    # the stop test holds only once the simplex has collapsed to one point
+    "zero-tolerances": (quadratic(1), np.array([0.3]), None, 20000, (0.0, 0.0)),
+    "budget-spent": (quadratic(3), np.array([0.4, 0.0, -0.2]), None, 23, TOLS),
+}
+
+
+class TestNelderMead:
+    """``control._nelder_mead`` is bitwise scipy's Nelder-Mead with the
+    options ``minimize_cost`` passes: the same points, in the same order,
+    and the same result."""
+
+    @pytest.mark.parametrize("case", list(NELDER_MEAD_CASES))
+    def test_bitwise_equal_to_scipy(self, case):
+        from scipy.optimize import minimize
+
+        fun, x0, box, budget, (xatol, fatol) = NELDER_MEAD_CASES[case]
+        ours, theirs = [], []
+
+        def recording(calls):
+            def f(x):
+                calls.append(x.tobytes())
+                J = fun(x)
+                x[:] = np.nan  # harmless only if each call gets its own copy
+                return J
+
+            return f
+
+        x, J, n_evals, success = control._nelder_mead(
+            recording(ours), x0, box, xatol, fatol, budget
+        )
+        options = {"xatol": xatol, "fatol": fatol, "maxiter": budget, "maxfev": budget}
+        bounds = None if box is None else list(zip(*box))
+        ref = minimize(recording(theirs), x0, method="Nelder-Mead", bounds=bounds, options=options)
+        assert ours == theirs and n_evals == ref.nfev == len(ours)
+        assert x.dtype == ref.x.dtype and x.tobytes() == ref.x.tobytes()
+        assert J == ref.fun and success is bool(ref.success) is (case != "budget-spent")
+        if box is not None:
+            # the start simplex reflected a vertex off the upper bound
+            assert any(np.frombuffer(b)[0] < x0[0] for b in ours[:3])
+
+
 class TestUpFrontRefusals:
     """Bad optimizer and gate settings are refused by name before any
     Tresca solver is built (the patched class fails if it is)."""

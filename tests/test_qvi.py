@@ -1138,7 +1138,8 @@ class TestAPrioriBound:
             prob = benchmark_problem(mu, f0, g, 64)
             u, rep = qvi.solve_qvi(prob)
             F = fem.assemble_load(prob.mesh, prob.f0, prob.f2)
-            lhs = prob.resolved_mu_star() / rep.c0**2 * fem.v_norm(prob.mesh, u)
+            mu_star = qvi.DiscreteProblem(prob).mu_star
+            lhs = mu_star / rep.c0**2 * fem.v_norm(prob.mesh, u)
             assert lhs <= dual_norm(prob.mesh, F) * (1 + 1e-9)
 
 
@@ -1727,6 +1728,37 @@ class TestCertifiedSolveAssembly:
         K = discrete.K
         assert assembled == [1.37] and discrete.K is K is fem.stiffness_matrix(mesh, 1.37)
         assert np.array_equal(u, qvi.solve_qvi(prob.with_data(mu=1.37, mu_star=None))[0])
+
+    @pytest.mark.parametrize("kind", ["scalar", "per-element", "callable"])
+    def test_modulus_sampled_once(self, kind, monkeypatch):
+        mesh = square_mesh(6)
+        evaluated = []
+        mu = {
+            "scalar": 1.37,
+            "per-element": np.linspace(0.9, 1.3, len(mesh.elements)),
+            "callable": lambda x: evaluated.append(1) or 1.0 + 0.4 * x[:, 0],
+        }[kind]
+        g = fem.FrictionBound.affine(0.2, 0.2)
+        qvi.DiscreteProblem(qvi.ProblemData(mesh, 1.0, 1.0, 0.5, g))  # the mesh's caches
+        calls = []  # (data, values) of each fem.element_values call
+        element_values = fem.element_values
+
+        def recording(mesh, data):
+            calls.append((data, element_values(mesh, data)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fem, "element_values", recording)
+        discrete = qvi.DiscreteProblem(qvi.ProblemData(mesh, mu, 1.0, 0.5, g))
+        # mu is sampled once; the K of a per-element or callable mu is
+        # assembled from those values, and mu_star is their least
+        assert calls[0][0] is mu and len(evaluated) == (kind == "callable")
+        assert len(calls) == (1 if kind == "scalar" else 2)
+        assert all(data is calls[0][1] for data, _ in calls[1:])
+        monkeypatch.undo()
+        assert discrete.mu_star == float(fem.element_values(mesh, mu).min())
+        K = fem.assemble_stiffness(mesh, mu)
+        for a, b in ((discrete.K.data, K.data), (discrete.K.indices, K.indices)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "mu, mu_star, match",

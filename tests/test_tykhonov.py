@@ -425,52 +425,6 @@ class TestTailSlope:
         assert tykhonov.fit_tail_slope([1, 2, 3, 4], [1.0, 0.5, 0.0, 0.0]) is None
 
 
-class TestVerifyC4:
-    def test_affine_shift_recovered_exactly(self):
-        g = fem.FrictionBound.affine(1.0, 0.5)
-        g_n = g.shifted(0.1, 0.05)
-        alpha, beta = tykhonov.verify_c4(
-            g_n, g, points=np.zeros(1), r_samples=np.linspace(0.0, 4.0, 81)
-        )
-        assert alpha == pytest.approx(0.1, abs=1e-10)
-        assert beta == pytest.approx(0.05, abs=1e-10)
-
-    def test_bounded_oscillation_gets_flat_envelope(self):
-        n = 10.0
-        g = fem.FrictionBound.constant(1.0)
-        g_n = fem.FrictionBound(
-            func=lambda x, r: 1.0 + np.sin(r) / n, lipschitz=1.0 / n
-        )
-        r = np.linspace(0.0, 5.0, 101)
-        alpha, beta = tykhonov.verify_c4(g_n, g, points=np.zeros(1), r_samples=r)
-        assert alpha <= 1.0 / n + 1e-9
-        assert beta <= 1e-4
-        d = np.abs(np.sin(r) / n)
-        assert np.all(alpha + beta * np.abs(r) >= d - 1e-9)
-
-    def test_zero_perturbation(self):
-        g = fem.FrictionBound.affine(1.0, 0.25)
-        alpha, beta = tykhonov.verify_c4(
-            g, g, points=np.zeros(1), r_samples=np.linspace(0.0, 3.0, 31)
-        )
-        assert alpha == pytest.approx(0.0, abs=1e-12)
-        assert beta == pytest.approx(0.0, abs=1e-12)
-
-    def test_envelope_dominates_random_cases(self):
-        rng = np.random.default_rng(42)
-        r = np.linspace(0.0, 6.0, 61)
-        for _ in range(20):
-            a0, b0, da, db = rng.uniform(0.0, 1.0, size=4)
-            g = fem.FrictionBound.affine(a0, b0)
-            g_n = g.shifted(da, db)
-            alpha, beta = tykhonov.verify_c4(g_n, g, np.zeros(1), r)
-            d = da + db * np.abs(r)
-            assert np.all(alpha + beta * np.abs(r) >= d - 1e-9)
-            # the mean-minimal envelope of an affine gap is the gap itself
-            assert alpha == pytest.approx(da, abs=1e-9)
-            assert beta == pytest.approx(db, abs=1e-9)
-
-
 def _square_problem():
     spec = fem.MeshSpec(
         2, (1.0, 1.0), (5, 5),
