@@ -259,9 +259,7 @@ SECTION_SCHEMAS = {
     },
     "solver": {
         "outer_tol": Key(_parse_float, default=1e-10),
-        "inner_tol": Key(_parse_float, default=1e-12),
         "max_outer": Key(_parse_int, default=200),
-        "max_inner": Key(_parse_int, default=50000),
         "allow_non_contractive": Key(_parse_bool, default=False),
     },
     "constants": {

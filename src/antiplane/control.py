@@ -160,11 +160,12 @@ class ControlPatches:
         return float(self.measures @ c**2)
 
     def bounds(self):
+        """The box as the (lower, upper) arrays of ``_nelder_mead``, or None."""
         if self.lower is None and self.upper is None:
             return None
         lo = self.lower if self.lower is not None else np.full(self.n_patches, -np.inf)
         hi = self.upper if self.upper is not None else np.full(self.n_patches, np.inf)
-        return list(zip(lo, hi))
+        return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,7 +452,6 @@ def minimize_cost(
         x0s.append(start_scale * rng.standard_normal(d))
     box = patches.bounds()
     if box is not None:
-        box = (np.array([b[0] for b in box]), np.array([b[1] for b in box]))
         x0s = [np.clip(x, *box) for x in x0s]
 
     budget = max_evals if max_evals is not None else 2000 * d

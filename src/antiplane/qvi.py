@@ -42,6 +42,9 @@ from . import constants, fem
 
 
 CERT_TOL = 1e-8  # a membership or admissibility violation at most this certifies
+KKT_REL_TOL = 1e-12  # relative friction-law (KKT) tolerance of ``_box_qp``
+MAX_ACTIVE_SET = 50000  # iteration cap of ``_box_qp``
+SIGN_WEIGHT = 1e3  # sigma = SIGN_WEIGHT / diag(K)_T: ``_box_qp``'s sign test weight
 
 
 class SolverError(RuntimeError):
@@ -85,29 +88,23 @@ class TykhonovIndex:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and caps of the fixed point.
+    """Tolerance and cap of the fixed point.
 
     ``outer_tol`` bounds the final V-norm increment of the bound update and
-    ``max_outer`` caps its iterations.  ``inner_tol`` is the relative
-    tolerance of the inner friction-law (KKT) test and ``max_inner`` caps
-    the active-set iterations of one frozen-bound solve.  Both caps must
-    be integers of at least 1 and both tolerances positive (ValueError
-    otherwise).
+    ``max_outer`` caps its iterations; the cap must be an integer of at
+    least 1 and the tolerance positive (ValueError otherwise).  The
+    frozen-bound solve inside each step is exact and runs at fixed
+    settings: ``KKT_REL_TOL``, ``MAX_ACTIVE_SET`` and ``SIGN_WEIGHT``.
     """
 
     outer_tol: float = 1e-10
-    inner_tol: float = 1e-12
     max_outer: int = 200
-    max_inner: int = 50000
     allow_non_contractive: bool = False
 
     def __post_init__(self):
-        for name in ("max_outer", "max_inner"):
-            fem.require_count(name, getattr(self, name))
-        for name in ("outer_tol", "inner_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:  # also refuses NaN
-                raise ValueError(f"{name} must be positive, got {value}")
+        fem.require_count("max_outer", self.max_outer)
+        if not self.outer_tol > 0.0:  # also refuses NaN
+            raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
 
 
 @dataclass
@@ -128,7 +125,18 @@ class SolveReport:
     error_bound: float | None = None
 
 
-def _box_qp(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner, what):
+def _finite_free(values, free, what):
+    """values[free] of a vector or block ``values`` with a row per node;
+    SolverError naming ``what`` and the first free node of a non-finite row."""
+    out = values[free]
+    finite = np.isfinite(out)
+    if not finite.all():
+        row = np.argmin(finite.reshape(len(out), -1).all(axis=1))
+        raise SolverError(f"{what} is non-finite at node {free[row]}")
+    return out
+
+
+def _box_qp(Z, b, c, t, lam, stick_solve, sigma, what):
     """Minimize 0.5 lam'Z lam - b'lam over the box |lam_i| <= c_i, for a
     symmetric positive definite Z, by a primal-dual active-set iteration
     from the guess t of the slack t = b - Z lam and the multiplier lam
@@ -144,16 +152,16 @@ def _box_qp(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner, what):
     repeated s on, each iteration flips only the violator of least index
     (Murty's rule; Judice-Pires, Comput. Oper. Res. 21, 1994), which ends
     for positive definite Z.  Stops once both conditions hold within
-    tol = inner_tol (1 + max c); returns (lam, I, iterations).  A default
+    tol = KKT_REL_TOL (1 + max c); returns (lam, I, iterations).  A default
     start at which every node sticks (t = 0 and |lam| <= c) is returned
     as the one iteration it would take, with I the whole box: that
     iteration would solve Z lam = b again and get this lam bitwise.  Raises
-    SolverError, naming ``what``, after ``max_inner`` iterations.
+    SolverError, naming ``what``, after ``MAX_ACTIVE_SET`` iterations.
     """
     start = lam is None
     if start:
         lam = stick_solve(np.arange(len(b)), b - t)
-    tol = inner_tol * (1.0 + c.max())
+    tol = KKT_REL_TOL * (1.0 + c.max())
     # a node off zero slips its way, a node at zero slips where its
     # multiplier exceeds the bound (not on a stale one below a grown bound)
     s = np.sign(t)
@@ -164,7 +172,7 @@ def _box_qp(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner, what):
         return lam, np.arange(len(b)), 1
     seen = None  # the sign vectors of the failed iterations, made on the first
     least_index = False
-    for iteration in range(1, max_inner + 1):
+    for iteration in range(1, MAX_ACTIVE_SET + 1):
         lam = s * c
         t = b - Z @ lam
         I = (s == 0.0).nonzero()[0]
@@ -192,7 +200,7 @@ def _box_qp(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner, what):
         s = s_next
     else:
         raise SolverError(
-            f"{what} missed the friction law within {max_inner} "
+            f"{what} missed the friction law within {MAX_ACTIVE_SET} "
             f"active-set iterations (tolerance {tol:.3e})"
         )
     return lam, I, iteration
@@ -244,11 +252,11 @@ class TrescaSolver:
     into slip nodes, whose multipliers +-c_i enter the load, and stick
     nodes I, held at zero by the multipliers of Z_II lambda_I = t_I
     (Proskurowski-Widlund 1976).  Its sign test weighs the multiplier by
-    ``sigma`` = 1e3 / diag(K)_T, three orders above 1/K_ii, at which the
-    primal guess sways the set choice and the iteration can cycle (a
-    sigma not positive and finite raises SolverError).  The LU factors of
-    Z_II are kept while I is unchanged, and the last multiplier for the
-    next warm start.
+    ``sigma`` = SIGN_WEIGHT / diag(K)_T, three orders above 1/K_ii, at
+    which the primal guess sways the set choice and the iteration can
+    cycle (a sigma not positive and finite raises SolverError).  The LU
+    factors of Z_II are kept while I is unchanged, and the last
+    multiplier for the next warm start.
     """
 
     def __init__(self, index, factor, sigma):
@@ -268,12 +276,7 @@ class TrescaSolver:
         F = np.asarray(F, dtype=float)
         if F.ndim not in (1, 2) or len(F) != self.n_nodes:
             raise ValueError(f"F must have {self.n_nodes} entries, got shape {F.shape}")
-        F_f = F[self.free]
-        finite = np.isfinite(F_f)
-        if not finite.all():
-            row = np.argmin(finite.reshape(len(F_f), -1).all(axis=1))
-            raise SolverError(f"load is non-finite at node {self.free[row]}")
-        return self._solve(F_f)
+        return self._solve(_finite_free(F, self.free, "load"))
 
     def _stick_solve(self, I, rhs):
         """Z_II^-1 rhs on the LU factors of Z_II, kept while I is unchanged."""
@@ -282,7 +285,7 @@ class TrescaSolver:
             self._stick = (key, dgetrf(self._Z[np.ix_(I, I)])[:2])
         return dgetrs(*self._stick[1], rhs)[0]
 
-    def _iterate(self, w, c, t, lam, inner_tol, max_inner):
+    def _iterate(self, w, c, t, lam):
         """``_box_qp`` on Z and w_T from the gamma3 guess t and multiplier
         lam, by default the exact reaction S_TT (w_T - t) = Z^-1 (w_T - t)
         of the gamma3 values t; returns (u, iterations) and keeps the final
@@ -294,8 +297,7 @@ class TrescaSolver:
             u[self.free] = w
             return u, 0
         lam, I, iteration = _box_qp(
-            self._Z, w[pos], c, t, lam, self._stick_solve, self._sigma, inner_tol, max_inner,
-            "inner solver",
+            self._Z, w[pos], c, t, lam, self._stick_solve, self._sigma, "inner solver"
         )
         self._lam = lam
         rhs = np.zeros(len(self.free))
@@ -385,7 +387,6 @@ def fixed_point(
         raise SolverError("load is non-finite on the gamma3 block")
     friction, iterate, gram = solver.friction, solver._iterate, discrete.gram_product
     weights, points = discrete.weights, discrete.points
-    inner_tol, max_inner = cfg.inner_tol, cfg.max_inner
     t = eta[friction]
     lam = None if eta0 is None else solver._lam
     increments: list[float] = []
@@ -399,7 +400,7 @@ def fixed_point(
             inner_log.append(0)
             break
         last_c = key
-        u_new, inner_iterations = iterate(w, c, t, lam, inner_tol, max_inner)
+        u_new, inner_iterations = iterate(w, c, t, lam)
         t, lam = u_new[friction], solver._lam
         d = u_new - eta  # fem.v_norm(mesh, d) on the Gram product made once
         inc = math.sqrt(max(d @ gram(d), 0.0))
@@ -443,16 +444,16 @@ class DiscreteProblem:
     is made, and mu_star defaults to the least sampled value.  For a
     scalar mu the problem assembles nothing: the solver runs on the mesh's
     factor of the free unit stiffness block (``fem.free_block``), which c0
-    shares, divided by mu, with sigma = 1e3 / (mu diag(S)_T), and K, made
-    on first read, is the mesh's cached, read-only matrix of mu, which the
-    certificates of a sequence read.  Any other mu assembles K from its
-    sampled values, drops the unit factor from the mesh's cache
+    shares, divided by mu, with sigma = SIGN_WEIGHT / (mu diag(S)_T), and
+    K, made on first read, is the mesh's cached, read-only matrix of mu,
+    which the certificates of a sequence read.  Any other mu assembles K
+    from its sampled values, drops the unit factor from the mesh's cache
     (``fem.release_free_block``) and factors its own K_ff on the mesh's
     band layout (``fem.free_factor``), so that one band is held at a time;
     a later scalar mu or certificate on the mesh factors the unit block
-    again.  All of these depend on the mesh and mu only,
-    so one instance solves the problem for any load and friction bound,
-    bitwise as a fresh ``solve_qvi`` of the same data would.
+    again.  All of these depend on the mesh and mu only, so one instance
+    solves the problem for any load and friction bound, bitwise as a
+    fresh ``solve_qvi`` of the same data would.
     """
 
     def __init__(self, problem: ProblemData):
@@ -465,7 +466,7 @@ class DiscreteProblem:
         if not (callable(mu) or np.ndim(mu)):  # mu S_ff: the unit block's factor over mu
             _, unit, Z = fem.free_block(mesh)
             factor = (unit, Z) if mu == 1.0 else (lambda b: unit(b) / mu, Z / mu)
-            sigma = 1e3 / (mu * index.diagonal)
+            sigma = SIGN_WEIGHT / (mu * index.diagonal)
         else:  # c0 is cached: the unit band goes before K_ff's is made
             fem.release_free_block(mesh)
             self.K = fem.assemble_stiffness(mesh, mu_e)
@@ -473,7 +474,7 @@ class DiscreteProblem:
                 factor = fem.free_factor(mesh, self.K)[1:]
             except fem.FactorizationError as exc:
                 raise SolverError(f"stiffness block factorization failed: {exc}") from exc
-            sigma = 1e3 / self.K.diagonal()[index.friction]
+            sigma = SIGN_WEIGHT / self.K.diagonal()[index.friction]
         self.tresca = TrescaSolver(index, factor, sigma)
         self.mu_star = float(mu_e.min() if problem.mu_star is None else problem.mu_star)
         self.points, self.weights = index.points, index.weights
@@ -508,18 +509,18 @@ def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
 # ---------------------------------------------------------------------------
 # membership certificate
 
-def _dual_distance(z, T, I, c, sigma, solve, Z):
+def _dual_distance(z, T, I, c, diagonal, solve, Z):
     """The least sqrt(z'A_ff^-1 z) over xi_I in |xi_I| <= c_I taken off z at
-    T[I], on ``solve`` and Z of a ``fem.free_factor`` of A and sigma =
-    1e3 / diag(A_ff)_T as TrescaSolver's: ``_box_qp`` on Z_II, its minimizer
-    clipped into the box, the distance from that z."""
+    T[I], on ``solve`` and Z of a ``fem.free_factor`` of A and ``diagonal``
+    = diag(A_ff)_T: ``_box_qp`` on Z_II with TrescaSolver's sigma, its
+    minimizer clipped into the box, the distance from that z."""
     if len(I):
         z = z.copy()
         Z_II = Z[np.ix_(I, I)]
         xi, _, _ = _box_qp(
             Z_II, solve(z)[T[I]], c[I], np.zeros(len(I)), None,
-            lambda J, rhs: dgetrs(*dgetrf(Z_II[np.ix_(J, J)])[:2], rhs)[0], sigma[I],
-            _DEFAULT_CONFIG.inner_tol, _DEFAULT_CONFIG.max_inner, "membership certificate",
+            lambda J, rhs: dgetrs(*dgetrf(Z_II[np.ix_(J, J)])[:2], rhs)[0],
+            SIGN_WEIGHT / diagonal[I], "membership certificate",
         )
         z[T[I]] -= np.clip(xi, -c[I], c[I])
     return math.sqrt(max(z @ solve(z), 0.0))
@@ -565,13 +566,13 @@ def membership_violation(
     (cached per mesh for a scalar mu) unless the caller passes it as
     ``stiffness``, and the load F of ``theta`` from ``fem.assemble_load``
     unless the caller, which solved for it, passes it as ``load``.  T, the
-    weights, the points and the unit sigma are the mesh's ``MeshIndex``;
+    weights, the points and the unit diagonal are the mesh's ``MeshIndex``;
     ``seed`` is accepted and not used.  ||u||_V is computed only for
     eps > 0.  Returns a Python float.  A ``u`` or ``load`` that is not of
     shape (n_nodes,) and a non-finite ``u`` raise ValueError before any
-    solve.  A bound not finite or negative at u raises SolverError, and
-    so does a QP that misses the friction law within the default
-    ``SolverConfig().max_inner`` iterations.
+    solve.  A residual F - Ku not finite at a free node raises
+    SolverError, and so do a bound not finite or negative at u and a QP
+    that misses the friction law within ``MAX_ACTIVE_SET`` iterations.
     """
     n = mesh.n_nodes
     u = np.asarray(u, dtype=float)
@@ -585,17 +586,16 @@ def membership_violation(
     T, g3 = index.pos, index.friction  # gamma3 rows of the free block, in the order of Z
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
     F = fem.assemble_load(mesh, theta.f0, theta.f2) if load is None else load
-    z = (F - K @ u)[index.free]
+    z = _finite_free(F - K @ u, index.free, "residual F - Ku")
     c = index.weights * _bound(theta.g, index.points, np.abs(u[g3]))
     z[T] -= np.sign(u[g3]) * c  # xi on the slip nodes; zero on the stick nodes
     I = (u[g3] == 0.0).nonzero()[0]
     relaxation = theta.eps * fem.v_norm(mesh, u) if theta.eps else 0.0
     _, solve, Z = fem.free_block(mesh)
-    value = max(_dual_distance(z, T, I, c, 1e3 / index.diagonal, solve, Z) - relaxation, 0.0)
+    value = max(_dual_distance(z, T, I, c, index.diagonal, solve, Z) - relaxation, 0.0)
     if value > CERT_TOL:  # the bound does not certify: the exact value
         block, solve, Z = fem.free_factor(mesh, fem.gram_matrix(mesh))
-        sigma = 1e3 / block.diagonal()[T]
-        value = max(_dual_distance(z, T, I, c, sigma, solve, Z) - relaxation, 0.0)
+        value = max(_dual_distance(z, T, I, c, block.diagonal()[T], solve, Z) - relaxation, 0.0)
     return value
 
 
@@ -607,13 +607,14 @@ def complementarity_report(problem: ProblemData, u: np.ndarray):
 
     Returns (idx, lam, G, stick_slack, comp) with stick_slack = |lam| - G
     (nonpositive up to solver tolerance) and comp = lam*u + G*|u| (zero up
-    to solver tolerance); SolverError when G is not finite or negative.
+    to solver tolerance); SolverError when the residual F - Ku is not
+    finite at a gamma3 node, or G is not finite or negative.
     """
     mesh = problem.mesh
     K = fem.stiffness_matrix(mesh, problem.mu, problem.mu_star)
     F = fem.assemble_load(mesh, problem.f0, problem.f2)
     idx = mesh.node_sets[fem.GAMMA3]
-    lam = ((K @ u) - F)[idx] / mesh.gamma3_weights[idx]
+    lam = _finite_free((K @ u) - F, idx, "residual F - Ku") / mesh.gamma3_weights[idx]
     G = _bound(problem.g, mesh.nodes[idx], np.abs(u[idx]))
     stick_slack = np.abs(lam) - G
     comp = lam * u[idx] + G * np.abs(u[idx])

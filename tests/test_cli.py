@@ -630,7 +630,7 @@ class TestOcSequence:
 
     def test_cycling_active_set_instance_finishes(self, tmp_path, capsys):
         # the warm-started inner solve of instance n = 2 used to revisit a
-        # sign vector and spin to max_inner; every instance now finishes
+        # sign vector and spin to the active-set cap; every instance now finishes
         cfg = write_cfg(
             tmp_path,
             """\

@@ -104,6 +104,17 @@ class TestTypedParsing:
             config.parse_config(path, "constants")
         assert name not in config.SECTION_SCHEMAS["constants"]
 
+    @pytest.mark.parametrize("key", ["inner_tol = 1e-12", "max_inner = 50000"])
+    def test_solver_takes_no_inner_settings(self, tmp_path, key):
+        # the frozen-bound solve is exact: its active-set settings are not data
+        path = write_cfg(tmp_path, MESH_1D + PROBLEM + f"    solver:\n      {key}\n")
+        name = key.split(" =")[0]
+        with pytest.raises(
+            config.ConfigError, match=rf":11: unknown key '{name}' in section 'solver'"
+        ):
+            config.parse_config(path, "solve")
+        assert name not in config.SECTION_SCHEMAS["solver"]
+
     def test_type_mismatch_cites_line(self, tmp_path):
         path = write_cfg(tmp_path, "problem:\n  mu = banana\n")
         with pytest.raises(
@@ -311,14 +322,14 @@ class TestBuilders:
         solver_cfg = config.build_solver_config(cfg)
         assert solver_cfg.outer_tol == 1e-8
         assert solver_cfg.max_outer == 50
-        assert solver_cfg.inner_tol == 1e-12
+        assert solver_cfg.allow_non_contractive is False
 
     def test_build_solver_rejects_nonpositive_tolerance(self, tmp_path):
         path = write_cfg(
-            tmp_path, MESH_1D + PROBLEM + "    solver:\n      inner_tol = 0\n"
+            tmp_path, MESH_1D + PROBLEM + "    solver:\n      outer_tol = 0\n"
         )
         cfg = config.parse_config(path, "solve")
-        with pytest.raises(config.ConfigError, match="solver: inner_tol must be positive"):
+        with pytest.raises(config.ConfigError, match="solver: outer_tol must be positive"):
             config.build_solver_config(cfg)
 
     def test_build_schedule(self, tmp_path):

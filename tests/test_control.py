@@ -243,7 +243,11 @@ class TestControlPatches:
     def test_bounds_assembly(self):
         mesh = control_mesh_2d(8)
         patches = control.ControlPatches(mesh, 2, lower=0.0, upper=2.0)
-        assert patches.bounds() == [(0.0, 2.0), (0.0, 2.0)]
+        lo, hi = patches.bounds()
+        assert lo.dtype == hi.dtype == np.float64
+        assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [2.0, 2.0]
+        lo, hi = control.ControlPatches(mesh, 2, lower=0.0).bounds()
+        assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [np.inf, np.inf]
         assert control.ControlPatches(mesh, 2).bounds() is None
 
 
@@ -598,9 +602,9 @@ def reference_starts(problem, patches, weights, result):
             return J
 
         options = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000 * d, "maxfev": 2000 * d}
-        res = minimize(
-            fun, start.x0, method="Nelder-Mead", bounds=patches.bounds(), options=options
-        )
+        box = patches.bounds()
+        bounds = None if box is None else list(zip(*box))
+        res = minimize(fun, start.x0, method="Nelder-Mead", bounds=bounds, options=options)
         runs.append((res, trace, calls))
     return runs
 

@@ -179,15 +179,16 @@ class TestTresca:
         ref = cd_oracle(K, F, mesh.free_nodes, g3, c)
         assert np.max(np.abs(u - ref)) <= 1e-10
 
-    def test_active_set_cap_raises(self):
+    def test_active_set_cap_raises(self, monkeypatch):
         # the state under traction 0.6 slips forward on all twelve gamma3
         # nodes; under -0.6 every node slips backward, so one iteration from
         # that warm start cannot settle the sets
         _, discrete, c, load = control_square()
         solver = discrete.tresca
         t0 = tresca_solve(solver, load(0.6), c)[0][solver.friction]
-        with pytest.raises(qvi.SolverError, match="active-set"):
-            tresca_solve(solver, load(-0.6), c, t0=t0, max_inner=1)
+        monkeypatch.setattr(qvi, "MAX_ACTIVE_SET", 1)
+        with pytest.raises(qvi.SolverError, match="within 1 active-set"):
+            tresca_solve(solver, load(-0.6), c, t0=t0)
 
     @pytest.mark.parametrize(
         "warm,target",
@@ -213,7 +214,7 @@ class TestTresca:
 
     def test_repeated_sign_vector_switches_to_least_index_rule(self):
         # from this warm start the full active-set step returns to a sign
-        # vector it has seen and would cycle until max_inner; the least-index
+        # vector it has seen and would cycle until the cap; the least-index
         # rule reaches the cold-start answer in a few iterations
         K = sp.csr_matrix([[4.0, -2.0, 0.0], [-2.0, 2.0, -2.0], [0.0, -2.0, 5.0]])
         solver = tresca_solver(K, np.arange(3), np.arange(3))
@@ -325,18 +326,18 @@ class TestProduct:
             assert np.array_equal(qvi._product(A)(x), A @ x)
 
 
-def box_qp_loop(Z, b, c, t, lam, stick_solve, sigma, inner_tol, max_inner):
+def box_qp_loop(Z, b, c, t, lam, stick_solve, sigma):
     """``qvi._box_qp`` as its loop ran every start: an all-stick start too
     runs the iteration that solves Z lam = b again and stops."""
     if lam is None:
         lam = stick_solve(np.arange(len(b)), b - t)
-    tol = inner_tol * (1.0 + c.max())
+    tol = qvi.KKT_REL_TOL * (1.0 + c.max())
     s = np.sign(t)
     at_zero = (t == 0.0).nonzero()[0]
     if len(at_zero):
         s[at_zero] = np.sign(lam[at_zero]) * (np.abs(lam[at_zero]) > c[at_zero])
     seen, least_index = None, False
-    for iteration in range(1, max_inner + 1):
+    for iteration in range(1, qvi.MAX_ACTIVE_SET + 1):
         lam = s * c
         t = b - Z @ lam
         I = (s == 0.0).nonzero()[0]
@@ -396,10 +397,8 @@ class TestBoxQP:
                 return qvi.dgetrs(*qvi.dgetrf(Z[np.ix_(J, J)])[:2], rhs)[0]
             return solve
 
-        cfg = qvi.SolverConfig()
-        args = (cfg.inner_tol, cfg.max_inner)
-        got = qvi._box_qp(Z, b, c, t, lam, stick_solve("box"), sigma, *args, "box QP")
-        ref = box_qp_loop(Z, b, c, t, lam, stick_solve("loop"), sigma, *args)
+        got = qvi._box_qp(Z, b, c, t, lam, stick_solve("box"), sigma, "box QP")
+        ref = box_qp_loop(Z, b, c, t, lam, stick_solve("loop"), sigma)
         assert [x.tobytes() for x in got[:2]] == [x.tobytes() for x in ref[:2]]
         assert got[2] == ref[2]
         # an all-stick default start makes one stick solve, the loop two
@@ -413,14 +412,9 @@ class TestSolverConfig:
         [
             ("max_outer", 0),
             ("max_outer", -3),
-            ("max_inner", 0),
             ("outer_tol", 0.0),
             ("outer_tol", -1e-10),
-            ("inner_tol", 0.0),
-            ("inner_tol", float("nan")),
             ("max_outer", 2.5),
-            ("max_inner", 2.5),
-            ("max_inner", 3.0),
         ],
     )
     def test_rejects_bad_value_naming_the_field(self, field, value):
@@ -428,12 +422,12 @@ class TestSolverConfig:
             qvi.SolverConfig(**{field: value})
 
     def test_smallest_caps_accepted(self):
-        cfg = qvi.SolverConfig(max_outer=1, max_inner=1, outer_tol=1e-300)
-        assert cfg.max_outer == 1 and cfg.max_inner == 1
+        cfg = qvi.SolverConfig(max_outer=1, outer_tol=1e-300)
+        assert cfg.max_outer == 1
 
     def test_numpy_integer_caps_accepted(self):
         prob = benchmark_problem(1.0, 3.0, 1.0, 16)
-        cfg = qvi.SolverConfig(max_outer=np.int64(200), max_inner=np.int32(50))
+        cfg = qvi.SolverConfig(max_outer=np.int64(200))
         assert qvi.solve_qvi(prob, cfg)[1].converged
 
 
@@ -564,7 +558,7 @@ def gamma3_columns(solver, I):
     return np.ascontiguousarray(solver._solve(E)[solver._pos])
 
 
-def per_step_tresca(solver, F, c, t0, lam0, inner_tol, max_inner, stick_sets=None):
+def per_step_tresca(solver, F, c, t0, lam0, stick_sets=None):
     """The frozen-bound solve that reduces F on every call and, in every
     active-set iteration, band-solves for u, solves for the gamma3 columns
     of K_ff^-1 on the stick set and solves the stick system with
@@ -586,10 +580,10 @@ def per_step_tresca(solver, F, c, t0, lam0, inner_tol, max_inner, stick_sets=Non
         lam0 = np.linalg.solve(gamma3_columns(solver, np.arange(len(pos))), w[pos] - t)
     lam = lam0
     sigma = solver._sigma
-    tol = inner_tol * (1.0 + c.max())
+    tol = qvi.KKT_REL_TOL * (1.0 + c.max())
     s = np.where(t != 0.0, np.sign(t), np.sign(lam) * (np.abs(lam) > c))
     rhs = np.zeros(len(free))
-    for iteration in range(1, max_inner + 1):
+    for iteration in range(1, qvi.MAX_ACTIVE_SET + 1):
         I = np.flatnonzero(s == 0.0)
         lam = s * c
         rhs[pos] = lam
@@ -634,9 +628,7 @@ def per_step_fixed_point(discrete, F, g, cfg, eta0=None, lam0=None, stick_sets=N
         if c_last is not None and np.array_equal(c, c_last):
             u, its = eta, 0
         else:
-            u, lam, its = per_step_tresca(
-                solver, F, c, eta[T], lam, cfg.inner_tol, cfg.max_inner, stick_sets
-            )
+            u, lam, its = per_step_tresca(solver, F, c, eta[T], lam, stick_sets)
         c_last = c
         inc = fem.v_norm(mesh, u - eta)
         if increments and increments[-1] > 0.0:
@@ -751,7 +743,7 @@ class TestReducedFixedPoint:
                 sweeps.append(0)
                 break
             last = c.tobytes()
-            eta, its = tresca_solve(solver, F, c, eta[T], inner_tol=cfg.inner_tol)
+            eta, its = tresca_solve(solver, F, c, eta[T])
             sweeps.append(its)
         assert np.array_equal(u, eta)
         assert rep.inner_sweeps == sweeps
@@ -998,7 +990,7 @@ class TestBadData:
         bad = fem.FrictionBound(lambda x, r: np.full_like(r, np.nan), 0.0)
         prob = qvi.ProblemData(mesh, 1.0, 1.0, 0.5, bad)
         with pytest.raises(qvi.SolverError, match="friction bound .*non-finite"):
-            qvi.solve_qvi(prob, qvi.SolverConfig(max_inner=5))
+            qvi.solve_qvi(prob)
 
     def test_nan_bound_at_the_solution_fails_the_certificate(self):
         # the fixed point never evaluates the bound at its final iterate, so
@@ -1017,6 +1009,43 @@ class TestBadData:
         with pytest.raises(ValueError, match="friction bound must be finite, got nan at node"):
             fem.eval_j(mesh, bad, u, u)
 
+    @pytest.mark.parametrize("f0", ["nan", "inf", "half"])
+    def test_non_finite_residual_fails_both_diagnostics(self, f0):
+        # all eight gamma3 nodes slip, so the certificate runs no box QP;
+        # unchecked, a load that is not finite gave a NaN violation and NaN
+        # friction-law residuals, which pass every "> tolerance" gate
+        mesh = square_mesh(4)
+        prob = qvi.ProblemData(mesh, 1.0, 0.2, 0.6, fem.FrictionBound.constant(0.01))
+        u, _ = qvi.solve_qvi(prob)
+        assert (u[mesh.node_sets["gamma3"]] != 0.0).all()
+        bad = {
+            "nan": np.nan,
+            "inf": np.inf,
+            "half": lambda x: np.where(x[:, 1] > 0.5, np.nan, 0.2),
+        }[f0]
+        r = fem.assemble_load(mesh, bad, prob.f2) - fem.stiffness_matrix(mesh, 1.0) @ u
+
+        def first_non_finite(nodes):  # the message naming the first such node
+            node = nodes[np.argmin(np.isfinite(r[nodes]))]
+            return f"residual F - Ku is non-finite at node {node}$"
+
+        # the certificate reads every free node, the report the gamma3 nodes
+        theta = qvi.TykhonovIndex(0.0, bad, prob.f2, prob.g)
+        with pytest.raises(qvi.SolverError, match=first_non_finite(mesh.free_nodes)):
+            qvi.membership_violation(mesh, 1.0, u, theta)
+        with pytest.raises(qvi.SolverError, match=first_non_finite(mesh.node_sets["gamma3"])):
+            qvi.complementarity_report(prob.with_data(f0=bad), u)
+
+    def test_residual_at_a_clamped_node_is_not_read(self):
+        mesh = square_mesh(4)
+        prob = qvi.ProblemData(mesh, 1.0, 0.2, 0.6, fem.FrictionBound.constant(0.01))
+        u, _ = qvi.solve_qvi(prob)
+        theta = qvi.TykhonovIndex(0.0, prob.f0, prob.f2, prob.g)
+        F = fem.assemble_load(mesh, prob.f0, prob.f2)
+        expected = qvi.membership_violation(mesh, 1.0, u, theta, load=F)
+        F[mesh.node_sets["gamma1"][0]] = np.nan
+        assert qvi.membership_violation(mesh, 1.0, u, theta, load=F) == expected
+
     def test_infinite_bound_rejected(self):
         mesh = interval_mesh(16)
         bad = fem.FrictionBound(lambda x, r: np.full_like(r, np.inf), 0.0)
@@ -1033,9 +1062,9 @@ class TestBadData:
         F[node[where]] = np.nan
         g = fem.FrictionBound.constant(0.05)
         with pytest.raises(qvi.SolverError, match="load .*non-finite"):
-            discrete.solve(F, g, qvi.SolverConfig(max_inner=5))
+            discrete.solve(F, g)
         with pytest.raises(qvi.SolverError, match="load .*non-finite"):
-            qvi.fixed_point(discrete, solver.reduce(F), g, qvi.SolverConfig(max_inner=5))
+            qvi.fixed_point(discrete, solver.reduce(F), g)
 
     @pytest.mark.parametrize("columns", [1, 3])
     @pytest.mark.parametrize("where", ["interior", "gamma3"])
@@ -1062,7 +1091,7 @@ class TestBadData:
 
         monkeypatch.setattr(solver, "_iterate", fail)
         with pytest.raises(qvi.SolverError, match="friction bound .*non-finite"):
-            qvi.fixed_point(discrete, solver.reduce(load(0.6)), bad, qvi.SolverConfig(max_inner=5))
+            qvi.fixed_point(discrete, solver.reduce(load(0.6)), bad)
 
     def test_wrong_length_eta0(self):
         mesh, discrete, _, load = control_square()
@@ -1269,10 +1298,10 @@ def certificate_parts(mesh, mu, u, theta):
 
 def block_distance(mesh, mu, u, theta, factor):
     """The certificate's box QP and distance on ``factor`` = (A_ff, solve,
-    Z) of ``fem.free_factor``, with sigma = 1e3 / diag(A_ff)_T."""
+    Z) of ``fem.free_factor`` and the diagonal diag(A_ff)_T."""
     z, T, I, c = certificate_parts(mesh, mu, u, theta)
     block, solve, Z = factor
-    return qvi._dual_distance(z, T, I, c, 1e3 / block.diagonal()[T], solve, Z)
+    return qvi._dual_distance(z, T, I, c, block.diagonal()[T], solve, Z)
 
 
 def gram_distance(mesh, mu, u, theta):
@@ -1383,7 +1412,7 @@ class TestMembershipOracle:
 
     def test_qp_iteration_cap_raises(self, monkeypatch):
         mesh, u, theta = mixed_certificate_case()
-        monkeypatch.setattr(qvi, "_DEFAULT_CONFIG", qvi.SolverConfig(max_inner=1))
+        monkeypatch.setattr(qvi, "MAX_ACTIVE_SET", 1)
         with pytest.raises(qvi.SolverError, match="membership certificate missed .* within 1 "):
             qvi.membership_violation(mesh, 1.0, u, theta)
 
