@@ -41,14 +41,13 @@ class VerdictFailure(Exception):
 
 
 def _resolve_out(args, cfg) -> str:
-    out = args.out if args.out is not None else cfg["run"].get("out")
-    out = out if out is not None else "."
+    out = args.out if args.out is not None else cfg["run"]["out"]
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _resolve_seed(args, cfg, subcommand) -> int | None:
-    seed = args.seed if args.seed is not None else cfg["run"].get("seed")
+    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
     if subcommand in NEEDS_SEED and seed is None:
         raise cfgmod.ConfigError(
             f"subcommand {subcommand!r} draws random numbers; "
@@ -242,12 +241,11 @@ def _run_tykhonov(cfg, out, seed):
     return _verdict(report, cfg["schedule"]["expect"])
 
 
-# the optimizer keywords that the control section sets, under their own names
-_CONTROL_KEYS = ("n_starts", "start_scale", "xatol", "fatol", "max_evals")
-
-
 def _control_kwargs(cfg):
-    return {key: cfg["control"][key] for key in _CONTROL_KEYS}
+    """The optimizer keywords of the control section: its keys that
+    ``minimize_cost`` takes, under their own names."""
+    names = control.minimize_cost.__kwdefaults__
+    return {key: value for key, value in cfg["control"].items() if key in names}
 
 
 def _run_control(cfg, out, seed):

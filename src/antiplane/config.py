@@ -4,9 +4,10 @@ The format is deliberately tiny: a line ``name:`` opens a section and
 ``key = value`` assigns within it.  Blank lines and ``#`` comments are
 ignored.  Unknown sections, unknown keys, duplicate entries and type
 mismatches are all hard errors carrying the offending line number, so
-typos never silently fall back to defaults.  A section that the
-subcommand reads but the file omits is parsed as an empty section, so its
-schema defaults are filled through the same path as those of a present one.
+typos never silently fall back to defaults.  A key that a library
+object reads takes that object's default.  A section that the subcommand
+reads but the file omits is parsed as an empty one, so its defaults are
+filled through the same path as those of a present one.
 
 Coefficient values accept three expression forms besides plain numbers:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -230,16 +231,35 @@ class Key:
     default: object = None
 
 
+def _owned(owners, keys):
+    """The schema of ``keys``.  A bare parser takes the default of the first
+    of ``owners`` that names its key, as a dataclass field or keyword-only
+    parameter, and is required where that owner has none; a key that no
+    owner names is a KeyError.  A ``Key`` is the config's own, kept as is."""
+    named = {}
+    for owner in reversed(owners):  # so that the first owner wins
+        if is_dataclass(owner):
+            named.update((f.name, f.default) for f in fields(owner))
+        else:
+            named.update(owner.__kwdefaults__)
+    schema = dict(keys)
+    for key, parse in keys.items():
+        if not isinstance(parse, Key):
+            required = named[key] is MISSING
+            schema[key] = Key(parse, required, None if required else named[key])
+    return schema
+
+
 # the keys that the schedule of run_convergence and that of run_oc_sequence share
 _SCHEDULE_KEYS = {
-    "kind": Key(_parse_str, required=True),
-    "length": Key(_parse_int, required=True),
-    "amplitude": Key(_parse_float, default=1.0),
-    "decay": Key(_parse_str, default="inverse_n"),
-    "ratio": Key(_parse_float, default=0.5),
-    "f0_shape": Key(_parse_coefficient, default=1.0),
-    "friction_da": Key(_parse_float, default=1.0),
-    "friction_db": Key(_parse_float, default=0.0),
+    "kind": _parse_str,
+    "length": _parse_int,
+    "amplitude": _parse_float,
+    "decay": _parse_str,
+    "ratio": _parse_float,
+    "f0_shape": _parse_coefficient,
+    "friction_da": _parse_float,
+    "friction_db": _parse_float,
     "expect": Key(_parse_verdict, default=tykhonov.CONVERGENT),
 }
 
@@ -257,43 +277,43 @@ SECTION_SCHEMAS = {
         "g": Key(_parse_friction, required=True),
         "mu_star": Key(_parse_float),
     },
-    "solver": {
-        "outer_tol": Key(_parse_float, default=1e-10),
-        "max_outer": Key(_parse_int, default=200),
-        "allow_non_contractive": Key(_parse_bool, default=False),
-    },
+    "solver": _owned([qvi.SolverConfig], {
+        "outer_tol": _parse_float,
+        "max_outer": _parse_int,
+        "allow_non_contractive": _parse_bool,
+    }),
     "constants": {
         "lipschitz": Key(_parse_float, default=0.0),
         "mu_star": Key(_parse_float, default=1.0),
         "require_contraction": Key(_parse_bool, default=False),
     },
-    "schedule": {
+    "schedule": _owned([tykhonov.Schedule, tykhonov.run_convergence], {
         **_SCHEDULE_KEYS,
-        "f2_shape": Key(_parse_coefficient, default=1.0),
-        "f0_target": Key(_parse_coefficient),
-        "mu_law": Key(_parse_str, default="relative"),
-        "noise_floor": Key(_parse_float),
-    },
-    "control": {
+        "f2_shape": _parse_coefficient,
+        "f0_target": _parse_coefficient,
+        "mu_law": _parse_str,
+        "noise_floor": _parse_float,
+    }),
+    "control": _owned([control.CostWeights, control.minimize_cost], {
         "patches": Key(_parse_int, required=True),
-        "a0": Key(_parse_float, required=True),
-        "a2": Key(_parse_float, required=True),
-        "target": Key(_parse_coefficient, default=0.0),
+        "a0": _parse_float,
+        "a2": _parse_float,
+        "target": _parse_coefficient,
         "lower": Key(_parse_float),
         "upper": Key(_parse_float),
-        "n_starts": Key(_parse_int, default=5),
-        "start_scale": Key(_parse_float, default=1.0),
-        "xatol": Key(_parse_float, default=1e-9),
-        "fatol": Key(_parse_float, default=1e-12),
-        "max_evals": Key(_parse_int),
-    },
-    "oc": {
+        "n_starts": _parse_int,
+        "start_scale": _parse_float,
+        "xatol": _parse_float,
+        "fatol": _parse_float,
+        "max_evals": _parse_int,
+    }),
+    "oc": _owned([tykhonov.Schedule, control.run_oc_sequence], {
         **_SCHEDULE_KEYS,
-        "target_shape": Key(_parse_coefficient, default=0.0),
-        "seq_starts": Key(_parse_int, default=3),
-        "ctrl_tol": Key(_parse_float, default=1e-3),
-        "noise_floor": Key(_parse_float, default=1e-9),
-    },
+        "target_shape": _parse_coefficient,
+        "seq_starts": _parse_int,
+        "ctrl_tol": _parse_float,
+        "noise_floor": _parse_float,
+    }),
     "validate": {
         "cases": Key(_parse_cases, default=((1.0, 1.0, 1.0), (1.0, 3.0, 1.0),
                                             (2.0, -3.0, 0.5), (1.0, 2.0, 1.0))),
@@ -302,7 +322,7 @@ SECTION_SCHEMAS = {
     },
     "run": {
         "seed": Key(_parse_int),
-        "out": Key(_parse_str),
+        "out": Key(_parse_str, default="."),
         "certify": Key(_parse_bool, default=False),
     },
 }

@@ -90,7 +90,7 @@ class CostWeights:
     nodal array; it is interpolated (and checked against the clamped
     boundary) when a mesh is available.  Coercivity of the reduced cost
     in the control needs ``a2 > 0``; ``a2 = 0`` is accepted for plain
-    evaluation.
+    evaluation.  Both weights must be finite (ValueError otherwise).
     """
 
     a0: float
@@ -98,10 +98,10 @@ class CostWeights:
     target: object = 0.0
 
     def __post_init__(self):
-        if not self.a0 > 0.0:  # also refuses NaN
-            raise ValueError("misfit weight a0 must be positive")
-        if not self.a2 >= 0.0:
-            raise ValueError("control penalty a2 must be nonnegative")
+        if not 0.0 < self.a0 < np.inf:  # also refuses NaN
+            raise ValueError(f"misfit weight a0 must be positive and finite, got {self.a0}")
+        if not 0.0 <= self.a2 < np.inf:
+            raise ValueError(f"control penalty a2 must be nonnegative and finite, got {self.a2}")
 
 
 class ControlPatches:
@@ -548,26 +548,25 @@ def run_oc_sequence(
     config: qvi.SolverConfig | None = None,
     seed: int = 0,
     *,
-    n_starts: int = 5,
     seq_starts: int = 3,
-    start_scale: float = 1.0,
     ctrl_tol: float = 1e-3,
     noise_floor: float = 1e-9,
-    xatol: float = 1e-9,
-    fatol: float = 1e-12,
-    max_evals: int | None = None,
+    **optimizer,
 ) -> OCReport:
     """Optimize every perturbed instance and compare with the base optimum.
 
-    Each perturbed run warm-starts from the base optimum (and its
-    predecessor) plus ``seq_starts`` fresh starts.  Control deviations
-    are measured in L2(gamma2), both against the selected base optimum
-    and against the nearest member of the base cluster catalog.  The
-    instances are certified after the last optimization, all on the
-    mesh's one factor of S_ff (``qvi.membership_violation``).  Raises
-    ValueError, before the base optimization, for a kind outside
+    The ``optimizer`` keywords (``n_starts``, ``start_scale``, ``xatol``,
+    ``fatol``, ``max_evals``) go to ``minimize_cost``; each perturbed run
+    warm-starts from the base optimum (and its predecessor) plus
+    ``seq_starts`` fresh starts in place of ``n_starts``.  Control
+    deviations are measured in L2(gamma2), both against the selected
+    base optimum and against the nearest member of the base cluster
+    catalog.  The instances are certified after the last optimization,
+    all on the mesh's one factor of S_ff (``qvi.membership_violation``).
+    Raises ValueError, before the base optimization, for a kind outside
     ``OC_SCHEDULE_KINDS``, a ``seq_starts`` that is not an integer of at
-    least 1, or a negative or NaN ``ctrl_tol`` or ``noise_floor``.
+    least 1, or a negative or NaN ``ctrl_tol`` or ``noise_floor``, and
+    ``minimize_cost`` refuses a bad optimizer keyword at the base call.
     """
     check_schedule(problem, schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
     fem.require_count("seq_starts", seq_starts)
@@ -579,16 +578,8 @@ def run_oc_sequence(
     shape = None
     if schedule.kind == "target_perturb":
         shape = target_field(mesh, schedule.target_shape)
-    optimize = functools.partial(
-        minimize_cost,
-        patches=patches,
-        config=config,
-        start_scale=start_scale,
-        xatol=xatol,
-        fatol=fatol,
-        max_evals=max_evals,
-    )
-    base = optimize(problem, weights=weights, n_starts=n_starts, seed=seed)
+    optimize = functools.partial(minimize_cost, patches=patches, config=config, **optimizer)
+    base = optimize(problem, weights=weights, seed=seed)
     reps = [rep for _, rep, _ in base.clusters]
 
     ns = list(range(1, schedule.length + 1))

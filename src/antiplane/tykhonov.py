@@ -94,8 +94,9 @@ class Schedule:
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         for name in ("friction_da", "friction_db"):
-            if not getattr(self, name) >= 0.0:  # also refuses NaN
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
     def scales(self) -> np.ndarray:
         """Scale sequence s_n, n = 1..length, of the decay law."""

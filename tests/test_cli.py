@@ -736,6 +736,11 @@ class TestDataErrors:
                 ),
                 "perturbed instance n=1 failed: shear modulus must be positive",
             ),
+            (
+                "control",
+                ("a0 = 1.0", "a0 = inf"),
+                "control: misfit weight a0 must be positive and finite, got inf",
+            ),
         ],
     )
     def test_refused_data_exits_two(self, tmp_path, capsys, subcommand, edit, message):
@@ -762,6 +767,7 @@ class TestDataErrors:
                 ("seed = 5", "seed = 5\n    constants:\n      lipschitz = nan"),
                 ":20: constants: lipschitz must be nonnegative",
             ),
+            ("control", ("a0 = 1.0", "a0 = inf"), ":12: control: misfit weight a0 must be"),
         ],
     )
     def test_builder_error_names_file_and_section_line(

@@ -448,6 +448,42 @@ class TestBuilders:
             config.build_weights(cfg, config.build_mesh(cfg))
 
 
+@dataclasses.dataclass
+class _Toy:
+    rate: float
+    steps: int = 3
+
+
+def _toy_run(*, steps=7, gate=0.5):
+    return steps, gate
+
+
+class TestOwned:
+    """``config._owned`` gives a key named by a bare parser the default of
+    the first owner that names it, and keeps a ``Key`` as it is."""
+
+    def test_first_owner_wins(self):
+        keys = {"steps": config._parse_int, "gate": config._parse_float}
+        schema = config._owned([_Toy, _toy_run], keys)
+        assert schema["steps"] == config.Key(config._parse_int, default=3)
+        assert schema["gate"] == config.Key(config._parse_float, default=0.5)
+        schema = config._owned([_toy_run, _Toy], keys)
+        assert schema["steps"] == config.Key(config._parse_int, default=7)
+        assert list(schema) == ["steps", "gate"]
+
+    def test_key_without_default_is_required(self):
+        schema = config._owned([_toy_run, _Toy], {"rate": config._parse_float})
+        assert schema["rate"] == config.Key(config._parse_float, required=True)
+
+    def test_key_passes_through(self):
+        key = config.Key(config._parse_str, default="label")
+        assert config._owned([_Toy], {"steps": key})["steps"] is key
+
+    def test_key_no_owner_names_fails(self):
+        with pytest.raises(KeyError, match="step"):
+            config._owned([_Toy, _toy_run], {"step": config._parse_int})
+
+
 def _signature_defaults(func):
     return {
         name: p.default
@@ -470,7 +506,6 @@ _DEFAULT_PAIRS = [
     ("schedule", "tykhonov.Schedule", _field_defaults(tykhonov.Schedule), {}),
     ("oc", "tykhonov.Schedule", _field_defaults(tykhonov.Schedule), {}),
     ("control", "control.minimize_cost", _signature_defaults(control.minimize_cost), {}),
-    ("control", "control.run_oc_sequence", _signature_defaults(control.run_oc_sequence), {}),
     ("control", "control.CostWeights", _field_defaults(control.CostWeights), {}),
     ("oc", "control.run_oc_sequence", _signature_defaults(control.run_oc_sequence), {}),
     ("schedule", "tykhonov.run_convergence", _signature_defaults(tykhonov.run_convergence), {}),

@@ -174,9 +174,12 @@ class TestCostWeights:
         with pytest.raises(ValueError, match="a2"):
             control.CostWeights(a0=1.0, a2=-0.1)
 
-    @pytest.mark.parametrize("a0, a2, field", [(np.nan, 1.0, "a0"), (1.0, np.nan, "a2")])
+    @pytest.mark.parametrize(
+        "a0, a2, field",
+        [(np.nan, 1.0, "a0"), (1.0, np.nan, "a2"), (np.inf, 1.0, "a0"), (1.0, np.inf, "a2")],
+    )
     def test_rejects_nan(self, a0, a2, field):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"{field} must be .* and finite, got"):
             control.CostWeights(a0=a0, a2=a2)
 
     def test_zero_a2_allowed_for_evaluation(self):
@@ -776,6 +779,18 @@ class TestUpFrontRefusals:
         sched = tykhonov.Schedule(kind="target_perturb", length=4, target_shape=lambda x: x)
         with pytest.raises(ValueError, match=re.escape(message)):
             control.run_oc_sequence(problem, patches, w, sched, **kwargs)
+
+    def test_run_oc_sequence_passes_an_unknown_keyword_to_minimize_cost(self, setup_1d):
+        _, problem, patches = setup_1d
+        w = control.CostWeights(1.0, 1.0, lambda x: x)
+        sched = tykhonov.Schedule(kind="target_perturb", length=4, target_shape=lambda x: x)
+        with pytest.raises(TypeError, match="minimize_cost.*n_start"):
+            control.run_oc_sequence(problem, patches, w, sched, n_start=2)
+
+    def test_run_oc_sequence_holds_only_its_gate_defaults(self):
+        # the optimizer keywords take minimize_cost's own defaults
+        defaults = control.run_oc_sequence.__kwdefaults__
+        assert set(defaults) == {"seq_starts", "ctrl_tol", "noise_floor"}
 
 
 class TestOCSchedule:

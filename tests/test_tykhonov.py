@@ -80,6 +80,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
             tykhonov.Schedule(kind="friction_perturb", length=4, **{name: np.nan})
 
+    @pytest.mark.parametrize("name", ["friction_da", "friction_db"])
+    def test_rejects_inf_friction_coefficient(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite, got inf"):
+            tykhonov.Schedule(kind="friction_perturb", length=4, **{name: np.inf})
+
     @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_amplitude(self, amplitude):
         with pytest.raises(ValueError, match="amplitude must be finite"):
