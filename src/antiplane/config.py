@@ -302,10 +302,6 @@ SECTION_SCHEMAS = {
         "lower": Key(_parse_float),
         "upper": Key(_parse_float),
         "n_starts": _parse_int,
-        "start_scale": _parse_float,
-        "xatol": _parse_float,
-        "fatol": _parse_float,
-        "max_evals": _parse_int,
     }),
     "oc": _owned([tykhonov.Schedule, control.run_oc_sequence], {
         **_SCHEDULE_KEYS,

@@ -54,6 +54,10 @@ from .tykhonov import (
 # cost form one cluster
 TIE_TOL = 1e-9
 CLUSTER_RADIUS = 1e-4
+# the simplex stop tolerances in x and in cost, and its calls per patch
+NM_XATOL = 1e-9
+NM_FATOL = 1e-12
+EVALS_PER_PATCH = 2000
 # secant weights beyond this l1 norm extrapolate far and amplify the stored
 # states' tolerance-level errors; such a solve starts from the last state
 SECANT_WEIGHT_CAP = 10.0
@@ -411,50 +415,41 @@ def minimize_cost(
     *,
     n_starts: int = 5,
     seed: int = 0,
-    start_scale: float = 1.0,
     extra_starts=(),
-    xatol: float = 1e-9,
-    fatol: float = 1e-12,
-    max_evals: int | None = None,
     check_admissibility: bool = True,
 ) -> ControlResult:
     """Multistart simplex minimization of the reduced cost.
 
     Starts are the provided ``extra_starts``, the origin, and seeded
-    normal draws of scale ``start_scale``.  The selected optimum is the
-    smallest-norm coefficient vector among the cost-best starts (within
-    the module constant ``TIE_TOL``); ``clusters`` groups all successful
-    optima by cost within ``CLUSTER_RADIUS`` to expose non-unique
-    minimizers.  Each start solves the state once per distinct control:
-    it records the cost of every control it solves, keyed by the
-    control's bytes, and answers the optimizer's revisits from that
-    record; its trace still has one cost per optimizer call.  Each state
-    solve starts from ``_predict`` on the (control, state) pairs its
-    start has solved; the selected optimum's state is solved again from
-    a cold start.
-    Raises ValueError, before any state solve, for an ``n_starts`` or
-    ``max_evals`` that is not an integer of at least 1, a negative or
-    non-finite ``start_scale``, ``xatol`` or ``fatol``, or an extra start
-    of the wrong shape or with a non-finite entry.
+    standard normal draws; each runs ``_nelder_mead`` at the module
+    constants ``NM_XATOL``, ``NM_FATOL`` and ``EVALS_PER_PATCH``.  The
+    selected optimum is the smallest-norm coefficient vector among the
+    cost-best starts (within ``TIE_TOL``); ``clusters`` groups all
+    successful optima by cost within ``CLUSTER_RADIUS`` to expose
+    non-unique minimizers.  Each start solves the state once per
+    distinct control: it records the cost of every control it solves,
+    keyed by the control's bytes, and answers the optimizer's revisits
+    from that record; its trace still has one cost per optimizer call.
+    Each state solve starts from ``_predict`` on the (control, state)
+    pairs its start has solved; the selected optimum's state is solved
+    again from a cold start.
+    Raises ValueError, before any state solve, for an ``n_starts`` that
+    is not an integer of at least 1, or an extra start of the wrong shape
+    or with a non-finite entry.
     """
     fem.require_count("n_starts", n_starts)
-    if max_evals is not None:
-        fem.require_count("max_evals", max_evals)
-    for name, value in (("start_scale", start_scale), ("xatol", xatol), ("fatol", fatol)):
-        if not 0.0 <= value < np.inf:  # also refuses NaN
-            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     d = patches.n_patches
     x0s = [patches.coefficients(x) for x in extra_starts]
     solver = StateSolver(problem, patches)
     rng = np.random.default_rng(seed)
     x0s.append(np.zeros(d))
     while len(x0s) < len(extra_starts) + n_starts:
-        x0s.append(start_scale * rng.standard_normal(d))
+        x0s.append(rng.standard_normal(d))
     box = patches.bounds()
     if box is not None:
         x0s = [np.clip(x, *box) for x in x0s]
 
-    budget = max_evals if max_evals is not None else 2000 * d
+    budget = EVALS_PER_PATCH * d
     starts: list[StartRecord] = []
     traces: list[list[float]] = []
     for i, x0 in enumerate(x0s):
@@ -472,7 +467,7 @@ def minimize_cost(
             trace.append(float(J))
             return J
 
-        x, J, n_evals, success = _nelder_mead(fun, x0, box, xatol, fatol, budget)
+        x, J, n_evals, success = _nelder_mead(fun, x0, box, NM_XATOL, NM_FATOL, budget)
         starts.append(StartRecord(i, x0, x, float(J), n_evals, success))
         traces.append(trace)
 
@@ -555,10 +550,9 @@ def run_oc_sequence(
 ) -> OCReport:
     """Optimize every perturbed instance and compare with the base optimum.
 
-    The ``optimizer`` keywords (``n_starts``, ``start_scale``, ``xatol``,
-    ``fatol``, ``max_evals``) go to ``minimize_cost``; each perturbed run
-    warm-starts from the base optimum (and its predecessor) plus
-    ``seq_starts`` fresh starts in place of ``n_starts``.  Control
+    The ``optimizer`` keyword ``n_starts`` goes to ``minimize_cost``; each
+    perturbed run warm-starts from the base optimum (and its predecessor)
+    plus ``seq_starts`` fresh starts in place of ``n_starts``.  Control
     deviations are measured in L2(gamma2), both against the selected
     base optimum and against the nearest member of the base cluster
     catalog.  The instances are certified after the last optimization,
@@ -566,13 +560,18 @@ def run_oc_sequence(
     Raises ValueError, before the base optimization, for a kind outside
     ``OC_SCHEDULE_KINDS``, a ``seq_starts`` that is not an integer of at
     least 1, or a negative or NaN ``ctrl_tol`` or ``noise_floor``, and
-    ``minimize_cost`` refuses a bad optimizer keyword at the base call.
+    TypeError for an ``extra_starts`` or ``check_admissibility``, which
+    each instance sets itself; ``minimize_cost`` refuses any other bad
+    optimizer keyword at the base call.
     """
     check_schedule(problem, schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
     fem.require_count("seq_starts", seq_starts)
     for name, value in (("ctrl_tol", ctrl_tol), ("noise_floor", noise_floor)):
         if not value >= 0.0:  # also refuses NaN
             raise ValueError(f"{name} must be nonnegative, got {value}")
+    for name in ("extra_starts", "check_admissibility"):
+        if name in optimizer:
+            raise TypeError(f"run_oc_sequence takes no {name}: each instance sets its own")
     mesh = problem.mesh
     target0 = target_field(mesh, weights.target)
     shape = None

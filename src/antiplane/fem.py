@@ -304,13 +304,13 @@ def require_finite(name: str, values: np.ndarray, nodes=None, what: str = "node"
         raise ValueError(f"{name} must be finite, got {values[i]} at {what} {node}")
 
 
-def require_count(name: str, value, low: int = 1) -> None:
+def require_count(name: str, value) -> None:
     """ValueError naming ``name`` unless ``value`` is an integer (numpy
-    integers included) of at least ``low``."""
+    integers included) of at least 1."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def facet_measures(mesh: Mesh, tag: str) -> np.ndarray:

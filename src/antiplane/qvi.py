@@ -82,8 +82,8 @@ class TykhonovIndex:
     g: fem.FrictionBound
 
     def __post_init__(self):
-        if not self.eps >= 0.0:  # also refuses NaN
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not 0.0 <= self.eps < np.inf:  # also refuses NaN
+            raise ValueError(f"eps must be nonnegative and finite, got {self.eps}")
 
 
 @dataclass(frozen=True)

@@ -486,11 +486,12 @@ class TestMinimizeCost:
         J_clip, _ = control.StateSolver(problem, boxed).evaluate(clipped, weights)
         assert res.cost <= J_clip + 1e-9
 
-    def test_exhausted_budget_raises_with_best(self, setup_1d):
+    def test_exhausted_budget_raises_with_best(self, setup_1d, monkeypatch):
         _, problem, patches = setup_1d
         w = control.CostWeights(1.0, 1.0, lambda x: x)
+        monkeypatch.setattr(control, "EVALS_PER_PATCH", 3)
         with pytest.raises(control.ControlError, match="no optimizer start") as info:
-            control.minimize_cost(problem, patches, w, seed=9, max_evals=3)
+            control.minimize_cost(problem, patches, w, seed=9)
         best_cost, best_coeffs = info.value.best
         assert np.isfinite(best_cost)
         assert best_coeffs.shape == (1,)
@@ -604,7 +605,13 @@ def reference_starts(problem, patches, weights, result):
             trace.append(float(J))
             return J
 
-        options = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000 * d, "maxfev": 2000 * d}
+        budget = control.EVALS_PER_PATCH * d
+        options = {
+            "xatol": control.NM_XATOL,
+            "fatol": control.NM_FATOL,
+            "maxiter": budget,
+            "maxfev": budget,
+        }
         box = patches.bounds()
         bounds = None if box is None else list(zip(*box))
         res = minimize(fun, start.x0, method="Nelder-Mead", bounds=bounds, options=options)
@@ -660,8 +667,9 @@ def quadratic(d):
 
 
 # (objective, x0, box as (lower, upper) or None, budget, (xatol, fatol));
-# all but "budget-spent" converge within their budget
-TOLS = (1e-9, 1e-12)
+# all but "budget-spent" converge within their budget; TOLS are the tolerances that
+# minimize_cost passes
+TOLS = (control.NM_XATOL, control.NM_FATOL)
 NELDER_MEAD_CASES = {
     **{f"quadratic-d{d}": (quadratic(d), np.linspace(0.3, 1.1, d), None, 2000 * d, TOLS)
        for d in (1, 2, 3, 4)},
@@ -736,16 +744,18 @@ class TestUpFrontRefusals:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"max_evals": 0}, "max_evals must be at least 1, got 0"),
-            ({"max_evals": -1}, "max_evals must be at least 1, got -1"),
-            ({"max_evals": 2.5}, "max_evals must be an integer, got 2.5"),
+            ({"n_starts": -1}, "n_starts must be at least 1, got -1"),
+            # a numpy integer passes the type test and is refused by value
+            ({"n_starts": np.int64(0)}, "n_starts must be at least 1, got 0"),
+            ({"n_starts": 2.0}, "n_starts must be an integer, got 2.0"),
             ({"n_starts": 0}, "n_starts must be at least 1, got 0"),
             ({"n_starts": 1.5}, "n_starts must be an integer, got 1.5"),
-            ({"start_scale": np.nan}, "start_scale must be finite and nonnegative, got nan"),
-            ({"start_scale": np.inf}, "start_scale must be finite and nonnegative, got inf"),
-            ({"start_scale": -1.0}, "start_scale must be finite and nonnegative, got -1.0"),
-            ({"xatol": np.nan}, "xatol must be finite and nonnegative, got nan"),
-            ({"fatol": np.nan}, "fatol must be finite and nonnegative, got nan"),
+            ({"n_starts": "5"}, "n_starts must be an integer, got 5"),
+            ({"extra_starts": [[np.inf]]}, "control coefficients must be finite, got inf"),
+            # a flat list is a list of scalar starts
+            ({"extra_starts": [0.5]}, "expected 1 coefficients, got ()"),
+            ({"extra_starts": [[]]}, "expected 1 coefficients, got (0,)"),
+            ({"extra_starts": [[0.5], [0.5, 0.5]]}, "expected 1 coefficients, got (2,)"),
             ({"extra_starts": [[np.nan]]}, "control coefficients must be finite, got nan"),
             (
                 {"extra_starts": [[0.5], [-np.inf]]},
@@ -769,8 +779,6 @@ class TestUpFrontRefusals:
             ({"ctrl_tol": np.nan}, "ctrl_tol must be nonnegative, got nan"),
             ({"ctrl_tol": -1e-3}, "ctrl_tol must be nonnegative, got -0.001"),
             ({"noise_floor": np.nan}, "noise_floor must be nonnegative, got nan"),
-            ({"max_evals": 0}, "max_evals must be at least 1, got 0"),
-            ({"xatol": np.nan}, "xatol must be finite and nonnegative, got nan"),
         ],
     )
     def test_run_oc_sequence(self, setup_1d, kwargs, message):
@@ -779,6 +787,26 @@ class TestUpFrontRefusals:
         sched = tykhonov.Schedule(kind="target_perturb", length=4, target_shape=lambda x: x)
         with pytest.raises(ValueError, match=re.escape(message)):
             control.run_oc_sequence(problem, patches, w, sched, **kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("xatol", 1e-9), ("fatol", 1e-12), ("start_scale", 1.0), ("max_evals", 3)],
+    )
+    def test_minimize_cost_runs_the_simplex_at_fixed_settings(self, setup_1d, name, value):
+        _, problem, patches = setup_1d
+        w = control.CostWeights(1.0, 1.0, lambda x: x)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            control.minimize_cost(problem, patches, w, **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("extra_starts", [[0.3]]), ("check_admissibility", False)]
+    )
+    def test_run_oc_sequence_refuses_what_each_instance_sets(self, setup_1d, name, value):
+        _, problem, patches = setup_1d
+        w = control.CostWeights(1.0, 1.0, lambda x: x)
+        sched = tykhonov.Schedule(kind="target_perturb", length=4, target_shape=lambda x: x)
+        with pytest.raises(TypeError, match=f"run_oc_sequence takes no {name}"):
+            control.run_oc_sequence(problem, patches, w, sched, n_starts=1, **{name: value})
 
     def test_run_oc_sequence_passes_an_unknown_keyword_to_minimize_cost(self, setup_1d):
         _, problem, patches = setup_1d

@@ -1595,7 +1595,7 @@ class TestMembership:
         theta = qvi.TykhonovIndex(0.0, 1.0, 0.0, fem.FrictionBound.constant(1.0))
         assert qvi.membership_violation(mesh, 1.0, np.zeros(2), theta) == 0.0
 
-    @pytest.mark.parametrize("eps", [-1e-3, float("nan")])
+    @pytest.mark.parametrize("eps", [-1e-3, float("nan"), float("inf")])
     def test_index_rejects_bad_eps(self, eps):
         g = fem.FrictionBound.constant(1.0)
         with pytest.raises(ValueError, match="eps must be nonnegative"):
