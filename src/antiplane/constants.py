@@ -35,22 +35,23 @@ class ConvergenceError(RuntimeError):
 def _power_iteration(solve, B, A, v0, tol, maxiter):
     """Largest eigenvalue of B v = lambda A v by power iteration on A^-1 B.
 
-    ``solve`` applies A^-1.  Each iteration forms B v once, for both the
-    Rayleigh quotient (v'Bv)/(v'Av) of the normalized iterate and the
-    next iterate A^-1 B v.  Stops when the relative change of the
+    ``solve`` applies A^-1, and ``B`` and ``A`` are the products v -> B v
+    and v -> A v (``fem.csr_product``).  Each iteration forms B v once,
+    for both the Rayleigh quotient (v'Bv)/(v'Av) of the normalized iterate
+    and the next iterate A^-1 B v.  Stops when the relative change of the
     quotient falls below ``tol``; returns lambda.
     """
     v = v0 / np.linalg.norm(v0)
-    Bv = B @ v
-    lam = float((v @ Bv) / (v @ (A @ v)))
+    Bv = B(v)
+    lam = float((v @ Bv) / (v @ A(v)))
     for _ in range(maxiter):
         v = solve(Bv)
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
             raise ConvergenceError("power iteration collapsed to the zero vector")
         v /= nrm
-        Bv = B @ v
-        lam_new = float((v @ Bv) / (v @ (A @ v)))
+        Bv = B(v)
+        lam_new = float((v @ Bv) / (v @ A(v)))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return lam_new
         lam = lam_new
@@ -77,7 +78,10 @@ def poincare_constant(mesh: fem.Mesh) -> float:
     free = mesh.free_nodes
     M = fem.submatrix(fem.mass_matrix(mesh), free, free)
     v0 = np.random.default_rng(_POWER_SEED).standard_normal(len(free))
-    return float(np.sqrt(1.0 + _power_iteration(solve, M, S, v0, _POWER_TOL, _POWER_MAXITER)))
+    lam = _power_iteration(
+        solve, fem.csr_product(M), fem.csr_product(S), v0, _POWER_TOL, _POWER_MAXITER
+    )
+    return float(np.sqrt(1.0 + lam))
 
 
 def trace_constant(mesh: fem.Mesh) -> float:

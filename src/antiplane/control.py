@@ -190,7 +190,7 @@ def cost(
     """Evaluate the tracking cost for a given state and control."""
     target = target_field(mesh, weights.target)
     c = patches.coefficients(coeffs)
-    return _cost(qvi._product(fem.mass_matrix(mesh)), target, patches, weights, u, c)
+    return _cost(fem.csr_product(fem.mass_matrix(mesh)), target, patches, weights, u, c)
 
 
 def _cost(mass, target, patches, weights, u, c) -> float:
@@ -233,7 +233,7 @@ class StateSolver:
         self.B = np.column_stack(cols)
         R = np.asfortranarray(self.discrete.tresca.reduce(np.column_stack([self.F0, self.B])))
         self._R0, self._RB = R[:, 0], R[:, 1:]
-        self._mass = qvi._product(fem.mass_matrix(problem.mesh))
+        self._mass = fem.csr_product(fem.mass_matrix(problem.mesh))
         self._target = (None, None)  # the last weights object and its nodal target
 
     def _fixed_point(self, c, config, eta0):

@@ -26,6 +26,10 @@ until ``release_free_block``), the constants (c0, c3) of
 ``constants.space_constants`` and the solver's index of
 ``qvi.mesh_index``, which depend on the mesh alone.
 Cached arrays are read-only.
+Every symmetric positive definite block is factored by ``spd_factor`` in
+a band order: with LAPACK's tridiagonal LDL' kernels where that band is
+tridiagonal (the free block of an interval), with its banded Cholesky
+otherwise.
 ``assemble_stiffness`` itself always assembles; ``stiffness_matrix`` is
 its cached form, which checks the modulus and its floor on every call.
 """
@@ -38,7 +42,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotri
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotri, dpttrf, dpttrs
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
 
 GAMMA1 = "gamma1"
@@ -95,7 +100,9 @@ class MeshSpec:
             raise MeshError(f"extents must be finite, got {self.extents}")
         if any(int(r) < 1 for r in self.resolution):
             raise MeshError("resolution must be at least one element per direction")
-        if not all(isinstance(r, (int, np.integer)) for r in self.resolution):
+        if not all(
+            isinstance(r, (int, np.integer)) and not isinstance(r, bool) for r in self.resolution
+        ):
             raise MeshError(f"resolution must be integers, got {self.resolution}")
         unknown = [s for s in self.partition if s not in sides]
         if unknown:
@@ -306,8 +313,8 @@ def require_finite(name: str, values: np.ndarray, nodes=None, what: str = "node"
 
 def require_count(name: str, value) -> None:
     """ValueError naming ``name`` unless ``value`` is an integer (numpy
-    integers included) of at least 1."""
-    if not isinstance(value, (int, np.integer)):
+    integers included, bools not) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
@@ -586,12 +593,14 @@ class BandLayout:
     It holds the CSR pattern it was made for (``indptr``, ``indices``),
     the band order ``perm`` of ``_band_order`` with the rows ``last``
     last and its ``inverse``, the mask ``upper`` of the entries on or
-    above the diagonal in that order, the half bandwidth ``kd`` and the
-    flat (Fortran-order) band position ``at`` of each upper entry; for
-    Z = (A^-1)[last, last], the flat positions ``z_band`` of the trailing
-    block's upper triangle within the band, their flat places ``z_at`` in
-    the m x m block, and ``z_take``, the rows of ``last`` in that block.
-    All are integer or boolean arrays of O(nnz) entries.
+    above the diagonal in that order, the half bandwidth ``kd`` (1 for a
+    tridiagonal band, on which ``spd_factor`` runs its tridiagonal
+    kernels) and the flat (Fortran-order) band position ``at`` of each
+    upper entry; for Z = (A^-1)[last, last], the flat positions
+    ``z_band`` of the trailing block's upper triangle within the band,
+    their flat places ``z_at`` in the m x m block, and ``z_take``, the
+    rows of ``last`` in that block.  All are integer or boolean arrays of
+    O(nnz) entries.
     """
 
     indptr: np.ndarray
@@ -642,19 +651,26 @@ def band_layout(A, last=()) -> BandLayout:
 
 
 def spd_factor(A, layout: BandLayout):
-    """Banded Cholesky factorization of a sparse symmetric positive definite A.
+    """Band factorization of a sparse symmetric positive definite A.
 
     ``layout``, a ``band_layout`` of A's pattern that several matrices
     may share, orders the rows into a narrow band with its rows ``last``
     last (ValueError when A's CSR pattern is not the layout's).  The
     entries of A on or above the diagonal of the reordered matrix are
-    packed in LAPACK upper band storage, and ``dpbtrf`` factors the band
-    U'U; A itself is left unchanged.  Returns (solve, Z): ``solve(b)`` for
-    a vector or an (n, k) array b permutes b, calls ``dpbtrs`` and undoes
-    the permutation; Z = (A^-1)[last, last] in the order of ``last``.
-    The trailing block U_TT of the factor satisfies
-    U_TT'U_TT = A_TT - A_TS A_SS^-1 A_ST (the Schur complement, George-Liu
-    1981), so ``dpotri`` on U_TT gives Z with no solve.  Raises
+    packed in LAPACK upper band storage; A itself is left unchanged.  The
+    layout's half bandwidth ``kd`` picks the kernel: a tridiagonal band
+    (kd = 1, the free block of an interval) is factored LDL' by
+    ``dpttrf`` and solved by ``dpttrs``, any other band is factored U'U
+    by the banded Cholesky ``dpbtrf`` and solved by ``dpbtrs``, whose one
+    BLAS call per column outweighs the arithmetic of a tridiagonal band
+    (22 against 9 us a solve at 1,024 rows, 1 BLAS thread, 2-vCPU host).
+
+    Returns (solve, Z): ``solve(b)`` for a vector or an (n, k) array b
+    permutes b, calls the band solve and undoes the permutation; Z =
+    (A^-1)[last, last] in the order of ``last``.  The trailing block U_TT
+    of the Cholesky factor U (for kd = 1, D^1/2 L' of dpttrf's factors)
+    satisfies U_TT'U_TT = A_TT - A_TS A_SS^-1 A_ST (the Schur complement,
+    George-Liu 1981), so ``dpotri`` on U_TT gives Z with no solve.  Raises
     FactorizationError on a nonpositive pivot.
     """
     A = _canonical(A)
@@ -666,22 +682,31 @@ def spd_factor(A, layout: BandLayout):
     ):
         raise ValueError("the matrix's sparsity pattern is not the one of the band layout")
     perm, inverse, kd = layout.perm, layout.inverse, layout.kd
-    band = np.zeros((kd + 1) * n)
+    band = np.zeros((kd + 1) * n)  # upper band storage, flat in Fortran order
     band[layout.at] = A.data[layout.upper]
-    chol, info = dpbtrf(band.reshape((kd + 1, n), order="F"), overwrite_ab=1)
+    if kd == 1:  # the diagonal band[1::2] and the superdiagonal band[2::2]
+        d, e, info = dpttrf(band[1::2], band[2::2])
+        kernel = lambda b: dpttrs(d, e, b, overwrite_b=1)[0]
+    else:
+        chol, info = dpbtrf(band.reshape((kd + 1, n), order="F"), overwrite_ab=1)
+        kernel = lambda b: dpbtrs(chol, b, overwrite_b=1)[0]
     if info > 0:
         raise FactorizationError(
             f"matrix is not positive definite (pivot {info} of {n} in band order)"
         )
 
     def solve(b):
-        x, _ = dpbtrs(chol, np.asarray(b, dtype=float)[perm], overwrite_b=1)
-        return x[inverse]
+        return kernel(np.asarray(b, dtype=float)[perm])[inverse]
 
     m = len(layout.z_take)
     Z = np.zeros((m, m))
     if m:
-        Z.flat[layout.z_at] = chol.reshape(-1, order="F")[layout.z_band]  # U_TT
+        if kd == 1:  # U = D^1/2 L' in the band
+            band[1::2] = np.sqrt(d)
+            band[2::2] = band[1:-1:2] * e
+        else:
+            band = chol.reshape(-1, order="F")
+        Z.flat[layout.z_at] = band[layout.z_band]  # U_TT
         Z = dpotri(Z)[0]  # its upper triangle
         Z = np.triu(Z) + np.triu(Z, 1).T
         Z = Z[np.ix_(layout.z_take, layout.z_take)]
@@ -725,10 +750,32 @@ def gram_matrix(mesh: Mesh) -> sp.csr_matrix:
     )
 
 
+def csr_product(A):
+    """x -> A @ x for a sparse matrix A, taken as float64 CSR, and a vector
+    x of A.shape[1] entries (ValueError for another shape), bitwise
+    ``A @ x``: it calls the kernel that ``@`` calls after its operator
+    dispatch, which takes about 3 us a product (4.7 against 1.4 us for the
+    Gram matrix of a 4x4 mesh, timeit, 2-vCPU host).  The kernel casts an
+    integer or strided x as ``@`` does; callers with a vector from outside
+    pass it as a contiguous float64 array."""
+    A = A.tocsr().astype(float, copy=False)
+    n, m = A.shape
+    indptr, indices, data = A.indptr, A.indices, A.data
+
+    def product(x):
+        if x.shape != (m,):
+            raise ValueError(f"expected a vector of {m} entries, got shape {x.shape}")
+        y = np.zeros(n)
+        _csr_matvec(n, m, indptr, indices, data, x, y)
+        return y
+
+    return product
+
+
 def v_norm(mesh: Mesh, v: np.ndarray) -> float:
     """Full H1 norm of a nodal field, consistent element quadrature."""
-    A = gram_matrix(mesh)
-    return float(np.sqrt(max(v @ (A @ v), 0.0)))
+    v = np.ascontiguousarray(v, dtype=float)
+    return float(np.sqrt(max(v @ csr_product(gram_matrix(mesh))(v), 0.0)))
 
 
 def free_factor(mesh: Mesh, A):

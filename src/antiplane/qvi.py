@@ -13,8 +13,8 @@ factor k = L_g c0^2 c3^2 / mu_star; k >= 1 must be overridden explicitly.
 
 The Tresca energy is smooth except for separable absolute values on the
 gamma3 nodes T.  ``TrescaSolver`` minimizes it in the free-T
-(capacitance) form on one banded Cholesky factorization of the free
-block with T last, whose trailing block gives Z = (K_ff^-1)_TT: a
+(capacitance) form on one band factorization (``fem.spd_factor``) of the
+free block with T last, whose trailing block gives Z = (K_ff^-1)_TT: a
 primal-dual active-set iteration (semismooth Newton; Hintermueller-Ito-
 Kunisch 2002, Stadler 2004) of dense |T|-sized steps, with stick nodes
 held at zero by a small dense solve, and one band solve to lift u.
@@ -36,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from . import constants, fem
 
@@ -234,7 +233,7 @@ def mesh_index(mesh: fem.Mesh) -> MeshIndex:
                   mesh.nodes[T], mesh.gamma3_weights[T])
         for array in arrays:
             array.flags.writeable = False
-        return MeshIndex(mesh.n_nodes, free, *arrays, _product(fem.gram_matrix(mesh)))
+        return MeshIndex(mesh.n_nodes, free, *arrays, fem.csr_product(fem.gram_matrix(mesh)))
 
     return fem.cached(mesh, "mesh index", build)
 
@@ -242,8 +241,8 @@ def mesh_index(mesh: fem.Mesh) -> MeshIndex:
 class TrescaSolver:
     """Exact minimizer of 0.5 v'Kv - F'v + sum_i c_i |v_i| over V_h.
 
-    The free-T (capacitance) form on one banded Cholesky factorization of
-    the free block K_ff with the gamma3 nodes T last: ``factor``, the
+    The free-T (capacitance) form on one band factorization of the free
+    block K_ff with the gamma3 nodes T last: ``factor``, the
     (solve, Z) pair of ``fem.spd_factor`` that ``DiscreteProblem`` makes
     or, for a scalar mu, takes from the mesh's cache, with Z =
     (K_ff^-1)_TT read off the factor's trailing block; ``fixed_point``
@@ -319,22 +318,6 @@ def _bound(g: fem.FrictionBound, points: np.ndarray, r: np.ndarray) -> np.ndarra
             raise SolverError("friction bound took a non-finite value on gamma3")
         raise SolverError("friction bound took a negative value on gamma3")
     return np.maximum(G, 0.0, out=G)
-
-
-def _product(A):
-    """x -> A @ x for a float64 CSR matrix A and a float vector x, bitwise
-    ``A @ x``: it calls the kernel that ``@`` calls after its operator
-    dispatch, which takes about 3 us a product (4.7 against 1.4 us for
-    the Gram matrix of a 4x4 mesh, timeit, 2-vCPU host)."""
-    n, m = A.shape
-    indptr, indices, data = A.indptr, A.indices, A.data
-
-    def product(x):
-        y = np.zeros(n)
-        _csr_matvec(n, m, indptr, indices, data, x, y)
-        return y
-
-    return product
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -575,7 +558,7 @@ def membership_violation(
     that misses the friction law within ``MAX_ACTIVE_SET`` iterations.
     """
     n = mesh.n_nodes
-    u = np.asarray(u, dtype=float)
+    u = np.ascontiguousarray(u, dtype=float)
     for name, values in (("u", u), ("load", load)):
         if values is not None and values.shape != (n,):
             raise ValueError(f"{name} must have shape ({n},), got {values.shape}")
@@ -586,7 +569,7 @@ def membership_violation(
     T, g3 = index.pos, index.friction  # gamma3 rows of the free block, in the order of Z
     K = fem.stiffness_matrix(mesh, mu) if stiffness is None else stiffness
     F = fem.assemble_load(mesh, theta.f0, theta.f2) if load is None else load
-    z = _finite_free(F - K @ u, index.free, "residual F - Ku")
+    z = _finite_free(F - fem.csr_product(K)(u), index.free, "residual F - Ku")
     c = index.weights * _bound(theta.g, index.points, np.abs(u[g3]))
     z[T] -= np.sign(u[g3]) * c  # xi on the slip nodes; zero on the stick nodes
     I = (u[g3] == 0.0).nonzero()[0]
@@ -614,7 +597,9 @@ def complementarity_report(problem: ProblemData, u: np.ndarray):
     K = fem.stiffness_matrix(mesh, problem.mu, problem.mu_star)
     F = fem.assemble_load(mesh, problem.f0, problem.f2)
     idx = mesh.node_sets[fem.GAMMA3]
-    lam = _finite_free((K @ u) - F, idx, "residual F - Ku") / mesh.gamma3_weights[idx]
+    u = np.ascontiguousarray(u, dtype=float)
+    residual = _finite_free(fem.csr_product(K)(u) - F, idx, "residual F - Ku")
+    lam = residual / mesh.gamma3_weights[idx]
     G = _bound(problem.g, mesh.nodes[idx], np.abs(u[idx]))
     stick_slack = np.abs(lam) - G
     comp = lam * u[idx] + G * np.abs(u[idx])

@@ -762,6 +762,8 @@ class TestUpFrontRefusals:
                 "control coefficients must be finite, got -inf",
             ),
             ({"extra_starts": [[0.5, 0.5]]}, "expected 1 coefficients, got (2,)"),
+            # a bool is an int to isinstance, and is refused all the same
+            ({"n_starts": True}, "n_starts must be an integer, got True"),
         ],
     )
     def test_minimize_cost(self, setup_1d, kwargs, message):
@@ -779,6 +781,7 @@ class TestUpFrontRefusals:
             ({"ctrl_tol": np.nan}, "ctrl_tol must be nonnegative, got nan"),
             ({"ctrl_tol": -1e-3}, "ctrl_tol must be nonnegative, got -0.001"),
             ({"noise_floor": np.nan}, "noise_floor must be nonnegative, got nan"),
+            ({"seq_starts": True}, "seq_starts must be an integer, got True"),
         ],
     )
     def test_run_oc_sequence(self, setup_1d, kwargs, message):

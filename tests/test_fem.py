@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiplane import constants, fem, qvi
+from antiplane import constants, fem, oracle, qvi, tykhonov
 from space_helpers import dual_norm, in_space, zero_on_gamma1
 from tresca_helpers import tresca_solve, tresca_solver
 
@@ -56,7 +56,7 @@ class TestMeshSpec:
         with pytest.raises(fem.MeshError, match="resolution"):
             fem.MeshSpec(1, (1.0,), (0,), {"left": "gamma1", "right": "gamma3"})
 
-    @pytest.mark.parametrize("resolution", [(2.5,), (4.0,)])
+    @pytest.mark.parametrize("resolution", [(2.5,), (4.0,), (True,)])
     def test_rejects_fractional_resolution(self, resolution):
         with pytest.raises(fem.MeshError, match="resolution must be integers"):
             fem.MeshSpec(1, (1.0,), resolution, {"left": "gamma1", "right": "gamma3"})
@@ -788,7 +788,10 @@ class TestSpdFactor:
         D = sp.diags(K.diagonal())
         K_bad = (D + 3.0 * (K - D)).tocsr()
         free = np.arange(1, 9)
-        with pytest.raises(fem.FactorizationError, match="not positive definite"):
+        # a tridiagonal band: the second pivot of its LDL' factors is negative
+        assert fem.band_layout(K_bad[free][:, free]).kd == 1
+        message = r"not positive definite \(pivot 2 of 8 in band order\)"
+        with pytest.raises(fem.FactorizationError, match=message):
             band_factor(K_bad[free][:, free])
         # a per-element modulus factors its own K_ff (fem.free_factor), after
         # c0 and c3 have factored theirs; one that does not factor is refused
@@ -800,6 +803,103 @@ class TestSpdFactor:
         message = "stiffness block factorization failed: matrix is not positive definite"
         with pytest.raises(qvi.SolverError, match=message):
             qvi.DiscreteProblem(prob)
+
+
+def counting_kernels(monkeypatch):
+    """Calls per band kernel name (``dpbtrf``, ``dpbtrs``, ``dpttrf``,
+    ``dpttrs``) made through ``fem``."""
+    calls = dict.fromkeys(("dpbtrf", "dpbtrs", "dpttrf", "dpttrs"), 0)
+
+    def counting(name, kernel):
+        def count(*args, **kw):
+            calls[name] += 1
+            return kernel(*args, **kw)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(fem, name, counting(name, getattr(fem, name)))
+    return calls
+
+
+class TestTridiagonalFactor:
+    """An interval's free block is tridiagonal in band order (kd = 1):
+    ``spd_factor`` factors it with LAPACK's LDL' kernels."""
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [("gamma1", "gamma3"), ("gamma3", "gamma1"), ("gamma1", "gamma2")],
+        ids=["gamma3-right", "gamma3-left", "no-gamma3"],
+    )
+    @pytest.mark.parametrize("mu", [1.0, "per-element"], ids=["scalar", "element"])
+    def test_solve_and_Z_match_the_dense_inverse(self, left, right, mu, monkeypatch):
+        mesh = interval_mesh(40, right=right, left=left)
+        if mu == "per-element":
+            mu = np.linspace(0.3, 3.0, len(mesh.elements))
+        free = mesh.free_nodes
+        K = free_block(mesh, mu)
+        last = np.searchsorted(free, mesh.node_sets["gamma3"])
+        layout = fem.band_layout(K, last)
+        assert layout.kd == 1
+        calls = counting_kernels(monkeypatch)
+        solve, Z = fem.spd_factor(K, layout)
+        dense = np.linalg.inv(K.toarray())
+        b = np.random.default_rng(RNG_SEED).standard_normal((len(free), 3))
+        for rhs in (b, b[:, 0]):
+            x = solve(rhs)
+            assert x.shape == rhs.shape
+            assert np.max(np.abs(x - dense @ rhs)) <= 1e-12 * np.max(np.abs(dense @ rhs))
+        dense_Z = dense[np.ix_(last, last)]
+        assert Z.shape == (len(last), len(last))
+        if len(last):
+            assert np.max(np.abs(Z - dense_Z)) <= 1e-12 * np.max(np.abs(dense_Z))
+        assert calls == {"dpbtrf": 0, "dpbtrs": 0, "dpttrf": 1, "dpttrs": 2}
+
+    def test_interval_sequence_runs_on_the_tridiagonal_kernels(self, monkeypatch):
+        calls = counting_kernels(monkeypatch)
+        problem = oracle.benchmark_problem(mu=1.0, f0=3.0, g=1.0, n_elements=32)
+        for kind in ("load_perturb", "lame_perturb"):
+            tykhonov.run_convergence(problem, tykhonov.Schedule(kind=kind, length=4))
+        assert calls["dpttrf"] > 0 and calls["dpttrs"] > 0
+        assert calls["dpbtrf"] == calls["dpbtrs"] == 0
+        # a square's free block is no tridiagonal band: the banded Cholesky
+        certified_solve(square_mesh(6, 6), 1.0)
+        assert calls["dpbtrf"] > 0 and calls["dpbtrs"] > 0
+
+
+class TestProduct:
+    """``fem.csr_product`` is bitwise the sparse product it stands for."""
+
+    @pytest.mark.parametrize("n", [4, 24])
+    def test_bitwise_equal_to_the_sparse_product(self, n):
+        mesh = square_mesh(n, n)
+        x = np.random.default_rng(RNG_SEED).standard_normal(mesh.n_nodes)
+        for A in (fem.gram_matrix(mesh), fem.mass_matrix(mesh)):
+            assert np.array_equal(fem.csr_product(A)(x), A @ x)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_integer_and_strided_input(self, fmt):
+        mesh = square_mesh(5, 4)
+        A = fem.stiffness_matrix(mesh, 1.3).asformat(fmt)
+        rng = np.random.default_rng(RNG_SEED)
+        integers = rng.integers(-9, 9, mesh.n_nodes)
+        strided = rng.standard_normal((mesh.n_nodes, 2))[:, 1]
+        assert not strided.flags.c_contiguous
+        product = fem.csr_product(A)
+        for x in (integers, strided):
+            y = product(x)
+            assert y.dtype == np.float64 and np.array_equal(y, A @ x)
+
+    def test_integer_matrix(self):
+        A = sp.csr_matrix(np.array([[2, -1], [-1, 2]]))
+        x = np.array([0.25, 1.5])
+        assert np.array_equal(fem.csr_product(A)(x), A @ x)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1)])
+    def test_other_shape_raises(self, shape):
+        A = sp.identity(5, format="csr")
+        with pytest.raises(ValueError, match="vector of 5 entries"):
+            fem.csr_product(A)(np.ones(shape))
 
 
 def counting_band_orders(monkeypatch):

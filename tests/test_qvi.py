@@ -315,17 +315,6 @@ class TestTrescaProperties:
         assert np.max(np.abs(u - cd_oracle(K, F, mesh.free_nodes, g3, c))) <= 1e-10
 
 
-class TestProduct:
-    """``qvi._product`` is bitwise the sparse product it stands for."""
-
-    @pytest.mark.parametrize("n", [4, 24])
-    def test_bitwise_equal_to_the_sparse_product(self, n):
-        mesh = square_mesh(n)
-        x = np.random.default_rng(RNG_SEED).standard_normal(mesh.n_nodes)
-        for A in (fem.gram_matrix(mesh), fem.mass_matrix(mesh)):
-            assert np.array_equal(qvi._product(A)(x), A @ x)
-
-
 def box_qp_loop(Z, b, c, t, lam, stick_solve, sigma):
     """``qvi._box_qp`` as its loop ran every start: an all-stick start too
     runs the iteration that solves Z lam = b again and stops."""
@@ -415,6 +404,7 @@ class TestSolverConfig:
             ("outer_tol", 0.0),
             ("outer_tol", -1e-10),
             ("max_outer", 2.5),
+            ("max_outer", True),
         ],
     )
     def test_rejects_bad_value_naming_the_field(self, field, value):
