@@ -117,7 +117,9 @@ def _run_solve(cfg, out, seed):
     mesh = cfgmod.build_mesh(cfg)
     problem = cfgmod.build_problem(cfg, mesh)
     solver_cfg = cfgmod.build_solver_config(cfg)
-    u, report = qvi.solve_qvi(problem, solver_cfg)
+    # one load for the solve, its multipliers and its certificate
+    F = fem.assemble_load(mesh, problem.f0, problem.f2)
+    u, report = qvi.DiscreteProblem(problem).solve(F, problem.g, solver_cfg)
 
     header, rows = _node_table(mesh, np.arange(mesh.n_nodes), ["u"], [u])
     output.write_csv(os.path.join(out, "solution.csv"), header, rows)
@@ -129,7 +131,7 @@ def _run_solve(cfg, out, seed):
         zip(itertools.count(1), report.increments, [None] + report.ratios),
     )
 
-    idx, lam, G, stick_slack, comp = qvi.complementarity_report(problem, u)
+    idx, lam, G, stick_slack, comp = qvi.complementarity_report(problem, u, load=F)
     header, rows = _node_table(
         mesh,
         idx,
@@ -153,7 +155,7 @@ def _run_solve(cfg, out, seed):
     code = 0
     if cfg["run"]["certify"]:
         theta = qvi.TykhonovIndex(eps=0.0, f0=problem.f0, f2=problem.f2, g=problem.g)
-        violation = float(qvi.membership_violation(mesh, problem.mu, u, theta))
+        violation = float(qvi.membership_violation(mesh, problem.mu, u, theta, load=F))
         pairs.append(("membership_violation", violation))
         print(f"membership violation = {violation!r}")
         if violation > qvi.CERT_TOL:

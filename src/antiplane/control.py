@@ -6,21 +6,29 @@ penalty on the control:
 
     cost(u, c) = a0 ||u - target||^2_{L2(D)} + a2 ||c||^2_{L2(gamma2)}.
 
-``minimize_cost`` runs seeded multistart Nelder-Mead (Nelder & Mead,
-Comput. J. 7, 1965) over the patch coefficients, with each evaluation
-solving the frictional equilibrium problem for that traction.  The
-simplex iteration is this module's ``_nelder_mead``, bitwise that of
-scipy 1.17's ``minimize(method="Nelder-Mead")`` for the options used
-here, so a control run loads no optimization package.  The state
-assembly is load-independent, so one :class:`StateSolver` holds one
-``qvi.DiscreteProblem`` for all optimizer evaluations, each started from
-the secant through its start's last d + 1 evaluated (control, state)
-pairs (``_predict``), which is exact wherever the control-to-state map
-is affine; a control that the start has solved before is answered from
-its record.  Multistart optima are clustered by cost (radius
-``CLUSTER_RADIUS``) to approximate a possibly non-unique solution set;
-ties between equal-cost minimizers (within ``TIE_TOL``) resolve to the
-smaller control norm.
+``minimize_cost`` runs seeded multistart optimization over the patch
+coefficients, with each evaluation solving the frictional equilibrium
+problem for that traction.  Every bound a config can write is affine, so
+on a fixed stick/slip split the control-to-state map is affine and the
+cost an exact quadratic: each start first runs Gauss-Newton
+(``_gauss_newton``; Nocedal & Wright, Numerical Optimization, 2006, ch.
+10) on forward-difference state Jacobians, which reaches a piece's
+minimizer in one step.  A start that Gauss-Newton does not finish, e.g.
+at an optimum on a stick/slip kink, goes on from its best point with
+Nelder-Mead (Nelder & Mead, Comput. J. 7, 1965).  The simplex iteration
+is this module's ``_nelder_mead``, bitwise that of scipy 1.17's
+``minimize(method="Nelder-Mead")`` for the options used here, so a
+control run loads no optimization package.  The state assembly is
+load-independent, so one :class:`StateSolver` holds one
+``qvi.DiscreteProblem`` for all optimizer evaluations.  A Gauss-Newton
+step's state starts from its linear prediction u + D s, and every other
+state solve from the secant through its start's last d + 1 evaluated
+(control, state) pairs (``_predict``); both are exact wherever the
+control-to-state map is affine.  A control that the start has solved
+before is answered from its record.  Multistart optima are clustered by
+cost (radius ``CLUSTER_RADIUS``) to approximate a possibly non-unique
+solution set; ties between equal-cost minimizers (within ``TIE_TOL``)
+resolve to the smaller control norm.
 
 ``run_oc_sequence`` perturbs the data along a vanishing
 ``tykhonov.Schedule`` (the perturbed index of the direct harness, plus
@@ -58,6 +66,10 @@ CLUSTER_RADIUS = 1e-4
 NM_XATOL = 1e-9
 NM_FATOL = 1e-12
 EVALS_PER_PATCH = 2000
+# the relative forward-difference step of a Gauss-Newton Jacobian, and the
+# trial steps a start's Gauss-Newton makes before it hands over to the simplex
+GN_STEP = 1e-4
+GN_MAX_STEPS = 10
 # secant weights beyond this l1 norm extrapolate far and amplify the stored
 # states' tolerance-level errors; such a solve starts from the last state
 SECANT_WEIGHT_CAP = 10.0
@@ -256,9 +268,26 @@ class StateSolver:
         cost."""
         c = self.patches.coefficients(coeffs)
         u, _ = self._fixed_point(c, config, eta0)
+        return _cost(self._mass, self._target_of(weights), self.patches, weights, u, c), u
+
+    def _target_of(self, weights):
+        """The nodal target of ``weights``, interpolated on a change of the
+        weights object."""
         if self._target[0] is not weights:
             self._target = (weights, target_field(self.patches.mesh, weights.target))
-        return _cost(self._mass, self._target[1], self.patches, weights, u, c), u
+        return self._target[1]
+
+    def gauss_newton_model(self, c, u, D, weights):
+        """The Gauss-Newton model of the cost at the control c with state u
+        and state Jacobian D (one column per patch), as the pair (A, b) of
+        its halved normal equations A s = b: A = a0 D'MD + a2
+        diag(measures) and b = -(a0 D'M(u - target) + a2 measures * c),
+        half the model's Hessian and minus half its gradient."""
+        MD = np.column_stack([self._mass(col) for col in D.T])
+        m = self.patches.measures
+        A = weights.a0 * (D.T @ MD) + weights.a2 * np.diag(m)
+        b = -(weights.a0 * (MD.T @ (u - self._target_of(weights))) + weights.a2 * m * c)
+        return A, b
 
 
 def admissibility_violation(
@@ -319,7 +348,87 @@ def _predict(history: deque, x: np.ndarray) -> np.ndarray | None:
 
 
 class _BudgetSpent(Exception):
-    """A call of ``_nelder_mead``'s objective past its budget."""
+    """A call of an optimizer's objective past its budget."""
+
+
+def _gauss_newton(fun, model, x0, box, budget):
+    """Gauss-Newton minimization of a cost of the form a0 ||u(x) -
+    target||^2_M + a2 x'diag(measures)x from ``x0``: (the best point
+    seen, its cost, the number of calls, whether the stop test held).
+
+    ``fun(x, eta0)`` returns the (cost, state) at x, its state solve
+    started from ``eta0`` (None: the caller's own start), and ``model(x,
+    u, D)`` the normal equations (A, b) of the model with state u and
+    state Jacobian D.  An iteration forms D by forward differences, one
+    call at x + h e_k for each patch k with h = ``GN_STEP`` max(1, |x_k|),
+    stepped inward at an upper bound.  Its step s solves A s = b on the
+    free coefficients, those not held at a bound of ``box`` (None or
+    (lower, upper)) by a gradient pointing out of it, with s = 0 on the
+    held ones (projected Newton; Bertsekas, SIAM J. Control Optim. 20,
+    1982).  It stops with success when x + s, clipped into the box, moves x
+    by at most ``NM_XATOL``.  Otherwise it tries x + t p, with p the
+    clipped step, from t = 1, halving t until the cost rises by at most
+    ``NM_FATOL``; the trial's state starts from u + D t p, the exact state
+    wherever the map is affine.  It gives up, without the stop test, on a
+    singular system or a non-finite step, on a trial step within
+    ``NM_XATOL`` that is still refused, after ``GN_MAX_STEPS`` trials, or
+    at the ``budget``th call; with ``GN_MAX_STEPS`` = 0 it makes no call.
+    """
+    clip = (lambda x: x) if box is None else (lambda x: np.clip(x, *box))
+    x = np.array(x0, dtype=float)
+    calls, best = 0, (x, np.inf)
+
+    def f(y, eta0=None):
+        nonlocal calls, best
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        J, u = fun(y, eta0)
+        if J < best[1]:
+            best = (y, J)
+        return J, u
+
+    if not GN_MAX_STEPS:
+        return x, np.inf, 0, False
+    trials = 0
+    try:
+        J, u = f(x)
+        while True:
+            D = np.empty((len(u), len(x)))
+            for k in range(len(x)):
+                h = GN_STEP * max(1.0, abs(x[k]))
+                if box is not None and x[k] + h > box[1][k]:
+                    h = -h
+                y = x.copy()
+                y[k] += h
+                D[:, k] = (f(y)[1] - u) / (y[k] - x[k])
+            A, b = model(x, u, D)
+            # held: at a bound that the descent direction b points out of
+            free = np.ones(len(x), dtype=bool) if box is None else ~(
+                (x <= box[0]) & (b < 0.0) | (x >= box[1]) & (b > 0.0)
+            )
+            s, info = np.zeros(len(x)), 0
+            if free.any():
+                _, _, s[free], info = dgesv(A[np.ix_(free, free)], b[free])
+            if info or not np.isfinite(s).all():  # info > 0: singular
+                break
+            p = clip(x + s) - x
+            if np.max(np.abs(p)) <= NM_XATOL:
+                return x, J, calls, True
+            t = 1.0
+            while trials < GN_MAX_STEPS and t * np.max(np.abs(p)) > NM_XATOL:
+                trials += 1
+                y = clip(x + t * p)
+                J_y, u_y = f(y, u + D @ (y - x))
+                if J_y <= J + NM_FATOL:
+                    break
+                t *= 0.5
+            else:
+                break
+            x, J, u = y, J_y, u_y
+    except _BudgetSpent:
+        pass
+    return best[0], best[1], calls, False
 
 
 def _nelder_mead(fun, x0, box, xatol, fatol, budget):
@@ -418,21 +527,25 @@ def minimize_cost(
     extra_starts=(),
     check_admissibility: bool = True,
 ) -> ControlResult:
-    """Multistart simplex minimization of the reduced cost.
+    """Multistart minimization of the reduced cost.
 
     Starts are the provided ``extra_starts``, the origin, and seeded
-    standard normal draws; each runs ``_nelder_mead`` at the module
-    constants ``NM_XATOL``, ``NM_FATOL`` and ``EVALS_PER_PATCH``.  The
-    selected optimum is the smallest-norm coefficient vector among the
-    cost-best starts (within ``TIE_TOL``); ``clusters`` groups all
-    successful optima by cost within ``CLUSTER_RADIUS`` to expose
-    non-unique minimizers.  Each start solves the state once per
-    distinct control: it records the cost of every control it solves,
-    keyed by the control's bytes, and answers the optimizer's revisits
-    from that record; its trace still has one cost per optimizer call.
-    Each state solve starts from ``_predict`` on the (control, state)
-    pairs its start has solved; the selected optimum's state is solved
-    again from a cold start.
+    standard normal draws.  Each runs ``_gauss_newton`` and, unless that
+    ends with its stop test, ``_nelder_mead`` from Gauss-Newton's best
+    point on the rest of the start's ``EVALS_PER_PATCH`` evaluations per
+    patch, at ``NM_XATOL`` and ``NM_FATOL``; a start's ``n_evals`` and
+    trace count the calls of both.  The selected optimum is the
+    smallest-norm coefficient vector among the cost-best starts (within
+    ``TIE_TOL``); ``clusters`` groups all successful optima by cost
+    within ``CLUSTER_RADIUS`` to expose non-unique minimizers.  Each
+    start solves the state once per distinct control: it records the
+    cost and state of every control it solves, keyed by the control's
+    bytes, and answers the optimizers' revisits from that record; its
+    trace still has one cost per optimizer call.  A Gauss-Newton trial
+    step's state solve starts from its linear prediction, and every other
+    one from ``_predict`` on the (control, state) pairs its start has
+    solved; the selected optimum's state is solved again from a cold
+    start.
     Raises ValueError, before any state solve, for an ``n_starts`` that
     is not an integer of at least 1, or an extra start of the wrong shape
     or with a non-finite entry.
@@ -450,24 +563,32 @@ def minimize_cost(
         x0s = [np.clip(x, *box) for x in x0s]
 
     budget = EVALS_PER_PATCH * d
+    model = functools.partial(solver.gauss_newton_model, weights=weights)
     starts: list[StartRecord] = []
     traces: list[list[float]] = []
     for i, x0 in enumerate(x0s):
         trace: list[float] = []
         history: deque = deque(maxlen=d + 1)  # solved (x, u) pairs, private to this start
-        solved: dict = {}  # the cost of each control this start solved, by its bytes
+        solved: dict = {}  # the (cost, state) of each control this start solved, by its bytes
 
-        def fun(x):
+        def fun(x, eta0=None):
             key = x.tobytes()
-            J = solved.get(key)
-            if J is None:  # a revisit is answered from the record
-                J, u = solver.evaluate(x, weights, config, eta0=_predict(history, x))
-                history.append((x, u))
-                solved[key] = J
-            trace.append(float(J))
-            return J
+            hit = solved.get(key)
+            if hit is None:  # a revisit is answered from the record
+                if eta0 is None:
+                    eta0 = _predict(history, x)
+                hit = solver.evaluate(x, weights, config, eta0=eta0)
+                history.append((x, hit[1]))
+                solved[key] = hit
+            trace.append(float(hit[0]))
+            return hit
 
-        x, J, n_evals, success = _nelder_mead(fun, x0, box, NM_XATOL, NM_FATOL, budget)
+        x, J, n_evals, success = _gauss_newton(fun, model, x0, box, budget)
+        if not success and n_evals < budget:
+            x, J, n_nm, success = _nelder_mead(
+                lambda x: fun(x)[0], x, box, NM_XATOL, NM_FATOL, budget - n_evals
+            )
+            n_evals += n_nm
         starts.append(StartRecord(i, x0, x, float(J), n_evals, success))
         traces.append(trace)
 

@@ -585,17 +585,22 @@ def membership_violation(
 # ---------------------------------------------------------------------------
 # solution diagnostics
 
-def complementarity_report(problem: ProblemData, u: np.ndarray):
+def complementarity_report(problem: ProblemData, u: np.ndarray, *, load=None):
     """Per-node friction-law residuals of a converged solution.
 
     Returns (idx, lam, G, stick_slack, comp) with stick_slack = |lam| - G
     (nonpositive up to solver tolerance) and comp = lam*u + G*|u| (zero up
-    to solver tolerance); SolverError when the residual F - Ku is not
-    finite at a gamma3 node, or G is not finite or negative.
+    to solver tolerance).  The load F of ``problem`` comes from
+    ``fem.assemble_load`` unless the caller, which solved for it, passes
+    it as ``load``.  Raises ValueError for a ``load`` that is not of shape
+    (n_nodes,), and SolverError when the residual F - Ku is not finite at
+    a gamma3 node, or G is not finite or negative.
     """
     mesh = problem.mesh
+    if load is not None and np.shape(load) != (mesh.n_nodes,):
+        raise ValueError(f"load must have shape ({mesh.n_nodes},), got {np.shape(load)}")
     K = fem.stiffness_matrix(mesh, problem.mu, problem.mu_star)
-    F = fem.assemble_load(mesh, problem.f0, problem.f2)
+    F = fem.assemble_load(mesh, problem.f0, problem.f2) if load is None else load
     idx = mesh.node_sets[fem.GAMMA3]
     u = np.ascontiguousarray(u, dtype=float)
     residual = _finite_free(fem.csr_product(K)(u) - F, idx, "residual F - Ku")

@@ -13,7 +13,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from antiplane import cli, control
+from antiplane import cli, control, fem, qvi
+from antiplane import config as cfgmod
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -255,6 +256,48 @@ class TestSolve:
         summary = summary_dict(out / "summary.csv")
         assert summary["converged"] == "true"
         assert float(summary["max_complementarity"]) <= 1e-8
+
+    def test_certified_solve_assembles_one_load(self, tmp_path, monkeypatch):
+        # the solve, its multiplier table and its certificate share one load,
+        # and each table agrees bitwise with the library calls that assemble
+        # their own
+        text = """\
+            mesh:
+              dimension = 2
+              extents = 1.0, 1.0
+              resolution = 6, 6
+              partition = left:gamma1, right:gamma2, bottom:gamma3, top:gamma3
+
+            problem:
+              mu = 1.0
+              f0 = poly(1, -0.5)
+              f2 = 0.25
+              g = affine(0.1, 0.05)
+
+            run:
+              certify = true
+            """
+        calls, assemble_load = [], fem.assemble_load
+        monkeypatch.setattr(
+            fem, "assemble_load", lambda *a, **kw: calls.append(1) or assemble_load(*a, **kw)
+        )
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        monkeypatch.setattr(fem, "assemble_load", assemble_load)
+        cfg = cfgmod.parse_config(cfg_path, "solve")
+        problem = cfgmod.build_problem(cfg, cfgmod.build_mesh(cfg))
+        u, _ = qvi.solve_qvi(problem)
+        _, rows = read_csv(out / "solution.csv")
+        assert [float(r[-1]) for r in rows] == u.tolist()
+        _, lam, _, _, comp = qvi.complementarity_report(problem, u)
+        _, rows = read_csv(out / "multipliers.csv")
+        assert [float(r[4]) for r in rows] == lam.tolist()
+        assert [float(r[7]) for r in rows] == comp.tolist()
+        theta = qvi.TykhonovIndex(0.0, problem.f0, problem.f2, problem.g)
+        violation = qvi.membership_violation(problem.mesh, problem.mu, u, theta)
+        assert float(summary_dict(out / "summary.csv")["membership_violation"]) == violation
 
     def test_non_contractive_problem_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -683,7 +726,7 @@ class TestDataErrors:
                 ("seed = 5", "seed = 5\n    constants:\n      lipschitz = nan"),
                 "constants: lipschitz must be nonnegative, got nan",
             ),
-            # the simplex runs at the control module's constants: a key for
+            # the optimizer runs at the control module's constants: a key for
             # one of its settings is refused at its line
             (
                 "control",

@@ -383,9 +383,12 @@ class TestStateSolver:
 
 
     def test_constants_resolved_once_per_state_solver(self, monkeypatch):
-        # the 4x4 square of one patch that the control benchmark optimizes on:
-        # about 80 state solves, which read c0 and c3 from their DiscreteProblem
+        # the 4x4 square of one patch that the control benchmark optimizes on,
+        # by the simplex alone: about 80 state solves, which read c0 and c3
+        # from their DiscreteProblem
         from antiplane import constants
+
+        monkeypatch.setattr(control, "GN_MAX_STEPS", 0)
 
         calls, built = [], []
         space_constants = constants.space_constants
@@ -507,6 +510,130 @@ class TestMinimizeCost:
         assert a.traces == b.traces
 
 
+def affine_problem(U, u0, target, a2):
+    """(fun, model) of ``control._gauss_newton`` for the state map x -> u0
+    + U x and the cost |u - target|^2 + a2 |x|^2, with each call recorded
+    as (x, eta0, cost) in ``fun.calls``."""
+
+    def fun(x, eta0=None):
+        u = u0 + U @ x
+        J = float((u - target) @ (u - target) + a2 * x @ x)
+        fun.calls.append((x.copy(), eta0, J))
+        return J, u
+
+    def model(x, u, D):
+        return D.T @ D + a2 * np.eye(len(x)), -(D.T @ (u - target) + a2 * x)
+
+    fun.calls = []
+    return fun, model
+
+
+class TestGaussNewton:
+    """Each start runs Gauss-Newton first; it is exact on a quadratic piece
+    and hands a start it cannot finish to the simplex."""
+
+    U = np.array([[1.0, 0.5], [0.0, 2.0], [0.3, -0.4]])
+    u0, target = np.array([0.1, -0.2, 0.3]), np.array([1.0, 0.5, -0.5])
+
+    def test_one_step_on_an_affine_map(self):
+        fun, model = affine_problem(self.U, self.u0, self.target, 1e-2)
+        x, J, calls, success = control._gauss_newton(fun, model, np.zeros(2), None, 100)
+        # the start, its d probes, the step and its d probes
+        assert success and calls == len(fun.calls) == 6
+        A = self.U.T @ self.U + 1e-2 * np.eye(2)
+        assert np.allclose(x, np.linalg.solve(A, self.U.T @ (self.target - self.u0)), atol=1e-9)
+        # the step's state starts from its linear prediction, every other
+        # state from the caller's own start
+        assert np.allclose(fun.calls[3][1], self.u0 + self.U @ x, atol=1e-9)
+        assert all(eta0 is None for i, (_, eta0, _) in enumerate(fun.calls) if i != 3)
+
+    def test_box_holds_the_coefficients_pushed_out(self):
+        # the Hessian couples the coefficients: from the corner (0.1, 0.1)
+        # the unconstrained step points out of the box in both, but the
+        # optimum holds only the first at its bound, at x_2 = -1.21
+        U = np.array([[1.0, -0.9], [0.0, np.sqrt(0.19)]])
+        target = U @ np.array([2.0, 0.5])
+        fun, model = affine_problem(U, np.zeros(2), target, 0.0)
+        box = (np.array([-2.0, -2.0]), np.array([0.1, 0.1]))
+        x, _, calls, success = control._gauss_newton(fun, model, np.zeros(2), box, 100)
+        assert success and np.allclose(x, [0.1, -1.21], rtol=0.0, atol=1e-9)
+        # a probe at the upper bound steps inward
+        assert all((y <= 0.1).all() for y, _, _ in fun.calls)
+
+    def test_singular_system_gives_up(self):
+        # a2 = 0 and a control that moves no state: A = 0
+        fun, model = affine_problem(np.zeros((3, 2)), self.u0, self.target, 0.0)
+        x0 = np.array([0.3, -0.2])
+        x, J, calls, success = control._gauss_newton(fun, model, x0, None, 100)
+        assert not success and calls == 3 and np.array_equal(x, x0)
+
+    def test_budget_spent_returns_the_best_point(self):
+        fun, model = affine_problem(self.U, self.u0, self.target, 1e-2)
+        x, J, calls, success = control._gauss_newton(fun, model, np.zeros(2), None, 4)
+        best = min(fun.calls, key=lambda call: call[2])
+        assert not success and calls == len(fun.calls) == 4
+        assert J == best[2] and np.array_equal(x, best[0])
+
+    def test_no_call_without_steps(self, monkeypatch):
+        monkeypatch.setattr(control, "GN_MAX_STEPS", 0)
+        fun, model = affine_problem(self.U, self.u0, self.target, 1e-2)
+        x0 = np.array([0.3, -0.2])
+        x, J, calls, success = control._gauss_newton(fun, model, x0, None, 100)
+        assert (calls, success, fun.calls) == (0, False, []) and np.array_equal(x, x0)
+
+    @pytest.mark.parametrize("a2", [1.0 / 3.0, 1.0, 3.0])
+    def test_first_step_reaches_the_closed_form(self, setup_1d, a2):
+        # the frictionless interval of criterion 7: the state map is affine,
+        # so every start stops at its first step
+        _, problem, patches = setup_1d
+        w = control.CostWeights(1.0, a2, lambda x: x)
+        res = control.minimize_cost(problem, patches, w, seed=0)
+        for start, trace in zip(res.starts, res.traces):
+            # the start, its probe, the first step and the step's probe
+            assert start.success and start.n_evals == len(trace) == 4
+            assert start.cost == trace[2]
+            assert start.coeffs[0] == pytest.approx(1.0 / (1.0 + 3.0 * a2), abs=1e-12)
+            assert start.cost == pytest.approx(a2 / (1.0 + 3.0 * a2), abs=1e-14)
+
+    @pytest.mark.parametrize("n, n_patches, most", [(4, 1, 10), (8, 2, 16), (12, 3, 24)])
+    def test_evaluations_per_start(self, monkeypatch, n, n_patches, most):
+        # the simplex alone takes 72-83, 150-223 and 358-507 evaluations here
+        problem, patches, weights = frictional_square(n, n_patches)
+        res = control.minimize_cost(problem, patches, weights, n_starts=3, seed=0)
+        monkeypatch.setattr(control, "GN_MAX_STEPS", 0)
+        simplex = control.minimize_cost(problem, patches, weights, n_starts=3, seed=0)
+        for start, ref in zip(res.starts, simplex.starts):
+            assert start.success and start.n_evals <= most
+            assert start.cost == pytest.approx(ref.cost, rel=1e-9)
+
+    def test_kink_optimum_falls_back(self, monkeypatch):
+        # a zero target on the benchmark's square: at the optimum a gamma3 node
+        # changes between stick and slip, so the cost has a kink there and
+        # Gauss-Newton hands every start to the simplex at its best point
+        problem, patches, _ = frictional_square()
+        weights = control.CostWeights(1.0, 1e-3, 0.0)
+        handed, nelder_mead = [], control._nelder_mead
+
+        def spy(fun, x0, box, xatol, fatol, budget):
+            handed.append(control.EVALS_PER_PATCH - budget)  # the Gauss-Newton calls
+            return nelder_mead(fun, x0, box, xatol, fatol, budget)
+
+        monkeypatch.setattr(control, "_nelder_mead", spy)
+        res = control.minimize_cost(problem, patches, weights, seed=0)
+        assert len(handed) == len(res.starts)
+        for start, trace, n_gn in zip(res.starts, res.traces, handed):
+            assert start.success and len(trace) == start.n_evals > n_gn
+            assert trace[n_gn] == min(trace[:n_gn])  # the simplex revisits the best point
+        solver, gamma3 = control.StateSolver(problem, patches), problem.mesh.node_sets[fem.GAMMA3]
+        stick = [
+            tuple(solver.solve(res.pair.coeffs + dc)[0][gamma3] == 0.0) for dc in (-1e-6, 1e-6)
+        ]
+        assert stick[0] != stick[1]
+        monkeypatch.setattr(control, "GN_MAX_STEPS", 0)
+        simplex = control.minimize_cost(problem, patches, weights, seed=0)
+        assert res.cost == pytest.approx(simplex.cost, rel=1e-9)
+
+
 class TestSecantWarmStart:
     """Each state solve of a start begins at the secant through the start's
     last d + 1 evaluated (control, state) pairs."""
@@ -547,9 +674,10 @@ class TestSecantWarmStart:
 
     @pytest.mark.parametrize("n, n_patches", [(4, 1), (8, 2)])
     def test_outer_steps_per_state_solve(self, monkeypatch, n, n_patches):
-        # started from the previous evaluation's state, one simplex step
-        # away, these runs average 7.4 and 7.3 outer steps per solve; the
-        # count includes the cold solve of the selected optimum
+        # by the simplex alone: started from the previous evaluation's state,
+        # one simplex step away, these runs average 7.4 and 7.3 outer steps
+        # per solve; the count includes the cold solve of the selected optimum
+        monkeypatch.setattr(control, "GN_MAX_STEPS", 0)
         steps = []
         fixed_point = qvi.fixed_point
 
@@ -621,7 +749,13 @@ def reference_starts(problem, patches, weights, result):
 
 class TestRevisitMemo:
     """Each start solves the state once per distinct control and answers
-    Nelder-Mead's revisits from its record of the costs it solved."""
+    Nelder-Mead's revisits from its record of the costs it solved; the
+    simplex runs alone, with ``GN_MAX_STEPS`` = 0, so that Gauss-Newton
+    makes no call."""
+
+    @pytest.fixture(autouse=True)
+    def simplex_alone(self, monkeypatch):
+        monkeypatch.setattr(control, "GN_MAX_STEPS", 0)
 
     def test_one_state_solve_per_distinct_control(self, monkeypatch):
         problem, patches, weights = frictional_square()
@@ -793,7 +927,10 @@ class TestUpFrontRefusals:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("xatol", 1e-9), ("fatol", 1e-12), ("start_scale", 1.0), ("max_evals", 3)],
+        [
+            ("xatol", 1e-9), ("fatol", 1e-12), ("start_scale", 1.0), ("max_evals", 3),
+            ("gn_step", 1e-4), ("gn_max_steps", 10),
+        ],
     )
     def test_minimize_cost_runs_the_simplex_at_fixed_settings(self, setup_1d, name, value):
         _, problem, patches = setup_1d

@@ -1,11 +1,12 @@
 """Import cost guard: no antiplane path loads scipy.optimize.
 
-The control optimizer runs its own Nelder-Mead (``control._nelder_mead``),
-so importing the package or the CLI, every solve, certificate, constants,
-validation and perturbation run, and every control run must leave
-scipy.optimize unloaded, so that those processes do not pay its import
-time and memory.  Each check runs in a fresh interpreter, because the
-test process itself has imported everything (the tests compare the
+The control optimizer runs its own Gauss-Newton
+(``control._gauss_newton``) and Nelder-Mead (``control._nelder_mead``),
+so importing the package or the CLI, every solve, certificate,
+constants, validation and perturbation run, and every control run must
+leave scipy.optimize unloaded, so that those processes do not pay its
+import time and memory. Each check runs in a fresh interpreter, because
+the test process itself has imported everything (the tests compare the
 optimizer with scipy's).
 """
 

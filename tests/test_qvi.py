@@ -886,9 +886,11 @@ class TestReducedFixedPoint:
             assert np.array_equal(state._RB[:, p], solver.reduce(state.B[:, p]))
 
     def test_control_run_solves_no_load(self, monkeypatch):
-        # a single-start optimization on the control benchmark's 4x4 square:
-        # after the construction's d + 1 columns, every state solve, warm or
-        # cold, lifts once per outer step and reduces no load
+        # a single-start optimization on the control benchmark's 4x4 square,
+        # by the simplex alone: after the construction's d + 1 columns, every
+        # state solve, warm or cold, lifts once per outer step and reduces no
+        # load
+        monkeypatch.setattr(control, "GN_MAX_STEPS", 0)
         steps, counts = [], []
         fixed_point, init = qvi.fixed_point, control.StateSolver.__init__
 
@@ -1626,6 +1628,18 @@ class TestComplementarity:
         idx, lam, G, stick_slack, comp = qvi.complementarity_report(prob, u)
         assert np.all(stick_slack <= 1e-8)
         assert np.all(comp <= 1e-8)
+
+    def test_takes_the_solved_load(self, monkeypatch):
+        mesh = square_mesh(6)
+        prob = qvi.ProblemData(mesh, 1.0, 1.0, 0.5, fem.FrictionBound.affine(0.2, 0.2))
+        F = fem.assemble_load(mesh, prob.f0, prob.f2)
+        u, _ = qvi.DiscreteProblem(prob).solve(F, prob.g)
+        own = qvi.complementarity_report(prob, u)
+        monkeypatch.setattr(fem, "assemble_load", None)  # a call would fail
+        given = qvi.complementarity_report(prob, u, load=F)
+        assert all(np.array_equal(a, b) for a, b in zip(own, given))
+        with pytest.raises(ValueError, match=r"load must have shape \(49,\), got \(48,\)"):
+            qvi.complementarity_report(prob, u, load=F[:-1])
 
 
 class TestSharedFreeFactor:
