@@ -31,7 +31,6 @@ from .qvi import (
     DiscreteProblem,
     ProblemData,
     SolveReport,
-    SolverConfig,
     SolverError,
     TykhonovIndex,
     membership_violation,
@@ -78,7 +77,6 @@ __all__ = [
     "DiscreteProblem",
     "ProblemData",
     "SolveReport",
-    "SolverConfig",
     "SolverError",
     "TykhonovIndex",
     "membership_violation",

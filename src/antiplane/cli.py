@@ -116,10 +116,9 @@ def _run_constants(cfg, out, seed):
 def _run_solve(cfg, out, seed):
     mesh = cfgmod.build_mesh(cfg)
     problem = cfgmod.build_problem(cfg, mesh)
-    solver_cfg = cfgmod.build_solver_config(cfg)
     # one load for the solve, its multipliers and its certificate
     F = fem.assemble_load(mesh, problem.f0, problem.f2)
-    u, report = qvi.DiscreteProblem(problem).solve(F, problem.g, solver_cfg)
+    u, report = qvi.DiscreteProblem(problem).solve(F, problem.g)
 
     header, rows = _node_table(mesh, np.arange(mesh.n_nodes), ["u"], [u])
     output.write_csv(os.path.join(out, "solution.csv"), header, rows)
@@ -198,12 +197,10 @@ def _run_validate_1d(cfg, out, seed):
 def _run_tykhonov(cfg, out, seed):
     mesh = cfgmod.build_mesh(cfg)
     problem = cfgmod.build_problem(cfg, mesh)
-    solver_cfg = cfgmod.build_solver_config(cfg)
     schedule = cfgmod.build_schedule(cfg)
     report = tykhonov.run_convergence(
         problem,
         schedule,
-        solver_cfg,
         noise_floor=cfg["schedule"]["noise_floor"],
     )
 
@@ -253,14 +250,12 @@ def _control_kwargs(cfg):
 def _run_control(cfg, out, seed):
     mesh = cfgmod.build_mesh(cfg)
     problem = cfgmod.build_problem(cfg, mesh)
-    solver_cfg = cfgmod.build_solver_config(cfg)
     patches = cfgmod.build_patches(cfg, mesh)
     weights = cfgmod.build_weights(cfg, mesh)
     result = control.minimize_cost(
         problem,
         patches,
         weights,
-        solver_cfg,
         seed=seed,
         **_control_kwargs(cfg),
     )
@@ -306,7 +301,6 @@ def _run_control(cfg, out, seed):
 def _run_oc_sequence(cfg, out, seed):
     mesh = cfgmod.build_mesh(cfg)
     problem = cfgmod.build_problem(cfg, mesh)
-    solver_cfg = cfgmod.build_solver_config(cfg)
     patches = cfgmod.build_patches(cfg, mesh)
     weights = cfgmod.build_weights(cfg, mesh)
     schedule = cfgmod.build_oc_schedule(cfg)
@@ -316,7 +310,6 @@ def _run_oc_sequence(cfg, out, seed):
         patches,
         weights,
         schedule,
-        solver_cfg,
         seed=seed,
         seq_starts=oc["seq_starts"],
         ctrl_tol=oc["ctrl_tol"],

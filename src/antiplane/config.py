@@ -270,16 +270,12 @@ SECTION_SCHEMAS = {
         "resolution": Key(_parse_ints, required=True),
         "partition": Key(_parse_partition, required=True),
     },
-    "problem": {
-        "mu": Key(_parse_coefficient, required=True),
-        "f0": Key(_parse_coefficient, required=True),
+    "problem": _owned([qvi.ProblemData], {
+        "mu": _parse_coefficient,
+        "f0": _parse_coefficient,
         "f2": Key(_parse_coefficient),
-        "g": Key(_parse_friction, required=True),
-        "mu_star": Key(_parse_float),
-    },
-    "solver": _owned([qvi.SolverConfig], {
-        "outer_tol": _parse_float,
-        "max_outer": _parse_int,
+        "g": _parse_friction,
+        "mu_star": _parse_float,
         "allow_non_contractive": _parse_bool,
     }),
     "constants": {
@@ -325,20 +321,18 @@ SECTION_SCHEMAS = {
 
 SUBCOMMAND_SECTIONS = {
     "constants": {"mesh": True, "constants": False, "run": False},
-    "solve": {"mesh": True, "problem": True, "solver": False, "run": False},
+    "solve": {"mesh": True, "problem": True, "run": False},
     "validate-1d": {"validate": False, "run": False},
     "tykhonov": {
         "mesh": True,
         "problem": True,
         "schedule": True,
-        "solver": False,
         "run": False,
     },
     "control": {
         "mesh": True,
         "problem": True,
         "control": True,
-        "solver": False,
         "run": False,
     },
     "oc-sequence": {
@@ -346,7 +340,6 @@ SUBCOMMAND_SECTIONS = {
         "problem": True,
         "control": True,
         "oc": True,
-        "solver": False,
         "run": False,
     },
 }
@@ -426,11 +419,6 @@ def build_problem(cfg, mesh: fem.Mesh) -> qvi.ProblemData:
         problem = qvi.ProblemData(mesh=mesh, **values)
         fem.modulus_values(mesh, problem.mu, problem.mu_star)
     return problem
-
-
-def build_solver_config(cfg) -> qvi.SolverConfig:
-    with _section(cfg, "solver") as values:
-        return qvi.SolverConfig(**values)
 
 
 def _build_schedule(cfg, section, kinds) -> tykhonov.Schedule:

@@ -132,11 +132,11 @@ class ControlPatches:
         n_facets = len(mesh.facets[fem.GAMMA2])
         if n_facets == 0:
             raise ValueError("mesh has no gamma2 facets to control")
-        if not 1 <= n_patches <= n_facets:
+        fem.require_count("n_patches", n_patches)
+        if n_patches > n_facets:
             raise ValueError(
                 f"n_patches must be in [1, {n_facets}], got {n_patches}"
             )
-        fem.require_count("n_patches", n_patches)
         self.mesh = mesh
         self.n_patches = n_patches
         self.groups = np.array_split(np.arange(n_facets), n_patches)
@@ -248,26 +248,26 @@ class StateSolver:
         self._mass = fem.csr_product(fem.mass_matrix(problem.mesh))
         self._target = (None, None)  # the last weights object and its nodal target
 
-    def _fixed_point(self, c, config, eta0):
+    def _fixed_point(self, c, eta0):
         """(u, SolveReport) of ``qvi.fixed_point`` on the reduced load of
         the checked coefficients c."""
         w = self._R0 + self._RB @ c
-        return qvi.fixed_point(self.discrete, w, self.discrete.problem.g, config, eta0)
+        return qvi.fixed_point(self.discrete, w, self.discrete.problem.g, eta0)
 
-    def solve(self, coeffs, config: qvi.SolverConfig | None = None, eta0=None):
+    def solve(self, coeffs, eta0=None):
         """State u for the control ``coeffs``; returns (u, SolveReport).
 
         ``eta0`` seeds the fixed point, e.g. with the secant prediction of
-        ``_predict``; the iteration still runs to its usual tolerance.
+        ``_predict``; the iteration still runs to ``qvi.OUTER_TOL``.
         """
-        return self._fixed_point(self.patches.coefficients(coeffs), config, eta0)
+        return self._fixed_point(self.patches.coefficients(coeffs), eta0)
 
-    def evaluate(self, coeffs, weights: CostWeights, config=None, eta0=None):
+    def evaluate(self, coeffs, weights: CostWeights, eta0=None):
         """Reduced cost at ``coeffs``; returns (cost, u), the cost bitwise
         that of ``cost``.  ``coeffs`` is checked once, for the load and the
         cost."""
         c = self.patches.coefficients(coeffs)
-        u, _ = self._fixed_point(c, config, eta0)
+        u, _ = self._fixed_point(c, eta0)
         return _cost(self._mass, self._target_of(weights), self.patches, weights, u, c), u
 
     def _target_of(self, weights):
@@ -431,20 +431,20 @@ def _gauss_newton(fun, model, x0, box, budget):
     return best[0], best[1], calls, False
 
 
-def _nelder_mead(fun, x0, box, xatol, fatol, budget):
+def _nelder_mead(fun, x0, box, budget):
     """Nelder-Mead minimization of ``fun`` from ``x0``: (x, fun(x), the
     number of calls, whether the stop test held within ``budget`` calls).
 
     Bitwise the iteration of scipy 1.17's ``minimize(fun, x0,
-    method="Nelder-Mead", bounds=box, options={"xatol": xatol, "fatol":
-    fatol, "maxiter": budget, "maxfev": budget})``, with ``box`` None or a
+    method="Nelder-Mead", bounds=box, options={"xatol": NM_XATOL, "fatol":
+    NM_FATOL, "maxiter": budget, "maxfev": budget})``, with ``box`` None or a
     pair (lower, upper) of arrays: reflection, expansion, contraction and
     shrink coefficients 1, 2, 0.5 and 0.5; a start simplex that scales
     the k-th entry of x0 by 1.05, or sets it to 0.00025 when it is zero;
     in a box, every point clipped into it and a start vertex past the
     upper bound reflected back; ``fun`` called on a copy of each point;
-    the stop at a simplex within ``xatol`` of its best vertex in x and
-    ``fatol`` in cost, or at the budget.  An iteration makes at least one
+    the stop at a simplex within ``NM_XATOL`` of its best vertex in x and
+    ``NM_FATOL`` in cost, or at the budget.  An iteration makes at least one
     call, so the iteration cap never binds before the call cap and is not
     kept.
     """
@@ -481,8 +481,8 @@ def _nelder_mead(fun, x0, box, xatol, fatol, budget):
     while calls < budget:
         try:
             if (
-                np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+                np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL
             ):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
@@ -520,7 +520,6 @@ def minimize_cost(
     problem: qvi.ProblemData,
     patches: ControlPatches,
     weights: CostWeights,
-    config: qvi.SolverConfig | None = None,
     *,
     n_starts: int = 5,
     seed: int = 0,
@@ -577,7 +576,7 @@ def minimize_cost(
             if hit is None:  # a revisit is answered from the record
                 if eta0 is None:
                     eta0 = _predict(history, x)
-                hit = solver.evaluate(x, weights, config, eta0=eta0)
+                hit = solver.evaluate(x, weights, eta0=eta0)
                 history.append((x, hit[1]))
                 solved[key] = hit
             trace.append(float(hit[0]))
@@ -585,9 +584,7 @@ def minimize_cost(
 
         x, J, n_evals, success = _gauss_newton(fun, model, x0, box, budget)
         if not success and n_evals < budget:
-            x, J, n_nm, success = _nelder_mead(
-                lambda x: fun(x)[0], x, box, NM_XATOL, NM_FATOL, budget - n_evals
-            )
+            x, J, n_nm, success = _nelder_mead(lambda x: fun(x)[0], x, box, budget - n_evals)
             n_evals += n_nm
         starts.append(StartRecord(i, x0, x, float(J), n_evals, success))
         traces.append(trace)
@@ -621,7 +618,7 @@ def minimize_cost(
         rep = representative(group)
         clusters.append((rep.cost, rep.coeffs, len(group)))
 
-    J_sel, u_sel = solver.evaluate(selected.coeffs, weights, config)
+    J_sel, u_sel = solver.evaluate(selected.coeffs, weights)
     pair = AdmissiblePair(u=u_sel, coeffs=selected.coeffs)
     violation = None
     if check_admissibility:
@@ -661,7 +658,6 @@ def run_oc_sequence(
     patches: ControlPatches,
     weights: CostWeights,
     schedule: Schedule,
-    config: qvi.SolverConfig | None = None,
     seed: int = 0,
     *,
     seq_starts: int = 3,
@@ -680,16 +676,17 @@ def run_oc_sequence(
     all on the mesh's one factor of S_ff (``qvi.membership_violation``).
     Raises ValueError, before the base optimization, for a kind outside
     ``OC_SCHEDULE_KINDS``, a ``seq_starts`` that is not an integer of at
-    least 1, or a negative or NaN ``ctrl_tol`` or ``noise_floor``, and
-    TypeError for an ``extra_starts`` or ``check_admissibility``, which
-    each instance sets itself; ``minimize_cost`` refuses any other bad
-    optimizer keyword at the base call.
+    least 1, or a ``ctrl_tol`` or ``noise_floor`` that is negative or not
+    finite, and TypeError for an ``extra_starts`` or
+    ``check_admissibility``, which each instance sets itself;
+    ``minimize_cost`` refuses any other bad optimizer keyword at the base
+    call.
     """
     check_schedule(problem, schedule, OC_SCHEDULE_KINDS, "run_oc_sequence")
     fem.require_count("seq_starts", seq_starts)
     for name, value in (("ctrl_tol", ctrl_tol), ("noise_floor", noise_floor)):
-        if not value >= 0.0:  # also refuses NaN
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+        if not 0.0 <= value < np.inf:  # also refuses NaN
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     for name in ("extra_starts", "check_admissibility"):
         if name in optimizer:
             raise TypeError(f"run_oc_sequence takes no {name}: each instance sets its own")
@@ -698,7 +695,7 @@ def run_oc_sequence(
     shape = None
     if schedule.kind == "target_perturb":
         shape = target_field(mesh, schedule.target_shape)
-    optimize = functools.partial(minimize_cost, patches=patches, config=config, **optimizer)
+    optimize = functools.partial(minimize_cost, patches=patches, **optimizer)
     base = optimize(problem, weights=weights, seed=seed)
     reps = [rep for _, rep, _ in base.clusters]
 

@@ -44,6 +44,8 @@ CERT_TOL = 1e-8  # a membership or admissibility violation at most this certifie
 KKT_REL_TOL = 1e-12  # relative friction-law (KKT) tolerance of ``_box_qp``
 MAX_ACTIVE_SET = 50000  # iteration cap of ``_box_qp``
 SIGN_WEIGHT = 1e3  # sigma = SIGN_WEIGHT / diag(K)_T: ``_box_qp``'s sign test weight
+OUTER_TOL = 1e-10  # V-norm increment of the bound update at which ``fixed_point`` stops
+MAX_OUTER = 1000  # iteration cap of ``fixed_point``
 
 
 class SolverError(RuntimeError):
@@ -58,6 +60,9 @@ class ProblemData:
     routines (scalar, callable or per-element array); ``f2`` likewise on
     gamma2 facets.  ``mu_star`` is the certified lower bound of mu; when
     omitted it is resolved to the smallest sampled value.
+    ``allow_non_contractive`` lets ``fixed_point`` attempt a problem whose
+    contraction factor k is at least 1, with a warning, where it would
+    raise SolverError.
     """
 
     mesh: fem.Mesh
@@ -66,6 +71,7 @@ class ProblemData:
     f2: object
     g: fem.FrictionBound
     mu_star: float | None = None
+    allow_non_contractive: bool = False
 
     def with_data(self, **changes) -> "ProblemData":
         return replace(self, **changes)
@@ -83,27 +89,6 @@ class TykhonovIndex:
     def __post_init__(self):
         if not 0.0 <= self.eps < np.inf:  # also refuses NaN
             raise ValueError(f"eps must be nonnegative and finite, got {self.eps}")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerance and cap of the fixed point.
-
-    ``outer_tol`` bounds the final V-norm increment of the bound update and
-    ``max_outer`` caps its iterations; the cap must be an integer of at
-    least 1 and the tolerance positive (ValueError otherwise).  The
-    frozen-bound solve inside each step is exact and runs at fixed
-    settings: ``KKT_REL_TOL``, ``MAX_ACTIVE_SET`` and ``SIGN_WEIGHT``.
-    """
-
-    outer_tol: float = 1e-10
-    max_outer: int = 200
-    allow_non_contractive: bool = False
-
-    def __post_init__(self):
-        fem.require_count("max_outer", self.max_outer)
-        if not self.outer_tol > 0.0:  # also refuses NaN
-            raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
 
 
 @dataclass
@@ -320,14 +305,10 @@ def _bound(g: fem.FrictionBound, points: np.ndarray, r: np.ndarray) -> np.ndarra
     return np.maximum(G, 0.0, out=G)
 
 
-_DEFAULT_CONFIG = SolverConfig()
-
-
 def fixed_point(
     discrete: "DiscreteProblem",
     w: np.ndarray,
     g: fem.FrictionBound,
-    config: SolverConfig | None = None,
     eta0: np.ndarray | None = None,
 ):
     """Run the bound-update iteration on the Tresca solver of ``discrete``.
@@ -342,21 +323,21 @@ def fixed_point(
     depend on the slip, or a slip that did not move) has its Tresca problem
     solved by the previous iterate: the run records increment 0.0 and no
     inner iteration for it and stops, with no iteration or lift.  The test
-    reads the bound's values, not its declared ``lipschitz``.  Returns (u,
+    reads the bound's values, not its declared ``lipschitz``.  Any other
+    run stops at the first increment below ``OUTER_TOL``.  Returns (u,
     SolveReport).  Raises SolverError when the smallness condition fails
-    without the override flag, when the bound or ``w`` is non-finite on
-    gamma3, when an increment is not finite, or when an iteration cap is
-    exceeded; ValueError when ``eta0`` has the wrong length or a
-    non-finite entry.
+    and ``discrete.problem`` does not set ``allow_non_contractive``, when
+    the bound or ``w`` is non-finite on gamma3, when an increment is not
+    finite, or when ``MAX_OUTER`` steps miss ``OUTER_TOL``; ValueError
+    when ``eta0`` has the wrong length or a non-finite entry.
     """
-    cfg = config or _DEFAULT_CONFIG
     solver, c0, c3 = discrete.tresca, discrete.c0, discrete.c3
     k, ok = constants.smallness_margin(g.lipschitz, c0, c3, discrete.mu_star)
     if not ok:
-        if not cfg.allow_non_contractive:
+        if not discrete.problem.allow_non_contractive:
             raise SolverError(
-                f"contraction factor k = {k:.6f} >= 1; the fixed point is not "
-                "certified, pass allow_non_contractive to attempt it anyway"
+                f"contraction factor k = {k:.6f} >= 1; the fixed point is not certified, "
+                "set ProblemData.allow_non_contractive to attempt it anyway"
             )
         warnings.warn(f"attempting fixed point with non-contractive k = {k:.6f}")
 
@@ -375,7 +356,7 @@ def fixed_point(
     increments: list[float] = []
     inner_log: list[int] = []
     last_c = None  # the bytes of the previous step's coefficients
-    for m in range(1, cfg.max_outer + 1):
+    for m in range(1, MAX_OUTER + 1):
         c = weights * _bound(g, points, np.abs(t))
         key = c.tobytes()
         if key == last_c:  # the bound has not moved: eta solves this step's problem
@@ -390,14 +371,14 @@ def fixed_point(
         increments.append(inc)
         inner_log.append(inner_iterations)
         eta = u_new
-        if inc < cfg.outer_tol:
+        if inc < OUTER_TOL:
             break
         if not inc < math.inf:  # also NaN: the iterate's V-norm overflows
             raise SolverError(f"outer fixed point increment {inc} is not finite at step {m}")
     else:
         raise SolverError(
-            f"outer fixed point missed tolerance {cfg.outer_tol} within "
-            f"{cfg.max_outer} iterations (last increment {increments[-1]:.3e})"
+            f"outer fixed point missed tolerance {OUTER_TOL} within "
+            f"{MAX_OUTER} iterations (last increment {increments[-1]:.3e})"
         )
 
     report = SolveReport(
@@ -473,20 +454,19 @@ class DiscreteProblem:
         self,
         F: np.ndarray,
         g: fem.FrictionBound,
-        config: SolverConfig | None = None,
         eta0: np.ndarray | None = None,
     ):
         """(u, SolveReport): ``fixed_point`` on ``tresca.reduce(F)`` and bound ``g``."""
-        return fixed_point(self, self.tresca.reduce(F), g, config, eta0)
+        return fixed_point(self, self.tresca.reduce(F), g, eta0)
 
 
-def solve_qvi(problem: ProblemData, config: SolverConfig | None = None):
+def solve_qvi(problem: ProblemData):
     """Fixed-point solve of the quasivariational problem.
 
     Returns (u, SolveReport); see ``fixed_point`` for failure modes.
     """
     F = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
-    return DiscreteProblem(problem).solve(F, problem.g, config)
+    return DiscreteProblem(problem).solve(F, problem.g)
 
 
 # ---------------------------------------------------------------------------

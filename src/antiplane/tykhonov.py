@@ -226,7 +226,6 @@ def judge_decay(ns, errors, noise_floor) -> str:
 def run_convergence(
     problem: qvi.ProblemData,
     schedule: Schedule,
-    config: qvi.SolverConfig | None = None,
     seed: int = 0,
     *,
     noise_floor: float | None = None,
@@ -243,24 +242,23 @@ def run_convergence(
     with its own mu releases that factor.  ``seed`` is accepted and not
     used: the certificate draws no random numbers.
 
-    Raises ValueError as ``check_schedule`` or for a negative or NaN
-    ``noise_floor`` before any solve, and ValueError or SolverError
+    Raises ValueError as ``check_schedule`` or for a ``noise_floor`` that
+    is negative or not finite before any solve, and ValueError or SolverError
     naming the instance when one has unusable data, breaks the smallness
     condition or fails to converge."""
     check_schedule(problem, schedule, SCHEDULE_KINDS, "run_convergence")
-    if noise_floor is not None and not noise_floor >= 0.0:  # also refuses NaN
-        raise ValueError(f"noise_floor must be nonnegative, got {noise_floor}")
-    cfg = config or qvi.SolverConfig()
-    floor = noise_floor if noise_floor is not None else max(1e-6, 10.0 * cfg.outer_tol)
+    if noise_floor is not None and not 0.0 <= noise_floor < np.inf:  # also refuses NaN
+        raise ValueError(f"noise_floor must be nonnegative and finite, got {noise_floor}")
+    floor = noise_floor if noise_floor is not None else max(1e-6, 10.0 * qvi.OUTER_TOL)
 
     mesh = problem.mesh
     shared = qvi.DiscreteProblem(problem)
     F_base = fem.assemble_load(mesh, problem.f0, problem.f2)
-    u_ref, _ = shared.solve(F_base, problem.g, config)
+    u_ref, _ = shared.solve(F_base, problem.g)
     u_bar = None
     if schedule.kind == "adversarial_load":
         F_bar = fem.assemble_load(mesh, schedule.f0_target, problem.f2)
-        u_bar, _ = shared.solve(F_bar, problem.g, config)
+        u_bar, _ = shared.solve(F_bar, problem.g)
 
     seq = []  # (theta_n, u_n, F_n) of every instance, F_n the load it was solved for
     for n, s in enumerate(schedule.scales(), start=1):
@@ -270,11 +268,11 @@ def run_convergence(
         try:
             if mu_n is not problem.mu:
                 discrete = qvi.DiscreteProblem(problem.with_data(mu=mu_n, mu_star=None))
-                u_n, _ = discrete.solve(F, theta.g, config)
+                u_n, _ = discrete.solve(F, theta.g)
             elif base_load and theta.g is problem.g:
                 u_n = u_ref
             else:
-                u_n, _ = shared.solve(F, theta.g, config)
+                u_n, _ = shared.solve(F, theta.g)
         except (ValueError, qvi.SolverError) as exc:
             raise type(exc)(f"perturbed instance n={n} failed: {exc}") from exc
         seq.append((theta, u_n, F))

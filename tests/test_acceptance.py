@@ -81,7 +81,7 @@ def test_criterion_03_contraction_rates():
     tight = qvi.ProblemData(
         mesh, 1.0, 3.0, None, fem.FrictionBound.affine(0.25, 0.9), mu_star=1.0
     )
-    _, rep_tight = qvi.solve_qvi(tight, qvi.SolverConfig(max_outer=400))
+    _, rep_tight = qvi.solve_qvi(tight)
     ratio_ok = (
         0.95 < rep_tight.k < 0.98
         and len(rep_tight.ratios) > 10
@@ -274,8 +274,7 @@ def test_criterion_09_friction_law_residuals():
     worst_slack = -np.inf
     worst_comp = -np.inf
     for problem in solves:
-        config = qvi.SolverConfig(max_outer=400)
-        u, report = qvi.solve_qvi(problem, config)
+        u, report = qvi.solve_qvi(problem)
         assert report.converged
         _, _, _, stick_slack, comp = qvi.complementarity_report(problem, u)
         worst_slack = max(worst_slack, float(np.max(stick_slack)))

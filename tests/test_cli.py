@@ -309,10 +309,24 @@ class TestSolve:
         assert "contraction factor" in capsys.readouterr().err
 
     def test_zero_outer_cap_is_a_config_error(self, tmp_path, capsys):
+        # the outer loop runs at fixed settings: a solver section is unknown
         cfg = write_cfg(tmp_path, SOLVE_CFG + "\n    solver:\n      max_outer = 0\n")
         code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "solver: max_outer must be at least 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}:12: unknown section 'solver'\n"
+
+    def test_allow_non_contractive_key_attempts_the_solve(self, tmp_path, capsys):
+        # k >= 1 on this interval, but the map still contracts at 0.95
+        text = SOLVE_CFG.replace("g = 1.0", "g = affine(0.1, 0.95)").replace("f0 = 1", "f0 = 3")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "contraction factor" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, text + "  allow_non_contractive = true\n", name="on.cfg")
+        out = tmp_path / "on"
+        with pytest.warns(UserWarning, match="non-contractive"):
+            assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        summary = summary_dict(out / "summary.csv")
+        assert summary["converged"] == "true" and summary["contraction"] == "false"
 
 
 class TestConstants:

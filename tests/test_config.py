@@ -106,14 +106,12 @@ class TestTypedParsing:
 
     @pytest.mark.parametrize("key", ["inner_tol = 1e-12", "max_inner = 50000"])
     def test_solver_takes_no_inner_settings(self, tmp_path, key):
-        # the frozen-bound solve is exact: its active-set settings are not data
+        # the frozen-bound solve is exact and the outer loop runs at the qvi
+        # module constants: no section holds a solver setting
         path = write_cfg(tmp_path, MESH_1D + PROBLEM + f"    solver:\n      {key}\n")
-        name = key.split(" =")[0]
-        with pytest.raises(
-            config.ConfigError, match=rf":11: unknown key '{name}' in section 'solver'"
-        ):
+        with pytest.raises(config.ConfigError, match=r":10: unknown section 'solver'"):
             config.parse_config(path, "solve")
-        assert name not in config.SECTION_SCHEMAS["solver"]
+        assert "solver" not in config.SECTION_SCHEMAS
 
     def test_type_mismatch_cites_line(self, tmp_path):
         path = write_cfg(tmp_path, "problem:\n  mu = banana\n")
@@ -142,8 +140,8 @@ class TestTypedParsing:
     def test_defaults_fill_missing_sections(self, tmp_path):
         path = write_cfg(tmp_path, MESH_1D + PROBLEM)
         cfg = config.parse_config(path, "solve")
-        assert cfg["solver"]["outer_tol"] == 1e-10
-        assert cfg["solver"]["max_outer"] == 200
+        assert cfg["problem"]["mu_star"] is None
+        assert cfg["problem"]["allow_non_contractive"] is False
         assert cfg["run"]["certify"] is False
         assert cfg["run"]["seed"] is None
 
@@ -308,10 +306,7 @@ class TestBuilders:
               f0 = poly(0, 1)
               g = affine(1.0, 0.1)
               mu_star = 1.5
-
-            solver:
-              outer_tol = 1e-8
-              max_outer = 50
+              allow_non_contractive = true
             """,
         )
         cfg = config.parse_config(path, "solve")
@@ -319,18 +314,8 @@ class TestBuilders:
         problem = config.build_problem(cfg, mesh)
         assert problem.f2 is None
         assert problem.mu_star == 1.5
-        solver_cfg = config.build_solver_config(cfg)
-        assert solver_cfg.outer_tol == 1e-8
-        assert solver_cfg.max_outer == 50
-        assert solver_cfg.allow_non_contractive is False
-
-    def test_build_solver_rejects_nonpositive_tolerance(self, tmp_path):
-        path = write_cfg(
-            tmp_path, MESH_1D + PROBLEM + "    solver:\n      outer_tol = 0\n"
-        )
-        cfg = config.parse_config(path, "solve")
-        with pytest.raises(config.ConfigError, match="solver: outer_tol must be positive"):
-            config.build_solver_config(cfg)
+        # the solver's one setting is a field of the problem
+        assert problem.allow_non_contractive is True
 
     def test_build_schedule(self, tmp_path):
         path = write_cfg(
@@ -502,7 +487,7 @@ def _field_defaults(cls):
 
 # (section, library name of the defaults, its {name: default}, {config key: library name})
 _DEFAULT_PAIRS = [
-    ("solver", "qvi.SolverConfig", _field_defaults(qvi.SolverConfig), {}),
+    ("problem", "qvi.ProblemData", _field_defaults(qvi.ProblemData), {}),
     ("schedule", "tykhonov.Schedule", _field_defaults(tykhonov.Schedule), {}),
     ("oc", "tykhonov.Schedule", _field_defaults(tykhonov.Schedule), {}),
     ("control", "control.minimize_cost", _signature_defaults(control.minimize_cost), {}),

@@ -206,7 +206,8 @@ class TestControlPatches:
 
     def test_fractional_patch_count_refused(self):
         mesh = control_mesh_2d(4)
-        for bad in (1.5, 2.0):
+        # a string or None is refused by name before the range check compares it
+        for bad in (1.5, 2.0, "2", None):
             with pytest.raises(ValueError, match=f"n_patches must be an integer, got {bad}"):
                 control.ControlPatches(mesh, bad)
         assert control.ControlPatches(mesh, np.int64(2)).n_patches == 2
@@ -614,9 +615,9 @@ class TestGaussNewton:
         weights = control.CostWeights(1.0, 1e-3, 0.0)
         handed, nelder_mead = [], control._nelder_mead
 
-        def spy(fun, x0, box, xatol, fatol, budget):
+        def spy(fun, x0, box, budget):
             handed.append(control.EVALS_PER_PATCH - budget)  # the Gauss-Newton calls
-            return nelder_mead(fun, x0, box, xatol, fatol, budget)
+            return nelder_mead(fun, x0, box, budget)
 
         monkeypatch.setattr(control, "_nelder_mead", spy)
         res = control.minimize_cost(problem, patches, weights, seed=0)
@@ -654,20 +655,20 @@ class TestSecantWarmStart:
         assert control._predict(history, np.array([20.0])) is history[-1][1]
 
     @pytest.mark.parametrize("x", [0.95, 1.3])
-    def test_exact_on_a_fixed_split(self, x):
+    def test_exact_on_a_fixed_split(self, monkeypatch, x):
         # on the all-slip split the state map is affine under the affine
         # bound; the tight tolerance keeps the stored states' own errors
         # (about 1e-11 at the default 1e-10) below the 1e-12 checked here
+        monkeypatch.setattr(qvi, "OUTER_TOL", 1e-13)
         problem, patches, _ = frictional_square()
         solver = control.StateSolver(problem, patches)
-        config = qvi.SolverConfig(outer_tol=1e-13)
         gamma3 = problem.mesh.node_sets[fem.GAMMA3]
         history = deque(maxlen=2)
         for c in (0.9, 1.0):
-            u, _ = solver.solve([c], config)
+            u, _ = solver.solve([c])
             history.append((np.array([c]), u))
         eta0 = control._predict(history, np.array([x]))
-        u, report = solver.solve([x], config, eta0=eta0)
+        u, report = solver.solve([x], eta0=eta0)
         assert all((h[gamma3] > 0.0).all() for _, h in history) and (u[gamma3] > 0.0).all()
         assert fem.v_norm(problem.mesh, u - eta0) <= 1e-12
         assert report.outer_iterations == 1
@@ -700,10 +701,10 @@ def recorded_minimize_cost(monkeypatch, problem, patches, weights, n_starts):
     solves = []
     evaluate = control.StateSolver.evaluate
 
-    def recording(self, coeffs, weights, config=None, eta0=None):
+    def recording(self, coeffs, weights, eta0=None):
         if eta0 is None:
             solves.append([])
-        J, u = evaluate(self, coeffs, weights, config, eta0)
+        J, u = evaluate(self, coeffs, weights, eta0)
         solves[-1].append((np.array(coeffs), J))
         return J, u
 
@@ -800,9 +801,9 @@ def quadratic(d):
     return lambda x: float((x - c) @ A @ (x - c))
 
 
-# (objective, x0, box as (lower, upper) or None, budget, (xatol, fatol));
-# all but "budget-spent" converge within their budget; TOLS are the tolerances that
-# minimize_cost passes
+# (objective, x0, box as (lower, upper) or None, budget, (NM_XATOL, NM_FATOL));
+# all but "budget-spent" converge within their budget; TOLS are the module's
+# tolerances, at which minimize_cost runs the simplex
 TOLS = (control.NM_XATOL, control.NM_FATOL)
 NELDER_MEAD_CASES = {
     **{f"quadratic-d{d}": (quadratic(d), np.linspace(0.3, 1.1, d), None, 2000 * d, TOLS)
@@ -831,14 +832,16 @@ NELDER_MEAD_CASES = {
 
 class TestNelderMead:
     """``control._nelder_mead`` is bitwise scipy's Nelder-Mead with the
-    options ``minimize_cost`` passes: the same points, in the same order,
-    and the same result."""
+    options ``minimize_cost`` runs it at: the same points, in the same
+    order, and the same result."""
 
     @pytest.mark.parametrize("case", list(NELDER_MEAD_CASES))
-    def test_bitwise_equal_to_scipy(self, case):
+    def test_bitwise_equal_to_scipy(self, monkeypatch, case):
         from scipy.optimize import minimize
 
         fun, x0, box, budget, (xatol, fatol) = NELDER_MEAD_CASES[case]
+        monkeypatch.setattr(control, "NM_XATOL", xatol)
+        monkeypatch.setattr(control, "NM_FATOL", fatol)
         ours, theirs = [], []
 
         def recording(calls):
@@ -850,10 +853,13 @@ class TestNelderMead:
 
             return f
 
-        x, J, n_evals, success = control._nelder_mead(
-            recording(ours), x0, box, xatol, fatol, budget
-        )
-        options = {"xatol": xatol, "fatol": fatol, "maxiter": budget, "maxfev": budget}
+        x, J, n_evals, success = control._nelder_mead(recording(ours), x0, box, budget)
+        options = {
+            "xatol": control.NM_XATOL,
+            "fatol": control.NM_FATOL,
+            "maxiter": budget,
+            "maxfev": budget,
+        }
         bounds = None if box is None else list(zip(*box))
         ref = minimize(recording(theirs), x0, method="Nelder-Mead", bounds=bounds, options=options)
         assert ours == theirs and n_evals == ref.nfev == len(ours)
@@ -912,10 +918,13 @@ class TestUpFrontRefusals:
             ({"seq_starts": 0}, "seq_starts must be at least 1, got 0"),
             ({"seq_starts": 1.5}, "seq_starts must be an integer, got 1.5"),
             ({"n_starts": 1.5}, "n_starts must be an integer, got 1.5"),
-            ({"ctrl_tol": np.nan}, "ctrl_tol must be nonnegative, got nan"),
-            ({"ctrl_tol": -1e-3}, "ctrl_tol must be nonnegative, got -0.001"),
-            ({"noise_floor": np.nan}, "noise_floor must be nonnegative, got nan"),
+            ({"ctrl_tol": np.nan}, "ctrl_tol must be nonnegative and finite, got nan"),
+            ({"ctrl_tol": -1e-3}, "ctrl_tol must be nonnegative and finite, got -0.001"),
+            ({"noise_floor": np.nan}, "noise_floor must be nonnegative and finite, got nan"),
             ({"seq_starts": True}, "seq_starts must be an integer, got True"),
+            # an infinite gate passes every sequence
+            ({"ctrl_tol": np.inf}, "ctrl_tol must be nonnegative and finite, got inf"),
+            ({"noise_floor": np.inf}, "noise_floor must be nonnegative and finite, got inf"),
         ],
     )
     def test_run_oc_sequence(self, setup_1d, kwargs, message):

@@ -396,29 +396,21 @@ class TestBoxQP:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("max_outer", 0),
-            ("max_outer", -3),
-            ("outer_tol", 0.0),
-            ("outer_tol", -1e-10),
-            ("max_outer", 2.5),
-            ("max_outer", True),
-        ],
-    )
-    def test_rejects_bad_value_naming_the_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            qvi.SolverConfig(**{field: value})
+    """The outer loop runs at the module constants ``qvi.OUTER_TOL`` and
+    ``qvi.MAX_OUTER``, read at call time."""
 
-    def test_smallest_caps_accepted(self):
-        cfg = qvi.SolverConfig(max_outer=1, outer_tol=1e-300)
-        assert cfg.max_outer == 1
+    def test_smallest_caps_accepted(self, monkeypatch):
+        # zero data: the first increment is 0.0, below any positive tolerance
+        monkeypatch.setattr(qvi, "MAX_OUTER", 1)
+        monkeypatch.setattr(qvi, "OUTER_TOL", 1e-300)
+        prob = qvi.ProblemData(interval_mesh(16), 1.0, 0.0, 0.0, fem.FrictionBound.constant(0.0))
+        rep = qvi.solve_qvi(prob)[1]
+        assert rep.converged and rep.outer_iterations == 1
 
-    def test_numpy_integer_caps_accepted(self):
+    def test_numpy_integer_caps_accepted(self, monkeypatch):
+        monkeypatch.setattr(qvi, "MAX_OUTER", np.int64(200))
         prob = benchmark_problem(1.0, 3.0, 1.0, 16)
-        cfg = qvi.SolverConfig(max_outer=np.int64(200))
-        assert qvi.solve_qvi(prob, cfg)[1].converged
+        assert qvi.solve_qvi(prob)[1].converged
 
 
 class TestFixedPoint:
@@ -471,13 +463,17 @@ class TestFixedPoint:
         assert rep.outer_iterations == 2
 
     def test_observed_contraction_below_margin(self):
-        # L_g = 0.9 on the interval: k just above 0.96
+        # L_g = 0.9 on the interval: k just above 0.96, the problem of
+        # acceptance criterion 3, whose increments reach OUTER_TOL in 224
+        # steps at the default cap
         mesh = interval_mesh(64)
         prob = qvi.ProblemData(mesh, 1.0, 3.0, 0.0, fem.FrictionBound.affine(0.25, 0.9))
-        u, rep = qvi.solve_qvi(prob, qvi.SolverConfig(max_outer=400))
+        u, rep = qvi.solve_qvi(prob)
         assert rep.k < 1.0
         assert len(rep.ratios) > 10
         assert max(rep.ratios) <= rep.k + 0.05
+        assert rep.converged and rep.outer_iterations == 224 < qvi.MAX_OUTER
+        assert rep.increments[-1] < qvi.OUTER_TOL <= rep.increments[-2]
 
     def test_iteration_count_follows_contraction(self):
         mesh = interval_mesh(64)
@@ -489,34 +485,36 @@ class TestFixedPoint:
     def test_smallness_violation_requires_override(self):
         mesh = interval_mesh(32)
         prob = qvi.ProblemData(mesh, 1.0, 1.0, 0.0, fem.FrictionBound.affine(0.1, 1.0))
-        with pytest.raises(qvi.SolverError, match="contraction factor"):
+        with pytest.raises(qvi.SolverError, match="contraction factor") as info:
             qvi.solve_qvi(prob)
+        assert "set ProblemData.allow_non_contractive" in str(info.value)
 
     def test_override_still_converges_when_map_contracts(self):
         # k >= 1 is only an upper bound; the interval map still contracts at 0.95
         mesh = interval_mesh(32)
         prob = qvi.ProblemData(mesh, 1.0, 3.0, 0.0, fem.FrictionBound.affine(0.1, 0.95))
         with pytest.warns(UserWarning, match="non-contractive"):
-            u, rep = qvi.solve_qvi(
-                prob, qvi.SolverConfig(max_outer=1000, allow_non_contractive=True)
-            )
+            u, rep = qvi.solve_qvi(prob.with_data(allow_non_contractive=True))
         assert rep.converged and not rep.contraction_ok
         assert rep.error_bound is None
 
-    def test_error_bound_covers_distance_to_tight_solve(self):
+    def test_error_bound_covers_distance_to_tight_solve(self, monkeypatch):
         # L_g = 0.5 on the interval: k about 0.54
         mesh = interval_mesh(64)
         prob = qvi.ProblemData(mesh, 1.0, 3.0, 0.0, fem.FrictionBound.affine(0.5, 0.5))
-        u, rep = qvi.solve_qvi(prob, qvi.SolverConfig(outer_tol=1e-6))
-        ref, _ = qvi.solve_qvi(prob, qvi.SolverConfig(outer_tol=1e-12))
+        monkeypatch.setattr(qvi, "OUTER_TOL", 1e-6)
+        u, rep = qvi.solve_qvi(prob)
+        monkeypatch.setattr(qvi, "OUTER_TOL", 1e-12)
+        ref, _ = qvi.solve_qvi(prob)
         assert 0.5 < rep.k < 0.6 and rep.contraction_ok
         assert rep.error_bound == rep.k / (1.0 - rep.k) * rep.increments[-1]
         assert 0.0 < fem.v_norm(mesh, u - ref) <= rep.error_bound
 
-    def test_outer_cap_raises(self):
+    def test_outer_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(qvi, "MAX_OUTER", 1)
         prob = benchmark_problem(1.0, 3.0, 1.0, 16)
         with pytest.raises(qvi.SolverError, match="outer fixed point"):
-            qvi.solve_qvi(prob, qvi.SolverConfig(max_outer=1))
+            qvi.solve_qvi(prob)
 
     def test_negative_bound_function_rejected(self):
         mesh = interval_mesh(16)
@@ -599,12 +597,13 @@ def per_step_tresca(solver, F, c, t0, lam0, stick_sets=None):
     raise AssertionError("per-step oracle missed the friction law")
 
 
-def per_step_fixed_point(discrete, F, g, cfg, eta0=None, lam0=None, stick_sets=None):
+def per_step_fixed_point(discrete, F, g, eta0=None, lam0=None, stick_sets=None):
     """The bound-update loop on the Tresca solver of ``discrete`` with one
     full frozen-bound solve per outer step, carrying the multiplier from
-    step to step; the bound's nodes, weights and norms are looked up
-    afresh.  A step whose coefficients equal the last step's is solved
-    by the last iterate: it gives increment 0.0 and 0 inner iterations.
+    step to step, at ``qvi.OUTER_TOL`` and ``qvi.MAX_OUTER``; the bound's
+    nodes, weights and norms are looked up afresh.  A step whose
+    coefficients equal the last step's is solved by the last iterate: it
+    gives increment 0.0 and 0 inner iterations.
     Returns (u, increments, ratios, inner_sweeps, lam)."""
     mesh, solver = discrete.problem.mesh, discrete.tresca
     T = solver.friction
@@ -613,7 +612,7 @@ def per_step_fixed_point(discrete, F, g, cfg, eta0=None, lam0=None, stick_sets=N
     lam = lam0
     increments, ratios, sweeps = [], [], []
     c_last = None
-    for _ in range(cfg.max_outer):
+    for _ in range(qvi.MAX_OUTER):
         c = w * np.maximum(g(mesh.nodes[T], np.abs(eta[T])), 0.0)
         if c_last is not None and np.array_equal(c, c_last):
             u, its = eta, 0
@@ -626,7 +625,7 @@ def per_step_fixed_point(discrete, F, g, cfg, eta0=None, lam0=None, stick_sets=N
         increments.append(inc)
         sweeps.append(its)
         eta = u
-        if inc < cfg.outer_tol:
+        if inc < qvi.OUTER_TOL:
             return eta, increments, ratios, sweeps, lam
     raise AssertionError("per-step oracle missed the outer tolerance")
 
@@ -699,14 +698,13 @@ class TestReducedFixedPoint:
     def test_matches_per_step_loop(self, instance):
         problem, eta0 = instance
         discrete = qvi.DiscreteProblem(problem)
-        cfg = qvi.SolverConfig()
         stick_sets = recording_stick_sets(discrete.tresca)
         F = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
-        u, rep = discrete.solve(F, problem.g, cfg, eta0)
+        u, rep = discrete.solve(F, problem.g, eta0)
         # a second DiscreteProblem: a Tresca solver with no kept LU or multiplier
         oracle = qvi.DiscreteProblem(problem)
         ref_sets = []
-        ref = per_step_fixed_point(oracle, F, problem.g, cfg, eta0, None, ref_sets)
+        ref = per_step_fixed_point(oracle, F, problem.g, eta0, None, ref_sets)
         assert close_in_v_norm(problem.mesh, u, ref[0])
         assert rep.inner_sweeps == ref[3]
         assert stick_sets == [whole_gamma3(discrete.tresca)] + ref_sets
@@ -716,10 +714,9 @@ class TestReducedFixedPoint:
     def test_bitwise_equal_to_a_loop_of_solves(self, instance):
         problem, eta0 = instance
         discrete = qvi.DiscreteProblem(problem)
-        cfg = qvi.SolverConfig()
         F = fem.assemble_load(problem.mesh, problem.f0, problem.f2)
         w = discrete.tresca.reduce(F)
-        u, rep = qvi.fixed_point(discrete, w, problem.g, cfg, eta0)
+        u, rep = qvi.fixed_point(discrete, w, problem.g, eta0)
         # one Tresca solve a step: it reduces the load afresh and warm-starts
         # from t0 and its last multiplier; the first call of a fresh solver is cold;
         # a step whose coefficients equal the last step's bitwise solves nothing
@@ -771,13 +768,12 @@ class TestReducedFixedPoint:
         solver = discrete.tresca
         g = fem.FrictionBound.affine(0.05, b)
         F = load(-0.2)
-        cfg = qvi.SolverConfig()
         ref_sets = []
         oracle = qvi.DiscreteProblem(discrete.problem)
-        ref = per_step_fixed_point(oracle, F, g, cfg, stick_sets=ref_sets)
+        ref = per_step_fixed_point(oracle, F, g, stick_sets=ref_sets)
         counts = self.count_work(monkeypatch, solver)
         stick_sets = recording_stick_sets(solver)
-        u, rep = discrete.solve(F, g, cfg)
+        u, rep = discrete.solve(F, g)
         assert close_in_v_norm(discrete.problem.mesh, u, ref[0])
         assert rep.inner_sweeps == ref[3]
         assert stick_sets == [whole_gamma3(solver)] + ref_sets
@@ -817,15 +813,15 @@ class TestReducedFixedPoint:
         # stop reads the bound's values, so the run reaches the fixed point
         _, discrete, _, load = control_square()
         g = fem.FrictionBound(lambda x, r: 0.05 + 0.2 * r, lipschitz=0.0)
-        F, cfg = load(0.6), qvi.SolverConfig()
-        u, rep = discrete.solve(F, g, cfg)
-        ref = per_step_fixed_point(qvi.DiscreteProblem(discrete.problem), F, g, cfg)
+        F = load(0.6)
+        u, rep = discrete.solve(F, g)
+        ref = per_step_fixed_point(qvi.DiscreteProblem(discrete.problem), F, g)
         assert rep.k == 0.0 and rep.outer_iterations > 4
         assert 0 not in rep.inner_sweeps and rep.inner_sweeps == ref[3]
         assert close_in_v_norm(discrete.problem.mesh, u, ref[0])
         # the same values with their rate declared give the same run
         honest = qvi.DiscreteProblem(discrete.problem)
-        u_honest, rep_honest = honest.solve(F, fem.FrictionBound.affine(0.05, 0.2), cfg)
+        u_honest, rep_honest = honest.solve(F, fem.FrictionBound.affine(0.05, 0.2))
         assert np.array_equal(u, u_honest) and rep.increments == rep_honest.increments
 
     def test_all_slip_solves_for_no_column(self, monkeypatch):
@@ -846,14 +842,13 @@ class TestReducedFixedPoint:
         patches = control.ControlPatches(mesh, 2)
         state = control.StateSolver(problem, patches)
         weights = control.CostWeights(1.0, 1e-3, 0.0)
-        cfg = qvi.SolverConfig()
         oracle = control.StateSolver(problem, patches).discrete
         coeffs = [np.array([-0.2, -0.3]), np.array([-0.21, -0.29])]
         ref_sets, eta, lam, outer = [], None, None, 0
         for x in coeffs:
             F = state.F0 + state.B @ patches.coefficients(x)
             eta, _, _, sweeps, lam = per_step_fixed_point(
-                oracle, F, problem.g, cfg, eta, lam, ref_sets
+                oracle, F, problem.g, eta, lam, ref_sets
             )
             outer += len(sweeps)
         solver = state.discrete.tresca
@@ -861,7 +856,7 @@ class TestReducedFixedPoint:
         stick_sets = recording_stick_sets(solver)
         u = None
         for x in coeffs:
-            _, u = state.evaluate(x, weights, cfg, eta0=u)
+            _, u = state.evaluate(x, weights, eta0=u)
         assert close_in_v_norm(mesh, u, eta)
         assert stick_sets == [whole_gamma3(solver)] + ref_sets
         assert counts["load"] == 0 and counts["lift"] == outer

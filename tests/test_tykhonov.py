@@ -409,12 +409,16 @@ class TestSequenceGeneration:
         with pytest.raises(ValueError, match="target_perturb"):
             tykhonov.run_convergence(problem, schedule)
 
-    @pytest.mark.parametrize("floor, shown", [(np.nan, "nan"), (-1e-6, "-1e-06")])
+    # an infinite floor would pass every sequence
+    @pytest.mark.parametrize(
+        "floor, shown", [(np.nan, "nan"), (-1e-6, "-1e-06"), (np.inf, "inf")]
+    )
     def test_bad_noise_floor_refused_before_any_solve(self, floor, shown, monkeypatch):
         built = _count_tresca_setups(monkeypatch)
         problem = oracle.benchmark_problem(mu=1.0, f0=1.0, g=1.0, n_elements=16)
         schedule = tykhonov.Schedule(kind="load_perturb", length=4)
-        with pytest.raises(ValueError, match=f"noise_floor must be nonnegative, got {shown}"):
+        message = f"noise_floor must be nonnegative and finite, got {shown}"
+        with pytest.raises(ValueError, match=message):
             tykhonov.run_convergence(problem, schedule, noise_floor=floor)
         assert built == []
 
